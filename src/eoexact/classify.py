@@ -600,14 +600,26 @@ def symmetry_class(f: Signature) -> SymmetryReport:
     supp = f.support()
     if all(f.value(m ^ full) == -f.value(m) for m in supp):
         return SymmetryReport("dual_antisymmetric")
+    unit = conjugate_dual_unit(f)
+    if unit is not None:
+        return SymmetryReport("conjugate_dual", unit)
+    return SymmetryReport("none")
+
+
+def conjugate_dual_unit(f: Signature) -> ExactValue | None:
+    """Unimodular u with f(~a) == u * conj(f(a)) on the support of a nonzero
+    f, if any."""
+    full = (1 << f.arity) - 1
+    supp = f.support()
     m0 = supp[0]
     dual_val = f.value(m0 ^ full)
-    if not dual_val.is_zero():
-        unit = dual_val / f.value(m0).conj()
-        if unit.is_unimodular() and \
-                all(f.value(m ^ full) == unit * f.value(m).conj() for m in supp):
-            return SymmetryReport("conjugate_dual", unit)
-    return SymmetryReport("none")
+    if dual_val.is_zero():
+        return None
+    unit = dual_val / f.value(m0).conj()
+    if unit.is_unimodular() and \
+            all(f.value(m ^ full) == unit * f.value(m).conj() for m in supp):
+        return unit
+    return None
 
 
 # ---------------------------------------------------------------------------

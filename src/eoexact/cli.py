@@ -5,7 +5,7 @@ report (stable schema, deterministic content; timing is shown only in the
 human text so reruns reproduce the payload byte for byte).  ``--out`` writes
 the same JSON (or the produced artifact, for ``prune``) to a file.
 
-Exit codes: 0 success, 1 domain error, 2 usage error.
+Exit codes: 0 success, 1 domain error or unreadable file, 2 usage error.
 """
 
 from __future__ import annotations
@@ -360,8 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     for sp in sub.choices.values():
         sp.add_argument("--out", default=None, help="also write the report/artifact here")
-        sp.add_argument("--threads", type=int, default=1,
-                        help="worker cap (current engines are sequential)")
     return parser
 
 
@@ -379,7 +377,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except EOError as exc:
+    except (EOError, OSError) as exc:
         print(f"error: {exc.__class__.__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -332,23 +332,6 @@ class PinRealizabilityReport:
         }
 
 
-def _conjugate_dual_unit(f: Signature) -> ExactValue | None:
-    """Unimodular u with f(~a) == u * conj(f(a)) on the support, if any."""
-    n = f.arity
-    full = (1 << n) - 1
-    supp = f.support()
-    base = supp[0]
-    if f.value(base ^ full).is_zero():
-        return None
-    u = f.value(base ^ full) / f.value(base).conj()
-    if not u.is_unimodular():
-        return None
-    for m in supp:
-        if f.value(m ^ full) != u * f.value(m).conj():
-            return None
-    return u
-
-
 def _equal_pair_gadget_exists(f: Signature) -> bool:
     """Whether plain self-loops reach a two-string quaternary gate with both
     values nonzero (the springboard for duplicating a single pin)."""
@@ -402,7 +385,7 @@ def delta_realizability(f: Signature,
         k = descriptor.order or 1
         if k >= 3:
             route = "conjugate_dual_regime"
-            if _conjugate_dual_unit(f) is None:
+            if classify.conjugate_dual_unit(f) is None:
                 consistent = False
                 findings.append(
                     f"finite root group of order {k} but no conjugate-dual unit")

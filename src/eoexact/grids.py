@@ -8,8 +8,11 @@ constraint.  Grids are immutable; rewiring helpers return new grids.
 
 from __future__ import annotations
 
+import heapq
 import os
 from dataclasses import dataclass, field, replace
+from math import prod
+from operator import getitem
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -130,121 +133,156 @@ def validate(grid: Grid) -> Diagnostics:
     return Diagnostics(ok=not issues, closed=grid.is_closed, all_eo=all_eo, issues=issues)
 
 
-def _require_valid(grid: Grid) -> None:
+def require_valid(grid: Grid) -> None:
     diag = validate(grid)
     if not diag.ok:
         raise InvalidGrid("; ".join(diag.issues))
 
 
-class _Enumerator:
-    """Shared DFS over edge orientations with support-based pruning."""
+def _greedy_order(touched: list[tuple[int, ...]], nv: int) -> list[int]:
+    """Repeatedly pick the variable whose vertices have the most slots already
+    assigned, lowest index first on ties, so vertices complete (and prune)
+    early.  Scores only grow, so a heap that skips stale entries suffices."""
+    at: list[list[int]] = [[] for _ in range(nv)]
+    for i, vs in enumerate(touched):
+        for v in vs:
+            at[v].append(i)
+    score = [0] * len(touched)
+    done = [False] * len(touched)
+    heap = [(0, i) for i in range(len(touched))]
+    order: list[int] = []
+    while heap:
+        neg, i = heapq.heappop(heap)
+        if -neg == score[i] and not done[i]:
+            done[i] = True
+            order.append(i)
+            for v in touched[i]:
+                for j in at[v]:
+                    if not done[j]:
+                        score[j] += 1
+                        heapq.heappush(heap, (-score[j], j))
+    return order
 
-    def __init__(self, grid: Grid, cap: int):
+
+class OrientationSearch:
+    """Iterative depth-first search over the support-consistent assignments
+    of a grid.
+
+    The variables are the edges, whose two slots take opposite bits, and the
+    dangling slots, which are free.  After each assignment the partial string
+    of every vertex it touches must still extend to a string of that vertex's
+    support.  Supports, variable order and the partial strings allowed at
+    each step are built once, so one search serves many runs on one grid.
+    """
+
+    def __init__(self, grid: Grid):
         self.grid = grid
-        self.cap = cap
-        self.ops = 0
-        self.arities = [sig.arity for _, sig in grid.vertices]
-        self.supports = [sig.support() for _, sig in grid.vertices]
-        # per-vertex slot sources are fixed by grid structure
-        self.edge_order = self._order_edges()
+        self._supports = [sig.support() for _, sig in grid.vertices]
+        arities = [sig.arity for _, sig in grid.vertices]
+        # (slot set to 1 when the variable is 1, slot set to 1 when it is 0)
+        variables = [(a, b) for a, b in grid.edges] + [(s, None) for s in grid.dangling]
+        touched = [tuple(s[0] for s in var if s) for var in variables]
+        care = [0] * len(grid.vertices)
+        # per step (va, ba, allowed at va, vb, bb, allowed at vb); a dangling
+        # slot has vb == va and bb == 0, so its value 0 sets no bit
+        self._steps: list[tuple] = []
+        self._cares: list[tuple[int, int]] = []
+        self._touching: list[list[int]] = [[] for _ in grid.vertices]
+        for pos, idx in enumerate(_greedy_order(touched, len(grid.vertices))):
+            (va, pa), zero = variables[idx]
+            vb, pb = zero or (va, None)
+            ba = 1 << (arities[va] - 1 - pa)
+            bb = 0 if zero is None else 1 << (arities[vb] - 1 - pb)
+            care[va] |= ba
+            care[vb] |= bb
+            oka = self._allowed(va, care[va])
+            okb = oka if vb == va else self._allowed(vb, care[vb])
+            self._steps.append((va, ba, oka, vb, bb, okb))
+            self._cares.append((care[va], care[vb]))
+            for v in {va, vb}:
+                self._touching[v].append(pos)
 
-    def _order_edges(self) -> list[int]:
-        # Greedy: repeatedly pick the edge touching the vertex with the most
-        # already-assigned slots, so vertices complete (and prune) early.
-        remaining = set(range(len(self.grid.edges)))
-        assigned_count = [0] * len(self.grid.vertices)
-        order: list[int] = []
-        while remaining:
-            def score(eidx: int) -> tuple[int, int]:
-                (va, _), (vb, _) = self.grid.edges[eidx]
-                return (assigned_count[va] + assigned_count[vb], -eidx)
-            best = max(remaining, key=score)
-            remaining.remove(best)
-            order.append(best)
-            (va, _), (vb, _) = self.grid.edges[best]
-            assigned_count[va] += 1
-            assigned_count[vb] += 1
-        return order
+    def _allowed(self, v: int, care: int) -> frozenset[int]:
+        return frozenset(s & care for s in self._supports[v])
 
-    def run(self, fixed: dict[Slot, int]) -> ExactValue:
-        grid = self.grid
-        nv = len(grid.vertices)
-        masks = [0] * nv          # assigned bits so far, in signature index convention
-        known = [0] * nv          # how many slots assigned
-        care = [0] * nv           # bitmask over table indices of assigned positions
-        for (vidx, port), bit in fixed.items():
-            k = self.arities[vidx]
-            care[vidx] |= 1 << (k - 1 - port)
-            if bit:
-                masks[vidx] |= 1 << (k - 1 - port)
-            known[vidx] += 1
+    def assignments(self, cap: int = DEFAULT_OP_CAP,
+                    vertex: int | None = None, mask: int = 0):
+        """Yield the per-vertex table indices of every support-consistent
+        assignment; with ``vertex`` given, only of those where it reads ``mask``.
 
-        if any(not self._compatible(v, masks[v], care[v]) for v in range(nv)):
-            return ZERO
-
-        order = self.edge_order
-        total = ZERO
-
-        def dfs(pos: int) -> None:
-            nonlocal total
-            self.ops += 1
-            if self.ops > self.cap:
-                raise BruteForceCapExceeded(f"orientation enumeration exceeded {self.cap} steps")
-            if pos == len(order):
-                acc = ONE
-                for v in range(nv):
-                    acc = acc * self.grid.signature_of(v).value(masks[v])
-                    if acc.is_zero():
-                        break
-                total = total + acc
+        The yielded list is reused: read it before resuming the generator.
+        ``cap`` bounds the number of assignments that pass the support check.
+        """
+        steps = self._steps
+        if vertex is not None:
+            if mask not in self._supports[vertex]:
                 return
-            eidx = order[pos]
-            (va, pa), (vb, pb) = self.grid.edges[eidx]
-            ka, kb = self.arities[va], self.arities[vb]
-            bita, bitb = 1 << (ka - 1 - pa), 1 << (kb - 1 - pb)
-            for z in (0, 1):
-                if z:
-                    masks[va] |= bita
+            steps = list(steps)
+            for pos in self._touching[vertex]:
+                va, ba, oka, vb, bb, okb = steps[pos]
+                ca, cb = self._cares[pos]
+                steps[pos] = (va, ba, {mask & ca} if va == vertex else oka,
+                              vb, bb, {mask & cb} if vb == vertex else okb)
+        if not all(self._supports):
+            return
+        masks = [0] * len(self._supports)
+        if not steps:
+            yield masks
+            return
+        tried = [0] * len(steps)
+        last = len(steps) - 1
+        ops = pos = 0
+        while pos >= 0:
+            va, ba, oka, vb, bb, okb = steps[pos]
+            t = tried[pos]
+            if t == 0:
+                masks[vb] |= bb
+            elif t == 1:
+                masks[vb] ^= bb
+                masks[va] |= ba
+            else:
+                masks[va] ^= ba
+                tried[pos] = 0
+                pos -= 1
+                continue
+            tried[pos] = t + 1
+            if masks[va] in oka and masks[vb] in okb:
+                ops += 1
+                if ops > cap:
+                    raise BruteForceCapExceeded(
+                        f"orientation enumeration exceeded {cap} steps")
+                if pos == last:
+                    yield masks
                 else:
-                    masks[vb] |= bitb
-                care[va] |= bita
-                care[vb] |= bitb
-                if self._compatible(va, masks[va], care[va]) and \
-                        self._compatible(vb, masks[vb], care[vb]):
-                    dfs(pos + 1)
-                masks[va] &= ~bita
-                masks[vb] &= ~bitb
-                care[va] &= ~bita
-                care[vb] &= ~bitb
-
-        dfs(0)
-        return total
-
-    def _compatible(self, v: int, mask: int, care: int) -> bool:
-        return any((s & care) == mask for s in self.supports[v])
+                    pos += 1
 
 
 def brute_force_partition(grid: Grid, cap: int = DEFAULT_OP_CAP) -> ExactValue:
     """Exact partition function of a closed grid by orientation enumeration."""
-    _require_valid(grid)
+    require_valid(grid)
     if not grid.is_closed:
         raise OpenGridError("partition function needs a closed grid; use gate_signature")
-    return _Enumerator(grid, cap).run({})
+    tables = [sig.values for _, sig in grid.vertices]
+    total = ZERO
+    for masks in OrientationSearch(grid).assignments(cap):
+        total = total + prod(map(getitem, tables, masks), start=ONE)
+    return total
 
 
 def gate_signature(grid: Grid, cap: int = DEFAULT_OP_CAP) -> Signature:
     """Collapse an open grid into the signature over its dangling ports."""
-    _require_valid(grid)
+    require_valid(grid)
     if grid.is_closed:
         raise ClosedGridError("gate has no dangling ports; use brute_force_partition")
-    d = len(grid.dangling)
-    enum = _Enumerator(grid, cap)
-    table = []
-    for out_mask in range(1 << d):
-        fixed = {slot: (out_mask >> (d - 1 - i)) & 1
-                 for i, slot in enumerate(grid.dangling)}
-        table.append(enum.run(fixed))
-    return Signature(d, tuple(table))
+    tables = [sig.values for _, sig in grid.vertices]
+    ports = [(v, 1 << (grid.signature_of(v).arity - 1 - p)) for v, p in grid.dangling]
+    table = [ZERO] * (1 << len(ports))
+    for masks in OrientationSearch(grid).assignments(cap):
+        out = 0
+        for v, bit in ports:
+            out = (out << 1) | bool(masks[v] & bit)
+        table[out] = table[out] + prod(map(getitem, tables, masks), start=ONE)
+    return Signature(len(ports), tuple(table))
 
 
 # -- grid files ---------------------------------------------------------------

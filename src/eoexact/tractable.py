@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from . import classify, f2
 from .errors import (
     EOError,
-    InvalidGrid,
     NoAsymmetricGateFound,
     NonAffineVertex,
     NonProductVertex,
@@ -29,7 +28,14 @@ from .errors import (
 )
 from .gauss import Z4Form
 from .gauss import gauss_sum as _gauss_sum
-from .grids import Grid, brute_force_partition, gate_signature, validate
+from .grids import (
+    Grid,
+    OrientationSearch,
+    brute_force_partition,
+    gate_signature,
+    require_valid,
+    validate,
+)
 from .signatures import (
     BinaryDiseq,
     Signature,
@@ -45,9 +51,7 @@ Slot = tuple[int, int]
 
 
 def _require_closed(grid: Grid) -> None:
-    diag = validate(grid)
-    if not diag.ok:
-        raise InvalidGrid("; ".join(diag.issues))
+    require_valid(grid)
     if not grid.is_closed:
         raise OpenGridError("operation needs a closed grid")
 
@@ -272,71 +276,22 @@ def eval_product(grid: Grid) -> ExactValue:
 
 
 class ExhaustiveOracle:
-    """Backtracking over edge orientations with per-vertex support pruning."""
+    """Depth-first search for one support-consistent orientation through the
+    queried string.  The search of the last grid queried is kept, so one
+    effective-support pass builds supports and variable order once."""
 
     name = "exhaustive"
+    _search: OrientationSearch | None = None
 
     def query(self, grid: Grid, vertex: int, mask: int):
-        supports = [sig.support() for _, sig in grid.vertices]
-        nv = len(grid.vertices)
-        arities = [sig.arity for _, sig in grid.vertices]
-        masks = [0] * nv
-        cares = [0] * nv
-        k = arities[vertex]
-        masks[vertex] = mask
-        cares[vertex] = (1 << k) - 1
-        if mask not in supports[vertex]:
+        search = self._search
+        if search is None or search.grid is not grid:
+            search = self._search = OrientationSearch(grid)
+        masks = next(search.assignments(vertex=vertex, mask=mask), None)
+        if masks is None:
             return False, None
-
-        def compatible(v: int) -> bool:
-            return any((s & cares[v]) == masks[v] for s in supports[v])
-
-        # consistency of the queried vertex with edge structure is imposed by
-        # assigning its slots first through the fixed masks
-        edges = grid.edges
-
-        def dfs(pos: int):
-            if pos == len(edges):
-                if all(compatible(v) for v in range(nv)):
-                    return []
-                return None
-            (va, pa), (vb, pb) = edges[pos]
-            bita = 1 << (arities[va] - 1 - pa)
-            bitb = 1 << (arities[vb] - 1 - pb)
-            fixed_a = bool(cares[va] & bita)
-            fixed_b = bool(cares[vb] & bitb)
-            choices = (0, 1)
-            if fixed_a:
-                choices = ((masks[va] >> (arities[va] - 1 - pa)) & 1,)
-            for z in choices:
-                if fixed_b and (1 - z) != (masks[vb] >> (arities[vb] - 1 - pb)) & 1:
-                    continue
-                olda, oldca = masks[va], cares[va]
-                oldb, oldcb = masks[vb], cares[vb]
-                if z:
-                    masks[va] |= bita
-                else:
-                    masks[vb] |= bitb
-                cares[va] |= bita
-                cares[vb] |= bitb
-                if compatible(va) and compatible(vb):
-                    tail = dfs(pos + 1)
-                    if tail is not None:
-                        return [z] + tail
-                masks[va], cares[va] = olda, oldca
-                masks[vb], cares[vb] = oldb, oldcb
-            return None
-
-        orient = dfs(0)
-        if orient is None:
-            return False, None
-        witness: dict[Slot, int] = {}
-        for eidx, ((va, pa), (vb, pb)) in enumerate(edges):
-            witness[(va, pa)] = orient[eidx]
-            witness[(vb, pb)] = 1 - orient[eidx]
-        for p in range(arities[vertex]):
-            witness[(vertex, p)] = f2.bit_at(mask, p, arities[vertex])
-        return True, witness
+        return True, {(v, p): f2.bit_at(masks[v], p, sig.arity)
+                      for v, (_, sig) in enumerate(grid.vertices) for p in range(sig.arity)}
 
 
 def encode_support_query(grid: Grid, vertex: int, mask: int) -> str:

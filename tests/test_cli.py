@@ -126,6 +126,16 @@ def test_domain_error_exit_code(workdir, capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [["eval", "--engine", "brute", "missing.grid"],
+                                  ["classify", "missing.sigset"]])
+def test_missing_input_file_exit_code(tmp_path, capsys, argv):
+    argv = argv[:-1] + [str(tmp_path / argv[-1])]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: FileNotFoundError: ")
+    assert err.count("\n") == 1
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["nosuchcommand"]) == 2
     assert main([]) == 2

@@ -26,6 +26,7 @@ from eoexact.signatures import (
     gen_diseq,
     neq2,
     pin_signature,
+    self_loop,
     signature_matrix,
     tensor,
 )
@@ -97,6 +98,18 @@ def test_gate_chain_squares_parameter():
     chain = Grid.make([("a", f), ("b", f)], [((0, 1), (1, 0))], [(0, 0), (1, 1)])
     got = gate_signature(chain)
     assert got == from_entries(2, {"01": ONE, "10": V(25)})
+
+
+def test_gate_loop_with_dangling_ports_matches_self_loop():
+    # the internal edge and the dangling ports share the one vertex
+    rng = random.Random(29)
+    from tests_helpers import rand_eo_signature
+    for _ in range(6):
+        f = rand_eo_signature(rng, 6)
+        i, j = rng.sample(range(6), 2)
+        rest = [p for p in range(6) if p not in (i, j)]
+        grid = Grid.make([("v", f)], [((0, i), (0, j))], [(0, p) for p in rest])
+        assert gate_signature(grid) == self_loop(f, min(i, j), max(i, j))
 
 
 def test_matrix_composition_law():

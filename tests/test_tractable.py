@@ -51,6 +51,31 @@ V = ExactValue.rational
 EXTERNAL_CMD = [sys.executable, "-m", "eoexact.oracle_cli"]
 
 
+def weighted_deq4_ring(n):
+    """Ring of n weighted deq4 vertices (2n edges): ports 3,4 of v meet 1,2 of v+1."""
+    rng = random.Random(n)
+    sigs = [from_entries(4, {"0011": rng.choice([1, 2, I]), "1100": rng.choice([1, 3, -I])})
+            for _ in range(n)]
+    edges = [((v, 2 + p), ((v + 1) % n, p)) for v in range(n) for p in range(2)]
+    return Grid.make([(f"v{v}", sig) for v, sig in enumerate(sigs)], edges)
+
+
+def assert_valid_witness(grid, vidx, m, witness):
+    """Every edge takes opposite bits, every vertex reads a support string,
+    and the queried vertex reads the queried string."""
+    for (sa, sb) in grid.edges:
+        assert witness[sa] != witness[sb]
+    for v2, (vid2, sig2) in enumerate(grid.vertices):
+        local = 0
+        for p in range(sig2.arity):
+            if witness[(v2, p)]:
+                local |= 1 << (sig2.arity - 1 - p)
+        assert local in sig2.support()
+    sig = grid.signature_of(vidx)
+    local = sum(witness[(vidx, p)] << (sig.arity - 1 - p) for p in range(sig.arity))
+    assert local == m
+
+
 def pinned_triple_grid():
     """Arity-4 signature with (x1,x2) pinned to 01 by a pin vertex, (x3,x4) looped."""
     f = from_entries(4, {"0011": 1, "0101": 1, "1010": 1})
@@ -118,6 +143,12 @@ def test_eval_product_matches_brute_force():
         assert eval_product(grid) == brute_force_partition(grid)
 
 
+def test_brute_force_deep_ring_matches_product():
+    grid = weighted_deq4_ring(512)
+    assert len(grid.edges) == 1024
+    assert brute_force_partition(grid) == eval_product(grid)
+
+
 # -- support oracle ---------------------------------------------------------------
 
 
@@ -170,19 +201,17 @@ def test_witnesses_are_valid_assignments():
         for vidx, (vid, sig) in enumerate(grid.vertices):
             for m in sig.support():
                 ok, witness = support_oracle(grid, vidx, m)
-                if not ok:
-                    continue
-                for (sa, sb) in grid.edges:
-                    assert witness[sa] != witness[sb]
-                for v2, (vid2, sig2) in enumerate(grid.vertices):
-                    local = 0
-                    for p in range(sig2.arity):
-                        if witness[(v2, p)]:
-                            local |= 1 << (sig2.arity - 1 - p)
-                    assert local in sig2.support()
-                local = sum(witness[(vidx, p)] << (sig.arity - 1 - p)
-                            for p in range(sig.arity))
-                assert local == m
+                if ok:
+                    assert_valid_witness(grid, vidx, m, witness)
+
+
+def test_exhaustive_oracle_deep_ring():
+    grid = weighted_deq4_ring(512)
+    oracle = ExhaustiveOracle()
+    for vidx, m in ((0, 0b0011), (300, 0b1100)):
+        ok, witness = oracle.query(grid, vidx, m)
+        assert ok
+        assert_valid_witness(grid, vidx, m, witness)
 
 
 # -- pruning ----------------------------------------------------------------------
