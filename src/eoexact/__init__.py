@@ -1,22 +1,8 @@
-"""Exact-arithmetic toolkit for Boolean Eulerian-orientation counting problems."""
+"""Exact-arithmetic toolkit for Boolean Eulerian-orientation counting problems.
 
-from .classify import dichotomy_verdict, verdict_extended
-from .grids import Grid, brute_force_partition, gate_signature, load_grid_file
-from .signatures import Signature, load_signature_file
-from .values import ExactValue, FieldMode, parse_value, render_value
+Import what you need from its modules (``eoexact.signatures``,
+``eoexact.grids``, ``eoexact.classify``, ...); the package itself imports
+none of them, so ``eoexact.oracle_cli`` starts without the arithmetic stack.
+"""
 
-__all__ = [
-    "ExactValue",
-    "FieldMode",
-    "Grid",
-    "Signature",
-    "brute_force_partition",
-    "dichotomy_verdict",
-    "gate_signature",
-    "load_grid_file",
-    "load_signature_file",
-    "parse_value",
-    "render_value",
-    "verdict_extended",
-]
 __version__ = "0.1.0"

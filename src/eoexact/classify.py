@@ -20,7 +20,7 @@ from .errors import (
     ZeroSignature,
 )
 from .f2 import AffineSpace, f2_affine_span
-from .signatures import Signature, from_entries, pin_pair
+from .signatures import Signature, dual, pin_pair
 from .values import ExactValue, I, ONE, ZERO, i_power_exponent, render_value
 
 PAIRING_ARITY_CAP = 12
@@ -218,11 +218,8 @@ def pairing_opposite_set(pairing: Pairing, arity: int) -> Iterator[int]:
 def restrict_to_pairing(f: Signature, pairing: Pairing) -> Signature:
     """Zero out every string where some pair takes equal values."""
     n = f.arity
-    entries = {}
-    for m in f.support():
-        if all(f2.bit_at(m, i, n) != f2.bit_at(m, j, n) for i, j in pairing):
-            entries[m] = f.value(m)
-    return from_entries(n, entries)
+    return Signature(n, {m: v for m, v in f.entries.items()
+                         if all(f2.bit_at(m, i, n) != f2.bit_at(m, j, n) for i, j in pairing)})
 
 
 # ---------------------------------------------------------------------------
@@ -511,61 +508,43 @@ def is_rebalancing(f: Signature, b: int) -> RebalanceResult:
     _require_eo(f)
     if b not in (0, 1):
         raise ValueError("bit must be 0 or 1")
-    memo: dict[tuple, dict | None | str] = {}
+    memo: dict[Signature, dict | None | str] = {}
+
+    def partner(sig: Signature, x: int):
+        """(y, residual chain) for the first port y that no support string
+        sets to b together with x and whose pin leaves a rebalancing
+        residual; None if there is no such port."""
+        n = sig.arity
+        for y in range(n):
+            both = (1 << (n - 1 - x)) | (1 << (n - 1 - y))
+            clash = both if b else 0  # the strings that read b at x and at y
+            if y == x or any(m & both == clash for m in sig.support()):
+                continue
+            sub = rec(pin_pair(sig, x, y, f"{b}{1 - b}"))
+            if sub is not None:
+                return y, sub
+        return None
 
     def rec(sig: Signature):
-        key = (sig.arity, sig.values)
-        if key in memo:
-            return memo[key]
+        if sig in memo:
+            return memo[sig]
         if sig.arity == 0 or sig.is_zero():
-            memo[key] = "leaf"
+            memo[sig] = "leaf"
             return "leaf"
-        memo[key] = None  # cycle guard; residuals strictly shrink, so unused
+        memo[sig] = None  # cycle guard; residuals strictly shrink, so unused
         chain: dict = {}
-        n = sig.arity
-        supp = sig.support()
-        for x in range(n):
-            found = None
-            for y in range(n):
-                if y == x:
-                    continue
-                if any(f2.bit_at(m, x, n) == b and f2.bit_at(m, y, n) == b
-                       for m in supp):
-                    continue
-                pattern = f"{b}{1 - b}"
-                residual = pin_pair(sig, x, y, pattern)
-                sub = rec(residual)
-                if sub is not None:
-                    found = (y, sub)
-                    break
+        for x in range(sig.arity):
+            found = partner(sig, x)
             if found is None:
-                memo[key] = None
                 return None
-            chain[x] = {"partner": found[0],
-                        "residual": found[1] if found[1] != "leaf" else "leaf"}
-        memo[key] = chain
+            chain[x] = {"partner": found[0], "residual": found[1]}
+        memo[sig] = chain
         return chain
 
     result = rec(f)
     if result is None:
         # locate a failing port at the top level for the report
-        n = f.arity
-        supp = f.support()
-        failing = None
-        for x in range(n):
-            ok_any = False
-            for y in range(n):
-                if y == x:
-                    continue
-                if any(f2.bit_at(m, x, n) == b and f2.bit_at(m, y, n) == b
-                       for m in supp):
-                    continue
-                if rec(pin_pair(f, x, y, f"{b}{1 - b}")) is not None:
-                    ok_any = True
-                    break
-            if not ok_any:
-                failing = x
-                break
+        failing = next((x for x in range(f.arity) if partner(f, x) is None), None)
         return RebalanceResult(False, b, failing_port=failing)
     chain = result if result != "leaf" else {}
     return RebalanceResult(True, b, chain=chain)
@@ -593,12 +572,10 @@ def symmetry_class(f: Signature) -> SymmetryReport:
     """
     _require_eo(f)
     _require_nonzero(f)
-    n = f.arity
-    full = (1 << n) - 1
-    if all(f.value(m) == f.value(m ^ full) for m in range(1 << n)):
+    if dual(f) == f:
         return SymmetryReport("dual_symmetric", ONE)
-    supp = f.support()
-    if all(f.value(m ^ full) == -f.value(m) for m in supp):
+    full = (1 << f.arity) - 1
+    if all(f.value(m ^ full) == -v for m, v in f.entries.items()):
         return SymmetryReport("dual_antisymmetric")
     unit = conjugate_dual_unit(f)
     if unit is not None:
@@ -642,19 +619,8 @@ def pairing_sections(f: Signature, pairing: Pairing) -> list[Signature]:
             raise PairingViolation("support is not opposite on the given pairing")
     out = []
     for selection in range(1 << d):
-        entries = {}
-        for y in range(1 << d):
-            m = 0
-            for t, (i, j) in enumerate(pairing):
-                rep = j if (selection >> t) & 1 else i
-                other = i if (selection >> t) & 1 else j
-                bit = (y >> (d - 1 - t)) & 1
-                m = f2.set_bit(m, rep, n, bit)
-                m = f2.set_bit(m, other, n, 1 - bit)
-            val = f.value(m)
-            if not val.is_zero():
-                entries[y] = val
-        out.append(from_entries(d, entries))
+        reps = [j if (selection >> t) & 1 else i for t, (i, j) in enumerate(pairing)]
+        out.append(Signature(d, {f2.gather(m, reps, n): v for m, v in f.entries.items()}))
     return out
 
 
@@ -665,18 +631,14 @@ def diseq_embedding(g: Signature) -> Signature:
     where every y is the complement of its x, carrying g's value.
     """
     d = g.arity
-    n = 2 * d
     entries = {}
-    for x in range(1 << d):
+    for x, v in g.entries.items():
         m = 0
         for t in range(d):
             bit = (x >> (d - 1 - t)) & 1
-            m = f2.set_bit(m, 2 * t, n, bit)
-            m = f2.set_bit(m, 2 * t + 1, n, 1 - bit)
-        val = g.value(x)
-        if not val.is_zero():
-            entries[m] = val
-    return from_entries(n, entries)
+            m = (m << 2) | (bit << 1) | (1 - bit)
+        entries[m] = v
+    return Signature(2 * d, entries)
 
 
 def natural_pairing(d: int) -> Pairing:

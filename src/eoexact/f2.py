@@ -35,6 +35,14 @@ def set_bit(mask: int, pos: int, n: int, value: int) -> int:
     return (mask | b) if value else (mask & ~b)
 
 
+def gather(mask: int, positions: Iterable[int], n: int) -> int:
+    """The string of the bits of mask at the given positions, in their order."""
+    out = 0
+    for pos in positions:
+        out = (out << 1) | ((mask >> (n - 1 - pos)) & 1)
+    return out
+
+
 def hamming(mask: int) -> int:
     return bin(mask).count("1")
 

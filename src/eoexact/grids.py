@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import heapq
 import os
+from collections import Counter
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from math import prod
 from operator import getitem
 from typing import Iterable, Sequence
@@ -106,13 +108,14 @@ class Diagnostics:
 def validate(grid: Grid) -> Diagnostics:
     """Check port/arity bookkeeping; report rather than raise."""
     issues: list[str] = []
-    used: dict[Slot, int] = {}
     for idx, (a, b) in enumerate(grid.edges):
         if a == b:
             issues.append(f"edge {idx} connects a slot to itself")
-        for s in (a, b):
-            used[s] = used.get(s, 0) + 1
-    for s in grid.dangling:
+    used: dict[Slot, int] = {}
+    wired: Counter[int] = Counter()  # distinct slots in use, per vertex index
+    for s in chain(*grid.edges, grid.dangling):
+        if s not in used:
+            wired[s[0]] += 1
         used[s] = used.get(s, 0) + 1
     for s, count in used.items():
         vidx, port = s
@@ -125,10 +128,9 @@ def validate(grid: Grid) -> Diagnostics:
         if count > 1:
             issues.append(f"slot {s}: used {count} times")
     for vidx, (vid, sig) in enumerate(grid.vertices):
-        wired = sum(1 for s in used if s[0] == vidx)
-        if wired != sig.arity:
-            issues.append(
-                f"vertex {vid}: {wired} ports wired, arity {sig.arity} (PortCountMismatch)")
+        if wired[vidx] != sig.arity:
+            issues.append(f"vertex {vid}: {wired[vidx]} ports wired, arity {sig.arity} "
+                          "(PortCountMismatch)")
     all_eo = all(sig.is_eo() for _, sig in grid.vertices)
     return Diagnostics(ok=not issues, closed=grid.is_closed, all_eo=all_eo, issues=issues)
 
@@ -207,7 +209,7 @@ class OrientationSearch:
 
     def assignments(self, cap: int = DEFAULT_OP_CAP,
                     vertex: int | None = None, mask: int = 0):
-        """Yield the per-vertex table indices of every support-consistent
+        """Yield the per-vertex support masks of every support-consistent
         assignment; with ``vertex`` given, only of those where it reads ``mask``.
 
         The yielded list is reused: read it before resuming the generator.
@@ -262,7 +264,7 @@ def brute_force_partition(grid: Grid, cap: int = DEFAULT_OP_CAP) -> ExactValue:
     require_valid(grid)
     if not grid.is_closed:
         raise OpenGridError("partition function needs a closed grid; use gate_signature")
-    tables = [sig.values for _, sig in grid.vertices]
+    tables = [sig.entries for _, sig in grid.vertices]
     total = ZERO
     for masks in OrientationSearch(grid).assignments(cap):
         total = total + prod(map(getitem, tables, masks), start=ONE)
@@ -274,15 +276,15 @@ def gate_signature(grid: Grid, cap: int = DEFAULT_OP_CAP) -> Signature:
     require_valid(grid)
     if grid.is_closed:
         raise ClosedGridError("gate has no dangling ports; use brute_force_partition")
-    tables = [sig.values for _, sig in grid.vertices]
+    tables = [sig.entries for _, sig in grid.vertices]
     ports = [(v, 1 << (grid.signature_of(v).arity - 1 - p)) for v, p in grid.dangling]
-    table = [ZERO] * (1 << len(ports))
+    entries: dict[int, ExactValue] = {}
     for masks in OrientationSearch(grid).assignments(cap):
         out = 0
         for v, bit in ports:
             out = (out << 1) | bool(masks[v] & bit)
-        table[out] = table[out] + prod(map(getitem, tables, masks), start=ONE)
-    return Signature(len(ports), tuple(table))
+        entries[out] = entries.get(out, ZERO) + prod(map(getitem, tables, masks), start=ONE)
+    return Signature(len(ports), entries)
 
 
 # -- grid files ---------------------------------------------------------------

@@ -1,8 +1,8 @@
-"""Signatures (arity-k value tables) and the single-signature gadget calculus.
+"""Signatures (sparse arity-k value tables) and the single-signature gadget calculus.
 
-Index convention: the table of an arity-k signature has 2^k entries; entry
-``idx`` is the value on the string whose bit for variable x_{p+1} is
-``(idx >> (k-1-p)) & 1`` (MSB-first, matching the rendered 01-string).
+Index convention: a signature maps each mask ``idx`` in [0, 2^k) to the value
+on the string whose bit for variable x_{p+1} is ``(idx >> (k-1-p)) & 1``
+(MSB-first, matching the rendered 01-string); only nonzero values are stored.
 Port arguments in this module are 0-based.  Zero signatures are legal values
 throughout; callers test for triviality where they care.
 """
@@ -10,7 +10,8 @@ throughout; callers test for triviality where they care.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from . import f2
 from .errors import (
@@ -27,48 +28,63 @@ from .values import ONE, ZERO, ExactValue, FieldMode, GAUSS_MODE, as_value, pars
 ARITY_CAP = 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Signature:
-    """Total table from {0,1}^arity to exact values."""
+    """Function from {0,1}^arity to exact values, stored as its nonzero
+    entries in mask order; every other mask reads zero.  The support and the
+    hash are computed once, at construction."""
 
     arity: int
-    values: tuple[ExactValue, ...]
+    entries: Mapping[int, ExactValue]
     name: str | None = None
 
     def __post_init__(self):
         if self.arity < 0 or self.arity > ARITY_CAP:
             raise CapExceeded(f"arity {self.arity} outside [0, {ARITY_CAP}]")
-        if len(self.values) != 1 << self.arity:
-            raise ArityMismatch(
-                f"table has {len(self.values)} entries, arity {self.arity} needs {1 << self.arity}")
+        size = 1 << self.arity
+        kept: dict[int, ExactValue] = {}
+        for mask in sorted(self.entries):
+            if not 0 <= mask < size:
+                raise ArityMismatch(f"mask {mask} outside [0, {size}) for arity {self.arity}")
+            if not self.entries[mask].is_zero():
+                kept[mask] = self.entries[mask]
+        object.__setattr__(self, "entries", MappingProxyType(kept))
+        object.__setattr__(self, "_support", tuple(kept))
+        object.__setattr__(self, "_hash", hash((self.arity, tuple(kept.items()))))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Signature):
             return NotImplemented
-        return self.arity == other.arity and self.values == other.values
+        return self._hash == other._hash and self.arity == other.arity and \
+            self.entries == other.entries
 
     def __hash__(self) -> int:
-        return hash((self.arity, self.values))
+        return self._hash
 
     # -- access ----------------------------------------------------------
 
+    @property
+    def values(self) -> tuple[ExactValue, ...]:
+        """The dense table of all 2^arity values, built on each call."""
+        return tuple(self.entries.get(m, ZERO) for m in range(1 << self.arity))
+
     def value(self, mask: int) -> ExactValue:
-        return self.values[mask]
+        return self.entries.get(mask, ZERO)
 
     def value_at(self, string: str) -> ExactValue:
         n, mask = f2.string_to_mask(string)
         if n != self.arity:
             raise ArityMismatch(f"string length {n} vs arity {self.arity}")
-        return self.values[mask]
+        return self.value(mask)
 
     def support(self) -> tuple[int, ...]:
-        return tuple(m for m, v in enumerate(self.values) if not v.is_zero())
+        return self._support
 
     def support_strings(self) -> tuple[str, ...]:
         return tuple(f2.mask_to_string(m, self.arity) for m in self.support())
 
     def is_zero(self) -> bool:
-        return all(v.is_zero() for v in self.values)
+        return not self._support
 
     def is_eo(self) -> bool:
         """True when every support string is balanced (needs even arity unless zero)."""
@@ -76,26 +92,22 @@ class Signature:
 
     def scaled(self, c) -> Signature:
         c = as_value(c)
-        return Signature(self.arity, tuple(c * v for v in self.values))
-
-    def map_values(self, fn: Callable[[ExactValue], ExactValue]) -> Signature:
-        return Signature(self.arity, tuple(fn(v) for v in self.values))
+        return Signature(self.arity, {m: c * v for m, v in self.entries.items()})
 
     def with_name(self, name: str | None) -> Signature:
-        return Signature(self.arity, self.values, name)
+        return Signature(self.arity, self.entries, name)
 
     def __repr__(self) -> str:
         label = self.name or "sig"
-        entries = ", ".join(
-            f"{f2.mask_to_string(m, self.arity)}={render_value(self.values[m])}"
-            for m in self.support())
+        entries = ", ".join(f"{f2.mask_to_string(m, self.arity)}={render_value(v)}"
+                            for m, v in self.entries.items())
         return f"<{label}/{self.arity}: {entries or '0'}>"
 
 
 def from_entries(arity: int, entries: dict[str, object] | dict[int, object],
                  name: str | None = None) -> Signature:
     """Build a signature from a sparse {string-or-mask: value} mapping."""
-    table = [ZERO] * (1 << arity)
+    table: dict[int, ExactValue] = {}
     for key, val in entries.items():
         if isinstance(key, str):
             n, mask = f2.string_to_mask(key)
@@ -104,7 +116,7 @@ def from_entries(arity: int, entries: dict[str, object] | dict[int, object],
         else:
             mask = int(key)
         table[mask] = as_value(val)
-    return Signature(arity, tuple(table), name)
+    return Signature(arity, table, name)
 
 
 @dataclass(frozen=True)
@@ -115,7 +127,7 @@ class BinaryDiseq:
     b: ExactValue
 
     def as_signature(self, name: str | None = None) -> Signature:
-        return Signature(2, (ZERO, self.a, self.b, ZERO), name)
+        return Signature(2, {0b01: self.a, 0b10: self.b}, name)
 
     def is_zero(self) -> bool:
         return self.a.is_zero() and self.b.is_zero()
@@ -145,21 +157,16 @@ class BinaryDiseq:
 
 def as_binary_diseq(sig: Signature) -> BinaryDiseq | None:
     """View an arity-2 signature as a generalized binary disequality, if it is one."""
-    if sig.arity != 2:
+    if sig.arity != 2 or 0b00 in sig.entries or 0b11 in sig.entries:
         return None
-    if not sig.values[0].is_zero() or not sig.values[3].is_zero():
-        return None
-    return BinaryDiseq(sig.values[1], sig.values[2])
+    return BinaryDiseq(sig.value(0b01), sig.value(0b10))
 
 
 # -- named constructors -------------------------------------------------------
 
 
 def equality(arity: int) -> Signature:
-    table = [ZERO] * (1 << arity)
-    table[0] = ONE
-    table[(1 << arity) - 1] = ONE
-    return Signature(arity, tuple(table), f"eq{arity}")
+    return Signature(arity, {0: ONE, (1 << arity) - 1: ONE}, f"eq{arity}")
 
 
 def diseq(arity: int) -> Signature:
@@ -185,8 +192,7 @@ def symmetric(entries: Sequence[object]) -> Signature:
     if arity < 0:
         raise ArityMismatch("symmetric signature needs at least one entry")
     vals = [as_value(e) for e in entries]
-    table = [vals[f2.hamming(m)] for m in range(1 << arity)]
-    return Signature(arity, tuple(table))
+    return Signature(arity, {m: vals[f2.hamming(m)] for m in range(1 << arity)})
 
 
 def delta0() -> Signature:
@@ -235,16 +241,9 @@ def build_named(kind: str, *args, eo: bool = False, **kwargs) -> Signature:
 
 def tensor(f: Signature, g: Signature) -> Signature:
     """Tensor product; f's variables come first."""
-    arity = f.arity + g.arity
-    table = [ZERO] * (1 << arity)
-    for mf, vf in enumerate(f.values):
-        if vf.is_zero():
-            continue
-        base = mf << g.arity
-        for mg, vg in enumerate(g.values):
-            if not vg.is_zero():
-                table[base | mg] = vf * vg
-    return Signature(arity, tuple(table))
+    return Signature(f.arity + g.arity,
+                     {(mf << g.arity) | mg: vf * vg
+                      for mf, vf in f.entries.items() for mg, vg in g.entries.items()})
 
 
 def _check_ports(f: Signature, i: int, j: int) -> None:
@@ -254,27 +253,12 @@ def _check_ports(f: Signature, i: int, j: int) -> None:
         raise PortError(f"bad port pair ({i}, {j}) for arity {f.arity}")
 
 
-def remaining_ports(arity: int, removed: Iterable[int]) -> tuple[int, ...]:
-    removed = set(removed)
-    return tuple(p for p in range(arity) if p not in removed)
-
-
-def _restrict(f: Signature, i: int, j: int, bi: int, bj: int) -> Signature:
-    """Table over the remaining ports with x_i, x_j fixed."""
+def _restrict(f: Signature, i: int, j: int, bi: int, bj: int) -> dict[int, ExactValue]:
+    """Entries over the remaining ports of the strings with x_i = bi, x_j = bj."""
     k = f.arity
-    rest = remaining_ports(k, (i, j))
-    table = [ZERO] * (1 << (k - 2))
-    for idx in range(1 << (k - 2)):
-        mask = 0
-        for pos, port in enumerate(rest):
-            if (idx >> (len(rest) - 1 - pos)) & 1:
-                mask |= 1 << (k - 1 - port)
-        if bi:
-            mask |= 1 << (k - 1 - i)
-        if bj:
-            mask |= 1 << (k - 1 - j)
-        table[idx] = f.values[mask]
-    return Signature(k - 2, tuple(table))
+    rest = [p for p in range(k) if p not in (i, j)]
+    return {f2.gather(m, rest, k): v for m, v in f.entries.items()
+            if f2.bit_at(m, i, k) == bi and f2.bit_at(m, j, k) == bj}
 
 
 def self_loop(f: Signature, i: int, j: int, w: BinaryDiseq | None = None,
@@ -291,10 +275,11 @@ def self_loop(f: Signature, i: int, j: int, w: BinaryDiseq | None = None,
     if orientation not in ("ij", "ji"):
         raise PortError(f"bad orientation {orientation!r}")
     a, b = (w.a, w.b) if orientation == "ij" else (w.b, w.a)
-    low = _restrict(f, i, j, 0, 1)
-    high = _restrict(f, i, j, 1, 0)
-    table = tuple(a * lo + b * hi for lo, hi in zip(low.values, high.values))
-    return Signature(f.arity - 2, table)
+    out: dict[int, ExactValue] = {}
+    for weight, bi in ((a, 0), (b, 1)):
+        for m, v in _restrict(f, i, j, bi, 1 - bi).items():
+            out[m] = out.get(m, ZERO) + weight * v
+    return Signature(f.arity - 2, out)
 
 
 def pin_pair(f: Signature, i: int, j: int, pattern: str) -> Signature:
@@ -302,14 +287,13 @@ def pin_pair(f: Signature, i: int, j: int, pattern: str) -> Signature:
     _check_ports(f, i, j)
     if pattern not in ("01", "10"):
         raise PortError(f"bad pin pattern {pattern!r}")
-    return _restrict(f, i, j, int(pattern[0]), int(pattern[1]))
+    return Signature(f.arity - 2, _restrict(f, i, j, int(pattern[0]), int(pattern[1])))
 
 
 def dual(f: Signature) -> Signature:
     """Value table with every input string complemented."""
-    k = f.arity
-    full = (1 << k) - 1
-    return Signature(k, tuple(f.values[m ^ full] for m in range(1 << k)))
+    full = (1 << f.arity) - 1
+    return Signature(f.arity, {m ^ full: v for m, v in f.entries.items()})
 
 
 def permute(f: Signature, perm: Sequence[int]) -> Signature:
@@ -317,14 +301,7 @@ def permute(f: Signature, perm: Sequence[int]) -> Signature:
     k = f.arity
     if sorted(perm) != list(range(k)):
         raise PortError(f"bad permutation {perm!r}")
-    table = [ZERO] * (1 << k)
-    for new_mask in range(1 << k):
-        old_mask = 0
-        for new_pos in range(k):
-            if (new_mask >> (k - 1 - new_pos)) & 1:
-                old_mask |= 1 << (k - 1 - perm[new_pos])
-        table[new_mask] = f.values[old_mask]
-    return Signature(k, tuple(table))
+    return Signature(k, {f2.gather(m, perm, k): v for m, v in f.entries.items()})
 
 
 def signature_matrix(f: Signature, split: int) -> list[list[ExactValue]]:
@@ -333,7 +310,7 @@ def signature_matrix(f: Signature, split: int) -> list[list[ExactValue]]:
     if not 0 <= split <= k:
         raise PortError(f"bad split {split} for arity {k}")
     cols = 1 << (k - split)
-    return [[f.values[(r << (k - split)) | c] for c in range(cols)]
+    return [[f.value((r << (k - split)) | c) for c in range(cols)]
             for r in range(1 << split)]
 
 
@@ -387,8 +364,8 @@ def parse_signature_blocks(text: str, mode: FieldMode = GAUSS_MODE) -> list[Sign
 def render_signature_block(sig: Signature, name: str | None = None) -> str:
     name = name or sig.name or "f"
     lines = [f"signature {name} arity {sig.arity}"]
-    for m in sig.support():
-        lines.append(f"{f2.mask_to_string(m, sig.arity)} {render_value(sig.values[m])}")
+    for m, v in sig.entries.items():
+        lines.append(f"{f2.mask_to_string(m, sig.arity)} {render_value(v)}")
     return "\n".join(lines) + "\n"
 
 

@@ -348,7 +348,10 @@ class ExternalOracle:
             return False, None
         if not line.startswith("SAT"):
             raise OracleProtocolError(f"bad oracle response {line!r}")
-        lits = [int(tok) for tok in line.split()[1:]]
+        try:
+            lits = [int(tok) for tok in line.split()[1:]]
+        except ValueError:
+            raise OracleProtocolError(f"bad literal in oracle response {line!r}") from None
         orient = {abs(l): (1 if l > 0 else 0) for l in lits}
         witness: dict[Slot, int] = {}
         for eidx, (sa, sb) in enumerate(grid.edges):

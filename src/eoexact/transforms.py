@@ -13,7 +13,6 @@ from . import f2
 from .errors import MixedWeights, UnbalancedPadding
 from .grids import Grid
 from .signatures import Signature, delta0, delta1, from_entries, pin_signature, tensor
-from .values import ZERO
 
 
 @dataclass(frozen=True)
@@ -132,7 +131,7 @@ def grid_pad_single_weighted(grid: Grid, strict: bool = False) -> tuple[Grid, Pa
             f"{len(one_ends)} one-ends; partition function is identically 0")
         if strict:
             raise UnbalancedPadding(diag.message)
-        zero_grid = Grid.make([("zero", Signature(0, (ZERO,)))], [])
+        zero_grid = Grid.make([("zero", Signature(0, {}))], [])
         return zero_grid, diag
 
     edges = [(port_map[a], port_map[b]) for a, b in grid.edges]

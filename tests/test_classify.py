@@ -343,7 +343,7 @@ def test_rebalancing_examples():
     assert res.ok
     assert res.chain  # explicit partner chain at the top level
 
-    const = Signature(0, (V(7),))
+    const = Signature(0, {0: V(7)})
     assert is_rebalancing(const, 0).ok
     assert is_rebalancing(const, 1).ok
 

@@ -136,6 +136,16 @@ def test_missing_input_file_exit_code(tmp_path, capsys, argv):
     assert err.count("\n") == 1
 
 
+def test_bad_oracle_literal_exit_code(workdir, capsys):
+    import shlex
+    oracle = shlex.join([sys.executable, "-c", "print('SAT foo')"])
+    assert main(["prune", str(workdir / "deq4-closed.grid"),
+                 "--backend", f"external:{oracle}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: OracleProtocolError: ")
+    assert err.count("\n") == 1
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["nosuchcommand"]) == 2
     assert main([]) == 2

@@ -184,7 +184,7 @@ def test_brute_force_cap():
 
 
 def test_zero_arity_vertices():
-    g = Grid.make([("c", Signature(0, (V(3),))), ("d", Signature(0, (V(5),)))], [])
+    g = Grid.make([("c", Signature(0, {0: V(3)})), ("d", Signature(0, {0: V(5)}))], [])
     assert brute_force_partition(g) == V(15)
 
 

@@ -1,8 +1,10 @@
+import os
 import subprocess
 import sys
 
 import pytest
 
+import eoexact
 from eoexact.oracle_cli import parse_clauses, solve
 
 
@@ -76,3 +78,13 @@ def test_solver_on_random_instances():
             assert got is not None
             for clause in clauses:
                 assert any(got[abs(l)] == (l > 0) for l in clause)
+
+
+def test_import_stays_light():
+    src = os.path.dirname(os.path.dirname(eoexact.__file__))
+    code = ("import sys, eoexact.oracle_cli; "
+            "print(sorted(m for m in ('eoexact.classify', 'mpmath') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -59,6 +59,24 @@ def test_build_named_examples():
         build_named("symmetric", [])
 
 
+def test_only_nonzero_entries_are_stored():
+    f = from_entries(2, {"01": 0, "10": 3, 3: ZERO})
+    assert dict(f.entries) == {0b10: V(3)}
+    assert f.support() == (0b10,)
+    assert f.values == (ZERO, ZERO, V(3), ZERO)
+    assert f == Signature(2, {0b10: V(3), 0b01: ZERO})
+    assert hash(f) == hash(Signature(2, {0b10: V(3)}))
+    assert from_entries(2, {"00": 0}).is_zero()
+
+
+@pytest.mark.parametrize("mask", [-1, 4])
+def test_mask_outside_arity_rejected(mask):
+    with pytest.raises(ArityMismatch):
+        from_entries(2, {mask: 5})
+    with pytest.raises(ArityMismatch):
+        Signature(2, {mask: V(5)})
+
+
 def test_equality_signature():
     e3 = equality(3)
     assert e3.support_strings() == ("000", "111")
@@ -74,7 +92,7 @@ def test_tensor_examples():
     assert sorted(tt.support_strings()) == ["0101", "0110", "1001", "1010"]
     assert all(tt.value_at(s) == ONE for s in tt.support_strings())
 
-    scalar = Signature(0, (V(3),))
+    scalar = Signature(0, {0: V(3)})
     f = gen_diseq("01", 2, 5)
     assert tensor(scalar, f) == f.scaled(3)
 
