@@ -203,18 +203,6 @@ def find_pairing(f: Signature) -> Pairing | None:
     return search(list(range(f.arity)))
 
 
-def pairing_opposite_set(pairing: Pairing, arity: int) -> Iterator[int]:
-    """All strings whose paired positions take opposite values."""
-    d = len(pairing)
-    for combo in range(1 << d):
-        m = 0
-        for t, (i, j) in enumerate(pairing):
-            bit = (combo >> t) & 1
-            m = f2.set_bit(m, i, arity, bit)
-            m = f2.set_bit(m, j, arity, 1 - bit)
-        yield m
-
-
 def restrict_to_pairing(f: Signature, pairing: Pairing) -> Signature:
     """Zero out every string where some pair takes equal values."""
     n = f.arity
@@ -459,8 +447,7 @@ class PairingClassReport:
         return out
 
 
-def membership_all_pairings(f: Signature, cls: str,
-                            arity_cap: int = PAIRING_ARITY_CAP) -> PairingClassReport:
+def membership_all_pairings(f: Signature, cls: str) -> PairingClassReport:
     """Test the class on the restriction of f to every perfect port pairing.
 
     Identically-zero restrictions pass vacuously.  The quantifier is over all
@@ -468,8 +455,9 @@ def membership_all_pairings(f: Signature, cls: str,
     """
     _require_eo(f)
     _require_nonzero(f)
-    if f.arity > arity_cap:
-        raise CapExceeded(f"arity {f.arity} over pairing enumeration cap {arity_cap}")
+    if f.arity > PAIRING_ARITY_CAP:
+        raise CapExceeded(
+            f"arity {f.arity} over pairing enumeration cap {PAIRING_ARITY_CAP}")
     checked = vacuous = 0
     for pairing in perfect_pairings(range(f.arity)):
         checked += 1
@@ -678,8 +666,7 @@ class Verdict:
         }
 
 
-def dichotomy_verdict(signatures: Sequence[Signature],
-                      arity_cap: int = PAIRING_ARITY_CAP) -> Verdict:
+def dichotomy_verdict(signatures: Sequence[Signature]) -> Verdict:
     """Full classification of a finite set of balanced-support signatures."""
     sigs = list(signatures)
     if not sigs:
@@ -714,7 +701,7 @@ def dichotomy_verdict(signatures: Sequence[Signature],
     reports = {"affine": [], "product": []}
     for f in sigs:
         for cls in ("affine", "product"):
-            reports[cls].append(membership_all_pairings(f, cls, arity_cap))
+            reports[cls].append(membership_all_pairings(f, cls))
     class_ok = {cls: all(r.ok for r in reports[cls]) for cls in reports}
     for entry, aff, prod in zip(per_sig, reports["affine"], reports["product"]):
         entry["pairing_affine"] = aff.to_json()
@@ -755,8 +742,7 @@ def dichotomy_verdict(signatures: Sequence[Signature],
                    certificates=certificates)
 
 
-def verdict_extended(signatures: Sequence[Signature], mode: str,
-                     arity_cap: int = PAIRING_ARITY_CAP) -> Verdict:
+def verdict_extended(signatures: Sequence[Signature], mode: str) -> Verdict:
     """Classification of weakly-heavy, weakly-light, or single-weighted sets.
 
     Heavy/light sets are restricted to their balanced part; mixed
@@ -806,7 +792,7 @@ def verdict_extended(signatures: Sequence[Signature], mode: str,
         v.notes.append("every transformed signature is identically zero; "
                        "all instances have partition function 0")
         return v
-    verdict = dichotomy_verdict([g.with_name(lab) for lab, _, g in kept], arity_cap)
+    verdict = dichotomy_verdict([g.with_name(lab) for lab, _, g in kept])
     verdict.notes.insert(0, note)
     if dropped:
         verdict.notes.append(

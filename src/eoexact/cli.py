@@ -73,7 +73,12 @@ def _oracle_backend(spec: str):
     if spec == "exhaustive":
         return tractable.ExhaustiveOracle()
     if spec.startswith("external:"):
-        return tractable.ExternalOracle(spec.split(":", 1)[1])
+        try:
+            backend = tractable.ExternalOracle(spec.split(":", 1)[1])
+        except ValueError as exc:  # unbalanced quotes
+            raise UsageError(f"bad backend {spec!r} ({exc})") from None
+        if backend.command:
+            return backend
     raise UsageError(f"bad backend {spec!r} (use exhaustive or external:<cmd>)")
 
 
@@ -276,6 +281,8 @@ def _cmd_gate(args, argv, mode):
                 names.update(load_signature_file(full, mode))
             elif op == "start":
                 current = names[parts[1]]
+            elif current is None:
+                raise UsageError(f"line {lineno}: gate step {op!r} before 'start'")
             elif op == "tensor":
                 current = tensor(current, names[parts[1]])
             elif op == "loop":
@@ -300,7 +307,7 @@ def _cmd_gate(args, argv, mode):
                 current = dual(current)
             else:
                 raise UsageError(f"line {lineno}: unknown gate step {op!r}")
-        except (KeyError, IndexError, TypeError) as exc:
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise UsageError(f"line {lineno}: bad gate step {raw!r} ({exc})") from None
     if current is None:
         raise UsageError("gate script produced no signature (missing 'start'?)")
@@ -377,7 +384,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (EOError, OSError) as exc:
+    except (EOError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc.__class__.__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -86,9 +86,10 @@ def reduce_against(mask: int, basis: Iterable[int]) -> int:
     return mask
 
 
-def nullspace(rows: list[int], n: int) -> list[int]:
-    """Basis of {h : dot(h, r) = 0 for every row r}, bit positions shared with rows."""
-    basis = rref(rows, n)
+def _free_basis(basis: list[int], n: int) -> list[int]:
+    """For each non-pivot bit f of a reduced basis, the vector with f set and
+    every pivot bit set whose row holds f: one solution of the homogeneous
+    system per free variable."""
     pivots = {b.bit_length() - 1 for b in basis}
     free = [p for p in range(n) if p not in pivots]
     out: list[int] = []
@@ -99,6 +100,11 @@ def nullspace(rows: list[int], n: int) -> list[int]:
                 h |= 1 << (b.bit_length() - 1)
         out.append(h)
     return out
+
+
+def nullspace(rows: list[int], n: int) -> list[int]:
+    """Basis of {h : dot(h, r) = 0 for every row r}, bit positions shared with rows."""
+    return _free_basis(rref(rows, n), n)
 
 
 @dataclass(frozen=True)
@@ -181,30 +187,10 @@ def solve_linear_system(equations: list[tuple[int, int]], nvars: int):
     bit.  Returns None when inconsistent, else (particular, free_basis) where
     free_basis spans the solution space around the particular solution.
     """
-    rows: list[tuple[int, int]] = []
-    for mask, bit in equations:
-        for rmask, rbit in rows:
-            if (mask >> (rmask.bit_length() - 1)) & 1:
-                mask ^= rmask
-                bit ^= rbit
-        if mask:
-            p = mask.bit_length() - 1
-            rows = [(rm ^ mask, rb ^ bit) if (rm >> p) & 1 else (rm, rb) for rm, rb in rows]
-            rows.append((mask, bit))
-        elif bit:
-            return None
-    pivots = {mask.bit_length() - 1 for mask, _ in rows}
-    # With free variables at 0, each pivot variable equals its row's bit.
-    particular = 0
-    for mask, bit in rows:
-        if bit:
-            particular |= 1 << (mask.bit_length() - 1)
-    free = [q for q in range(nvars) if q not in pivots]
-    basis: list[int] = []
-    for f in free:
-        vec = 1 << f
-        for mask, _ in rows:
-            if (mask >> f) & 1:
-                vec |= 1 << (mask.bit_length() - 1)
-        basis.append(vec)
-    return particular, basis
+    # augmented rows (mask << 1) | bit; a reduced row 1 reads 0 = 1
+    basis = rref(((mask << 1) | bit for mask, bit in equations), nvars + 1)
+    if basis and basis[-1] == 1:
+        return None
+    # with free variables at 0, each pivot variable equals its row's bit
+    particular = sum(1 << (b.bit_length() - 2) for b in basis if b & 1)
+    return particular, _free_basis([b >> 1 for b in basis], nvars)

@@ -59,12 +59,6 @@ class Grid:
     def signature_of(self, vidx: int) -> Signature:
         return self.vertices[vidx][1]
 
-    def vertex_index(self, vid: str) -> int:
-        for i, (name, _) in enumerate(self.vertices):
-            if name == vid:
-                return i
-        raise InvalidGrid(f"no vertex named {vid!r}")
-
     def with_vertex_signature(self, vidx: int, sig: Signature) -> Grid:
         vid, old = self.vertices[vidx]
         if sig.arity != old.arity:
@@ -79,22 +73,6 @@ class Grid:
             if sig not in seen:
                 seen.append(sig)
         return seen
-
-    # -- incidence helpers -------------------------------------------------
-
-    def slot_map(self) -> dict[Slot, tuple[str, int]]:
-        """Map each slot to its use: ("edge", idx) or ("dangle", idx)."""
-        out: dict[Slot, tuple[str, int]] = {}
-        for idx, (a, b) in enumerate(self.edges):
-            for s in (a, b):
-                if s in out:
-                    raise InvalidGrid(f"slot {s} used twice")
-                out[s] = ("edge", idx)
-        for idx, s in enumerate(self.dangling):
-            if s in out:
-                raise InvalidGrid(f"slot {s} used twice")
-            out[s] = ("dangle", idx)
-        return out
 
 
 @dataclass
@@ -135,10 +113,11 @@ def validate(grid: Grid) -> Diagnostics:
     return Diagnostics(ok=not issues, closed=grid.is_closed, all_eo=all_eo, issues=issues)
 
 
-def require_valid(grid: Grid) -> None:
+def require_valid(grid: Grid) -> Diagnostics:
     diag = validate(grid)
     if not diag.ok:
         raise InvalidGrid("; ".join(diag.issues))
+    return diag
 
 
 def _greedy_order(touched: list[tuple[int, ...]], nv: int) -> list[int]:
@@ -303,8 +282,8 @@ def parse_grid_text(text: str, base_dir: str = ".",
     names: dict[str, Signature] = dict(BUILTIN_SIGNATURES)
     if extra_signatures:
         names.update(extra_signatures)
-    vertex_ids: list[str] = []
-    vertex_sigs: dict[str, Signature] = {}
+    vertices: list[tuple[str, Signature]] = []
+    vertex_index: dict[str, int] = {}
     edges: list[tuple[Slot, Slot]] = []
     dangling: list[Slot] = []
 
@@ -312,7 +291,7 @@ def parse_grid_text(text: str, base_dir: str = ".",
         if "." not in tok:
             raise GridFormatError(f"line {lineno}: bad slot {tok!r}")
         vid, port_s = tok.rsplit(".", 1)
-        if vid not in vertex_sigs:
+        if vid not in vertex_index:
             raise GridFormatError(f"line {lineno}: unknown vertex {vid!r}")
         try:
             port = int(port_s)
@@ -320,7 +299,7 @@ def parse_grid_text(text: str, base_dir: str = ".",
             raise GridFormatError(f"line {lineno}: bad port in {tok!r}") from None
         if port < 1:
             raise GridFormatError(f"line {lineno}: ports are 1-based in {tok!r}")
-        return (vertex_ids.index(vid), port - 1)
+        return (vertex_index[vid], port - 1)
 
     lines = text.splitlines()
     idx = 0
@@ -343,6 +322,8 @@ def parse_grid_text(text: str, base_dir: str = ".",
                 names[sig.name] = sig
             continue
         if parts[0] == "use":
+            if len(parts) < 2 or "\0" in line:
+                raise GridFormatError(f"bad use line {raw!r}")
             path = line.split(None, 1)[1]
             full = path if os.path.isabs(path) else os.path.join(base_dir, path)
             names.update(load_signature_file(full, mode))
@@ -353,10 +334,10 @@ def parse_grid_text(text: str, base_dir: str = ".",
             vid, signame = parts[1], parts[2]
             if signame not in names:
                 raise GridFormatError(f"unknown signature {signame!r} for vertex {vid!r}")
-            if vid in vertex_sigs:
+            if vid in vertex_index:
                 raise GridFormatError(f"duplicate vertex id {vid!r}")
-            vertex_ids.append(vid)
-            vertex_sigs[vid] = names[signame].with_name(signame)
+            vertex_index[vid] = len(vertices)
+            vertices.append((vid, names[signame].with_name(signame)))
             continue
         if parts[0] == "edge":
             if len(parts) != 3:
@@ -369,7 +350,7 @@ def parse_grid_text(text: str, base_dir: str = ".",
             dangling.append(parse_slot(parts[1], idx))
             continue
         raise GridFormatError(f"unknown directive {parts[0]!r}")
-    return Grid.make([(vid, vertex_sigs[vid]) for vid in vertex_ids], edges, dangling)
+    return Grid.make(vertices, edges, dangling)
 
 
 def load_grid_file(path, mode: FieldMode = GAUSS_MODE) -> Grid:

@@ -29,12 +29,12 @@ from .errors import (
 from .gauss import Z4Form
 from .gauss import gauss_sum as _gauss_sum
 from .grids import (
+    Diagnostics,
     Grid,
     OrientationSearch,
     brute_force_partition,
     gate_signature,
     require_valid,
-    validate,
 )
 from .signatures import (
     BinaryDiseq,
@@ -50,10 +50,11 @@ from .values import ONE, ZERO, ExactValue, as_value, root_order
 Slot = tuple[int, int]
 
 
-def _require_closed(grid: Grid) -> None:
-    require_valid(grid)
-    if not grid.is_closed:
+def _require_closed(grid: Grid) -> Diagnostics:
+    diag = require_valid(grid)
+    if not diag.closed:
         raise OpenGridError("operation needs a closed grid")
+    return diag
 
 
 def _slot_affines(grid: Grid) -> dict[Slot, tuple[int, int]]:
@@ -290,8 +291,7 @@ class ExhaustiveOracle:
         masks = next(search.assignments(vertex=vertex, mask=mask), None)
         if masks is None:
             return False, None
-        return True, {(v, p): f2.bit_at(masks[v], p, sig.arity)
-                      for v, (_, sig) in enumerate(grid.vertices) for p in range(sig.arity)}
+        return True, tuple(masks)
 
 
 def encode_support_query(grid: Grid, vertex: int, mask: int) -> str:
@@ -352,18 +352,28 @@ class ExternalOracle:
             lits = [int(tok) for tok in line.split()[1:]]
         except ValueError:
             raise OracleProtocolError(f"bad literal in oracle response {line!r}") from None
-        orient = {abs(l): (1 if l > 0 else 0) for l in lits}
-        witness: dict[Slot, int] = {}
-        for eidx, (sa, sb) in enumerate(grid.edges):
-            z = orient.get(eidx + 1, 0)
-            witness[sa] = z
-            witness[sb] = 1 - z
-        return True, witness
+        # edge variable true: its first slot reads 1, else its second does
+        orient = {abs(l): l > 0 for l in lits}
+        masks = [0] * len(grid.vertices)
+        for eidx, slots in enumerate(grid.edges):
+            v, p = slots[0] if orient.get(eidx + 1, False) else slots[1]
+            masks[v] |= 1 << (grid.signature_of(v).arity - 1 - p)
+        for (vid, sig), m in zip(grid.vertices, masks):
+            if m not in sig.entries:
+                raise OracleProtocolError(
+                    f"{self.name}: witness reads {f2.mask_to_string(m, sig.arity)} "
+                    f"outside the support of vertex {vid}")
+        if masks[vertex] != mask:
+            raise OracleProtocolError(
+                f"{self.name}: witness does not read the queried string at vertex "
+                f"{grid.vertices[vertex][0]}")
+        return True, tuple(masks)
 
 
 def support_oracle(grid: Grid, vertex: int, string, backend=None):
     """Whether the string at the vertex occurrence extends to a nonzero-weight
-    global assignment; returns (flag, witness slot assignment)."""
+    global assignment; returns (flag, witness), the witness being the tuple of
+    strings each vertex reads, or None."""
     _require_closed(grid)
     backend = backend or ExhaustiveOracle()
     sig = grid.signature_of(vertex)
@@ -377,10 +387,10 @@ def support_oracle(grid: Grid, vertex: int, string, backend=None):
 @dataclass
 class EffectiveSupportReport:
     backend: str
-    entries: dict[tuple[int, int], tuple[bool, dict | None]] = field(default_factory=dict)
+    effective: list[set[int]] = field(default_factory=list)  # per vertex index
 
     def effective_masks(self, vertex: int) -> list[int]:
-        return [m for (v, m), (ok, _) in self.entries.items() if v == vertex and ok]
+        return sorted(self.effective[vertex])
 
 
 def effective_support(grid: Grid, backend=None) -> EffectiveSupportReport:
@@ -388,9 +398,8 @@ def effective_support(grid: Grid, backend=None) -> EffectiveSupportReport:
     backend = backend or ExhaustiveOracle()
     report = EffectiveSupportReport(getattr(backend, "name", "?"))
     for vidx, (vid, sig) in enumerate(grid.vertices):
-        for m in sig.support():
-            ok, witness = backend.query(grid, vidx, m)
-            report.entries[(vidx, m)] = (ok, witness)
+        report.effective.append(
+            {m for m in sig.support() if backend.query(grid, vidx, m)[0]})
     return report
 
 
@@ -402,12 +411,9 @@ def prune_effective(grid: Grid, backend=None) -> Grid:
     """
     report = effective_support(grid, backend)
     out = grid
-    for vidx, (vid, sig) in enumerate(grid.vertices):
-        keep = set(report.effective_masks(vidx))
-        if keep != set(sig.support()):
-            pruned = from_entries(sig.arity,
-                                  {m: sig.value(m) for m in keep},
-                                  sig.name)
+    for vidx, ((_, sig), keep) in enumerate(zip(grid.vertices, report.effective)):
+        if len(keep) < len(sig.entries):  # keep is a subset of the support
+            pruned = from_entries(sig.arity, {m: sig.entries[m] for m in keep}, sig.name)
             out = out.with_vertex_signature(vidx, pruned)
     return out
 
@@ -423,14 +429,12 @@ def eval_fpnp(grid: Grid, class_hint: str, backend=None) -> ExactValue:
     Preconditions (checked): every vertex signature has balanced support,
     the signature set is one-sided for triples, and every signature passes
     the hinted class on all pairings.  After pruning, every occurrence must
-    have affine support and pass the hinted class outright; a failure there
-    is a soundness alarm, not a routine error.
+    have affine support and pass the hinted class outright; the engine checks
+    that, and a failure there is a soundness alarm, not a routine error.
     """
     if class_hint not in ("affine", "product"):
         raise ValueError(f"bad class hint {class_hint!r}")
-    _require_closed(grid)
-    diag = validate(grid)
-    if not diag.all_eo:
+    if not _require_closed(grid).all_eo:
         raise PreconditionViolated("grid carries a signature with unbalanced support")
     distinct = grid.distinct_signatures()
     if any(f.is_zero() for f in distinct):
@@ -446,16 +450,13 @@ def eval_fpnp(grid: Grid, class_hint: str, backend=None) -> ExactValue:
                 f"signature {f.name or f} fails the {class_hint} pairing test")
 
     pruned = prune_effective(grid, backend)
-    for vidx, (vid, sig) in enumerate(pruned.vertices):
-        if sig.is_zero():
-            return ZERO
-        result = classify.membership(sig, class_hint)
-        if isinstance(result, classify.Refutation):
-            raise PreconditionViolated(
-                f"soundness alarm: pruned occurrence at vertex {vid} fails "
-                f"{class_hint} membership ({result.stage} at {result.witness})")
     engine = eval_affine if class_hint == "affine" else eval_product
-    return engine(pruned)
+    try:
+        return engine(pruned)
+    except (NonAffineVertex, NonProductVertex) as exc:
+        raise PreconditionViolated(
+            f"soundness alarm: pruned occurrence fails {class_hint} membership "
+            f"({exc})") from None
 
 
 # ---------------------------------------------------------------------------

@@ -162,11 +162,6 @@ class ExactValue:
     def is_rational(self) -> bool:
         return self._n is None and self._co[1] == 0
 
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational():
-            raise EOError("value is not rational")
-        return self._co[0]
-
     def gauss_parts(self) -> tuple[Fraction, Fraction]:
         if self._n is not None:
             raise EOError("value is not a Gaussian rational")
@@ -598,7 +593,10 @@ def parse_value(text: str, mode: FieldMode = GAUSS_MODE) -> ExactValue:
         coeff = _ONE
         atom: ExactValue | None = None
         if _RAT.match(tok):
-            coeff = Fraction(tok)
+            try:
+                coeff = Fraction(tok)
+            except ZeroDivisionError:
+                raise LiteralSyntaxError(f"zero denominator in {text!r}") from None
             idx += 1
             if idx < len(toks) and toks[idx] == "*":
                 idx += 1

@@ -310,7 +310,7 @@ def test_membership_all_pairings_examples():
 
     with pytest.raises(CapExceeded):
         membership_all_pairings(rand_eo_signature(random.Random(1), 14, nonzero=True),
-                                "product", arity_cap=12)
+                                "product")
 
 
 def test_class_membership_implies_pairing_class():

@@ -1,8 +1,11 @@
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eoexact.cli import main
 
@@ -185,3 +188,96 @@ def test_field_env_selects_cyclotomic(workdir, capsys, monkeypatch, tmp_path):
     assert code == 0
     assert rep["field"] == "zeta:8"
     assert rep["result"] == "1 + z8^1"
+
+
+# -- every path ends in an exit code --------------------------------------------
+
+
+def test_gate_non_integer_port_exit_code(tmp_path, capsys):
+    for step in ("permute 1 x", "loop a b"):
+        script = tmp_path / "bad.gate"
+        script.write_text(f"start delta\n{step}\n")
+        assert main(["gate", str(script)]) == 2
+        assert capsys.readouterr().err.startswith("usage error: line 2: ")
+
+
+def test_zero_denominator_exit_code(workdir, tmp_path, capsys):
+    sig = tmp_path / "zero.sig"
+    sig.write_text("signature z arity 2\n01 1/0\n")
+    assert main(["classify", str(sig)]) == 1
+    assert main(["interp", str(workdir / "pinned.grid"), "--x", "1/0"]) == 1
+    for line in capsys.readouterr().err.splitlines():
+        assert line.startswith("error: LiteralSyntaxError: ")
+
+
+def test_non_utf8_input_exit_code(tmp_path, capsys):
+    sig = tmp_path / "latin1.sig"
+    sig.write_bytes("signature é arity 2\n01 1\n".encode("latin-1"))
+    assert main(["classify", str(sig)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: UnicodeDecodeError: ")
+    assert err.count("\n") == 1
+
+
+FUZZ_FILES = {
+    "a.sig": "signature deq4 arity 4\n1100 1\n0011 1\n"
+             "signature gd arity 4\n0101 1\n1010 2+i\n",
+    "a.grid": "use a.sig\nvertex v deq4\nvertex w gd\nedge v.1 w.3\nedge v.2 w.4\n"
+              "edge w.1 v.3\nedge w.2 v.4\n",
+    "p.grid": "signature gd arity 4\n0101 1\n1010 2\n"
+              "vertex f gd\nvertex d delta\nedge d.2 f.1\nedge d.1 f.2\nedge f.3 f.4\n",
+    "a.gate": "use a.sig\nstart gd\ntensor delta\nloop 3 4 1 2 ji\npin 1 2 01\n"
+              "permute 2 1\ndual\n",
+}
+FUZZ_NAMES = sorted(FUZZ_FILES) + ["missing.grid", "."]
+FUZZ_COMMANDS = ["eval", "classify", "generate", "prune", "interp", "transform", "gate"]
+FUZZ_OPTIONS = [
+    ("--engine", e) for e in ("brute", "affine", "product", "fpnp", "auto", "x")] + [
+    ("--class", c) for c in ("affine", "product")] + [
+    ("--backend", b) for b in ("exhaustive", "external:", 'external:"', "external:true")] + [
+    ("--mode", m) for m in ("upside", "downside", "single-weighted")] + [
+    ("--caps", c) for c in ("steps=2,size=64,order=8", "order=x")] + [
+    ("--x", x) for x in ("2", "-3/2", "1/0", "i", "z8", "")] + [
+    ("--op", o) for o in ("restrict-eo", "pad", "grid-pad")] + [
+    ("--recipes", "r.txt"), ("--out", "o.txt"), ("-h",), ("--",), ("",), ("a.sig",),
+    ("eval",)]
+FUZZ_JUNK = "01 \n\t#./-+*^:iz29edgevertexdanglesignaturearityusestartlooppinx\x00é"
+
+
+def _mangle(text: str, edits) -> bytes:
+    """Apply (position, cut, insert) edits to the text; encode it as UTF-8."""
+    for pos, cut, insert in edits:
+        pos = min(pos, len(text))
+        text = text[:pos] + insert + text[pos + cut:]
+    return text.encode()
+
+
+def _mangled_file(text: str):
+    """The text as is, edited, or followed by raw (often non-UTF-8) bytes."""
+    edit = st.tuples(st.integers(0, len(text)), st.integers(0, 6),
+                     st.text(FUZZ_JUNK, max_size=8))
+    return st.just(text.encode()) | \
+        st.builds(_mangle, st.just(text), st.lists(edit, min_size=1, max_size=3)) | \
+        st.builds(lambda junk: text.encode() + junk, st.binary(min_size=1, max_size=3))
+
+
+FUZZ_ARGV = st.builds(lambda cmd, name, options: [cmd, name] + [w for o in options for w in o],
+                      st.sampled_from(FUZZ_COMMANDS), st.sampled_from(FUZZ_NAMES),
+                      st.lists(st.sampled_from(FUZZ_OPTIONS), max_size=3))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(files=st.fixed_dictionaries({name: _mangled_file(text)
+                                    for name, text in FUZZ_FILES.items()}),
+       argv=FUZZ_ARGV)
+def test_cli_never_raises(files, argv):
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, data in files.items():
+            with open(os.path.join(tmp, name), "wb") as fh:
+                fh.write(data)
+        os.chdir(tmp)  # --out and --recipes write here
+        try:
+            assert main(argv) in (0, 1, 2)
+        finally:
+            os.chdir(cwd)

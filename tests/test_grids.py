@@ -227,6 +227,9 @@ def test_grid_file_errors(tmp_path):
         parse_grid_text("edge a.1 b.2\n")
     with pytest.raises(GridFormatError):
         parse_grid_text("wat\n")
+    for line in ("use", "use  # no file", "use a\0b.sig"):
+        with pytest.raises(GridFormatError):
+            parse_grid_text(line + "\n")
 
 
 def test_with_vertex_signature():

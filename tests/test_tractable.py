@@ -9,6 +9,7 @@ from eoexact.errors import (
     NonAffineVertex,
     NonProductVertex,
     NotInterpolatable,
+    OracleProtocolError,
     PreconditionViolated,
     StringNotInSupport,
 )
@@ -61,19 +62,20 @@ def weighted_deq4_ring(n):
 
 
 def assert_valid_witness(grid, vidx, m, witness):
-    """Every edge takes opposite bits, every vertex reads a support string,
-    and the queried vertex reads the queried string."""
+    """The witness is the string each vertex reads: every edge takes opposite
+    bits, every vertex reads a support string, and the queried vertex reads
+    the queried string."""
+    assert len(witness) == len(grid.vertices)
+
+    def bit(slot):
+        v, p = slot
+        return f2.bit_at(witness[v], p, grid.signature_of(v).arity)
+
     for (sa, sb) in grid.edges:
-        assert witness[sa] != witness[sb]
+        assert bit(sa) != bit(sb)
     for v2, (vid2, sig2) in enumerate(grid.vertices):
-        local = 0
-        for p in range(sig2.arity):
-            if witness[(v2, p)]:
-                local |= 1 << (sig2.arity - 1 - p)
-        assert local in sig2.support()
-    sig = grid.signature_of(vidx)
-    local = sum(witness[(vidx, p)] << (sig.arity - 1 - p) for p in range(sig.arity))
-    assert local == m
+        assert witness[v2] in sig2.support()
+    assert witness[vidx] == m
 
 
 def pinned_triple_grid():
@@ -156,7 +158,7 @@ def test_support_oracle_examples():
     g = Grid.make([("v", diseq(4))], [((0, 0), (0, 2)), ((0, 1), (0, 3))])
     ok, witness = support_oracle(g, 0, "0011")
     assert ok
-    assert witness[(0, 0)] == 0 and witness[(0, 2)] == 1
+    assert witness == (0b0011,)
 
     grid = pinned_triple_grid()
     assert support_oracle(grid, 0, "0101")[0]
@@ -212,6 +214,17 @@ def test_exhaustive_oracle_deep_ring():
         ok, witness = oracle.query(grid, vidx, m)
         assert ok
         assert_valid_witness(grid, vidx, m, witness)
+
+
+@pytest.mark.parametrize("answer", [
+    "SAT 1 -2",   # the vertex reads 1001, outside the support of diseq(4)
+    "SAT 1 2",    # the vertex reads 1100, not the queried 0011
+])
+def test_external_oracle_rejects_forged_witness(answer):
+    g = Grid.make([("v", diseq(4))], [((0, 0), (0, 2)), ((0, 1), (0, 3))])
+    forger = ExternalOracle([sys.executable, "-c", f"print({answer!r})"])
+    with pytest.raises(OracleProtocolError):
+        forger.query(g, 0, 0b0011)
 
 
 # -- pruning ----------------------------------------------------------------------
@@ -299,6 +312,26 @@ def test_eval_fpnp_precondition_errors():
     g2 = Grid.make([("v", unbalanced)], [((0, 0), (0, 1))])
     with pytest.raises(PreconditionViolated):
         eval_fpnp(g2, "product")
+
+
+class EverythingEffective:
+    """A lying backend: every queried string is effective."""
+
+    name = "liar"
+
+    def query(self, grid, vertex, mask):
+        return True, None
+
+
+def test_eval_fpnp_alarm_on_unpruned_occurrence():
+    # m-delta1 passes every pairing test but is not itself product-class, so
+    # an oracle that prunes nothing leaves the engine a non-product vertex
+    f = from_entries(4, {"1100": 1, "1010": 1, "1001": 2})
+    grid = Grid.make([("a", f), ("b", f)],
+                     [((0, 2), (1, 0)), ((0, 3), (1, 1)),
+                      ((1, 2), (0, 0)), ((1, 3), (0, 1))])
+    with pytest.raises(PreconditionViolated, match="soundness alarm"):
+        eval_fpnp(grid, "product", EverythingEffective())
 
 
 # -- pin interpolation ------------------------------------------------------------

@@ -174,6 +174,9 @@ def test_literal_parse_gauss():
         parse_value("")
     with pytest.raises(LiteralSyntaxError):
         parse_value("2+")
+    for text in ("1/0", "2 + 3/00*i"):
+        with pytest.raises(LiteralSyntaxError, match="zero denominator"):
+            parse_value(text)
 
 
 def test_literal_parse_zeta():
