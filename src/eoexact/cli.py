@@ -178,10 +178,8 @@ def _cmd_generate(args, argv, mode):
         for finding in rep.findings:
             human.append(f"  finding: {finding}")
         if args.recipes:
-            desc2, state = _generate.generating_process(
-                sig, caps["steps"], caps["size"], caps["order"])
             recipe_lines.append(f"# {sig.name}")
-            for param, recipe in sorted(state.recipes.items(), key=lambda kv: str(kv[0])):
+            for param, recipe in sorted(rep.recipes.items(), key=lambda kv: str(kv[0])):
                 recipe_lines.append(f"{render_value(param)}: {recipe!r}")
     if args.recipes:
         with open(args.recipes, "w", encoding="utf-8") as fh:

@@ -65,18 +65,33 @@ def dot(a: int, b: int) -> int:
 
 
 def rref(rows: Iterable[int], n: int) -> list[int]:
-    """Reduced row echelon basis; every pivot bit occurs in one row only."""
-    basis: list[int] = []
+    """Reduced row echelon basis, highest pivot first; every pivot bit occurs
+    in one row only.
+
+    Each row is reduced only by the pivots at its leading bit, into an
+    echelon form keyed by pivot; one back-substitution, lowest pivot first,
+    then clears the pivot bits below each leading bit.
+    """
+    pivots: dict[int, int] = {}
     for row in rows:
-        for b in basis:
-            if (row >> (b.bit_length() - 1)) & 1:
-                row ^= b
-        if row:
+        while row:
             p = row.bit_length() - 1
-            basis = [b ^ row if (b >> p) & 1 else b for b in basis]
-            basis.append(row)
-            basis.sort(reverse=True)
-    return basis
+            b = pivots.get(p)
+            if b is None:
+                pivots[p] = row
+                break
+            row ^= b
+    done = 0  # pivot bits whose rows are already reduced
+    for p in sorted(pivots):
+        row = pivots[p]
+        below = row & done
+        while below:
+            q = below.bit_length() - 1
+            row ^= pivots[q]
+            below ^= 1 << q
+        pivots[p] = row
+        done |= 1 << p
+    return [pivots[p] for p in sorted(pivots, reverse=True)]
 
 
 def reduce_against(mask: int, basis: Iterable[int]) -> int:
@@ -90,16 +105,16 @@ def _free_basis(basis: list[int], n: int) -> list[int]:
     """For each non-pivot bit f of a reduced basis, the vector with f set and
     every pivot bit set whose row holds f: one solution of the homogeneous
     system per free variable."""
-    pivots = {b.bit_length() - 1 for b in basis}
-    free = [p for p in range(n) if p not in pivots]
-    out: list[int] = []
-    for f in free:
-        h = 1 << f
-        for b in basis:
-            if (b >> f) & 1:
-                h |= 1 << (b.bit_length() - 1)
-        out.append(h)
-    return out
+    out = {f: 1 << f for f in range(n)}
+    for b in basis:
+        p = b.bit_length() - 1
+        del out[p]
+        rest = b ^ (1 << p)  # free bits only: the basis is reduced
+        while rest:
+            f = rest.bit_length() - 1
+            out[f] |= 1 << p
+            rest ^= 1 << f
+    return list(out.values())
 
 
 def nullspace(rows: list[int], n: int) -> list[int]:

@@ -99,15 +99,6 @@ class Z4Form:
         if ac and bc:
             self.add_const(2)
 
-    def add_form(self, other: Z4Form) -> None:
-        if other.nvars != self.nvars:
-            raise EOError("form variable counts differ")
-        self.add_const(other.const)
-        for v, lam in other.lin.items():
-            self.add_linear(v, lam)
-        for (u, v) in other.quad:
-            self.add_quad_pair(u, v)
-
     # -- substitution ----------------------------------------------------------
 
     def compose_affine(self, subst: list[Affine], new_nvars: int) -> Z4Form:

@@ -171,13 +171,12 @@ class _WorkCap(Exception):
 
 
 def _closure_under_products(params: dict[ExactValue, Recipe | None],
-                            orders: dict[ExactValue, int],
                             set_cap: int) -> dict[ExactValue, Recipe | None]:
     """Close a set of root-of-unity parameters under products.
 
-    For roots this is the cyclic group of order lcm(orders); it is built by
-    walking powers and pairwise products until stable, recording a path
-    recipe for every new element.
+    For roots this is the cyclic group whose order is the lcm of theirs; it
+    is built by walking powers and pairwise products until stable, recording
+    a path recipe for every new element.
     """
     closed = dict(params)
     frontier = list(params)
@@ -248,7 +247,7 @@ def generating_process(f: Signature,
         for p in layer_params:
             merged.setdefault(p, state.recipes[p])
         try:
-            closed = _closure_under_products(merged, orders, max_set)
+            closed = _closure_under_products(merged, max_set)
         except _WorkCap:
             return _cap_outcome(state, lcm_history, "closure size cap"), state
         for p in closed:
@@ -320,6 +319,8 @@ class PinRealizabilityReport:
     consistent: bool
     findings: list[str] = field(default_factory=list)
     equal_pair_gadget: bool = False
+    # the gadget recipes of the generating-process run (not part of to_json)
+    recipes: dict[ExactValue, Recipe | None] = field(default_factory=dict)
 
     def to_json(self) -> dict:
         return {
@@ -404,4 +405,4 @@ def delta_realizability(f: Signature,
         if equal_pair:
             route += "+equal_pair_gadget"
     return PinRealizabilityReport(descriptor, symmetry, route, consistent,
-                                  findings, equal_pair)
+                                  findings, equal_pair, state.recipes)

@@ -57,13 +57,21 @@ def _require_closed(grid: Grid) -> Diagnostics:
     return diag
 
 
-def _slot_affines(grid: Grid) -> dict[Slot, tuple[int, int]]:
-    """Each slot as an F2-affine function (mask, const) of the edge variables."""
-    out: dict[Slot, tuple[int, int]] = {}
-    for eidx, (sa, sb) in enumerate(grid.edges):
-        out[sa] = (1 << eidx, 0)
-        out[sb] = (1 << eidx, 1)
-    return out
+def _certificates(grid: Grid, membership, error):
+    """Class certificates of the vertex signatures, keyed by signature, or
+    None as soon as a vertex signature is zero; a vertex outside the class
+    raises error."""
+    _require_closed(grid)
+    certs = {}
+    for vid, sig in grid.vertices:
+        if sig.is_zero():
+            return None
+        if sig not in certs:
+            got = membership(sig)
+            if isinstance(got, classify.Refutation):
+                raise error(f"vertex {vid}: {got.stage} at {got.witness}")
+            certs[sig] = got
+    return certs
 
 
 # ---------------------------------------------------------------------------
@@ -75,72 +83,62 @@ def eval_affine(grid: Grid) -> ExactValue:
     """Exact partition function when every vertex signature is affine-class.
 
     Support constraints become one F2 linear system over edge variables; the
-    i-exponents add up to one Z4 quadratic form over the free variables,
-    summed exactly by gauss_sum.  An infeasible system means the value 0.
+    i-exponents, written in the free variables of its solution, add up to
+    one Z4 quadratic form, summed exactly by gauss_sum.  An infeasible
+    system means the value 0.
     """
-    _require_closed(grid)
-    certs: dict[Signature, classify.AffineCertificate] = {}
-    for vidx, (vid, sig) in enumerate(grid.vertices):
-        if sig.is_zero():
-            return ZERO
-        if sig not in certs:
-            got = classify.membership_affine(sig)
-            if isinstance(got, classify.Refutation):
-                raise NonAffineVertex(
-                    f"vertex {vid}: {got.stage} at {got.witness}")
-            certs[sig] = got
-    nedges = len(grid.edges)
-    slot_aff = _slot_affines(grid)
+    certs = _certificates(grid, classify.membership_affine, NonAffineVertex)
+    if certs is None:
+        return ZERO
+    # a slot reads its edge variable, xor 1 at the edge's second end
+    slot_edge: dict[Slot, tuple[int, int]] = {}
+    for eidx, (sa, sb) in enumerate(grid.edges):
+        slot_edge[sa] = (eidx, 0)
+        slot_edge[sb] = (eidx, 1)
 
+    checks = {sig: cert.space.parity_checks() for sig, cert in certs.items()}
     equations: list[tuple[int, int]] = []
     for vidx, (vid, sig) in enumerate(grid.vertices):
-        cert = certs[sig]
         n = sig.arity
-        for h in cert.space.parity_checks():
+        for h in checks[sig]:
             mask = 0
-            const = f2.dot(h, cert.space.offset)
+            const = f2.dot(h, certs[sig].space.offset)
             for p in range(n):
                 if f2.bit_at(h, p, n):
-                    emask, ec = slot_aff[(vidx, p)]
-                    mask ^= emask
-                    const ^= ec
+                    eidx, side = slot_edge[(vidx, p)]
+                    mask ^= 1 << eidx
+                    const ^= side
             equations.append((mask, const))
-    solved = f2.solve_linear_system(equations, nedges)
+    solved = f2.solve_linear_system(equations, len(grid.edges))
     if solved is None:
         return ZERO
     particular, basis = solved
-    r = len(basis)
 
-    total = Z4Form(nedges)
+    # each edge variable as an affine function of the free variables
+    edge_mask = [0] * len(grid.edges)
+    for t, vec in enumerate(basis):
+        while vec:
+            e = vec.bit_length() - 1
+            edge_mask[e] |= 1 << t
+            vec ^= 1 << e
+    total = Z4Form(len(basis))
     for vidx, (vid, sig) in enumerate(grid.vertices):
         cert = certs[sig]
-        d = cert.space.dimension
-        local = Z4Form(d)
-        for i, lam in enumerate(cert.lin):
-            local.add_linear(i, lam)
+        # local coordinate i reads the pivot port of basis row i, less the offset
+        n = sig.arity
+        coords = []
+        for b in cert.space.basis:
+            port = n - 1 - (b.bit_length() - 1)
+            eidx, side = slot_edge[(vidx, port)]
+            const = ((particular >> eidx) & 1) ^ side ^ f2.bit_at(cert.space.offset, port, n)
+            coords.append((edge_mask[eidx], const))
+        for (mask, const), lam in zip(coords, cert.lin):
+            total.add_affine_lift(mask, const, lam)
         for i, j, mu in cert.quad:
             if mu:
-                local.add_quad_pair(i, j)
-        subst = []
-        n = sig.arity
-        for b in cert.space.basis:
-            pivot_port = n - 1 - (b.bit_length() - 1)
-            emask, ec = slot_aff[(vidx, pivot_port)]
-            ec ^= f2.bit_at(cert.space.offset, pivot_port, n)
-            subst.append((emask, ec))
-        total.add_form(local.compose_affine(subst, nedges))
-
-    # substitute edge variables by particular + span(basis) over free vars
-    subst_edges = []
-    for e in range(nedges):
-        mask = 0
-        for t, vec in enumerate(basis):
-            if (vec >> e) & 1:
-                mask |= 1 << t
-        subst_edges.append((mask, (particular >> e) & 1))
-    final = total.compose_affine(subst_edges, r)
-    result = _gauss_sum(final)
-    for vidx, (vid, sig) in enumerate(grid.vertices):
+                total.add_doubled_product(coords[i], coords[j])
+    result = _gauss_sum(total)
+    for vid, sig in grid.vertices:
         result = result * certs[sig].lam
     return result
 
@@ -150,124 +148,58 @@ def eval_affine(grid: Grid) -> ExactValue:
 # ---------------------------------------------------------------------------
 
 
-class _ParityUnion:
-    def __init__(self):
-        self.parent: dict = {}
-        self.parity: dict = {}
-
-    def add(self, x) -> None:
-        if x not in self.parent:
-            self.parent[x] = x
-            self.parity[x] = 0
-
-    def find(self, x):
-        self.add(x)
-        path = []
-        while self.parent[x] != x:
-            path.append(x)
-            x = self.parent[x]
-        root = x
-        p = 0
-        for node in reversed(path):
-            p ^= self.parity[node]
-            self.parent[node] = root
-            self.parity[node] = p
-        return root, self.parity[path[0]] if path else 0
-
-    def rel(self, x):
-        root, _ = self.find(x)
-        return root, self.parity[x]
-
-    def union(self, x, y, parity: int) -> bool:
-        """Impose value(x) xor value(y) == parity; False on contradiction."""
-        rx, px = self.rel(x)
-        ry, py = self.rel(y)
-        if rx == ry:
-            return (px ^ py) == parity
-        self.parent[rx] = ry
-        self.parity[rx] = px ^ py ^ parity
-        return True
-
-
 def eval_product(grid: Grid) -> ExactValue:
     """Exact partition function when every vertex signature is product-class.
 
-    Pins, parity groups, and edge disequalities reduce to one parity
-    union-find; each connected component contributes the sum over its (at
-    most two) consistent assignments of the product of group weights.
+    Each parity group is one F2 variable (its leader bit); pins and edge
+    disequalities become XOR equations on at most two of them, solved by
+    f2.solve_linear_system.  Each free basis vector of the solution is one
+    connected set of groups, which contributes the sum of its two
+    assignments; every other group is fixed by the particular solution.
     """
-    _require_closed(grid)
-    certs: dict[Signature, classify.ProductCertificate] = {}
-    for vidx, (vid, sig) in enumerate(grid.vertices):
-        if sig.is_zero():
-            return ZERO
-        if sig not in certs:
-            got = classify.membership_product(sig)
-            if isinstance(got, classify.Refutation):
-                raise NonProductVertex(
-                    f"vertex {vid}: {got.stage} at {got.witness}")
-            certs[sig] = got
-
-    CONST = ("const",)
-    uf = _ParityUnion()
-    uf.add(CONST)
-    # slot -> (None, bit) for pinned ports, (group node, parity) otherwise
-    slot_expr: dict[Slot, tuple] = {}
-    group_weights: dict[tuple, tuple[ExactValue, ExactValue]] = {}
-    for vidx, (vid, sig) in enumerate(grid.vertices):
-        cert = certs[sig]
-        for port, bit in cert.pins:
-            slot_expr[(vidx, port)] = (None, bit)
-        for gi, grp in enumerate(cert.groups):
-            node = (vidx, gi)
-            group_weights[node] = (grp.w0, grp.w1)
-            uf.add(node)
-            for port, parity in zip(grp.ports, grp.parities):
-                slot_expr[(vidx, port)] = (node, parity)
-
-    for sa, sb in grid.edges:
-        na, pa = slot_expr[sa]
-        nb, pb = slot_expr[sb]
-        if na is None and nb is None:
-            if pa == pb:
-                return ZERO
-            continue
-        if na is None:
-            if not uf.union(nb, CONST, pb ^ pa ^ 1):
-                return ZERO
-            continue
-        if nb is None:
-            if not uf.union(na, CONST, pa ^ pb ^ 1):
-                return ZERO
-            continue
-        if not uf.union(na, nb, pa ^ pb ^ 1):
-            return ZERO
-
-    components: dict = {}
-    for node in group_weights:
-        root, parity = uf.rel(node)
-        components.setdefault(root, []).append((node, parity))
-    const_root, const_parity = uf.rel(CONST)
-
+    certs = _certificates(grid, classify.membership_product, NonProductVertex)
+    if certs is None:
+        return ZERO
+    # slot -> (mask of its group's variable, or 0 for a pin; bit read when
+    # that variable is 0)
+    slot_expr: dict[Slot, tuple[int, int]] = {}
+    weights: list[tuple[ExactValue, ExactValue]] = []
     total = ONE
     for vidx, (vid, sig) in enumerate(grid.vertices):
-        total = total * certs[sig].lam
-    for root, members in components.items():
-        if root == const_root:
-            acc = ONE
-            for node, parity in members:
-                w0, w1 = group_weights[node]
-                acc = acc * (w1 if parity ^ const_parity else w0)
-            total = total * acc
-        else:
-            branch = ZERO
-            for root_val in (0, 1):
-                acc = ONE
-                for node, parity in members:
-                    w0, w1 = group_weights[node]
-                    acc = acc * (w1 if parity ^ root_val else w0)
-                branch = branch + acc
-            total = total * branch
+        cert = certs[sig]
+        total = total * cert.lam
+        for port, bit in cert.pins:
+            slot_expr[(vidx, port)] = (0, bit)
+        for grp in cert.groups:
+            var = 1 << len(weights)
+            weights.append((grp.w0, grp.w1))
+            for port, parity in zip(grp.ports, grp.parities):
+                slot_expr[(vidx, port)] = (var, parity)
+    equations = []
+    for sa, sb in grid.edges:
+        ma, pa = slot_expr[sa]
+        mb, pb = slot_expr[sb]
+        equations.append((ma ^ mb, pa ^ pb ^ 1))
+    solved = f2.solve_linear_system(equations, len(weights))
+    if solved is None:
+        return ZERO
+    particular, basis = solved
+
+    fixed = (1 << len(weights)) - 1
+    for vec in basis:
+        fixed ^= vec
+        same = other = ONE
+        while vec:
+            g = vec.bit_length() - 1
+            bit = (particular >> g) & 1
+            same = same * weights[g][bit]
+            other = other * weights[g][bit ^ 1]
+            vec ^= 1 << g
+        total = total * (same + other)
+    while fixed:
+        g = fixed.bit_length() - 1
+        total = total * weights[g][(particular >> g) & 1]
+        fixed ^= 1 << g
     return total
 
 
@@ -327,8 +259,12 @@ def encode_support_query(grid: Grid, vertex: int, mask: int) -> str:
     return "\n".join(line for line in lines if line) + "\n"
 
 
+ORACLE_TIMEOUT_S = 120
+
+
 class ExternalOracle:
-    """Subprocess backend speaking the clause-form text protocol."""
+    """Subprocess backend speaking the clause-form text protocol; a nonzero
+    exit code or no answer within ORACLE_TIMEOUT_S is a protocol error."""
 
     def __init__(self, command):
         self.command = shlex.split(command) if isinstance(command, str) else list(command)
@@ -338,8 +274,14 @@ class ExternalOracle:
         if mask not in grid.signature_of(vertex).support():
             return False, None
         text = encode_support_query(grid, vertex, mask)
-        proc = subprocess.run(self.command, input=text, capture_output=True,
-                              text=True, timeout=120)
+        try:
+            proc = subprocess.run(self.command, input=text, capture_output=True,
+                                  text=True, timeout=ORACLE_TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            raise OracleProtocolError(
+                f"{self.name}: no answer within {ORACLE_TIMEOUT_S} s") from None
+        if proc.returncode:
+            raise OracleProtocolError(f"{self.name} exited with code {proc.returncode}")
         reply = proc.stdout.strip().splitlines()
         if not reply:
             raise OracleProtocolError(f"no response from {self.name}")
@@ -394,12 +336,27 @@ class EffectiveSupportReport:
 
 
 def effective_support(grid: Grid, backend=None) -> EffectiveSupportReport:
+    """Query every support string of every vertex.  A string that some SAT
+    witness realizes but the backend answered UNSAT is an OracleProtocolError."""
     _require_closed(grid)
     backend = backend or ExhaustiveOracle()
     report = EffectiveSupportReport(getattr(backend, "name", "?"))
+    witnesses = []
     for vidx, (vid, sig) in enumerate(grid.vertices):
-        report.effective.append(
-            {m for m in sig.support() if backend.query(grid, vidx, m)[0]})
+        effective = set()
+        for m in sig.support():
+            ok, witness = backend.query(grid, vidx, m)
+            if ok:
+                effective.add(m)
+                if witness:
+                    witnesses.append(witness)
+        report.effective.append(effective)
+    for (vid, sig), seen, effective in zip(grid.vertices, zip(*witnesses), report.effective):
+        lied = sorted(set(seen).intersection(sig.entries) - effective)
+        if lied:
+            raise OracleProtocolError(
+                f"{report.backend}: answered UNSAT for {f2.mask_to_string(lied[0], sig.arity)} "
+                f"at vertex {vid}, which a SAT witness realizes")
     return report
 
 

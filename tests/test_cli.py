@@ -149,6 +149,35 @@ def test_bad_oracle_literal_exit_code(workdir, capsys):
     assert err.count("\n") == 1
 
 
+def test_oracle_timeout_exit_code(workdir, capsys, monkeypatch):
+    from eoexact import tractable
+
+    def hung(cmd, **kwargs):
+        raise subprocess.TimeoutExpired(cmd, kwargs.get("timeout"))
+
+    monkeypatch.setattr(tractable.subprocess, "run", hung)
+    assert main(["prune", str(workdir / "deq4-closed.grid"),
+                 "--backend", "external:eo-oracle"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: OracleProtocolError: ")
+    assert err.count("\n") == 1
+
+
+def test_generate_recipes_file(workdir, capsys):
+    from eoexact.generate import generating_process
+    from eoexact.signatures import parse_signature_blocks
+    from eoexact.values import render_value
+
+    out = workdir / "recipes.txt"
+    assert main(["generate", str(workdir / "gd.sig"), "--caps", "steps=6,size=512,order=32",
+                 "--recipes", str(out)]) == 0
+    sig = parse_signature_blocks((workdir / "gd.sig").read_text())[0]
+    _, state = generating_process(sig, 6, 512, 32)
+    lines = [f"# {sig.name}"] + [f"{render_value(p)}: {r!r}" for p, r in
+                                 sorted(state.recipes.items(), key=lambda kv: str(kv[0]))]
+    assert out.read_text() == "\n".join(lines) + "\n"
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["nosuchcommand"]) == 2
     assert main([]) == 2

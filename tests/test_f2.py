@@ -111,6 +111,27 @@ def test_rref_unique_pivots():
                 assert not (other >> (b.bit_length() - 1)) & 1
 
 
+def span(rows):
+    out = {0}
+    for r in rows:
+        out |= {v ^ r for v in out}
+    return out
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=8))))
+def test_rref_echelon_and_span(case):
+    n, rows = case
+    basis = rref(rows, n)
+    pivots = [b.bit_length() - 1 for b in basis]
+    assert 0 not in basis
+    assert pivots == sorted(pivots, reverse=True) and len(set(pivots)) == len(pivots)
+    for p in pivots:
+        assert sum((b >> p) & 1 for b in basis) == 1
+    assert span(basis) == span(rows)
+
+
 def test_nullspace_orthogonal():
     rows = [0b110010, 0b001110]
     for h in nullspace(rows, 6):

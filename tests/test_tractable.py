@@ -151,6 +151,33 @@ def test_brute_force_deep_ring_matches_product():
     assert brute_force_partition(grid) == eval_product(grid)
 
 
+def disjoint_union(*grids):
+    vertices, edges, offset = [], [], 0
+    for g in grids:
+        vertices += [(f"{vid}.{offset}", sig) for vid, sig in g.vertices]
+        edges += [((va + offset, pa), (vb + offset, pb)) for (va, pa), (vb, pb) in g.edges]
+        offset += len(g.vertices)
+    return Grid.make(vertices, edges)
+
+
+def test_eval_product_several_components():
+    # two free rings, one group closed on itself, one group fixed by a pin
+    parts = [
+        weighted_deq4_ring(5),
+        weighted_deq4_ring(7),
+        Grid.make([("v", gen_diseq("0101", 2, 3))], [((0, 0), (0, 1)), ((0, 2), (0, 3))]),
+        Grid.make([("p", pin_signature()), ("q", gen_diseq("01", 2, 3))],
+                  [((0, 0), (1, 0)), ((0, 1), (1, 1))]),
+    ]
+    values = [eval_product(g) for g in parts]
+    assert values[2:] == [V(5), V(3)]
+    grid = disjoint_union(*parts)
+    want = ONE
+    for v in values:
+        want = want * v
+    assert eval_product(grid) == want == brute_force_partition(grid)
+
+
 # -- support oracle ---------------------------------------------------------------
 
 
@@ -228,6 +255,35 @@ def test_external_oracle_rejects_forged_witness(answer):
 
 
 # -- pruning ----------------------------------------------------------------------
+
+
+def test_external_oracle_nonzero_exit():
+    grid = Grid.make([("v", diseq(4))], [((0, 0), (0, 2)), ((0, 1), (0, 3))])
+    oracle = ExternalOracle([sys.executable, "-c", "print('UNSAT'); raise SystemExit(3)"])
+    with pytest.raises(OracleProtocolError, match="exited with code 3"):
+        oracle.query(grid, 0, 0b0011)
+
+
+class FalseUnsat(ExhaustiveOracle):
+    """Answers UNSAT for one (vertex, string) pair, truthfully otherwise."""
+
+    name = "false-unsat"
+
+    def __init__(self, vertex, mask):
+        self.lie = (vertex, mask)
+
+    def query(self, grid, vertex, mask):
+        if (vertex, mask) == self.lie:
+            return False, None
+        return super().query(grid, vertex, mask)
+
+
+def test_false_unsat_alarm():
+    grid = Grid.make([(f"v{v}", diseq(4)) for v in range(4)],
+                     [((v, 2 + p), ((v + 1) % 4, p)) for v in range(4) for p in range(2)])
+    assert brute_force_partition(grid) == V(2)
+    with pytest.raises(OracleProtocolError, match="UNSAT for 1100 at vertex v0"):
+        eval_fpnp(grid, "affine", FalseUnsat(0, 0b1100))
 
 
 def test_prune_effective_example():
