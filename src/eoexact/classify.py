@@ -145,18 +145,34 @@ def is_pure(f: Signature, direction: str) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _pairing_search(ports: Sequence[int], arity: int, strings: Sequence[int],
+                    need: int) -> Iterator[tuple[Pairing, tuple[int, ...], int]]:
+    """Iterative DFS over the perfect pairings of ``ports``: the lowest free
+    port leads, and its partners come in increasing order.
+
+    Carries the arity-``arity`` masks of ``strings`` that are opposite on every
+    pair chosen so far.  Yields (pairing, kept strings, 1) at each leaf; a
+    prefix whose kept set drops below ``need`` is yielded once instead of its
+    subtree, with the count of the pairings it stands for.
+    """
+    stack = [((), tuple(sorted(ports)), tuple(strings))]
+    while stack:
+        prefix, free, kept = stack.pop()
+        if not free or len(kept) < need:
+            yield prefix, kept, pairing_count(len(free))
+            continue
+        lead, rest = free[0], free[1:]
+        children = []
+        for k, partner in enumerate(rest):
+            i, j = arity - 1 - lead, arity - 1 - partner
+            children.append((prefix + ((lead, partner),), rest[:k] + rest[k + 1:],
+                             tuple(m for m in kept if ((m >> i) ^ (m >> j)) & 1)))
+        stack.extend(reversed(children))
+
+
 def perfect_pairings(ports: Sequence[int]) -> Iterator[Pairing]:
     """All perfect matchings of the port list (lowest port always leads)."""
-    ports = sorted(ports)
-    if not ports:
-        yield ()
-        return
-    first, rest = ports[0], ports[1:]
-    for i, partner in enumerate(rest):
-        head = (first, partner)
-        remaining = rest[:i] + rest[i + 1:]
-        for tail in perfect_pairings(remaining):
-            yield (head,) + tail
+    return (pairing for pairing, _, _ in _pairing_search(ports, 0, (), 0))
 
 
 def pairing_count(arity: int) -> int:
@@ -167,40 +183,13 @@ def pairing_count(arity: int) -> int:
     return out
 
 
-def _always_unequal(f: Signature) -> list[list[bool]]:
-    n = f.arity
-    supp = f.support()
-    table = [[True] * n for _ in range(n)]
-    for i in range(n):
-        table[i][i] = False
-    for m in supp:
-        for i in range(n):
-            bi = f2.bit_at(m, i, n)
-            for j in range(i + 1, n):
-                if bi == f2.bit_at(m, j, n):
-                    table[i][j] = table[j][i] = False
-    return table
-
-
 def find_pairing(f: Signature) -> Pairing | None:
     """A perfect port pairing whose pairs take opposite values on all of supp."""
     _require_eo(f)
-    if f.arity % 2 != 0:
-        return None
-    compatible = _always_unequal(f)
-
-    def search(free: list[int]) -> Pairing | None:
-        if not free:
-            return ()
-        first, rest = free[0], free[1:]
-        for i, partner in enumerate(rest):
-            if compatible[first][partner]:
-                tail = search(rest[:i] + rest[i + 1:])
-                if tail is not None:
-                    return ((first, partner),) + tail
-        return None
-
-    return search(list(range(f.arity)))
+    supp = f.support()
+    return next((pairing for pairing, kept, _ in
+                 _pairing_search(range(f.arity), f.arity, supp, len(supp))
+                 if len(kept) == len(supp)), None)
 
 
 def restrict_to_pairing(f: Signature, pairing: Pairing) -> Signature:
@@ -459,13 +448,16 @@ def membership_all_pairings(f: Signature, cls: str) -> PairingClassReport:
         raise CapExceeded(
             f"arity {f.arity} over pairing enumeration cap {PAIRING_ARITY_CAP}")
     checked = vacuous = 0
-    for pairing in perfect_pairings(range(f.arity)):
-        checked += 1
-        restricted = restrict_to_pairing(f, pairing)
-        if restricted.is_zero():
-            vacuous += 1
+    results = {}  # membership of the restriction that keeps these strings
+    for pairing, kept, count in _pairing_search(range(f.arity), f.arity, f.support(), 1):
+        checked += count
+        if not kept:
+            vacuous += count
             continue
-        result = membership(restricted, cls)
+        if kept not in results:
+            results[kept] = membership(
+                Signature(f.arity, {m: f.entries[m] for m in kept}), cls)
+        result = results[kept]
         if isinstance(result, Refutation):
             return PairingClassReport(cls, False, checked, vacuous, pairing, result)
     return PairingClassReport(cls, True, checked, vacuous)

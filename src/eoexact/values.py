@@ -159,9 +159,6 @@ class ExactValue:
     def is_zero(self) -> bool:
         return self._n is None and self._co[0] == 0 and self._co[1] == 0
 
-    def is_rational(self) -> bool:
-        return self._n is None and self._co[1] == 0
-
     def gauss_parts(self) -> tuple[Fraction, Fraction]:
         if self._n is not None:
             raise EOError("value is not a Gaussian rational")

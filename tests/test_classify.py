@@ -5,6 +5,7 @@ import pytest
 from eoexact import f2
 from eoexact.classify import (
     AffineCertificate,
+    PairingClassReport,
     ProductCertificate,
     Refutation,
     dichotomy_verdict,
@@ -12,6 +13,7 @@ from eoexact.classify import (
     find_pairing,
     is_pure,
     is_rebalancing,
+    membership,
     membership_affine,
     membership_all_pairings,
     membership_product,
@@ -152,6 +154,98 @@ def test_pairing_enumeration_count():
     assert pairing_count(4) == 3
     assert pairing_count(6) == 15
     assert len(list(perfect_pairings(range(6)))) == 15
+
+
+def _naive_pairings(ports):
+    """Reference enumeration: the lowest port pairs with each other port in
+    increasing order, then the rest are paired the same way."""
+    ports = sorted(ports)
+    if not ports:
+        return [()]
+    first, rest = ports[0], ports[1:]
+    return [((first, partner),) + tail
+            for k, partner in enumerate(rest)
+            for tail in _naive_pairings(rest[:k] + rest[k + 1:])]
+
+
+def _naive_pairing_report(f, cls):
+    checked = vacuous = 0
+    for pairing in _naive_pairings(range(f.arity)):
+        checked += 1
+        restricted = restrict_to_pairing(f, pairing)
+        if restricted.is_zero():
+            vacuous += 1
+            continue
+        result = membership(restricted, cls)
+        if isinstance(result, Refutation):
+            return PairingClassReport(cls, False, checked, vacuous, pairing, result)
+    return PairingClassReport(cls, True, checked, vacuous)
+
+
+def _naive_find_pairing(f):
+    return next((p for p in _naive_pairings(range(f.arity))
+                 if restrict_to_pairing(f, p) == f), None)
+
+
+def test_perfect_pairings_order():
+    for ports in [range(n) for n in range(9)] + [[5, 1, 3, 7], [9, 2, 4, 0, 3, 8]]:
+        got = list(perfect_pairings(ports))
+        assert got == _naive_pairings(ports)
+        if len(ports) % 2 == 0:
+            # lexicographic, without repeats, and all of them
+            assert got == sorted(set(got))
+            assert len(got) == pairing_count(len(ports))
+        else:
+            assert got == []
+    assert list(perfect_pairings([5, 1, 3, 7])) == [
+        ((1, 3), (5, 7)), ((1, 5), (3, 7)), ((1, 7), (3, 5))]
+
+
+def _balanced_part(f):
+    return Signature(f.arity, {m: v for m, v in f.entries.items()
+                               if f2.is_balanced(m, f.arity)})
+
+
+def test_pairing_quantifier_matches_naive_reference():
+    rng = random.Random(606)
+    sigs = [from_entries(0, {0: 3}), Signature(6, {}), Signature(5, {}), diseq(8),
+            m_delta1((1, 1, 2))]
+    for arity in (2, 4, 6, 8, 10):
+        for _ in range(4):
+            sigs.append(rand_eo_signature(rng, arity, density=0.1))
+            sigs.append(rand_eo_signature(rng, arity, density=0.9))
+            sigs.append(_balanced_part(rand_affine_signature(rng, arity)))
+            sigs.append(_balanced_part(rand_product_signature(rng, arity)))
+    tally = {True: 0, False: 0}
+    for f in sigs:
+        assert find_pairing(f) == _naive_find_pairing(f)
+        if f.is_zero():
+            with pytest.raises(ZeroSignature):
+                membership_all_pairings(f, "affine")
+            continue
+        for cls in ("affine", "product"):
+            got = membership_all_pairings(f, cls)
+            assert got.to_json() == _naive_pairing_report(f, cls).to_json()
+            tally[got.ok] += 1
+    assert tally[True] > 20 and tally[False] > 20
+
+
+def test_pairing_quantifier_runs_membership_once_per_restriction(monkeypatch):
+    from eoexact import classify
+    calls = []
+
+    def counting(f, cls):
+        calls.append(cls)
+        return membership(f, cls)
+
+    monkeypatch.setattr(classify, "membership", counting)
+    v = dichotomy_verdict([diseq(12)])
+    # 720 pairings keep all of diseq(12)'s support, the rest keep none
+    assert sorted(calls) == ["affine", "product"]
+    for key in ("pairing_affine", "pairing_product"):
+        report = v.per_signature[0][key]
+        assert report["ok"]
+        assert report["pairings_checked"] == 10395 and report["vacuous"] == 9675
 
 
 def test_find_pairing_examples():
