@@ -275,8 +275,7 @@ def _cmd_gate(args, argv, mode):
         try:
             if op == "use":
                 path = line.split(None, 1)[1]
-                full = path if os.path.isabs(path) else os.path.join(base_dir, path)
-                names.update(load_signature_file(full, mode))
+                names.update(load_signature_file(os.path.join(base_dir, path), mode))
             elif op == "start":
                 current = names[parts[1]]
             elif current is None:

@@ -1,7 +1,7 @@
 """Exact sums of i^Q(t) over Boolean vectors, for Z4-valued quadratic forms.
 
-A form is c + sum(lin[v] * t_v) + 2 * sum(t_u * t_v over quad pairs) taken
-mod 4, with t ranging over {0,1}^nvars.  This shape is closed under
+A form is c + sum(lin[v] * t_v) + 2 * sum(t_u * t_v over neighbour pairs)
+taken mod 4, with t ranging over {0,1}^nvars.  This shape is closed under
 substituting F2-affine functions for variables, which is what makes the
 variable-elimination evaluator below exact and enumeration-free.
 
@@ -22,10 +22,17 @@ Affine = tuple[int, int]
 
 @dataclass
 class Z4Form:
+    """lin[v] is the coefficient of t_v; adj[v] is the neighbour mask of t_v,
+    with bit u set iff 2*t_u*t_v is a term."""
+
     nvars: int
     const: int = 0
-    lin: dict[int, int] = field(default_factory=dict)
-    quad: set[tuple[int, int]] = field(default_factory=set)
+    lin: list[int] = field(default_factory=list)
+    adj: list[int] = field(default_factory=list)
+
+    def __post_init__(self):
+        self.lin = self.lin or [0] * self.nvars
+        self.adj = self.adj or [0] * self.nvars
 
     # -- primitive mutators ------------------------------------------------
 
@@ -33,24 +40,23 @@ class Z4Form:
         self.const = (self.const + c) % 4
 
     def add_linear(self, v: int, lam: int) -> None:
-        lam %= 4
-        if lam:
-            cur = (self.lin.get(v, 0) + lam) % 4
-            if cur:
-                self.lin[v] = cur
-            else:
-                self.lin.pop(v, None)
+        self.lin[v] = (self.lin[v] + lam) % 4
 
     def add_quad_pair(self, u: int, v: int) -> None:
         """Add 2*t_u*t_v (mod 4); squares fold into the linear part."""
         if u == v:
             self.add_linear(u, 2)
             return
-        key = (u, v) if u < v else (v, u)
-        if key in self.quad:
-            self.quad.remove(key)
-        else:
-            self.quad.add(key)
+        self.adj[u] ^= 1 << v
+        self.adj[v] ^= 1 << u
+
+    def remove_var(self, v: int) -> tuple[int, int]:
+        """Drop every term of t_v; returns its linear coefficient and neighbour mask."""
+        lam, nb = self.lin[v], self.adj[v]
+        self.lin[v] = self.adj[v] = 0
+        for u in _mask_bits(nb):
+            self.adj[u] ^= 1 << v
+        return lam, nb
 
     # -- structured adders ---------------------------------------------------
 
@@ -63,152 +69,82 @@ class Z4Form:
         scale %= 4
         if scale == 0:
             return
-        bits = _mask_bits(mask)
-        lin_coeff = 3 if const_bit else 1
         if const_bit:
             self.add_const(scale)
-        for b in bits:
-            self.add_linear(b, scale * lin_coeff)
-        if scale % 2:
-            for x in range(len(bits)):
-                for y in range(x + 1, len(bits)):
-                    self.add_quad_pair(bits[x], bits[y])
+        lam = scale * (3 if const_bit else 1)
+        for b in _mask_bits(mask):
+            self.add_linear(b, lam)
+            if scale % 2:
+                self.adj[b] ^= mask ^ (1 << b)
 
     def add_doubled_product(self, a: Affine, b: Affine) -> None:
         """Add 2 * lift(a) * lift(b) (mod 4) for two affine functions.
 
         The F2 product expands to a quadratic polynomial; doubling makes the
-        expansion additive mod 4.
+        expansion additive mod 4.  Each t_x t_y with x in a and y in b sets
+        bit y of adj[x] here and bit x of adj[y] in the second loop.
         """
         amask, ac = a
         bmask, bc = b
-        abits = _mask_bits(amask)
-        bbits = _mask_bits(bmask)
-        for x in abits:
-            for y in bbits:
-                if x == y:
-                    self.add_linear(x, 2)
-                else:
-                    self.add_quad_pair(x, y)
-        if bc:
-            for x in abits:
-                self.add_linear(x, 2)
-        if ac:
-            for y in bbits:
-                self.add_linear(y, 2)
-        if ac and bc:
-            self.add_const(2)
-
-    # -- substitution ----------------------------------------------------------
-
-    def compose_affine(self, subst: list[Affine], new_nvars: int) -> Z4Form:
-        """The form with every variable v replaced by the affine function subst[v]."""
-        if len(subst) != self.nvars:
-            raise EOError("substitution arity mismatch")
-        out = Z4Form(new_nvars)
-        out.add_const(self.const)
-        for v, lam in self.lin.items():
-            mask, cbit = subst[v]
-            out.add_affine_lift(mask, cbit, lam)
-        for (u, v) in self.quad:
-            out.add_doubled_product(subst[u], subst[v])
-        return out
+        for x in _mask_bits(amask):
+            self.adj[x] ^= bmask & ~(1 << x)
+            self.add_linear(x, 2 * (((bmask >> x) & 1) + bc))
+        for y in _mask_bits(bmask):
+            self.adj[y] ^= amask & ~(1 << y)
+            self.add_linear(y, 2 * ac)
+        self.add_const(2 * ac * bc)
 
     # -- evaluation --------------------------------------------------------------
 
     def value_at(self, t: int) -> int:
         acc = self.const
-        for v, lam in self.lin.items():
-            if (t >> v) & 1:
-                acc += lam
-        for (u, v) in self.quad:
-            if (t >> u) & 1 and (t >> v) & 1:
-                acc += 2
+        for v in _mask_bits(t):
+            # each pair inside t is counted once from either end
+            acc += self.lin[v] + (self.adj[v] & t).bit_count()
         return acc % 4
 
-    def copy(self) -> Z4Form:
-        return Z4Form(self.nvars, self.const, dict(self.lin), set(self.quad))
 
-
-def _mask_bits(mask: int) -> list[int]:
-    bits = []
-    b = 0
+def _mask_bits(mask: int):
     while mask:
-        if mask & 1:
-            bits.append(b)
-        mask >>= 1
-        b += 1
-    return bits
-
-
-def _drop_last_var(form: Z4Form) -> tuple[Z4Form, int, int]:
-    """Split off the last variable: returns (rest, lam, link_mask)."""
-    k = form.nvars - 1
-    lam = form.lin.get(k, 0)
-    link = 0
-    rest = Z4Form(k, form.const,
-                  {v: c for v, c in form.lin.items() if v != k},
-                  set())
-    for (u, v) in form.quad:
-        if v == k:
-            link |= 1 << u
-        elif u == k:
-            link |= 1 << v
-        else:
-            rest.quad.add((u, v))
-    return rest, lam % 4, link
-
-
-def _eliminate_with_constraint(rest: Z4Form, link: int, target: int) -> Z4Form:
-    """Restrict rest to the subspace xor(link bits) == target, dropping one var."""
-    pivot = link.bit_length() - 1
-    others = link ^ (1 << pivot)
-    subst: list[Affine] = []
-
-    def reindex_mask(mask: int) -> int:
-        out = 0
-        for b in _mask_bits(mask):
-            out |= 1 << (b if b < pivot else b - 1)
-        return out
-
-    for v in range(rest.nvars):
-        if v == pivot:
-            subst.append((reindex_mask(others), target))
-        else:
-            subst.append((1 << (v if v < pivot else v - 1), 0))
-    return rest.compose_affine(subst, rest.nvars - 1)
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def gauss_sum(form: Z4Form) -> ExactValue:
     """Exact value of sum over t in {0,1}^nvars of i^form(t), in Q(i).
 
     Variables are eliminated one at a time.  Summing out t_k from
-    lam*t_k + 2*t_k*L(t) yields 1 + i^lam * (-1)^L: for even lam this is a
-    parity constraint on L (or a constant factor), for odd lam it is
-    (1 + i^lam) times i^(c*L) with c in {1, 3}, which folds back into the
-    same form shape.  Every step removes at least one variable.
+    lam*t_k + 2*t_k*L(t), with L the xor of k's neighbours, yields
+    1 + i^lam * (-1)^L.  For odd lam this is (1 + i^lam) times i^(c*L) with
+    c in {1, 3}, which folds back into the same form shape.  For even lam it
+    is a constant factor, or twice a parity constraint L == target: one
+    neighbour p is solved for, and t_p = target xor (the other neighbours)
+    is substituted into p's own terms only.  Every step removes one or two
+    variables.
     """
-    form = form.copy()
+    work = Z4Form(form.nvars, form.const, list(form.lin), list(form.adj))
     factor = ONE
-    while form.nvars > 0:
-        rest, lam, link = _drop_last_var(form)
+    alive = (1 << form.nvars) - 1
+    while alive:
+        k = alive.bit_length() - 1
+        alive ^= 1 << k
+        lam, link = work.remove_var(k)
         if lam % 2 == 1:
             factor = factor * (ONE + I ** lam)
-            if factor.is_zero():
-                return ZERO
-            rest.add_affine_lift(link, 0, 3 if lam == 1 else 1)
-            form = rest
-            continue
-        if link == 0:
-            if lam == 0:
-                factor = factor * as_value(2)
-                form = rest
-                continue
+            work.add_affine_lift(link, 0, 3 if lam == 1 else 1)
+        elif link == 0 and lam == 2:
             return ZERO  # factor 1 + i^2 kills every term
-        target = 1 if lam == 2 else 0
-        factor = factor * as_value(2)
-        form = _eliminate_with_constraint(rest, link, target)
-    return factor * I ** form.const
+        else:
+            factor = factor * as_value(2)
+            if link:
+                p = link.bit_length() - 1
+                alive ^= 1 << p
+                solved = (link ^ (1 << p), 1 if lam == 2 else 0)
+                lam_p, nb_p = work.remove_var(p)
+                work.add_affine_lift(*solved, lam_p)
+                work.add_doubled_product(solved, (nb_p, 0))
+    return factor * I ** work.const
 
 
 def enumerate_sum(form: Z4Form, cap: int = 1 << 24) -> ExactValue:

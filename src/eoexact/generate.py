@@ -18,7 +18,7 @@ from typing import Sequence
 
 from . import classify
 from .errors import CoprimalityError, EOError, NotEO
-from .grids import Grid, gate_signature
+from .grids import Grid, chain_gate, gate_signature
 from .signatures import BinaryDiseq, Signature, as_binary_diseq, neq2
 from .values import ExactValue, ONE, ZERO, compare_abs, root_order
 
@@ -120,10 +120,7 @@ def replay_recipe(f: Signature, recipe: Recipe,
             chain.append(neq2() if param == ONE else BinaryDiseq(ONE, param).as_signature())
         else:
             chain.append(replay_recipe(f, sub, recipes))
-    verts = [(f"c{t}", sig) for t, sig in enumerate(chain)]
-    edges = [((t, 1), (t + 1, 0)) for t in range(len(chain) - 1)]
-    dangling = [(0, 0), (len(chain) - 1, 1)]
-    return gate_signature(Grid.make(verts, edges, dangling))
+    return chain_gate(chain)
 
 
 def _loop_layer(f: Signature, weights: Sequence[ExactValue],

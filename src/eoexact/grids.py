@@ -238,23 +238,8 @@ class OrientationSearch:
                     pos += 1
 
 
-def brute_force_partition(grid: Grid, cap: int = DEFAULT_OP_CAP) -> ExactValue:
-    """Exact partition function of a closed grid by orientation enumeration."""
-    require_valid(grid)
-    if not grid.is_closed:
-        raise OpenGridError("partition function needs a closed grid; use gate_signature")
-    tables = [sig.entries for _, sig in grid.vertices]
-    total = ZERO
-    for masks in OrientationSearch(grid).assignments(cap):
-        total = total + prod(map(getitem, tables, masks), start=ONE)
-    return total
-
-
-def gate_signature(grid: Grid, cap: int = DEFAULT_OP_CAP) -> Signature:
-    """Collapse an open grid into the signature over its dangling ports."""
-    require_valid(grid)
-    if grid.is_closed:
-        raise ClosedGridError("gate has no dangling ports; use brute_force_partition")
+def _collapse(grid: Grid, cap: int) -> Signature:
+    """The signature over the dangling ports (arity 0 for a closed grid)."""
     tables = [sig.entries for _, sig in grid.vertices]
     ports = [(v, 1 << (grid.signature_of(v).arity - 1 - p)) for v, p in grid.dangling]
     entries: dict[int, ExactValue] = {}
@@ -264,6 +249,29 @@ def gate_signature(grid: Grid, cap: int = DEFAULT_OP_CAP) -> Signature:
             out = (out << 1) | bool(masks[v] & bit)
         entries[out] = entries.get(out, ZERO) + prod(map(getitem, tables, masks), start=ONE)
     return Signature(len(ports), entries)
+
+
+def brute_force_partition(grid: Grid, cap: int = DEFAULT_OP_CAP) -> ExactValue:
+    """Exact partition function of a closed grid by orientation enumeration."""
+    require_valid(grid)
+    if not grid.is_closed:
+        raise OpenGridError("partition function needs a closed grid; use gate_signature")
+    return _collapse(grid, cap).value(0)
+
+
+def gate_signature(grid: Grid, cap: int = DEFAULT_OP_CAP) -> Signature:
+    """Collapse an open grid into the signature over its dangling ports."""
+    require_valid(grid)
+    if grid.is_closed:
+        raise ClosedGridError("gate has no dangling ports; use brute_force_partition")
+    return _collapse(grid, cap)
+
+
+def chain_gate(chain: Sequence[Signature]) -> Signature:
+    """Gate of binary signatures in a path: port 2 of each joins port 1 of the next."""
+    verts = [(f"c{t}", sig) for t, sig in enumerate(chain)]
+    edges = [((t, 1), (t + 1, 0)) for t in range(len(chain) - 1)]
+    return gate_signature(Grid.make(verts, edges, [(0, 0), (len(chain) - 1, 1)]))
 
 
 # -- grid files ---------------------------------------------------------------
@@ -325,8 +333,7 @@ def parse_grid_text(text: str, base_dir: str = ".",
             if len(parts) < 2 or "\0" in line:
                 raise GridFormatError(f"bad use line {raw!r}")
             path = line.split(None, 1)[1]
-            full = path if os.path.isabs(path) else os.path.join(base_dir, path)
-            names.update(load_signature_file(full, mode))
+            names.update(load_signature_file(os.path.join(base_dir, path), mode))
             continue
         if parts[0] == "vertex":
             if len(parts) != 3:

@@ -33,6 +33,7 @@ from .grids import (
     Grid,
     OrientationSearch,
     brute_force_partition,
+    chain_gate,
     gate_signature,
     require_valid,
 )
@@ -431,11 +432,7 @@ def chain_power(x: ExactValue, j: int) -> Signature:
     """Path of j weighted disequalities != (1, x), realized through a gate."""
     if j < 1:
         raise EOError("chain length must be positive")
-    base = BinaryDiseq(ONE, x).as_signature()
-    verts = [(f"c{t}", base) for t in range(j)]
-    edges = [((t, 1), (t + 1, 0)) for t in range(j - 1)]
-    dangling = [(0, 0), (j - 1, 1)]
-    return gate_signature(Grid.make(verts, edges, dangling))
+    return chain_gate([BinaryDiseq(ONE, x).as_signature()] * j)
 
 
 def interpolate_delta(grid: Grid, x: ExactValue) -> ExactValue:

@@ -18,8 +18,7 @@ import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-import mpmath
+from itertools import zip_longest
 
 from .errors import (
     EmptyInput,
@@ -50,15 +49,21 @@ def euler_phi(n: int) -> int:
     return result
 
 
-def _poly_divmod(num: list[Fraction], den: list[int]) -> tuple[list[Fraction], list[Fraction]]:
-    """Exact division of num by monic integer polynomial den."""
+def _poly_divmod(num, den) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder of num by den over Q (ascending coefficients).
+
+    den's last coefficient must be nonzero; the remainder has no trailing zeros.
+    """
     num = list(num)
     dd = len(den) - 1
+    lead = den[-1]
     quot = [_ZERO] * max(0, len(num) - dd)
     for i in range(len(num) - 1, dd - 1, -1):
         c = num[i]
         if c == 0:
             continue
+        if lead != 1:
+            c = c / lead
         quot[i - dd] = c
         for j, d in enumerate(den):
             num[i - dd + j] -= c * d
@@ -66,6 +71,17 @@ def _poly_divmod(num: list[Fraction], den: list[int]) -> tuple[list[Fraction], l
     while rem and rem[-1] == 0:
         rem.pop()
     return quot, rem
+
+
+def _poly_mul(a, b) -> list[Fraction]:
+    out = [_ZERO] * (len(a) + len(b) - 1)
+    for i, p in enumerate(a):
+        if p == 0:
+            continue
+        for j, q in enumerate(b):
+            if q != 0:
+                out[i + j] += p * q
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -79,7 +95,7 @@ def cyclotomic_coeffs(n: int) -> tuple[int, ...]:
     poly: list[Fraction] = [Fraction(-1)] + [_ZERO] * (n - 1) + [Fraction(1)]
     for d in range(1, n):
         if n % d == 0:
-            quot, rem = _poly_divmod(poly, list(cyclotomic_coeffs(d)))
+            quot, rem = _poly_divmod(poly, cyclotomic_coeffs(d))
             if rem:
                 raise EOError("cyclotomic division left a remainder")
             poly = quot
@@ -97,9 +113,8 @@ def _check_ambient(n: int) -> None:
 
 def _reduce_mod_cyclotomic(coeffs: list[Fraction], n: int) -> tuple[Fraction, ...]:
     phi = euler_phi(n)
-    _, rem = _poly_divmod(coeffs, list(cyclotomic_coeffs(n)))
-    rem = list(rem) + [_ZERO] * (phi - len(rem))
-    return tuple(rem)
+    _, rem = _poly_divmod(coeffs, cyclotomic_coeffs(n))
+    return tuple(rem) + (_ZERO,) * (phi - len(rem))
 
 
 class ExactValue:
@@ -166,8 +181,11 @@ class ExactValue:
 
     # -- coercion ------------------------------------------------------
 
-    def _embed(self, n: int) -> list[Fraction]:
-        """Coefficient vector of self inside Q(zeta_n), length n (unreduced)."""
+    def _embed(self, n: int):
+        """Coefficient vector of self inside Q(zeta_n): the stored one when
+        self already lives there, else one of length n (unreduced)."""
+        if self._n == n:
+            return self._co
         out = [_ZERO] * n
         if self._n is None:
             re, im = self._co
@@ -210,7 +228,8 @@ class ExactValue:
             (a, b), (c, d) = self._co, other._co
             return ExactValue(None, (a + c, b + d))
         x, y = self._embed(n), other._embed(n)
-        return ExactValue._make_cyclotomic(n, [p + q for p, q in zip(x, y)])
+        return ExactValue._make_cyclotomic(
+            n, [p + q for p, q in zip_longest(x, y, fillvalue=_ZERO)])
 
     def __radd__(self, other) -> ExactValue:
         return self.__add__(other)
@@ -232,15 +251,7 @@ class ExactValue:
         if n is None:
             (a, b), (c, d) = self._co, other._co
             return ExactValue(None, (a * c - b * d, a * d + b * c))
-        x, y = self._embed(n), other._embed(n)
-        prod = [_ZERO] * (2 * n)
-        for i, p in enumerate(x):
-            if p == 0:
-                continue
-            for j, q in enumerate(y):
-                if q != 0:
-                    prod[i + j] += p * q
-        return ExactValue._make_cyclotomic(n, prod)
+        return ExactValue._make_cyclotomic(n, _poly_mul(self._embed(n), other._embed(n)))
 
     def __rmul__(self, other) -> ExactValue:
         return self.__mul__(other)
@@ -252,53 +263,21 @@ class ExactValue:
             a, b = self._co
             d = a * a + b * b
             return ExactValue(None, (a / d, -b / d))
-        # Extended Euclid against the (irreducible) cyclotomic polynomial.
-        phi_poly = [Fraction(c) for c in cyclotomic_coeffs(self._n)]
-        r0, r1 = phi_poly, list(self._co)
-        while r1 and r1[-1] == 0:
+        # Extended Euclid against the (irreducible) cyclotomic polynomial;
+        # s_k * self == r_k modulo it throughout.
+        r0, r1 = [Fraction(c) for c in cyclotomic_coeffs(self._n)], list(self._co)
+        while r1[-1] == 0:
             r1.pop()
         s0: list[Fraction] = []
-        s1: list[Fraction] = [_ONE]
-
-        def polsub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-            out = list(a) + [_ZERO] * (len(b) - len(a))
-            for i, c in enumerate(b):
-                out[i] -= c
-            while out and out[-1] == 0:
-                out.pop()
-            return out
-
-        def polmul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-            if not a or not b:
-                return []
-            out = [_ZERO] * (len(a) + len(b) - 1)
-            for i, c in enumerate(a):
-                if c == 0:
-                    continue
-                for j, d in enumerate(b):
-                    out[i + j] += c * d
-            while out and out[-1] == 0:
-                out.pop()
-            return out
-
+        s1 = [_ONE]
         while r1:
-            # quotient of r0 by r1 over Q
-            quot = [_ZERO] * max(1, len(r0) - len(r1) + 1)
-            rem = list(r0)
-            while rem and len(rem) >= len(r1):
-                c = rem[-1] / r1[-1]
-                d = len(rem) - len(r1)
-                quot[d] += c
-                for i, rc in enumerate(r1):
-                    rem[d + i] -= c * rc
-                while rem and rem[-1] == 0:
-                    rem.pop()
+            quot, rem = _poly_divmod(r0, r1)
             r0, r1 = r1, rem
-            s0, s1 = s1, polsub(s0, polmul(quot, s1))
+            prod = _poly_mul(quot, s1)
+            s0, s1 = s1, [p - q for p, q in zip_longest(s0, prod, fillvalue=_ZERO)]
         if len(r0) != 1:
             raise EOError("cyclotomic inverse failed; polynomial not coprime")
-        inv = [c / r0[0] for c in s0]
-        return ExactValue._make_cyclotomic(self._n, inv)
+        return ExactValue._make_cyclotomic(self._n, [c / r0[0] for c in s0])
 
     def __truediv__(self, other) -> ExactValue:
         return self.__mul__(as_value(other).inverse())
@@ -355,6 +334,7 @@ class ExactValue:
     # -- numerics --------------------------------------------------------
 
     def to_mpc(self, dps: int = 30):
+        import mpmath
         with mpmath.workdps(dps):
             if self._n is None:
                 re, im = self._co
@@ -405,9 +385,9 @@ def compare_abs(a: ExactValue, b: ExactValue) -> int:
         if im != 0:
             raise EOError("magnitude difference is not real")
         return 1 if re > 0 else -1
+    import mpmath
     scale = sum(abs(c) for c in d._co) or Fraction(1)
     for dps in (40, 80, 160, 320, 640, 1280):
-        val = mpmath.mpf(0)
         with mpmath.workdps(dps):
             val = mpmath.re(d.to_mpc(dps))
             threshold = mpmath.mpf(10) ** (-(dps // 2)) * float(scale)

@@ -248,6 +248,28 @@ def test_non_utf8_input_exit_code(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_use_line_takes_absolute_paths(workdir, tmp_path, capsys):
+    other = tmp_path / "elsewhere"
+    other.mkdir()
+    sigs = workdir / "sigs.sig"
+    (other / "abs.grid").write_text(
+        f"use {sigs}\nvertex v1 deq4\nedge v1.1 v1.3\nedge v1.2 v1.4\n")
+    (other / "abs.gate").write_text(f"use {sigs}\nstart gd\nloop 3 4\n")
+    code, _, rep = run_cli(capsys, ["eval", "--engine", "brute", str(other / "abs.grid")])
+    assert code == 0 and rep["result"] == "2"
+    assert run_cli(capsys, ["gate", str(other / "abs.gate")])[0] == 0
+
+
+def test_cli_import_leaves_mpmath_unloaded():
+    import eoexact
+    src = os.path.dirname(os.path.dirname(eoexact.__file__))
+    code = "import sys, eoexact.cli; print('mpmath' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 FUZZ_FILES = {
     "a.sig": "signature deq4 arity 4\n1100 1\n0011 1\n"
              "signature gd arity 4\n0101 1\n1010 2+i\n",

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eoexact.gauss import Z4Form, enumerate_sum, gauss_sum
-from eoexact.values import ExactValue, I, ONE
+from eoexact.values import ExactValue, I
 
 V = ExactValue.rational
 
@@ -69,27 +69,36 @@ def test_doubled_product_matches_and():
             assert form.value_at(t) == (2 * va * vb) % 4
 
 
-def test_compose_affine_pointwise():
-    rng = random.Random(3)
-    for _ in range(25):
-        n = rng.randint(1, 4)
-        m = rng.randint(1, 4)
-        form = rand_form(rng, n)
-        subst = [(rng.randrange(1 << m), rng.randrange(2)) for _ in range(n)]
-        composed = form.compose_affine(subst, m)
-        for t in range(1 << m):
-            x = 0
-            for v, (mask, cbit) in enumerate(subst):
-                if bin(t & mask).count("1") % 2 ^ cbit:
-                    x |= 1 << v
-            assert composed.value_at(t) == form.value_at(x)
+def rand_mask(rng, nvars):
+    mask = 0
+    for _ in range(rng.randint(0, 4)):
+        mask |= 1 << rng.randrange(nvars)
+    return mask
+
+
+def rand_affine_form(rng, nvars):
+    """A form built the way eval_affine builds one: lifted affine exponents
+    plus doubled products of affine coordinates."""
+    form = Z4Form(nvars)
+    form.add_const(rng.randrange(4))
+    for _ in range(rng.randint(1, 2 * nvars)):
+        a = (rand_mask(rng, nvars), rng.randrange(2))
+        if rng.random() < 0.5:
+            form.add_affine_lift(*a, rng.randrange(4))
+        else:
+            form.add_doubled_product(a, (rand_mask(rng, nvars), rng.randrange(2)))
+    return form
 
 
 def test_gauss_sum_vs_enumeration_random():
     rng = random.Random(4)
     for _ in range(120):
-        n = rng.randint(0, 7)
+        n = rng.randint(0, 10)
         form = rand_form(rng, n)
+        assert gauss_sum(form) == enumerate_sum(form)
+    for _ in range(120):
+        n = rng.randint(1, 10)
+        form = rand_affine_form(rng, n)
         assert gauss_sum(form) == enumerate_sum(form)
 
 
@@ -113,3 +122,4 @@ def test_larger_form_stays_fast():
     form = rand_form(rng, 40)
     val = gauss_sum(form)
     assert val is not None  # completes without enumeration
+

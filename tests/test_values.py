@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -71,6 +72,32 @@ def test_conj_involution_cyclotomic():
     assert x.conj().conj() == x
     m = x.abs2()
     assert m == m.conj()
+
+
+def _rand_cyclotomic(rng, n):
+    """A random value of Q(zeta_n): a few rational multiples of its roots,
+    sometimes plus a Gaussian rational (with an i part only when i lies in it)."""
+    x = ZERO
+    for _ in range(rng.randint(1, 4)):
+        x = x + V(Fraction(rng.randint(-6, 6), rng.randint(1, 5))) * Z(n, rng.randrange(n))
+    if rng.random() < 0.3:
+        x = x + G(rng.randint(-3, 3), rng.randint(-3, 3) if n % 4 == 0 else 0)
+    return x
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 8, 12, 15, 16, 20, 24, 36])
+def test_field_axioms_across_orders(n):
+    rng = random.Random(n)
+    for _ in range(8):
+        a, b, c = (_rand_cyclotomic(rng, n) for _ in range(3))
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+        assert (a - b) + b == a
+        assert a.conj().conj() == a
+        assert (a * b).conj() == a.conj() * b.conj()
+        if not a.is_zero():
+            assert a * a.inverse() == ONE
+            assert (b / a) * a == b
 
 
 @settings(max_examples=60, deadline=None)
