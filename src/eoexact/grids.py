@@ -12,9 +12,7 @@ import heapq
 import os
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from itertools import chain
-from math import prod
-from operator import getitem
+from itertools import chain, count
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -31,7 +29,7 @@ from .signatures import (
     parse_signature_blocks,
     render_signature_block,
 )
-from .values import ExactValue, FieldMode, GAUSS_MODE, ONE, ZERO
+from .values import ExactValue, FieldMode, GAUSS_MODE, ONE
 
 Slot = tuple[int, int]  # (vertex index, 0-based port)
 
@@ -120,139 +118,93 @@ def require_valid(grid: Grid) -> Diagnostics:
     return diag
 
 
-def _greedy_order(touched: list[tuple[int, ...]], nv: int) -> list[int]:
-    """Repeatedly pick the variable whose vertices have the most slots already
-    assigned, lowest index first on ties, so vertices complete (and prune)
-    early.  Scores only grow, so a heap that skips stale entries suffices."""
-    at: list[list[int]] = [[] for _ in range(nv)]
-    for i, vs in enumerate(touched):
-        for v in vs:
-            at[v].append(i)
-    score = [0] * len(touched)
-    done = [False] * len(touched)
-    heap = [(0, i) for i in range(len(touched))]
-    order: list[int] = []
-    while heap:
-        neg, i = heapq.heappop(heap)
-        if -neg == score[i] and not done[i]:
-            done[i] = True
-            order.append(i)
-            for v in touched[i]:
-                for j in at[v]:
-                    if not done[j]:
-                        score[j] += 1
-                        heapq.heappush(heap, (-score[j], j))
-    return order
+def plan_contraction(grid: Grid) -> list[tuple[int, int, dict]]:
+    """Compile a grid into contraction steps, one per vertex, placing first
+    the vertex with most edges to placed ones (lowest index on ties).
 
-
-class OrientationSearch:
-    """Iterative depth-first search over the support-consistent assignments
-    of a grid.
-
-    The variables are the edges, whose two slots take opposite bits, and the
-    dangling slots, which are free.  After each assignment the partial string
-    of every vertex it touches must still extend to a string of that vertex's
-    support.  Supports, variable order and the partial strings allowed at
-    each step are built once, so one search serves many runs on one grid.
+    A frontier state is an int of open-edge bits: dangling slot i holds bit
+    d-1-i throughout; an edge holds the lowest free bit above those, set to
+    what its first placed end reads, until its second end closes it.  A step
+    is (vertex, mask of the bits it closes, groups): the support strings that
+    pass the vertex's self-loops, keyed by the bits they need on the closed
+    edges, as (bits they open, string, weight).
     """
-
-    def __init__(self, grid: Grid):
-        self.grid = grid
-        self._supports = [sig.support() for _, sig in grid.vertices]
-        arities = [sig.arity for _, sig in grid.vertices]
-        # (slot set to 1 when the variable is 1, slot set to 1 when it is 0)
-        variables = [(a, b) for a, b in grid.edges] + [(s, None) for s in grid.dangling]
-        touched = [tuple(s[0] for s in var if s) for var in variables]
-        care = [0] * len(grid.vertices)
-        # per step (va, ba, allowed at va, vb, bb, allowed at vb); a dangling
-        # slot has vb == va and bb == 0, so its value 0 sets no bit
-        self._steps: list[tuple] = []
-        self._cares: list[tuple[int, int]] = []
-        self._touching: list[list[int]] = [[] for _ in grid.vertices]
-        for pos, idx in enumerate(_greedy_order(touched, len(grid.vertices))):
-            (va, pa), zero = variables[idx]
-            vb, pb = zero or (va, None)
-            ba = 1 << (arities[va] - 1 - pa)
-            bb = 0 if zero is None else 1 << (arities[vb] - 1 - pb)
-            care[va] |= ba
-            care[vb] |= bb
-            oka = self._allowed(va, care[va])
-            okb = oka if vb == va else self._allowed(vb, care[vb])
-            self._steps.append((va, ba, oka, vb, bb, okb))
-            self._cares.append((care[va], care[vb]))
-            for v in {va, vb}:
-                self._touching[v].append(pos)
-
-    def _allowed(self, v: int, care: int) -> frozenset[int]:
-        return frozenset(s & care for s in self._supports[v])
-
-    def assignments(self, cap: int = DEFAULT_OP_CAP,
-                    vertex: int | None = None, mask: int = 0):
-        """Yield the per-vertex support masks of every support-consistent
-        assignment; with ``vertex`` given, only of those where it reads ``mask``.
-
-        The yielded list is reused: read it before resuming the generator.
-        ``cap`` bounds the number of assignments that pass the support check.
-        """
-        steps = self._steps
-        if vertex is not None:
-            if mask not in self._supports[vertex]:
-                return
-            steps = list(steps)
-            for pos in self._touching[vertex]:
-                va, ba, oka, vb, bb, okb = steps[pos]
-                ca, cb = self._cares[pos]
-                steps[pos] = (va, ba, {mask & ca} if va == vertex else oka,
-                              vb, bb, {mask & cb} if vb == vertex else okb)
-        if not all(self._supports):
-            return
-        masks = [0] * len(self._supports)
-        if not steps:
-            yield masks
-            return
-        tried = [0] * len(steps)
-        last = len(steps) - 1
-        ops = pos = 0
-        while pos >= 0:
-            va, ba, oka, vb, bb, okb = steps[pos]
-            t = tried[pos]
-            if t == 0:
-                masks[vb] |= bb
-            elif t == 1:
-                masks[vb] ^= bb
-                masks[va] |= ba
+    peer: dict[Slot, Slot] = {}
+    for a, b in grid.edges:
+        peer[a], peer[b] = b, a
+    d = len(grid.dangling)
+    held = {s: d - 1 - i for i, s in enumerate(grid.dangling)}  # open slot -> its bit
+    free: list[int] = []
+    unused = count(d)
+    score = [0] * len(grid.vertices)
+    placed = [False] * len(grid.vertices)
+    heap = [(0, v) for v in range(len(grid.vertices))]
+    steps = []
+    while heap:
+        neg, v = heapq.heappop(heap)
+        if placed[v] or -neg != score[v]:
+            continue
+        placed[v] = True
+        sig = grid.signature_of(v)
+        n = sig.arity
+        close, reads, opens, loops = 0, [], [], []  # reads/opens: (port bit, frontier bit)
+        for p in range(n):
+            bit = 1 << (n - 1 - p)
+            other = peer.get((v, p))
+            if other is None:
+                opens.append((bit, held[v, p]))
+            elif other[0] == v:
+                if p < other[1]:
+                    loops.append(bit | 1 << (n - 1 - other[1]))
+            elif placed[other[0]]:
+                k = held.pop(other)
+                heapq.heappush(free, k)
+                close |= 1 << k
+                reads.append((bit, k))
             else:
-                masks[va] ^= ba
-                tried[pos] = 0
-                pos -= 1
-                continue
-            tried[pos] = t + 1
-            if masks[va] in oka and masks[vb] in okb:
-                ops += 1
-                if ops > cap:
-                    raise BruteForceCapExceeded(
-                        f"orientation enumeration exceeded {cap} steps")
-                if pos == last:
-                    yield masks
-                else:
-                    pos += 1
+                held[v, p] = k = heapq.heappop(free) if free else next(unused)
+                opens.append((bit, k))
+                score[other[0]] += 1
+                heapq.heappush(heap, (-score[other[0]], other[0]))
+        groups: dict[int, list[tuple[int, int, ExactValue]]] = {}
+        for s, w in sig.entries.items():
+            if all((s & m) not in (0, m) for m in loops):
+                read = sum(1 << k for bit, k in reads if not s & bit)
+                out = sum(1 << k for bit, k in opens if s & bit)
+                groups.setdefault(read, []).append((out, s, w))
+        steps.append((v, close, groups))
+    return steps
 
 
 def _collapse(grid: Grid, cap: int) -> Signature:
-    """The signature over the dangling ports (arity 0 for a closed grid)."""
-    tables = [sig.entries for _, sig in grid.vertices]
-    ports = [(v, 1 << (grid.signature_of(v).arity - 1 - p)) for v, p in grid.dangling]
-    entries: dict[int, ExactValue] = {}
-    for masks in OrientationSearch(grid).assignments(cap):
-        out = 0
-        for v, bit in ports:
-            out = (out << 1) | bool(masks[v] & bit)
-        entries[out] = entries.get(out, ZERO) + prod(map(getitem, tables, masks), start=ONE)
-    return Signature(len(ports), entries)
+    """The signature over the dangling ports (arity 0 for a closed grid): one
+    sum-product pass of the frontier {state: value} through the steps.
+
+    A state's value sums, over the strings read so far that lead to it, the
+    product of their weights.  ``cap`` bounds the frontier entries one pass
+    writes, so it bounds both the work and every table.
+    """
+    frontier = {0: ONE}
+    ops = 0
+    for _, close, groups in plan_contraction(grid):
+        nxt: dict[int, ExactValue] = {}
+        for key, val in frontier.items():
+            matches = groups.get(key & close)
+            if matches:
+                ops += len(matches)
+                if ops > cap:
+                    raise BruteForceCapExceeded(
+                        f"contraction wrote more than {cap} frontier entries")
+                rest = key & ~close
+                for out, _, w in matches:
+                    k = rest | out
+                    nxt[k] = nxt[k] + val * w if k in nxt else val * w
+        frontier = nxt
+    return Signature(len(grid.dangling), frontier)
 
 
 def brute_force_partition(grid: Grid, cap: int = DEFAULT_OP_CAP) -> ExactValue:
-    """Exact partition function of a closed grid by orientation enumeration."""
+    """Exact partition function of a closed grid by contraction."""
     require_valid(grid)
     if not grid.is_closed:
         raise OpenGridError("partition function needs a closed grid; use gate_signature")

@@ -3,7 +3,7 @@ pin-elimination reductions.
 
 The two closed-form engines (affine and product) compute partition functions
 without enumerating assignments; the support oracle answers per-occurrence
-reachability queries either by exhaustive backtracking or through an
+reachability queries either by a contraction pass or through an
 external clause-form solver; on top of those sit the oracle-assisted
 pipeline, the pin interpolation, and the single-pin reduction.
 """
@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 from . import classify, f2
 from .errors import (
+    BruteForceCapExceeded,
     EOError,
     NoAsymmetricGateFound,
     NonAffineVertex,
@@ -29,12 +30,13 @@ from .errors import (
 from .gauss import Z4Form
 from .gauss import gauss_sum as _gauss_sum
 from .grids import (
+    DEFAULT_OP_CAP,
     Diagnostics,
     Grid,
-    OrientationSearch,
     brute_force_partition,
     chain_gate,
     gate_signature,
+    plan_contraction,
     require_valid,
 )
 from .signatures import (
@@ -62,7 +64,6 @@ def _certificates(grid: Grid, membership, error):
     """Class certificates of the vertex signatures, keyed by signature, or
     None as soon as a vertex signature is zero; a vertex outside the class
     raises error."""
-    _require_closed(grid)
     certs = {}
     for vid, sig in grid.vertices:
         if sig.is_zero():
@@ -88,6 +89,11 @@ def eval_affine(grid: Grid) -> ExactValue:
     one Z4 quadratic form, summed exactly by gauss_sum.  An infeasible
     system means the value 0.
     """
+    _require_closed(grid)
+    return _eval_affine(grid)
+
+
+def _eval_affine(grid: Grid) -> ExactValue:
     certs = _certificates(grid, classify.membership_affine, NonAffineVertex)
     if certs is None:
         return ZERO
@@ -158,6 +164,11 @@ def eval_product(grid: Grid) -> ExactValue:
     connected set of groups, which contributes the sum of its two
     assignments; every other group is fixed by the particular solution.
     """
+    _require_closed(grid)
+    return _eval_product(grid)
+
+
+def _eval_product(grid: Grid) -> ExactValue:
     certs = _certificates(grid, classify.membership_product, NonProductVertex)
     if certs is None:
         return ZERO
@@ -210,20 +221,46 @@ def eval_product(grid: Grid) -> ExactValue:
 
 
 class ExhaustiveOracle:
-    """Depth-first search for one support-consistent orientation through the
-    queried string.  The search of the last grid queried is kept, so one
-    effective-support pass builds supports and variable order once."""
+    """Reachability pass over the contraction steps of the grid with the
+    queried vertex forced to its string; the witness is read back through
+    its parent pointers.  ``cap`` bounds the frontier entries one query
+    writes.  The steps of the last grid queried are kept."""
 
     name = "exhaustive"
-    _search: OrientationSearch | None = None
+    cap = DEFAULT_OP_CAP  # also for subclasses whose __init__ does not chain up
+    _grid: Grid | None = None
+
+    def __init__(self, cap: int = DEFAULT_OP_CAP):
+        self.cap = cap
 
     def query(self, grid: Grid, vertex: int, mask: int):
-        search = self._search
-        if search is None or search.grid is not grid:
-            search = self._search = OrientationSearch(grid)
-        masks = next(search.assignments(vertex=vertex, mask=mask), None)
-        if masks is None:
+        if self._grid is not grid:
+            self._grid, self._steps = grid, plan_contraction(grid)
+        frontier: dict[int, tuple[int, int] | None] = {0: None}
+        trail = []  # per step, {state: (state before, string read)}
+        ops = 0
+        for v, close, groups in self._steps:
+            if v == vertex:
+                groups = {r: [m for m in ms if m[1] == mask] for r, ms in groups.items()}
+            nxt: dict[int, tuple[int, int]] = {}
+            for key in frontier:
+                matches = groups.get(key & close)
+                if matches:
+                    ops += len(matches)
+                    if ops > self.cap:
+                        raise BruteForceCapExceeded(
+                            f"contraction wrote more than {self.cap} frontier entries")
+                    rest = key & ~close
+                    for out, s, _ in matches:
+                        nxt.setdefault(rest | out, (key, s))
+            trail.append(nxt)
+            frontier = nxt
+        if 0 not in frontier:
             return False, None
+        masks = [0] * len(grid.vertices)
+        state = 0
+        for (v, _, _), back in zip(reversed(self._steps), reversed(trail)):
+            state, masks[v] = back[state]
         return True, tuple(masks)
 
 
@@ -340,6 +377,10 @@ def effective_support(grid: Grid, backend=None) -> EffectiveSupportReport:
     """Query every support string of every vertex.  A string that some SAT
     witness realizes but the backend answered UNSAT is an OracleProtocolError."""
     _require_closed(grid)
+    return _effective_support(grid, backend)
+
+
+def _effective_support(grid: Grid, backend) -> EffectiveSupportReport:
     backend = backend or ExhaustiveOracle()
     report = EffectiveSupportReport(getattr(backend, "name", "?"))
     witnesses = []
@@ -367,7 +408,12 @@ def prune_effective(grid: Grid, backend=None) -> Grid:
     The partition function is unchanged: dropped strings never appear in a
     nonzero-weight assignment.
     """
-    report = effective_support(grid, backend)
+    _require_closed(grid)
+    return _prune_effective(grid, backend)
+
+
+def _prune_effective(grid: Grid, backend) -> Grid:
+    report = _effective_support(grid, backend)
     out = grid
     for vidx, ((_, sig), keep) in enumerate(zip(grid.vertices, report.effective)):
         if len(keep) < len(sig.entries):  # keep is a subset of the support
@@ -407,8 +453,9 @@ def eval_fpnp(grid: Grid, class_hint: str, backend=None) -> ExactValue:
             raise PreconditionViolated(
                 f"signature {f.name or f} fails the {class_hint} pairing test")
 
-    pruned = prune_effective(grid, backend)
-    engine = eval_affine if class_hint == "affine" else eval_product
+    # the pruned grid keeps the wiring validated above
+    pruned = _prune_effective(grid, backend)
+    engine = _eval_affine if class_hint == "affine" else _eval_product
     try:
         return engine(pruned)
     except (NonAffineVertex, NonProductVertex) as exc:

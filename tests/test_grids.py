@@ -31,6 +31,7 @@ from eoexact.signatures import (
     tensor,
 )
 from eoexact.values import ExactValue, I, ONE, ZERO
+from tests_helpers import enumerate_reference, rand_nonzero_value, rand_wired_grid
 
 V = ExactValue.rational
 
@@ -180,7 +181,52 @@ def test_unbalanced_assignments_contribute_zero():
 def test_brute_force_cap():
     grid = closed_diseq4_grid()
     with pytest.raises(BruteForceCapExceeded):
-        brute_force_partition(grid, cap=2)
+        brute_force_partition(grid, cap=1)
+
+
+def test_gate_cap():
+    # closing the self-loop writes one frontier entry per support string
+    grid = Grid.make([("v", diseq(4))], [((0, 0), (0, 2))], [(0, 1), (0, 3)])
+    assert gate_signature(grid, cap=2) == self_loop(diseq(4), 0, 2)
+    with pytest.raises(BruteForceCapExceeded, match="contraction"):
+        gate_signature(grid, cap=1)
+
+
+def test_contraction_matches_naive_reference():
+    rng = random.Random(101)
+    for _ in range(300):
+        grid = rand_wired_grid(rng)
+        gate, _ = enumerate_reference(grid)
+        if grid.is_closed:
+            assert brute_force_partition(grid) == gate.value(0)
+        else:
+            assert gate_signature(grid) == gate
+
+
+def dense_torus(side, rng):
+    """side x side torus of quaternaries on all six balanced strings: port 3
+    of each vertex meets port 1 of its right neighbour, port 4 port 2 of the
+    one below."""
+    balanced = [m for m in range(16) if bin(m).count("1") == 2]
+    pool = [Signature(4, {m: rand_nonzero_value(rng) for m in balanced}) for _ in range(6)]
+
+    def at(r, c):
+        return (r % side) * side + c % side
+    edges = [e for r in range(side) for c in range(side)
+             for e in (((at(r, c), 2), (at(r, c + 1), 0)), ((at(r, c), 3), (at(r + 1, c), 1)))]
+    return Grid.make([(f"v{i}", rng.choice(pool)) for i in range(side * side)], edges)
+
+
+def test_dense_torus_within_work_bound():
+    grid = dense_torus(5, random.Random(0))
+    last = len(grid.vertices) - 1
+
+    def flip(slot):
+        return (last - slot[0], slot[1])
+    # listing the vertices backwards gives another elimination order
+    backwards = Grid.make(grid.vertices[::-1], [(flip(a), flip(b)) for a, b in grid.edges])
+    assert brute_force_partition(grid, cap=1 << 16) == \
+        brute_force_partition(backwards, cap=1 << 16)
 
 
 def test_zero_arity_vertices():

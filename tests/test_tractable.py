@@ -3,8 +3,9 @@ import sys
 
 import pytest
 
-from eoexact import f2
+from eoexact import f2, grids
 from eoexact.errors import (
+    BruteForceCapExceeded,
     NoAsymmetricGateFound,
     NonAffineVertex,
     NonProductVertex,
@@ -41,10 +42,12 @@ from eoexact.tractable import (
 )
 from eoexact.values import ExactValue, I, ONE, ZERO
 from tests_helpers import (
+    enumerate_reference,
     rand_affine_signature,
     rand_closed_grid,
     rand_eo_signature,
     rand_product_signature,
+    rand_wired_grid,
 )
 
 V = ExactValue.rational
@@ -243,6 +246,31 @@ def test_exhaustive_oracle_deep_ring():
         assert_valid_witness(grid, vidx, m, witness)
 
 
+def test_exhaustive_oracle_matches_naive_reference():
+    # the grids of test_grids.py::test_contraction_matches_naive_reference
+    rng = random.Random(101)
+    oracle = ExhaustiveOracle()
+    for _ in range(300):
+        grid = rand_wired_grid(rng)
+        if not grid.is_closed:
+            continue
+        _, reached = enumerate_reference(grid)
+        for vidx, (_, sig) in enumerate(grid.vertices):
+            for m in sig.support():
+                ok, witness = oracle.query(grid, vidx, m)
+                assert ok == (m in reached[vidx])
+                if ok:
+                    assert_valid_witness(grid, vidx, m, witness)
+
+
+def test_exhaustive_oracle_cap():
+    # with v0 forced, each of the four steps writes one frontier entry
+    grid = weighted_deq4_ring(4)
+    assert ExhaustiveOracle(cap=4).query(grid, 0, 0b0011)[0]
+    with pytest.raises(BruteForceCapExceeded, match="contraction"):
+        ExhaustiveOracle(cap=3).query(grid, 0, 0b0011)
+
+
 @pytest.mark.parametrize("answer", [
     "SAT 1 -2",   # the vertex reads 1001, outside the support of diseq(4)
     "SAT 1 2",    # the vertex reads 1100, not the queried 0011
@@ -399,6 +427,20 @@ def loop_pin_grid(f, reversed_pin=False):
         [((1, 0), (0, 0)), ((1, 1), (0, 1))]
     extra = [((0, p), (0, p + 1)) for p in range(2, f.arity - 1, 2)]
     return Grid.make([("f", f), ("d", pin_signature())], edges + extra)
+
+
+def test_eval_fpnp_validates_once(monkeypatch):
+    grid = Grid.make([(f"v{v}", diseq(4)) for v in range(4)],
+                     [((v, 2 + p), ((v + 1) % 4, p)) for v in range(4) for p in range(2)])
+    calls = []
+    validate = grids.validate
+    monkeypatch.setattr(grids, "validate", lambda g: calls.append(g) or validate(g))
+    assert eval_fpnp(grid, "affine") == V(2)
+    assert calls == [grid]
+    for public in (effective_support, prune_effective, eval_affine, eval_product):
+        calls.clear()
+        public(grid)
+        assert calls == [grid]
 
 
 def test_interpolate_delta_example():

@@ -131,3 +131,57 @@ def rand_single_weighted_signature(rng: random.Random, arity: int) -> Signature:
     take = candidates[: rng.randint(1, len(candidates))]
     entries = {m: rand_nonzero_value(rng) for m in take}
     return from_entries(arity, entries)
+
+
+def rand_wired_grid(rng: random.Random, max_vertices: int = 5, max_vars: int = 12) -> Grid:
+    """Random grid of arity 0-4 signatures (zero ones included, support not
+    necessarily balanced): slots are paired at random, so a vertex may meet
+    itself, and a random number of them stay dangling."""
+    while True:
+        sigs = []
+        for _ in range(rng.randint(1, max_vertices)):
+            arity = rng.randint(0, 4)
+            density = 0.0 if rng.random() < 0.08 else rng.choice([0.5, 0.8, 1.0])
+            sigs.append(from_entries(arity, {m: rand_value(rng) for m in range(1 << arity)
+                                             if rng.random() < density}))
+        slots = [(v, p) for v, sig in enumerate(sigs) for p in range(sig.arity)]
+        rng.shuffle(slots)
+        d = rng.randint(1, min(4, len(slots))) if slots and rng.random() < 0.6 else 0
+        if (len(slots) - d) % 2 or d + (len(slots) - d) // 2 > max_vars:
+            continue
+        dangling, rest = slots[:d], slots[d:]
+        edges = [(rest[i], rest[i + 1]) for i in range(0, len(rest), 2)]
+        return Grid.make([(f"v{i}", sig) for i, sig in enumerate(sigs)], edges, dangling)
+
+
+def enumerate_reference(grid: Grid) -> tuple[Signature, list[set[int]]]:
+    """Sum over all 2^(edges+dangling) bit assignments, in the most direct way.
+
+    An edge variable sets its first slot and clears its second when 1, and the
+    other way round when 0; dangling slot i reads bit i of the gate string,
+    counted from the left.  Returns the gate signature over the dangling
+    slots (arity 0 for a closed grid) and, per vertex, the strings it reads
+    in some assignment where every vertex reads a support string.
+    """
+    arity = [sig.arity for _, sig in grid.vertices]
+    d = len(grid.dangling)
+    ne = len(grid.edges)
+    entries: dict[int, ExactValue] = {}
+    reached: list[set[int]] = [set() for _ in grid.vertices]
+    for bits in range(1 << (ne + d)):
+        masks = [0] * len(grid.vertices)
+        for e, (sa, sb) in enumerate(grid.edges):
+            v, p = sa if (bits >> e) & 1 else sb
+            masks[v] |= 1 << (arity[v] - 1 - p)
+        out = bits >> ne
+        for i, (v, p) in enumerate(grid.dangling):
+            if (out >> (d - 1 - i)) & 1:
+                masks[v] |= 1 << (arity[v] - 1 - p)
+        weight = ONE
+        for (_, sig), m in zip(grid.vertices, masks):
+            weight = weight * sig.value(m)
+        if not weight.is_zero():
+            entries[out] = entries.get(out, ZERO) + weight
+            for seen, m in zip(reached, masks):
+                seen.add(m)
+    return Signature(d, entries), reached
