@@ -13,7 +13,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from itertools import chain, count
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     BruteForceCapExceeded,
@@ -33,7 +33,7 @@ from .values import ExactValue, FieldMode, GAUSS_MODE, ONE
 
 Slot = tuple[int, int]  # (vertex index, 0-based port)
 
-DEFAULT_OP_CAP = 1 << 24
+DEFAULT_OP_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -176,18 +176,18 @@ def plan_contraction(grid: Grid) -> list[tuple[int, int, dict]]:
     return steps
 
 
-def _collapse(grid: Grid, cap: int) -> Signature:
-    """The signature over the dangling ports (arity 0 for a closed grid): one
-    sum-product pass of the frontier {state: value} through the steps.
-
-    A state's value sums, over the strings read so far that lead to it, the
-    product of their weights.  ``cap`` bounds the frontier entries one pass
-    writes, so it bounds both the work and every table.
+def frontier_pass(steps: Sequence[tuple[int, int, dict]], frontier: dict,
+                  merge: Callable[..., None], cap: int) -> Iterator[dict]:
+    """Carry a frontier {state: value} through contraction steps, yielding
+    the frontier after each.  For each state whose step matches some support
+    strings, merge(nxt, state, value, rest, matches) writes the new entries,
+    where rest is the state without the bits the step closes.  ``cap`` bounds
+    the matches over the whole pass, so it bounds both the work and every
+    table; past it, BruteForceCapExceeded.
     """
-    frontier = {0: ONE}
     ops = 0
-    for _, close, groups in plan_contraction(grid):
-        nxt: dict[int, ExactValue] = {}
+    for _, close, groups in steps:
+        nxt: dict = {}
         for key, val in frontier.items():
             matches = groups.get(key & close)
             if matches:
@@ -195,11 +195,24 @@ def _collapse(grid: Grid, cap: int) -> Signature:
                 if ops > cap:
                     raise BruteForceCapExceeded(
                         f"contraction wrote more than {cap} frontier entries")
-                rest = key & ~close
-                for out, _, w in matches:
-                    k = rest | out
-                    nxt[k] = nxt[k] + val * w if k in nxt else val * w
+                merge(nxt, key, val, key & ~close, matches)
+        yield nxt
         frontier = nxt
+
+
+def _sum_product(nxt, key, val, rest, matches):
+    for out, _, w in matches:
+        k = rest | out
+        nxt[k] = nxt[k] + val * w if k in nxt else val * w
+
+
+def _collapse(grid: Grid, cap: int) -> Signature:
+    """The signature over the dangling ports (arity 0 for a closed grid): a
+    state's value sums, over the strings read so far that lead to it, the
+    product of their weights."""
+    frontier = {0: ONE}
+    for frontier in frontier_pass(plan_contraction(grid), frontier, _sum_product, cap):
+        pass
     return Signature(len(grid.dangling), frontier)
 
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 from . import classify, f2
 from .errors import (
-    BruteForceCapExceeded,
     EOError,
     NoAsymmetricGateFound,
     NonAffineVertex,
@@ -35,6 +34,7 @@ from .grids import (
     Grid,
     brute_force_partition,
     chain_gate,
+    frontier_pass,
     gate_signature,
     plan_contraction,
     require_valid,
@@ -220,46 +220,34 @@ def _eval_product(grid: Grid) -> ExactValue:
 # ---------------------------------------------------------------------------
 
 
+def _first_parent(nxt, key, _, rest, matches):
+    for out, s, _ in matches:
+        nxt.setdefault(rest | out, (key, s))
+
+
 class ExhaustiveOracle:
     """Reachability pass over the contraction steps of the grid with the
-    queried vertex forced to its string; the witness is read back through
-    its parent pointers.  ``cap`` bounds the frontier entries one query
-    writes.  The steps of the last grid queried are kept."""
+    queried vertex forced to its string; each state keeps the first (state
+    before, string read) that reaches it, and the witness is read back
+    through those.  The steps of the last grid queried are kept."""
 
     name = "exhaustive"
-    cap = DEFAULT_OP_CAP  # also for subclasses whose __init__ does not chain up
     _grid: Grid | None = None
-
-    def __init__(self, cap: int = DEFAULT_OP_CAP):
-        self.cap = cap
 
     def query(self, grid: Grid, vertex: int, mask: int):
         if self._grid is not grid:
             self._grid, self._steps = grid, plan_contraction(grid)
-        frontier: dict[int, tuple[int, int] | None] = {0: None}
-        trail = []  # per step, {state: (state before, string read)}
-        ops = 0
-        for v, close, groups in self._steps:
-            if v == vertex:
-                groups = {r: [m for m in ms if m[1] == mask] for r, ms in groups.items()}
-            nxt: dict[int, tuple[int, int]] = {}
-            for key in frontier:
-                matches = groups.get(key & close)
-                if matches:
-                    ops += len(matches)
-                    if ops > self.cap:
-                        raise BruteForceCapExceeded(
-                            f"contraction wrote more than {self.cap} frontier entries")
-                    rest = key & ~close
-                    for out, s, _ in matches:
-                        nxt.setdefault(rest | out, (key, s))
-            trail.append(nxt)
-            frontier = nxt
-        if 0 not in frontier:
+            self._at = {v: i for i, (v, _, _) in enumerate(self._steps)}
+        steps = list(self._steps)
+        i = self._at[vertex]
+        v, close, groups = steps[i]
+        steps[i] = (v, close, {r: [m for m in ms if m[1] == mask] for r, ms in groups.items()})
+        trail = list(frontier_pass(steps, {0: None}, _first_parent, DEFAULT_OP_CAP))
+        if 0 not in trail[-1]:
             return False, None
         masks = [0] * len(grid.vertices)
         state = 0
-        for (v, _, _), back in zip(reversed(self._steps), reversed(trail)):
+        for (v, _, _), back in zip(reversed(steps), reversed(trail)):
             state, masks[v] = back[state]
         return True, tuple(masks)
 

@@ -31,7 +31,7 @@ from eoexact.signatures import (
     tensor,
 )
 from eoexact.values import ExactValue, I, ONE, ZERO
-from tests_helpers import enumerate_reference, rand_nonzero_value, rand_wired_grid
+from tests_helpers import dense_torus, enumerate_reference, rand_wired_grid
 
 V = ExactValue.rational
 
@@ -201,20 +201,6 @@ def test_contraction_matches_naive_reference():
             assert brute_force_partition(grid) == gate.value(0)
         else:
             assert gate_signature(grid) == gate
-
-
-def dense_torus(side, rng):
-    """side x side torus of quaternaries on all six balanced strings: port 3
-    of each vertex meets port 1 of its right neighbour, port 4 port 2 of the
-    one below."""
-    balanced = [m for m in range(16) if bin(m).count("1") == 2]
-    pool = [Signature(4, {m: rand_nonzero_value(rng) for m in balanced}) for _ in range(6)]
-
-    def at(r, c):
-        return (r % side) * side + c % side
-    edges = [e for r in range(side) for c in range(side)
-             for e in (((at(r, c), 2), (at(r, c + 1), 0)), ((at(r, c), 3), (at(r + 1, c), 1)))]
-    return Grid.make([(f"v{i}", rng.choice(pool)) for i in range(side * side)], edges)
 
 
 def test_dense_torus_within_work_bound():

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from eoexact import f2, grids
+from eoexact import f2, grids, tractable
 from eoexact.errors import (
     BruteForceCapExceeded,
     NoAsymmetricGateFound,
@@ -42,6 +42,7 @@ from eoexact.tractable import (
 )
 from eoexact.values import ExactValue, I, ONE, ZERO
 from tests_helpers import (
+    dense_torus,
     enumerate_reference,
     rand_affine_signature,
     rand_closed_grid,
@@ -263,12 +264,22 @@ def test_exhaustive_oracle_matches_naive_reference():
                     assert_valid_witness(grid, vidx, m, witness)
 
 
-def test_exhaustive_oracle_cap():
+def test_exhaustive_oracle_cap(monkeypatch):
     # with v0 forced, each of the four steps writes one frontier entry
     grid = weighted_deq4_ring(4)
-    assert ExhaustiveOracle(cap=4).query(grid, 0, 0b0011)[0]
+    monkeypatch.setattr(tractable, "DEFAULT_OP_CAP", 4)
+    assert ExhaustiveOracle().query(grid, 0, 0b0011)[0]
+    monkeypatch.setattr(tractable, "DEFAULT_OP_CAP", 3)
     with pytest.raises(BruteForceCapExceeded, match="contraction"):
-        ExhaustiveOracle(cap=3).query(grid, 0, 0b0011)
+        ExhaustiveOracle().query(grid, 0, 0b0011)
+
+
+def test_exhaustive_oracle_default_cap():
+    # a dense 10 x 10 torus needs about 2^25 frontier entries; the default cap
+    # stops the query, whose parent pointers are all kept, well before that
+    grid = dense_torus(10, random.Random(0))
+    with pytest.raises(BruteForceCapExceeded, match="contraction"):
+        ExhaustiveOracle().query(grid, 0, 0b0011)
 
 
 @pytest.mark.parametrize("answer", [

@@ -154,6 +154,20 @@ def rand_wired_grid(rng: random.Random, max_vertices: int = 5, max_vars: int = 1
         return Grid.make([(f"v{i}", sig) for i, sig in enumerate(sigs)], edges, dangling)
 
 
+def dense_torus(side: int, rng: random.Random) -> Grid:
+    """side x side torus of quaternaries on all six balanced strings: port 3
+    of each vertex meets port 1 of its right neighbour, port 4 port 2 of the
+    one below."""
+    balanced = [m for m in range(16) if bin(m).count("1") == 2]
+    pool = [Signature(4, {m: rand_nonzero_value(rng) for m in balanced}) for _ in range(6)]
+
+    def at(r, c):
+        return (r % side) * side + c % side
+    edges = [e for r in range(side) for c in range(side)
+             for e in (((at(r, c), 2), (at(r, c + 1), 0)), ((at(r, c), 3), (at(r + 1, c), 1)))]
+    return Grid.make([(f"v{i}", rng.choice(pool)) for i in range(side * side)], edges)
+
+
 def enumerate_reference(grid: Grid) -> tuple[Signature, list[set[int]]]:
     """Sum over all 2^(edges+dangling) bit assignments, in the most direct way.
 
