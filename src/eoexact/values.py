@@ -1,11 +1,13 @@
 """Exact complex arithmetic: Gaussian rationals and cyclotomic fields Q(zeta_N).
 
-A value is stored either as a Gaussian rational (re, im over Q) or as a
-reduced coefficient vector over the power basis of Q(zeta_N).  Construction
+A value is stored either as a Gaussian rational, three ints (a, b, d) meaning
+(a + b*i)/d with d > 0 and gcd(a, b, d) = 1, or as a reduced Fraction
+coefficient vector over the power basis of Q(zeta_N).  Construction
 canonicalises: cyclotomic vectors are reduced modulo the N-th cyclotomic
 polynomial, and any vector that actually lies in Q(i) is downcast to the
-Gaussian form.  Equality and hashing are therefore plain structural
-comparisons.  Values are immutable.
+Gaussian form.  Equality is therefore a plain structural comparison, and a
+real Gaussian value hashes like the equal int or Fraction.  Values are
+immutable.
 
 Two values in different ambient cyclotomic fields compare unequal even when
 they denote the same algebraic number; a session fixes one N and sticks to it
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
+from math import gcd
 
 from .errors import (
     EmptyInput,
@@ -117,15 +120,41 @@ def _reduce_mod_cyclotomic(coeffs: list[Fraction], n: int) -> tuple[Fraction, ..
     return tuple(rem) + (_ZERO,) * (phi - len(rem))
 
 
+def _as_rational(x) -> int | Fraction:
+    if isinstance(x, (int, Fraction)):
+        return x
+    raise EOError(f"cannot coerce {x!r} to an exact value")
+
+
+def _gaussian(a: int, b: int, d: int) -> ExactValue:
+    """The Gaussian value (a + b*i)/d in canonical form; d != 0."""
+    g = gcd(a, b, d)
+    if d < 0:
+        g = -g
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    return ExactValue(None, (a, b, d))
+
+
+def _from_parts(re: int | Fraction, im: int | Fraction) -> ExactValue:
+    """The Gaussian value re + im*i over the lcm of the two denominators,
+    which is canonical already because both parts are in lowest terms."""
+    p, q, r, s = re.numerator, re.denominator, im.numerator, im.denominator
+    if q == s:
+        return ExactValue(None, (p, r, q))
+    d = q * s // gcd(q, s)
+    return ExactValue(None, (p * (d // q), r * (d // s), d))
+
+
 class ExactValue:
     """An exact complex number: Gaussian rational or cyclotomic."""
 
     __slots__ = ("_n", "_co")
 
     _n: int | None
-    _co: tuple[Fraction, ...]
+    _co: tuple[int, int, int] | tuple[Fraction, ...]
 
-    def __init__(self, n: int | None, co: tuple[Fraction, ...]):
+    def __init__(self, n: int | None, co: tuple):
         # Internal: use the factory constructors below.
         self._n = n
         self._co = co
@@ -134,11 +163,12 @@ class ExactValue:
 
     @staticmethod
     def gauss(re, im=0) -> ExactValue:
-        return ExactValue(None, (Fraction(re), Fraction(im)))
+        return _from_parts(_as_rational(re), _as_rational(im))
 
     @staticmethod
     def rational(q) -> ExactValue:
-        return ExactValue(None, (Fraction(q), _ZERO))
+        q = _as_rational(q)
+        return ExactValue(None, (q.numerator, 0, q.denominator))
 
     @staticmethod
     def zeta(n: int, k: int = 1) -> ExactValue:
@@ -154,11 +184,11 @@ class ExactValue:
         _check_ambient(n)
         red = _reduce_mod_cyclotomic(coeffs, n)
         if all(c == 0 for c in red[1:]):
-            return ExactValue(None, (red[0], _ZERO))
+            return _from_parts(red[0], _ZERO)
         if n % 4 == 0:
             q = n // 4  # position of i in the power basis; q < phi(n) by the ambient check
             if all(c == 0 for j, c in enumerate(red) if j not in (0, q)):
-                return ExactValue(None, (red[0], red[q]))
+                return _from_parts(red[0], red[q])
         return ExactValue(n, red)
 
     # -- predicates ----------------------------------------------------
@@ -177,7 +207,8 @@ class ExactValue:
     def gauss_parts(self) -> tuple[Fraction, Fraction]:
         if self._n is not None:
             raise EOError("value is not a Gaussian rational")
-        return self._co
+        a, b, d = self._co
+        return Fraction(a, d), Fraction(b, d)
 
     # -- coercion ------------------------------------------------------
 
@@ -188,12 +219,12 @@ class ExactValue:
             return self._co
         out = [_ZERO] * n
         if self._n is None:
-            re, im = self._co
-            out[0] = re
-            if im != 0:
+            a, b, d = self._co
+            out[0] = Fraction(a, d)
+            if b:
                 if n % 4 != 0:
                     raise FieldMismatch(f"i is not contained in Q(zeta_{n})")
-                out[n // 4] += im
+                out[n // 4] = Fraction(b, d)
             return out
         if n % self._n != 0:
             raise FieldMismatch(f"cannot embed Q(zeta_{self._n}) into Q(zeta_{n})")
@@ -204,9 +235,8 @@ class ExactValue:
         return out
 
     @staticmethod
-    def _common(a: ExactValue, b: ExactValue) -> int | None:
-        if a._n is None and b._n is None:
-            return None
+    def _common(a: ExactValue, b: ExactValue) -> int:
+        """The ambient order of a and b, not both Gaussian."""
         if a._n is None:
             return b._n
         if b._n is None:
@@ -223,10 +253,12 @@ class ExactValue:
 
     def __add__(self, other) -> ExactValue:
         other = as_value(other)
+        if self._n is None and other._n is None:
+            (a, b, d), (c, e, f) = self._co, other._co
+            if d == f:
+                return _gaussian(a + c, b + e, d)
+            return _gaussian(a * f + c * d, b * f + e * d, d * f)
         n = self._common(self, other)
-        if n is None:
-            (a, b), (c, d) = self._co, other._co
-            return ExactValue(None, (a + c, b + d))
         x, y = self._embed(n), other._embed(n)
         return ExactValue._make_cyclotomic(
             n, [p + q for p, q in zip_longest(x, y, fillvalue=_ZERO)])
@@ -236,7 +268,8 @@ class ExactValue:
 
     def __neg__(self) -> ExactValue:
         if self._n is None:
-            return ExactValue(None, (-self._co[0], -self._co[1]))
+            a, b, d = self._co
+            return ExactValue(None, (-a, -b, d))
         return ExactValue(self._n, tuple(-c for c in self._co))
 
     def __sub__(self, other) -> ExactValue:
@@ -247,10 +280,10 @@ class ExactValue:
 
     def __mul__(self, other) -> ExactValue:
         other = as_value(other)
+        if self._n is None and other._n is None:
+            (a, b, d), (c, e, f) = self._co, other._co
+            return _gaussian(a * c - b * e, a * e + b * c, d * f)
         n = self._common(self, other)
-        if n is None:
-            (a, b), (c, d) = self._co, other._co
-            return ExactValue(None, (a * c - b * d, a * d + b * c))
         return ExactValue._make_cyclotomic(n, _poly_mul(self._embed(n), other._embed(n)))
 
     def __rmul__(self, other) -> ExactValue:
@@ -260,9 +293,8 @@ class ExactValue:
         if self.is_zero():
             raise ZeroDivisionError("division by exact zero")
         if self._n is None:
-            a, b = self._co
-            d = a * a + b * b
-            return ExactValue(None, (a / d, -b / d))
+            a, b, d = self._co
+            return _gaussian(a * d, -b * d, a * a + b * b)
         # Extended Euclid against the (irreducible) cyclotomic polynomial;
         # s_k * self == r_k modulo it throughout.
         r0, r1 = [Fraction(c) for c in cyclotomic_coeffs(self._n)], list(self._co)
@@ -299,7 +331,8 @@ class ExactValue:
 
     def conj(self) -> ExactValue:
         if self._n is None:
-            return ExactValue(None, (self._co[0], -self._co[1]))
+            a, b, d = self._co
+            return ExactValue(None, (a, -b, d))
         n = self._n
         out = [_ZERO] * n
         for j, c in enumerate(self._co):
@@ -323,6 +356,10 @@ class ExactValue:
         return self._n == other._n and self._co == other._co
 
     def __hash__(self) -> int:
+        if self._n is None:
+            a, b, d = self._co
+            # A real value hashes like the int or Fraction it equals.
+            return hash(Fraction(a, d)) if b == 0 else hash(self._co)
         return hash((self._n, self._co))
 
     def __repr__(self) -> str:
@@ -337,7 +374,7 @@ class ExactValue:
         import mpmath
         with mpmath.workdps(dps):
             if self._n is None:
-                re, im = self._co
+                re, im = self.gauss_parts()
                 return mpmath.mpc(mpmath.mpf(re.numerator) / re.denominator,
                                   mpmath.mpf(im.numerator) / im.denominator)
             z = mpmath.exp(2j * mpmath.pi / self._n)
@@ -357,9 +394,7 @@ MINUS_ONE = ExactValue.gauss(-1, 0)
 def as_value(x) -> ExactValue:
     if isinstance(x, ExactValue):
         return x
-    if isinstance(x, (int, Fraction)):
-        return ExactValue.rational(x)
-    raise EOError(f"cannot coerce {x!r} to an exact value")
+    return ExactValue.rational(x)
 
 
 def i_power_exponent(x: ExactValue) -> int | None:

@@ -1,17 +1,19 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eoexact.errors import LiteralSyntaxError, SingularSystem, ZeroValue
+from eoexact.errors import EOError, LiteralSyntaxError, SingularSystem, ZeroValue
 from eoexact.values import (
     I,
     ONE,
     ZERO,
     ExactValue,
     FieldMode,
+    as_value,
     compare_abs,
     cyclotomic_coeffs,
     i_power_exponent,
@@ -44,6 +46,10 @@ def test_gaussian_basics():
     assert x.conj() == G(1, -2)
     assert (x * x.conj()).gauss_parts()[1] == 0
     assert I * I == V(-1)
+    h = G(Fraction(1, 2), Fraction(-1, 3))
+    assert h * 6 == G(3, -2)
+    assert h.inverse() == G(Fraction(18, 13), Fraction(12, 13))
+    assert h - h == ZERO
 
 
 def test_downcast_to_gaussian():
@@ -54,6 +60,73 @@ def test_downcast_to_gaussian():
     assert Z(8, 1) ** 8 == ONE
     assert not Z(8, 1).is_gaussian
     assert (Z(8, 1) * Z(8, 1)).is_gaussian
+    h = G(Fraction(-3, 4), Fraction(5, 6))
+    assert h * Z(8, 1) * Z(8, 1).inverse() == h
+    assert V(Fraction(-3, 4)) + V(Fraction(5, 6)) * Z(8, 1) * Z(8, 1) == h
+
+
+def test_hash_agrees_with_eq():
+    assert ONE == 1 and hash(ONE) == hash(1)
+    assert len({ONE, 1}) == 1
+    assert {ONE: "one"}[1] == "one"
+    assert {Fraction(-2, 6): "q"}[V(Fraction(-1, 3))] == "q"
+    assert hash(G(-7, 0)) == hash(-7) and hash(ZERO) == hash(0)
+    assert hash(G(1, 2)) == hash(G(Fraction(2, 2), 2))
+
+
+@pytest.mark.parametrize("bad", [0.1, 0.5, "1/2", 1j])
+def test_inexact_input_rejected(bad):
+    for build in (G, lambda x: G(0, x), V, as_value):
+        with pytest.raises(EOError, match="cannot coerce"):
+            build(bad)
+
+
+def _ref_mul(x, y):
+    (a, b), (c, d) = x, y
+    return a * c - b * d, a * d + b * c
+
+
+def _ref_inverse(x):
+    a, b = x
+    n = a * a + b * b
+    return a / n, -b / n
+
+
+_FRACTIONS = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.tuples(_FRACTIONS, _FRACTIONS), st.tuples(_FRACTIONS, _FRACTIONS))
+def test_gaussian_arm_matches_fraction_reference(xs, ys):
+    x, y = G(*xs), G(*ys)
+    (a, b), (c, d) = xs, ys
+    assert x.gauss_parts() == xs and y.gauss_parts() == ys
+    assert (x + y).gauss_parts() == (a + c, b + d)
+    assert (x - y).gauss_parts() == (a - c, b - d)
+    assert (-x).gauss_parts() == (-a, -b)
+    assert (x * y).gauss_parts() == _ref_mul(xs, ys)
+    assert x.conj().gauss_parts() == (a, -b)
+    assert x.abs2().gauss_parts() == (a * a + b * b, 0)
+    diff = (a * a + b * b) - (c * c + d * d)
+    assert compare_abs(x, y) == (diff > 0) - (diff < 0)
+    for num, den, rnum, rden in ((x, y, xs, ys), (y, x, ys, xs)):
+        if den.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                num / den
+            continue
+        assert den.inverse().gauss_parts() == _ref_inverse(rden)
+        assert (num / den).gauss_parts() == _ref_mul(rnum, _ref_inverse(rden))
+        inv = _ref_inverse(rden)
+        assert (den ** -3).gauss_parts() == _ref_mul(_ref_mul(inv, inv), inv)
+    for v in (x, y, x + y, x - x, x * y, -y, x.conj()):
+        p, q, r = v._co
+        assert r > 0 and gcd(p, q, r) == 1
+        assert v._co == (0, 0, 1) or not v.is_zero()
+    routes = [x, V(a) + V(b) * I, V(a) + V(b) * Z(8, 2), parse_value(render_value(x)),
+              x * Z(8, 1) * Z(8, 1).inverse()]
+    assert all(r == x and hash(r) == hash(x) for r in routes)
+    if b == 0:
+        assert x == a and hash(x) == hash(a)
 
 
 def test_cyclotomic_field():
