@@ -22,6 +22,7 @@ from . import tractable, transforms
 from .errors import EOError, UsageError
 from .grids import Grid, brute_force_partition, load_grid_file, render_grid_text
 from .signatures import (
+    BUILTIN_SIGNATURES,
     BinaryDiseq,
     Signature,
     dual,
@@ -260,7 +261,6 @@ def _cmd_transform(args, argv, mode):
 
 def _cmd_gate(args, argv, mode):
     names: dict[str, Signature] = {}
-    from .signatures import BUILTIN_SIGNATURES
     names.update(BUILTIN_SIGNATURES)
     current: Signature | None = None
     with open(args.script, "r", encoding="utf-8") as fh:

@@ -19,8 +19,8 @@ from typing import Sequence
 from . import classify
 from .errors import CoprimalityError, EOError, NotEO
 from .grids import Grid, chain_gate, gate_signature
-from .signatures import BinaryDiseq, Signature, as_binary_diseq, neq2
-from .values import ExactValue, ONE, ZERO, compare_abs, root_order
+from .signatures import BinaryDiseq, Signature, as_binary_diseq, neq2, self_loop
+from .values import ExactValue, ONE, ZERO, compare_abs, render_value, root_order
 
 DEFAULT_STEP_CAP = 8
 DEFAULT_SET_CAP = 4096
@@ -81,7 +81,6 @@ class RootDescriptor:
     note: str = ""
 
     def to_json(self) -> dict:
-        from .values import render_value
         return {
             "outcome": self.outcome,
             "order": self.order,
@@ -129,7 +128,6 @@ def _loop_layer(f: Signature, weights: Sequence[ExactValue],
 
     Yields (parameter, recipe, raw ratio) triples; zero gates are dropped.
     """
-    from .signatures import self_loop
     n = f.arity
     d = n // 2
     out: dict[ExactValue, tuple[LoopRecipe, ExactValue]] = {}
@@ -333,7 +331,6 @@ class PinRealizabilityReport:
 def _equal_pair_gadget_exists(f: Signature) -> bool:
     """Whether plain self-loops reach a two-string quaternary gate with both
     values nonzero (the springboard for duplicating a single pin)."""
-    from .signatures import self_loop
 
     def quaternaries(sig: Signature):
         if sig.arity == 4:

@@ -23,7 +23,17 @@ from .errors import (
     PortError,
     ZeroSignature,
 )
-from .values import ONE, ZERO, ExactValue, FieldMode, GAUSS_MODE, as_value, parse_value, render_value
+from .values import (
+    GAUSS_MODE,
+    ONE,
+    ZERO,
+    ExactValue,
+    FieldMode,
+    as_value,
+    compare_abs,
+    parse_value,
+    render_value,
+)
 
 ARITY_CAP = 16
 
@@ -139,7 +149,6 @@ class BinaryDiseq:
         scale * (normal form), slots swapped first when |b| > |a|.
         By convention a tie keeps the 01-slot as the unit.
         """
-        from .values import compare_abs
         a, b = self.a, self.b
         swapped = False
         if a.is_zero() and b.is_zero():

@@ -10,6 +10,7 @@ pipeline, the pin interpolation, and the single-pin reduction.
 
 from __future__ import annotations
 
+import itertools
 import shlex
 import subprocess
 from dataclasses import dataclass, field
@@ -48,7 +49,7 @@ from .signatures import (
     neq2,
     pin_signature,
 )
-from .values import ONE, ZERO, ExactValue, as_value, root_order
+from .values import ONE, ZERO, ExactValue, as_value, root_order, vandermonde_solve
 
 Slot = tuple[int, int]
 
@@ -478,7 +479,6 @@ def interpolate_delta(grid: Grid, x: ExactValue) -> ExactValue:
     Vandermonde system gives the polynomial's constant term, which is the
     value with true pins.
     """
-    from .values import vandermonde_solve
     _require_closed(grid)
     x = as_value(x)
     pins = pin_vertices(grid)
@@ -509,7 +509,6 @@ def interpolate_delta(grid: Grid, x: ExactValue) -> ExactValue:
 
 def _binary_gates(signatures: list[Signature], max_vertices: int):
     """Yield (gate signature as BinaryDiseq, description) for all small gates."""
-    import itertools
     for size in range(1, max_vertices + 1):
         for combo in itertools.combinations_with_replacement(signatures, size):
             ports = [(v, p) for v, sig in enumerate(combo) for p in range(sig.arity)]

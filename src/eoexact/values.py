@@ -1,13 +1,13 @@
 """Exact complex arithmetic: Gaussian rationals and cyclotomic fields Q(zeta_N).
 
-A value is stored either as a Gaussian rational, three ints (a, b, d) meaning
-(a + b*i)/d with d > 0 and gcd(a, b, d) = 1, or as a reduced Fraction
-coefficient vector over the power basis of Q(zeta_N).  Construction
-canonicalises: cyclotomic vectors are reduced modulo the N-th cyclotomic
-polynomial, and any vector that actually lies in Q(i) is downcast to the
-Gaussian form.  Equality is therefore a plain structural comparison, and a
-real Gaussian value hashes like the equal int or Fraction.  Values are
-immutable.
+Every value is stored as Python ints: numerators over a power basis, then one
+denominator d > 0, with the gcd of all of them 1.  A Gaussian rational is
+(a, b, d), meaning (a + b*i)/d; a value of Q(zeta_N) is
+(c_0, ..., c_{phi(N)-1}, d), meaning sum c_j zeta_N^j / d with the vector
+reduced modulo the N-th cyclotomic polynomial.  Construction canonicalises,
+and any cyclotomic value that actually lies in Q(i) is downcast to the
+Gaussian form, so equality is a plain structural comparison, and a real
+Gaussian value hashes like the equal int or Fraction.  Values are immutable.
 
 Two values in different ambient cyclotomic fields compare unequal even when
 they denote the same algebraic number; a session fixes one N and sticks to it
@@ -32,9 +32,6 @@ from .errors import (
     ZeroValue,
 )
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
@@ -52,38 +49,30 @@ def euler_phi(n: int) -> int:
     return result
 
 
-def _poly_divmod(num, den) -> tuple[list[Fraction], list[Fraction]]:
-    """Quotient and remainder of num by den over Q (ascending coefficients).
-
-    den's last coefficient must be nonzero; the remainder has no trailing zeros.
-    """
+def _divmod_monic(num, den) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of the int polynomial num by the monic int
+    polynomial den (ascending coefficients); the remainder has len(den) - 1
+    entries."""
     num = list(num)
     dd = len(den) - 1
-    lead = den[-1]
-    quot = [_ZERO] * max(0, len(num) - dd)
+    terms = [(j, e) for j, e in enumerate(den[:dd]) if e]
+    quot = [0] * max(0, len(num) - dd)
     for i in range(len(num) - 1, dd - 1, -1):
         c = num[i]
-        if c == 0:
-            continue
-        if lead != 1:
-            c = c / lead
-        quot[i - dd] = c
-        for j, d in enumerate(den):
-            num[i - dd + j] -= c * d
-    rem = num[:dd]
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return quot, rem
+        if c:
+            quot[i - dd] = c
+            for j, e in terms:
+                num[i - dd + j] -= c * e
+    return quot, num[:dd] + [0] * (dd - len(num))
 
 
-def _poly_mul(a, b) -> list[Fraction]:
-    out = [_ZERO] * (len(a) + len(b) - 1)
+def _poly_mul(a, b) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
     for i, p in enumerate(a):
-        if p == 0:
-            continue
-        for j, q in enumerate(b):
-            if q != 0:
-                out[i + j] += p * q
+        if p:
+            for j, q in enumerate(b):
+                if q:
+                    out[i + j] += p * q
     return out
 
 
@@ -95,14 +84,27 @@ def cyclotomic_coeffs(n: int) -> tuple[int, ...]:
     """
     if n < 1:
         raise EOError("cyclotomic index must be positive")
-    poly: list[Fraction] = [Fraction(-1)] + [_ZERO] * (n - 1) + [Fraction(1)]
+    poly = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            quot, rem = _poly_divmod(poly, cyclotomic_coeffs(d))
-            if rem:
+            poly, rem = _divmod_monic(poly, cyclotomic_coeffs(d))
+            if any(rem):
                 raise EOError("cyclotomic division left a remainder")
-            poly = quot
-    return tuple(int(c) for c in poly)
+    return tuple(poly)
+
+
+def _reduce(n: int, nums) -> list[int]:
+    """The int vector nums reduced modulo the n-th cyclotomic polynomial."""
+    return _divmod_monic(nums, cyclotomic_coeffs(n))[1]
+
+
+def _galois(n: int, nums, k: int) -> list[int]:
+    """The automorphism zeta_n -> zeta_n^k (gcd(k, n) = 1) applied to a
+    reduced int vector, reduced again."""
+    out = [0] * n
+    for j, c in enumerate(nums):
+        out[j * k % n] = c
+    return _reduce(n, out)
 
 
 def _check_ambient(n: int) -> None:
@@ -112,12 +114,6 @@ def _check_ambient(n: int) -> None:
         raise EOError("cyclotomic index must be positive")
     if n % 4 == 0 and n // 4 >= euler_phi(n):
         raise EOError(f"unsupported ambient cyclotomic order {n}")
-
-
-def _reduce_mod_cyclotomic(coeffs: list[Fraction], n: int) -> tuple[Fraction, ...]:
-    phi = euler_phi(n)
-    _, rem = _poly_divmod(coeffs, cyclotomic_coeffs(n))
-    return tuple(rem) + (_ZERO,) * (phi - len(rem))
 
 
 def _as_rational(x) -> int | Fraction:
@@ -136,14 +132,20 @@ def _gaussian(a: int, b: int, d: int) -> ExactValue:
     return ExactValue(None, (a, b, d))
 
 
-def _from_parts(re: int | Fraction, im: int | Fraction) -> ExactValue:
-    """The Gaussian value re + im*i over the lcm of the two denominators,
-    which is canonical already because both parts are in lowest terms."""
-    p, q, r, s = re.numerator, re.denominator, im.numerator, im.denominator
-    if q == s:
-        return ExactValue(None, (p, r, q))
-    d = q * s // gcd(q, s)
-    return ExactValue(None, (p * (d // q), r * (d // s), d))
+def _cyclotomic(n: int, nums, d: int) -> ExactValue:
+    """The value sum nums[j] zeta_n^j / d in canonical form, downcast to a
+    Gaussian triple when it lies in Q(i); d != 0, n passed _check_ambient."""
+    if len(nums) != euler_phi(n):
+        nums = _reduce(n, nums)
+    g = gcd(d, *nums)
+    if d < 0:
+        g = -g
+    if g != 1:
+        nums, d = [c // g for c in nums], d // g
+    q = n // 4 if n % 4 == 0 else 0  # position of i in the power basis, if any
+    if not any(c for j, c in enumerate(nums) if j and j != q):
+        return ExactValue(None, (nums[0], nums[q] if q else 0, d))
+    return ExactValue(n, (*nums, d))
 
 
 class ExactValue:
@@ -152,7 +154,7 @@ class ExactValue:
     __slots__ = ("_n", "_co")
 
     _n: int | None
-    _co: tuple[int, int, int] | tuple[Fraction, ...]
+    _co: tuple[int, ...]
 
     def __init__(self, n: int | None, co: tuple):
         # Internal: use the factory constructors below.
@@ -163,7 +165,9 @@ class ExactValue:
 
     @staticmethod
     def gauss(re, im=0) -> ExactValue:
-        return _from_parts(_as_rational(re), _as_rational(im))
+        re, im = _as_rational(re), _as_rational(im)
+        p, q, r, s = re.numerator, re.denominator, im.numerator, im.denominator
+        return _gaussian(p * s, r * q, q * s)
 
     @staticmethod
     def rational(q) -> ExactValue:
@@ -175,21 +179,7 @@ class ExactValue:
         """The root of unity zeta_n^k, canonicalised."""
         _check_ambient(n)
         k %= n
-        coeffs = [_ZERO] * (k + 1)
-        coeffs[k] = _ONE
-        return ExactValue._make_cyclotomic(n, coeffs)
-
-    @staticmethod
-    def _make_cyclotomic(n: int, coeffs: list[Fraction]) -> ExactValue:
-        _check_ambient(n)
-        red = _reduce_mod_cyclotomic(coeffs, n)
-        if all(c == 0 for c in red[1:]):
-            return _from_parts(red[0], _ZERO)
-        if n % 4 == 0:
-            q = n // 4  # position of i in the power basis; q < phi(n) by the ambient check
-            if all(c == 0 for j, c in enumerate(red) if j not in (0, q)):
-                return _from_parts(red[0], red[q])
-        return ExactValue(n, red)
+        return _cyclotomic(n, [0] * k + [1], 1)
 
     # -- predicates ----------------------------------------------------
 
@@ -212,27 +202,28 @@ class ExactValue:
 
     # -- coercion ------------------------------------------------------
 
-    def _embed(self, n: int):
-        """Coefficient vector of self inside Q(zeta_n): the stored one when
-        self already lives there, else one of length n (unreduced)."""
+    def _embed(self, n: int) -> tuple[list[int] | tuple[int, ...], int]:
+        """Numerators and denominator of self inside Q(zeta_n); the numerators
+        are reduced unless self comes from a proper subfield Q(zeta_m)."""
+        co = self._co
         if self._n == n:
-            return self._co
-        out = [_ZERO] * n
+            return co[:-1], co[-1]
         if self._n is None:
-            a, b, d = self._co
-            out[0] = Fraction(a, d)
+            a, b, d = co
+            out = [0] * euler_phi(n)
+            out[0] = a
             if b:
                 if n % 4 != 0:
                     raise FieldMismatch(f"i is not contained in Q(zeta_{n})")
-                out[n // 4] = Fraction(b, d)
-            return out
+                out[n // 4] = b
+            return out, d
         if n % self._n != 0:
             raise FieldMismatch(f"cannot embed Q(zeta_{self._n}) into Q(zeta_{n})")
         step = n // self._n
-        for j, c in enumerate(self._co):
-            if c != 0:
-                out[(j * step) % n] += c
-        return out
+        out = [0] * n
+        for j, c in enumerate(co[:-1]):
+            out[j * step] = c
+        return out, co[-1]
 
     @staticmethod
     def _common(a: ExactValue, b: ExactValue) -> int:
@@ -259,9 +250,11 @@ class ExactValue:
                 return _gaussian(a + c, b + e, d)
             return _gaussian(a * f + c * d, b * f + e * d, d * f)
         n = self._common(self, other)
-        x, y = self._embed(n), other._embed(n)
-        return ExactValue._make_cyclotomic(
-            n, [p + q for p, q in zip_longest(x, y, fillvalue=_ZERO)])
+        (x, d), (y, f) = self._embed(n), other._embed(n)
+        if d == f:
+            return _cyclotomic(n, [p + q for p, q in zip_longest(x, y, fillvalue=0)], d)
+        return _cyclotomic(
+            n, [p * f + q * d for p, q in zip_longest(x, y, fillvalue=0)], d * f)
 
     def __radd__(self, other) -> ExactValue:
         return self.__add__(other)
@@ -270,7 +263,8 @@ class ExactValue:
         if self._n is None:
             a, b, d = self._co
             return ExactValue(None, (-a, -b, d))
-        return ExactValue(self._n, tuple(-c for c in self._co))
+        co = self._co
+        return ExactValue(self._n, (*(-c for c in co[:-1]), co[-1]))
 
     def __sub__(self, other) -> ExactValue:
         return self.__add__(-as_value(other))
@@ -284,7 +278,8 @@ class ExactValue:
             (a, b, d), (c, e, f) = self._co, other._co
             return _gaussian(a * c - b * e, a * e + b * c, d * f)
         n = self._common(self, other)
-        return ExactValue._make_cyclotomic(n, _poly_mul(self._embed(n), other._embed(n)))
+        (x, d), (y, f) = self._embed(n), other._embed(n)
+        return _cyclotomic(n, _poly_mul(x, y), d * f)
 
     def __rmul__(self, other) -> ExactValue:
         return self.__mul__(other)
@@ -295,21 +290,17 @@ class ExactValue:
         if self._n is None:
             a, b, d = self._co
             return _gaussian(a * d, -b * d, a * a + b * b)
-        # Extended Euclid against the (irreducible) cyclotomic polynomial;
-        # s_k * self == r_k modulo it throughout.
-        r0, r1 = [Fraction(c) for c in cyclotomic_coeffs(self._n)], list(self._co)
-        while r1[-1] == 0:
-            r1.pop()
-        s0: list[Fraction] = []
-        s1 = [_ONE]
-        while r1:
-            quot, rem = _poly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            prod = _poly_mul(quot, s1)
-            s0, s1 = s1, [p - q for p, q in zip_longest(s0, prod, fillvalue=_ZERO)]
-        if len(r0) != 1:
-            raise EOError("cyclotomic inverse failed; polynomial not coprime")
-        return ExactValue._make_cyclotomic(self._n, [c / r0[0] for c in s0])
+        # 1/c is the product of the other Galois conjugates of c over the
+        # rational norm c * (that product).
+        n, nums, d = self._n, self._co[:-1], self._co[-1]
+        prod = [1]
+        for k in range(2, n):
+            if gcd(k, n) == 1:
+                prod = _reduce(n, _poly_mul(prod, _galois(n, nums, k)))
+        norm = _reduce(n, _poly_mul(nums, prod))
+        if any(norm[1:]):
+            raise EOError("cyclotomic inverse failed; norm is not rational")
+        return _cyclotomic(n, [c * d for c in prod], norm[0])
 
     def __truediv__(self, other) -> ExactValue:
         return self.__mul__(as_value(other).inverse())
@@ -334,10 +325,7 @@ class ExactValue:
             a, b, d = self._co
             return ExactValue(None, (a, -b, d))
         n = self._n
-        out = [_ZERO] * n
-        for j, c in enumerate(self._co):
-            out[(n - j) % n] += c
-        return ExactValue._make_cyclotomic(n, out)
+        return _cyclotomic(n, _galois(n, self._co[:-1], n - 1), self._co[-1])
 
     def abs2(self) -> ExactValue:
         """x * conj(x); always a real value."""
@@ -378,10 +366,11 @@ class ExactValue:
                 return mpmath.mpc(mpmath.mpf(re.numerator) / re.denominator,
                                   mpmath.mpf(im.numerator) / im.denominator)
             z = mpmath.exp(2j * mpmath.pi / self._n)
+            d = self._co[-1]
             acc = mpmath.mpc(0)
-            for j, c in enumerate(self._co):
+            for j, c in enumerate(self._co[:-1]):
                 if c != 0:
-                    acc += (mpmath.mpf(c.numerator) / c.denominator) * z**j
+                    acc += (mpmath.mpf(c) / d) * z**j
             return acc
 
 
@@ -421,11 +410,12 @@ def compare_abs(a: ExactValue, b: ExactValue) -> int:
             raise EOError("magnitude difference is not real")
         return 1 if re > 0 else -1
     import mpmath
-    scale = sum(abs(c) for c in d._co) or Fraction(1)
+    *nums, den = d._co
+    scale = sum(abs(c) for c in nums)
     for dps in (40, 80, 160, 320, 640, 1280):
         with mpmath.workdps(dps):
             val = mpmath.re(d.to_mpc(dps))
-            threshold = mpmath.mpf(10) ** (-(dps // 2)) * float(scale)
+            threshold = mpmath.mpf(10) ** (-(dps // 2)) * mpmath.mpf(scale) / den
             if abs(val) > threshold:
                 return 1 if val > 0 else -1
     raise EOError("could not separate magnitudes numerically")
@@ -602,7 +592,7 @@ def parse_value(text: str, mode: FieldMode = GAUSS_MODE) -> ExactValue:
             idx += 1
             expect_term = True
             continue
-        coeff = _ONE
+        coeff = 1
         atom: ExactValue | None = None
         if _RAT.match(tok):
             try:
@@ -650,10 +640,12 @@ def render_value(v: ExactValue) -> str:
             return f"{re}+{imag}" if im == 1 else f"{re}+{im}i"
         return f"{re}-i" if im == -1 else f"{re}-{abs(im)}i"
     n = v.ambient
+    den = v._co[-1]
     pieces: list[str] = []
-    for j, c in enumerate(v._co):
+    for j, c in enumerate(v._co[:-1]):
         if c == 0:
             continue
+        c = Fraction(c, den)
         if j == 0:
             body = str(abs(c))
         elif abs(c) == 1:

@@ -222,6 +222,16 @@ def test_field_env_selects_cyclotomic(workdir, capsys, monkeypatch, tmp_path):
 # -- every path ends in an exit code --------------------------------------------
 
 
+def test_generate_coefficient_past_float_range(tmp_path):
+    sig = tmp_path / "big.sig"
+    sig.write_text(f"signature f arity 2\n01 1\n10 {10**400}*z8 + 1\n")
+    proc = subprocess.run([sys.executable, "-m", "eoexact.cli", "generate", str(sig)],
+                          capture_output=True, text=True,
+                          env={**os.environ, "EO_FIELD": "zeta:8"})
+    assert proc.returncode in (0, 1)
+    assert "Traceback" not in proc.stderr
+
+
 def test_gate_non_integer_port_exit_code(tmp_path, capsys):
     for step in ("permute 1 x", "loop a b"):
         script = tmp_path / "bad.gate"

@@ -16,6 +16,7 @@ from eoexact.values import (
     as_value,
     compare_abs,
     cyclotomic_coeffs,
+    euler_phi,
     i_power_exponent,
     parse_value,
     render_value,
@@ -129,6 +130,126 @@ def test_gaussian_arm_matches_fraction_reference(xs, ys):
         assert x == a and hash(x) == hash(a)
 
 
+_ORDERS = [3, 5, 7, 8, 12, 15, 16, 20, 24, 36]
+
+
+def _ref_reduce(vec, n):
+    """A Fraction vector reduced modulo the n-th cyclotomic polynomial."""
+    phi = cyclotomic_coeffs(n)
+    k = len(phi) - 1
+    vec = list(vec) + [Fraction(0)] * (k - len(vec))
+    for i in range(len(vec) - 1, k - 1, -1):
+        c = vec[i]
+        for j, e in enumerate(phi):
+            vec[i - k + j] -= c * e
+    return vec[:k]
+
+
+def _ref_cyc_mul(x, y, n):
+    out = [Fraction(0)] * (len(x) + len(y) - 1)
+    for i, p in enumerate(x):
+        for j, q in enumerate(y):
+            out[i + j] += p * q
+    return _ref_reduce(out, n)
+
+
+def _ref_vec(v, n):
+    """The reduced Fraction vector of v inside Q(zeta_n)."""
+    if v.is_gaussian:
+        re, im = v.gauss_parts()
+        out = [Fraction(0)] * euler_phi(n)
+        out[0] = re
+        if im:
+            out[n // 4] = im
+        return out
+    *nums, d = v._co
+    out = [Fraction(0)] * n
+    for j, c in enumerate(nums):
+        out[j * (n // v.ambient)] = Fraction(c, d)
+    return _ref_reduce(out, n)
+
+
+def _assert_canonical(v, n):
+    assert all(type(c) is int for c in v._co)
+    *nums, d = v._co
+    assert d > 0 and gcd(d, *nums) == 1
+    if v.is_gaussian:
+        assert len(v._co) == 3
+    else:
+        m = v.ambient
+        assert n % m == 0 and len(v._co) == euler_phi(m) + 1
+        # a value of Q(i) is always downcast
+        assert any(c for j, c in enumerate(nums) if j and 4 * j != m)
+
+
+_SMALL_FRACTIONS = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+
+
+@st.composite
+def _cyclotomic_operands(draw):
+    """An order n, a reduced Fraction vector over Q(zeta_n), and one over a
+    subfield Q(zeta_m) (m | n, or Q(i) when 4 | n) as a vector of length m."""
+    n = draw(st.sampled_from(_ORDERS))
+    coeff = st.one_of(st.just(Fraction(0)), _SMALL_FRACTIONS)
+    xs = draw(st.lists(coeff, min_size=euler_phi(n), max_size=euler_phi(n)))
+    m = draw(st.sampled_from([m for m in _ORDERS if n % m == 0] + [4] * (n % 4 == 0)))
+    ys = draw(st.lists(coeff, min_size=euler_phi(m), max_size=euler_phi(m)))
+    return n, xs, m, ys
+
+
+def _build(vec, m):
+    total = ZERO
+    for j, c in enumerate(vec):
+        total = total + V(c) * Z(m, j)
+    return total
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_cyclotomic_operands())
+def test_cyclotomic_arm_matches_fraction_reference(operands):
+    n, xs, m, ys = operands
+    x, y = _build(xs, n), _build(ys, m)
+    ys = _ref_vec(y, n)
+    assert _ref_vec(x, n) == xs
+    one = [Fraction(1)] + [Fraction(0)] * (len(xs) - 1)
+
+    def mul(p, q):
+        return _ref_cyc_mul(p, q, n)
+
+    assert _ref_vec(x + y, n) == [p + q for p, q in zip(xs, ys)]
+    assert _ref_vec(y - x, n) == [q - p for p, q in zip(xs, ys)]
+    assert _ref_vec(-x, n) == [-p for p in xs]
+    assert _ref_vec(x * y, n) == mul(xs, ys)
+    assert _ref_vec(x ** 3, n) == mul(mul(xs, xs), xs)
+    conj = [Fraction(0)] * n
+    for j, c in enumerate(xs):
+        conj[-j % n] = c
+    assert _ref_vec(x.conj(), n) == _ref_reduce(conj, n)
+    assert _ref_vec(x.abs2(), n) == mul(xs, _ref_reduce(conj, n))
+    results = [x, y, x + y, y - x, -x, x * y, x ** 3, x.conj(), x.abs2()]
+    for den, dens in ((x, xs), (y, ys)):
+        if den.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                den.inverse()
+            continue
+        assert mul(_ref_vec(den.inverse(), n), dens) == one
+        assert mul(_ref_vec(den ** -2, n), mul(dens, dens)) == one
+        assert mul(_ref_vec((x + y) / den, n), dens) == [p + q for p, q in zip(xs, ys)]
+        results += [den.inverse(), den ** -2, (x + y) / den]
+    for v in results:
+        _assert_canonical(v, n)
+    mode = FieldMode.parse(f"zeta:{n}")
+    routes = [
+        sum((V(c) * Z(n, j) for j, c in reversed(list(enumerate(xs)))), ZERO),
+        parse_value(render_value(x), mode),
+        x * Z(n, 1) * Z(n, 1).inverse(),
+        (x + y) - y,
+        x.conj().conj(),
+    ]
+    for r in routes:
+        assert r == x and r._co == x._co and hash(r) == hash(x)
+
+
 def test_cyclotomic_field():
     z = Z(3, 1)
     assert z * z * z == ONE
@@ -192,6 +313,8 @@ def test_compare_abs():
     assert compare_abs(Z(8, 1), ONE) == 0
     assert compare_abs(ONE + Z(5, 1), V(1)) == 1
     assert compare_abs(ONE + Z(5, 2), V(3)) == -1
+    # coefficients past the float range
+    assert compare_abs(ONE, V(10**400) * Z(8, 1) + ONE) == -1
 
 
 def test_root_order_gaussian():
