@@ -3,9 +3,10 @@ pin-elimination reductions.
 
 The two closed-form engines (affine and product) compute partition functions
 without enumerating assignments; the support oracle answers per-occurrence
-reachability queries either by a contraction pass or through an
-external clause-form solver; on top of those sit the oracle-assisted
-pipeline, the pin interpolation, and the single-pin reduction.
+reachability queries either from one forward and one backward contraction
+pass per grid or through an external clause-form solver; on top of those
+sit the oracle-assisted pipeline, the pin interpolation, and the single-pin
+reduction.
 """
 
 from __future__ import annotations
@@ -227,30 +228,52 @@ def _first_parent(nxt, key, _, rest, matches):
 
 
 class ExhaustiveOracle:
-    """Reachability pass over the contraction steps of the grid with the
-    queried vertex forced to its string; each state keeps the first (state
-    before, string read) that reaches it, and the witness is read back
-    through those.  The steps of the last grid queried are kept."""
+    """Answers every query on a grid from two passes over its contraction
+    steps, kept for the last grid queried.  The forward pass keeps, for each
+    reachable state, the first (state before, string read) that reaches it;
+    the backward pass keeps the forward states that reach the empty end
+    state, each with one (state after, string read), and the first such live
+    transition (step, state before, state after) of every (vertex, string).
+    A witness is read back through both pointers from that transition.  The
+    cap counts the forward pass; the backward pass revisits only its states."""
 
     name = "exhaustive"
     _grid: Grid | None = None
 
     def query(self, grid: Grid, vertex: int, mask: int):
         if self._grid is not grid:
-            self._grid, self._steps = grid, plan_contraction(grid)
-            self._at = {v: i for i, (v, _, _) in enumerate(self._steps)}
-        steps = list(self._steps)
-        i = self._at[vertex]
-        v, close, groups = steps[i]
-        steps[i] = (v, close, {r: [m for m in ms if m[1] == mask] for r, ms in groups.items()})
-        trail = list(frontier_pass(steps, {0: None}, _first_parent, DEFAULT_OP_CAP))
-        if 0 not in trail[-1]:
+            self._passes(grid)
+        hit = self._hits.get((vertex, mask))
+        if hit is None:
             return False, None
+        i, before, after = hit
         masks = [0] * len(grid.vertices)
-        state = 0
-        for (v, _, _), back in zip(reversed(steps), reversed(trail)):
-            state, masks[v] = back[state]
+        masks[vertex] = mask
+        for j in range(i - 1, -1, -1):
+            before, masks[self._steps[j][0]] = self._trail[j][before]
+        for j in range(i + 1, len(self._steps)):
+            after, masks[self._steps[j][0]] = self._ahead[j][after]
         return True, tuple(masks)
+
+    def _passes(self, grid: Grid) -> None:
+        steps = plan_contraction(grid)
+        trail = list(frontier_pass(steps, {0: None}, _first_parent, DEFAULT_OP_CAP))
+        ahead = [None] * len(steps)
+        hits: dict[tuple[int, int], tuple[int, int, int]] = {}  # (vertex, string) -> transition
+        live = {0: None}
+        for i in range(len(steps) - 1, -1, -1):
+            v, close, groups = steps[i]
+            child = {}
+            for key in trail[i - 1] if i else (0,):
+                for out, s, _ in groups.get(key & close, ()):
+                    nxt = (key & ~close) | out
+                    if nxt in live:
+                        child.setdefault(key, (nxt, s))
+                        hits.setdefault((v, s), (i, key, nxt))
+            ahead[i] = live = child
+        # cached only once both passes are through, so a capped grid stays uncached
+        self._grid, self._steps, self._trail, self._ahead, self._hits = \
+            grid, steps, trail, ahead, hits
 
 
 def encode_support_query(grid: Grid, vertex: int, mask: int) -> str:
@@ -372,18 +395,18 @@ def effective_support(grid: Grid, backend=None) -> EffectiveSupportReport:
 def _effective_support(grid: Grid, backend) -> EffectiveSupportReport:
     backend = backend or ExhaustiveOracle()
     report = EffectiveSupportReport(getattr(backend, "name", "?"))
-    witnesses = []
+    realized: list[set[int]] = [set() for _ in grid.vertices]  # by some SAT witness
     for vidx, (vid, sig) in enumerate(grid.vertices):
         effective = set()
         for m in sig.support():
             ok, witness = backend.query(grid, vidx, m)
             if ok:
                 effective.add(m)
-                if witness:
-                    witnesses.append(witness)
+                for seen, s in zip(realized, witness or ()):
+                    seen.add(s)
         report.effective.append(effective)
-    for (vid, sig), seen, effective in zip(grid.vertices, zip(*witnesses), report.effective):
-        lied = sorted(set(seen).intersection(sig.entries) - effective)
+    for (vid, sig), seen, effective in zip(grid.vertices, realized, report.effective):
+        lied = sorted(seen.intersection(sig.entries) - effective)
         if lied:
             raise OracleProtocolError(
                 f"{report.backend}: answered UNSAT for {f2.mask_to_string(lied[0], sig.arity)} "

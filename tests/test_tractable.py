@@ -59,8 +59,14 @@ EXTERNAL_CMD = [sys.executable, "-m", "eoexact.oracle_cli"]
 def weighted_deq4_ring(n):
     """Ring of n weighted deq4 vertices (2n edges): ports 3,4 of v meet 1,2 of v+1."""
     rng = random.Random(n)
-    sigs = [from_entries(4, {"0011": rng.choice([1, 2, I]), "1100": rng.choice([1, 3, -I])})
-            for _ in range(n)]
+    return deq4_ring([from_entries(4, {"0011": rng.choice([1, 2, I]),
+                                       "1100": rng.choice([1, 3, -I])})
+                      for _ in range(n)])
+
+
+def deq4_ring(sigs):
+    """Ring of the given quaternaries: ports 3,4 of v meet 1,2 of v+1."""
+    n = len(sigs)
     edges = [((v, 2 + p), ((v + 1) % n, p)) for v in range(n) for p in range(2)]
     return Grid.make([(f"v{v}", sig) for v, sig in enumerate(sigs)], edges)
 
@@ -249,29 +255,88 @@ def test_exhaustive_oracle_deep_ring():
 
 def test_exhaustive_oracle_matches_naive_reference():
     # the grids of test_grids.py::test_contraction_matches_naive_reference
+    # (self-loops and arity-0 vertices included); two grids at a time share
+    # one oracle, queried in a shuffled order, so its cache is rebuilt at
+    # every switch between them
     rng = random.Random(101)
     oracle = ExhaustiveOracle()
-    for _ in range(300):
-        grid = rand_wired_grid(rng)
-        if not grid.is_closed:
-            continue
-        _, reached = enumerate_reference(grid)
-        for vidx, (_, sig) in enumerate(grid.vertices):
-            for m in sig.support():
-                ok, witness = oracle.query(grid, vidx, m)
-                assert ok == (m in reached[vidx])
-                if ok:
-                    assert_valid_witness(grid, vidx, m, witness)
+    closed = [g for g in (rand_wired_grid(rng) for _ in range(300)) if g.is_closed]
+    assert any(sig.arity == 0 for g in closed for _, sig in g.vertices)
+    assert any(a[0] == b[0] for g in closed for a, b in g.edges)
+    hit_at = set()
+    for pair in zip(closed[::2], closed[1::2]):
+        queries = []
+        for grid in pair:
+            _, reached = enumerate_reference(grid)
+            order = [v for v, _, _ in grids.plan_contraction(grid)]
+            for vidx, (_, sig) in enumerate(grid.vertices):
+                step = order.index(vidx)
+                where = "first" if step == 0 else "last" if step == len(order) - 1 else "middle"
+                queries += [(grid, vidx, m, m in reached[vidx], where) for m in sig.support()]
+        rng.shuffle(queries)
+        for grid, vidx, m, want, where in queries:
+            ok, witness = oracle.query(grid, vidx, m)
+            assert ok == want
+            if ok:
+                assert_valid_witness(grid, vidx, m, witness)
+                hit_at.add(where)
+    assert hit_at == {"first", "middle", "last"}
 
 
 def test_exhaustive_oracle_cap(monkeypatch):
-    # with v0 forced, each of the four steps writes one frontier entry
+    # the forward pass reads both strings at each of the four steps, so it
+    # writes two frontier entries per step
     grid = weighted_deq4_ring(4)
-    monkeypatch.setattr(tractable, "DEFAULT_OP_CAP", 4)
+    monkeypatch.setattr(tractable, "DEFAULT_OP_CAP", 8)
     assert ExhaustiveOracle().query(grid, 0, 0b0011)[0]
-    monkeypatch.setattr(tractable, "DEFAULT_OP_CAP", 3)
+    monkeypatch.setattr(tractable, "DEFAULT_OP_CAP", 7)
     with pytest.raises(BruteForceCapExceeded, match="contraction"):
         ExhaustiveOracle().query(grid, 0, 0b0011)
+
+
+def test_exhaustive_oracle_cap_leaves_nothing_cached(monkeypatch):
+    grid = weighted_deq4_ring(4)
+    oracle = ExhaustiveOracle()
+    monkeypatch.setattr(tractable, "DEFAULT_OP_CAP", 7)
+    for vidx, m in ((0, 0b0011), (1, 0b1100)):
+        with pytest.raises(BruteForceCapExceeded, match="contraction"):
+            oracle.query(grid, vidx, m)
+    monkeypatch.setattr(tractable, "DEFAULT_OP_CAP", 8)
+    ok, witness = oracle.query(grid, 1, 0b1100)
+    assert ok
+    assert_valid_witness(grid, 1, 0b1100, witness)
+
+
+def test_exhaustive_oracle_one_pass_per_grid(monkeypatch):
+    calls = {"plan": 0, "pass": 0}
+    plan, run = tractable.plan_contraction, tractable.frontier_pass
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+    monkeypatch.setattr(tractable, "plan_contraction", counted("plan", plan))
+    monkeypatch.setattr(tractable, "frontier_pass", counted("pass", run))
+    grid = weighted_deq4_ring(16)
+    report = effective_support(grid)
+    assert all(len(eff) == 2 for eff in report.effective)
+    assert calls == {"plan": 1, "pass": 1}
+
+
+def test_exhaustive_fpnp_long_ring():
+    # weights a and a * i^k keep every vertex affine
+    rng = random.Random(1024)
+    a = b = ONE
+    sigs = []
+    for _ in range(1024):
+        wa = rng.choice([ONE, V(2), I])
+        wb = wa * I ** rng.randrange(4)
+        sigs.append(from_entries(4, {"0011": wa, "1100": wb}))
+        a, b = a * wa, b * wb
+    grid = deq4_ring(sigs)
+    got = eval_fpnp(grid, "affine", ExhaustiveOracle())
+    assert got == a + b == eval_affine(grid)
 
 
 def test_exhaustive_oracle_default_cap():
