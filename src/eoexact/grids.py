@@ -13,7 +13,8 @@ import os
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from itertools import chain, count
-from typing import Callable, Iterable, Iterator, Sequence
+from math import prod
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
     BruteForceCapExceeded,
@@ -29,7 +30,7 @@ from .signatures import (
     parse_signature_blocks,
     render_signature_block,
 )
-from .values import ExactValue, FieldMode, GAUSS_MODE, ONE
+from .values import ExactValue, FieldMode, GAUSS_MODE, RawArm
 
 Slot = tuple[int, int]  # (vertex index, 0-based port)
 
@@ -66,11 +67,7 @@ class Grid:
         return replace(self, vertices=tuple(verts))
 
     def distinct_signatures(self) -> list[Signature]:
-        seen: list[Signature] = []
-        for _, sig in self.vertices:
-            if sig not in seen:
-                seen.append(sig)
-        return seen
+        return list(dict.fromkeys(sig for _, sig in self.vertices))
 
 
 @dataclass
@@ -107,7 +104,7 @@ def validate(grid: Grid) -> Diagnostics:
         if wired[vidx] != sig.arity:
             issues.append(f"vertex {vid}: {wired[vidx]} ports wired, arity {sig.arity} "
                           "(PortCountMismatch)")
-    all_eo = all(sig.is_eo() for _, sig in grid.vertices)
+    all_eo = all(sig.is_eo() for sig in grid.distinct_signatures())
     return Diagnostics(ok=not issues, closed=grid.is_closed, all_eo=all_eo, issues=issues)
 
 
@@ -118,16 +115,23 @@ def require_valid(grid: Grid) -> Diagnostics:
     return diag
 
 
-def plan_contraction(grid: Grid) -> list[tuple[int, int, dict]]:
+class Plan(NamedTuple):
+    steps: list[tuple[int, int, dict]]
+    width: int  # frontier bits open at the widest step
+
+
+def plan_contraction(grid: Grid, tables: Mapping[Signature, Mapping] | None = None) -> Plan:
     """Compile a grid into contraction steps, one per vertex, placing first
-    the vertex with most edges to placed ones (lowest index on ties).
+    the vertex with most edges to placed ones, then the one with the smaller
+    support, then the lowest index.
 
     A frontier state is an int of open-edge bits: dangling slot i holds bit
     d-1-i throughout; an edge holds the lowest free bit above those, set to
     what its first placed end reads, until its second end closes it.  A step
     is (vertex, mask of the bits it closes, groups): the support strings that
     pass the vertex's self-loops, keyed by the bits they need on the closed
-    edges, as (bits they open, string, weight).
+    edges, as (bits they open, string, weight).  The weight is the string's
+    entry in tables[signature], or in the signature itself without tables.
     """
     peer: dict[Slot, Slot] = {}
     for a, b in grid.edges:
@@ -137,11 +141,13 @@ def plan_contraction(grid: Grid) -> list[tuple[int, int, dict]]:
     free: list[int] = []
     unused = count(d)
     score = [0] * len(grid.vertices)
+    size = [len(sig.support()) for _, sig in grid.vertices]
     placed = [False] * len(grid.vertices)
-    heap = [(0, v) for v in range(len(grid.vertices))]
-    steps = []
+    heap = [(0, size[v], v) for v in range(len(grid.vertices))]
+    heapq.heapify(heap)
+    steps, width = [], d
     while heap:
-        neg, v = heapq.heappop(heap)
+        neg, _, v = heapq.heappop(heap)
         if placed[v] or -neg != score[v]:
             continue
         placed[v] = True
@@ -152,7 +158,7 @@ def plan_contraction(grid: Grid) -> list[tuple[int, int, dict]]:
             bit = 1 << (n - 1 - p)
             other = peer.get((v, p))
             if other is None:
-                opens.append((bit, held[v, p]))
+                opens.append((bit, 1 << held[v, p]))
             elif other[0] == v:
                 if p < other[1]:
                     loops.append(bit | 1 << (n - 1 - other[1]))
@@ -160,25 +166,33 @@ def plan_contraction(grid: Grid) -> list[tuple[int, int, dict]]:
                 k = held.pop(other)
                 heapq.heappush(free, k)
                 close |= 1 << k
-                reads.append((bit, k))
+                reads.append((bit, 1 << k))
             else:
                 held[v, p] = k = heapq.heappop(free) if free else next(unused)
-                opens.append((bit, k))
-                score[other[0]] += 1
-                heapq.heappush(heap, (-score[other[0]], other[0]))
-        groups: dict[int, list[tuple[int, int, ExactValue]]] = {}
-        for s, w in sig.entries.items():
-            if all((s & m) not in (0, m) for m in loops):
-                read = sum(1 << k for bit, k in reads if not s & bit)
-                out = sum(1 << k for bit, k in opens if s & bit)
-                groups.setdefault(read, []).append((out, s, w))
+                opens.append((bit, 1 << k))
+                u = other[0]
+                score[u] += 1
+                heapq.heappush(heap, (-score[u], size[u], u))
+        groups: dict[int, list[tuple[int, int, object]]] = {}
+        for s, w in (sig.entries if tables is None else tables[sig]).items():
+            if loops and not all((s & m) not in (0, m) for m in loops):
+                continue
+            read = out = 0
+            for bit, k in reads:
+                if not s & bit:
+                    read |= k
+            for bit, k in opens:
+                if s & bit:
+                    out |= k
+            groups.setdefault(read, []).append((out, s, w))
         steps.append((v, close, groups))
-    return steps
+        width = max(width, len(held))
+    return Plan(steps, width)
 
 
-def frontier_pass(steps: Sequence[tuple[int, int, dict]], frontier: dict,
-                  merge: Callable[..., None], cap: int) -> Iterator[dict]:
-    """Carry a frontier {state: value} through contraction steps, yielding
+def frontier_pass(plan: Plan, frontier: dict, merge: Callable[..., None],
+                  cap: int) -> Iterator[dict]:
+    """Carry a frontier {state: value} through the plan's steps, yielding
     the frontier after each.  For each state whose step matches some support
     strings, merge(nxt, state, value, rest, matches) writes the new entries,
     where rest is the state without the bits the step closes.  ``cap`` bounds
@@ -186,7 +200,7 @@ def frontier_pass(steps: Sequence[tuple[int, int, dict]], frontier: dict,
     table; past it, BruteForceCapExceeded.
     """
     ops = 0
-    for _, close, groups in steps:
+    for _, close, groups in plan.steps:
         nxt: dict = {}
         for key, val in frontier.items():
             matches = groups.get(key & close)
@@ -194,26 +208,29 @@ def frontier_pass(steps: Sequence[tuple[int, int, dict]], frontier: dict,
                 ops += len(matches)
                 if ops > cap:
                     raise BruteForceCapExceeded(
-                        f"contraction wrote more than {cap} frontier entries")
+                        f"contraction wrote more than {cap} frontier entries; its plan "
+                        f"opens {plan.width} frontier bits at its widest step")
                 merge(nxt, key, val, key & ~close, matches)
         yield nxt
         frontier = nxt
 
 
-def _sum_product(nxt, key, val, rest, matches):
-    for out, _, w in matches:
-        k = rest | out
-        nxt[k] = nxt[k] + val * w if k in nxt else val * w
-
-
 def _collapse(grid: Grid, cap: int) -> Signature:
     """The signature over the dangling ports (arity 0 for a closed grid): a
     state's value sums, over the strings read so far that lead to it, the
-    product of their weights."""
-    frontier = {0: ONE}
-    for frontier in frontier_pass(plan_contraction(grid), frontier, _sum_product, cap):
+    product of their weights.  The pass carries raw numerators: each
+    distinct signature is scaled once by the lcm of its denominators, and
+    each final entry is divided once by the product of those lcms."""
+    sigs = grid.distinct_signatures()
+    arm = RawArm(w for sig in sigs for w in sig.entries.values())
+    tables, scale = {}, {}
+    for sig in sigs:
+        tables[sig], scale[sig] = arm.numerators(sig.entries)
+    frontier = {0: arm.one}
+    for frontier in frontier_pass(plan_contraction(grid, tables), frontier, arm.mul_add, cap):
         pass
-    return Signature(len(grid.dangling), frontier)
+    den = prod(scale[sig] for _, sig in grid.vertices)
+    return Signature(len(grid.dangling), {k: arm.value(v, den) for k, v in frontier.items()})
 
 
 def brute_force_partition(grid: Grid, cap: int = DEFAULT_OP_CAP) -> ExactValue:

@@ -256,8 +256,9 @@ class ExhaustiveOracle:
         return True, tuple(masks)
 
     def _passes(self, grid: Grid) -> None:
-        steps = plan_contraction(grid)
-        trail = list(frontier_pass(steps, {0: None}, _first_parent, DEFAULT_OP_CAP))
+        plan = plan_contraction(grid)
+        steps = plan.steps
+        trail = list(frontier_pass(plan, {0: None}, _first_parent, DEFAULT_OP_CAP))
         ahead = [None] * len(steps)
         hits: dict[tuple[int, int], tuple[int, int, int]] = {}  # (vertex, string) -> transition
         live = {0: None}
@@ -386,8 +387,11 @@ class EffectiveSupportReport:
 
 
 def effective_support(grid: Grid, backend=None) -> EffectiveSupportReport:
-    """Query every support string of every vertex.  A string that some SAT
-    witness realizes but the backend answered UNSAT is an OracleProtocolError."""
+    """Find the effective strings of every vertex, vertex by vertex.  A
+    support string that some earlier SAT witness already realizes at the
+    vertex is effective without a query; every other one is queried.  A
+    string that some SAT witness realizes but the backend answered UNSAT is
+    an OracleProtocolError."""
     _require_closed(grid)
     return _effective_support(grid, backend)
 
@@ -399,6 +403,9 @@ def _effective_support(grid: Grid, backend) -> EffectiveSupportReport:
     for vidx, (vid, sig) in enumerate(grid.vertices):
         effective = set()
         for m in sig.support():
+            if m in realized[vidx]:
+                effective.add(m)
+                continue
             ok, witness = backend.query(grid, vidx, m)
             if ok:
                 effective.add(m)

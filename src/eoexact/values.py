@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
-from math import gcd
+from math import gcd, lcm
 
 from .errors import (
     EmptyInput,
@@ -148,6 +148,17 @@ def _cyclotomic(n: int, nums, d: int) -> ExactValue:
     return ExactValue(n, (*nums, d))
 
 
+def _meet(n: int | None, m: int | None) -> int | None:
+    """The ambient order holding values of orders n and m (None: Gaussian)."""
+    if n is None or n == m:
+        return m
+    if m is None or n % m == 0:
+        return n
+    if m % n == 0:
+        return m
+    raise FieldMismatch(f"incompatible cyclotomic orders {n} and {m}")
+
+
 class ExactValue:
     """An exact complex number: Gaussian rational or cyclotomic."""
 
@@ -225,21 +236,6 @@ class ExactValue:
             out[j * step] = c
         return out, co[-1]
 
-    @staticmethod
-    def _common(a: ExactValue, b: ExactValue) -> int:
-        """The ambient order of a and b, not both Gaussian."""
-        if a._n is None:
-            return b._n
-        if b._n is None:
-            return a._n
-        if a._n == b._n:
-            return a._n
-        if a._n % b._n == 0:
-            return a._n
-        if b._n % a._n == 0:
-            return b._n
-        raise FieldMismatch(f"incompatible cyclotomic orders {a._n} and {b._n}")
-
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other) -> ExactValue:
@@ -249,7 +245,7 @@ class ExactValue:
             if d == f:
                 return _gaussian(a + c, b + e, d)
             return _gaussian(a * f + c * d, b * f + e * d, d * f)
-        n = self._common(self, other)
+        n = _meet(self._n, other._n)
         (x, d), (y, f) = self._embed(n), other._embed(n)
         if d == f:
             return _cyclotomic(n, [p + q for p, q in zip_longest(x, y, fillvalue=0)], d)
@@ -277,7 +273,7 @@ class ExactValue:
         if self._n is None and other._n is None:
             (a, b, d), (c, e, f) = self._co, other._co
             return _gaussian(a * c - b * e, a * e + b * c, d * f)
-        n = self._common(self, other)
+        n = _meet(self._n, other._n)
         (x, d), (y, f) = self._embed(n), other._embed(n)
         return _cyclotomic(n, _poly_mul(x, y), d * f)
 
@@ -384,6 +380,82 @@ def as_value(x) -> ExactValue:
     if isinstance(x, ExactValue):
         return x
     return ExactValue.rational(x)
+
+
+# -- raw numerators ------------------------------------------------------------
+
+
+def _gauss_mul_add(nxt, key, val, rest, matches):
+    a, b = val
+    for out, _, (c, e) in matches:
+        k = rest | out
+        if k in nxt:
+            x, y = nxt[k]
+            nxt[k] = (x + a * c - b * e, y + a * e + b * c)
+        else:
+            nxt[k] = (a * c - b * e, a * e + b * c)
+
+
+class RawArm:
+    """Bare int numerators of one ambient field, for sums of many products.
+
+    A numerator is (a, b), meaning a + b*i, when every value is Gaussian, and
+    otherwise a list of power-basis coefficients of the one Q(zeta_N) that
+    holds every value.  The caller keeps the denominator aside, so no product
+    or sum builds an ExactValue or takes a gcd.  ``mul_add`` is the merge
+    kernel of ``grids.frontier_pass``: for each (out, string, numerator) in
+    matches it adds val * numerator into nxt[rest | out].  A Q(zeta_N) sum is
+    left unreduced until it is multiplied again or read back.
+    """
+
+    __slots__ = ("n", "one", "mul_add")
+
+    def __init__(self, vals):
+        n = None
+        for v in vals:
+            if v._n is not None and v._n != n:
+                n = _meet(n, v._n)
+        self.n = n
+        if n is None:
+            self.one, self.mul_add = (1, 0), _gauss_mul_add
+            return
+        phi = cyclotomic_coeffs(n)
+        self.one = [1] + [0] * (len(phi) - 2)
+
+        def mul_add(nxt, key, val, rest, matches):
+            val = _divmod_monic(val, phi)[1]
+            for out, _, w in matches:
+                k = rest | out
+                prod = _poly_mul(val, w)
+                acc = nxt.get(k)
+                if acc is None:
+                    nxt[k] = prod
+                else:
+                    for j, c in enumerate(prod):
+                        acc[j] += c
+        self.mul_add = mul_add
+
+    def numerators(self, entries) -> tuple[dict, int]:
+        """The values of the mapping entries over their least common
+        denominator L, as {key: numerator}, and L; FieldMismatch when a value
+        does not embed in the arm."""
+        n = self.n
+        den = lcm(*(v._co[-1] for v in entries.values()))
+        out = {}
+        for k, v in entries.items():
+            if n is None:
+                nums = v._co[:2]
+            else:
+                nums = v._embed(n)[0]
+                if len(nums) != euler_phi(n):
+                    nums = _reduce(n, nums)
+            f = den // v._co[-1]
+            out[k] = nums if f == 1 else tuple(c * f for c in nums)
+        return out, den
+
+    def value(self, nums, d: int) -> ExactValue:
+        """The value numerator / d in canonical form."""
+        return _gaussian(*nums, d) if self.n is None else _cyclotomic(self.n, nums, d)
 
 
 def i_power_exponent(x: ExactValue) -> int | None:

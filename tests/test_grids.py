@@ -1,10 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from eoexact.errors import (
     BruteForceCapExceeded,
     ClosedGridError,
+    FieldMismatch,
     GridFormatError,
     InvalidGrid,
     OpenGridError,
@@ -16,6 +18,7 @@ from eoexact.grids import (
     join_gates,
     load_grid_file,
     parse_grid_text,
+    plan_contraction,
     render_grid_text,
     validate,
 )
@@ -31,7 +34,14 @@ from eoexact.signatures import (
     tensor,
 )
 from eoexact.values import ExactValue, I, ONE, ZERO
-from tests_helpers import dense_torus, enumerate_reference, rand_wired_grid
+from tests_helpers import (
+    dense_torus,
+    enumerate_reference,
+    rand_cyclotomic,
+    rand_value,
+    rand_wired_grid,
+    reweighted,
+)
 
 V = ExactValue.rational
 
@@ -201,6 +211,97 @@ def test_contraction_matches_naive_reference():
             assert brute_force_partition(grid) == gate.value(0)
         else:
             assert gate_signature(grid) == gate
+
+
+def _fractional(rng):
+    return ExactValue.gauss(Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 5, 7, 12])),
+                            Fraction(rng.randint(-9, 9), rng.choice([1, 4, 9])))
+
+
+@pytest.mark.parametrize("draw", [
+    lambda rng: rand_cyclotomic(rng, 8),
+    lambda rng: rand_cyclotomic(rng, 5),
+    lambda rng: rand_cyclotomic(rng, 8) if rng.random() < 0.5 else rand_value(rng),
+    _fractional,
+], ids=["zeta8", "zeta5", "zeta8-gauss", "fractional"])
+def test_raw_contraction_matches_naive_reference(draw):
+    # the contraction carries int numerators over one denominator per
+    # signature; the reference multiplies ExactValues assignment by assignment
+    rng = random.Random(103)
+    kinds = set()  # (ambient, has an imaginary part) of every nonzero gate entry
+    for _ in range(150):
+        grid = reweighted(rand_wired_grid(rng), rng, draw)
+        gate, _ = enumerate_reference(grid)
+        if grid.is_closed:
+            assert brute_force_partition(grid) == gate.value(0)
+        else:
+            assert gate_signature(grid) == gate
+        kinds |= {(v.ambient, v.is_gaussian and v.gauss_parts()[1] != 0)
+                  for v in gate.entries.values()}
+    assert len(kinds) >= 2
+
+
+def test_contraction_answers_in_the_common_field():
+    # Q(zeta_8) lies in Q(zeta_16), so the pass runs in Q(zeta_16) and every
+    # entry comes back in that form (or Gaussian); the reference leaves a
+    # product of zeta_8 weights alone in Q(zeta_8) form, and values in
+    # different ambient fields compare unequal, so compare the numbers
+    rng = random.Random(107)
+    for _ in range(100):
+        grid = reweighted(rand_wired_grid(rng), rng,
+                          lambda r: rand_cyclotomic(r, r.choice([8, 16])))
+        want, _ = enumerate_reference(grid)
+        if grid.is_closed:
+            got = Signature(0, {0: brute_force_partition(grid)})
+        else:
+            got = gate_signature(grid)
+        common = max((w.ambient or 0 for _, sig in grid.vertices
+                      for w in sig.entries.values()), default=0)
+        assert got.support() == want.support()
+        for m, v in got.entries.items():
+            assert (v - want.value(m)).is_zero()
+            assert v.ambient in (None, common)
+
+
+def test_contraction_fields_must_meet():
+    # Q(zeta_5) does not contain i
+    f = from_entries(2, {"01": ExactValue.zeta(5), "10": 1})
+    g = from_entries(2, {"01": 1, "10": I})
+    grid = Grid.make([("f", f), ("g", g)], [((0, 0), (1, 0)), ((0, 1), (1, 1))])
+    with pytest.raises(FieldMismatch):
+        brute_force_partition(grid)
+
+
+def test_plan_places_smaller_support_first_on_ties():
+    dense = from_entries(4, {m: 1 for m in (3, 5, 6, 9, 10, 12)})
+    grid = Grid.make([("a", dense), ("b", diseq(4))],
+                     [((0, p), (1, p)) for p in range(4)])
+    assert [v for v, _, _ in plan_contraction(grid).steps] == [1, 0]
+    # a one-string binary goes first; then both neighbours have one edge to it
+    pin = from_entries(2, {"01": 1})
+    grid = Grid.make([("c", pin), ("a", dense), ("b", diseq(4))],
+                     [((0, 0), (1, 0)), ((0, 1), (2, 0))] +
+                     [((1, p), (2, p)) for p in range(1, 4)])
+    assert [v for v, _, _ in plan_contraction(grid).steps] == [0, 2, 1]
+
+
+def test_cap_error_names_the_plan_width():
+    # the two edges back to the first vertex stay open beside the two to the next
+    ring = Grid.make([(f"v{v}", diseq(4)) for v in range(6)],
+                     [((v, 2 + p), ((v + 1) % 6, p)) for v in range(6) for p in range(2)])
+    assert plan_contraction(ring).width == 4
+    with pytest.raises(BruteForceCapExceeded, match="contraction.* opens 4 frontier bits"):
+        brute_force_partition(ring, cap=3)
+
+
+def test_validate_checks_balance_once_per_signature(monkeypatch):
+    calls = []
+    real = Signature.is_eo
+    monkeypatch.setattr(Signature, "is_eo", lambda sig: calls.append(sig) or real(sig))
+    ring = Grid.make([(f"v{v}", diseq(4)) for v in range(8)],
+                     [((v, 2 + p), ((v + 1) % 8, p)) for v in range(8) for p in range(2)])
+    assert validate(ring).all_eo
+    assert calls == [diseq(4)]
 
 
 def test_dense_torus_within_work_bound():

@@ -268,7 +268,7 @@ def test_exhaustive_oracle_matches_naive_reference():
         queries = []
         for grid in pair:
             _, reached = enumerate_reference(grid)
-            order = [v for v, _, _ in grids.plan_contraction(grid)]
+            order = [v for v, _, _ in grids.plan_contraction(grid).steps]
             for vidx, (_, sig) in enumerate(grid.vertices):
                 step = order.index(vidx)
                 where = "first" if step == 0 else "last" if step == len(order) - 1 else "middle"
@@ -388,6 +388,24 @@ def test_false_unsat_alarm():
     assert brute_force_partition(grid) == V(2)
     with pytest.raises(OracleProtocolError, match="UNSAT for 1100 at vertex v0"):
         eval_fpnp(grid, "affine", FalseUnsat(0, 0b1100))
+
+
+class CountingOracle(ExhaustiveOracle):
+    def __init__(self):
+        self.queries = 0
+
+    def query(self, grid, vertex, mask):
+        self.queries += 1
+        return super().query(grid, vertex, mask)
+
+
+def test_witnesses_cover_later_queries():
+    # the witnesses of the two strings at v0 realize both strings everywhere
+    grid = deq4_ring([diseq(4)] * 64)
+    oracle = CountingOracle()
+    report = effective_support(grid, oracle)
+    assert all(eff == {0b0011, 0b1100} for eff in report.effective)
+    assert oracle.queries == 2
 
 
 def test_prune_effective_example():

@@ -9,7 +9,7 @@ from eoexact import f2
 from eoexact.f2 import AffineSpace
 from eoexact.grids import Grid
 from eoexact.signatures import Signature, from_entries
-from eoexact.values import ExactValue, I, ONE, ZERO
+from eoexact.values import ExactValue, I, ONE, ZERO, euler_phi
 
 V = ExactValue.rational
 
@@ -18,6 +18,15 @@ def rand_value(rng: random.Random, allow_i: bool = True) -> ExactValue:
     re = Fraction(rng.randint(-4, 4), rng.choice([1, 1, 1, 2, 3]))
     im = Fraction(rng.randint(-3, 3)) if allow_i and rng.random() < 0.4 else Fraction(0)
     return ExactValue.gauss(re, im)
+
+
+def rand_cyclotomic(rng: random.Random, n: int) -> ExactValue:
+    """Random value of Q(zeta_n): small rationals over the power basis."""
+    total = ZERO
+    for j in range(euler_phi(n)):
+        total = total + ExactValue.rational(
+            Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2, 3]))) * ExactValue.zeta(n, j)
+    return total
 
 
 def rand_nonzero_value(rng: random.Random, allow_i: bool = True) -> ExactValue:
@@ -152,6 +161,16 @@ def rand_wired_grid(rng: random.Random, max_vertices: int = 5, max_vars: int = 1
         dangling, rest = slots[:d], slots[d:]
         edges = [(rest[i], rest[i + 1]) for i in range(0, len(rest), 2)]
         return Grid.make([(f"v{i}", sig) for i, sig in enumerate(sigs)], edges, dangling)
+
+
+def reweighted(grid: Grid, rng: random.Random, draw) -> Grid:
+    """The grid with each distinct signature's entries redrawn by draw(rng),
+    on the same support (a draw of zero drops its string)."""
+    new = {}
+    for _, sig in grid.vertices:
+        if sig not in new:
+            new[sig] = from_entries(sig.arity, {m: draw(rng) for m in sig.support()})
+    return Grid.make([(vid, new[sig]) for vid, sig in grid.vertices], grid.edges, grid.dangling)
 
 
 def dense_torus(side: int, rng: random.Random) -> Grid:
