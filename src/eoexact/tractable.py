@@ -389,9 +389,11 @@ class EffectiveSupportReport:
 def effective_support(grid: Grid, backend=None) -> EffectiveSupportReport:
     """Find the effective strings of every vertex, vertex by vertex.  A
     support string that some earlier SAT witness already realizes at the
-    vertex is effective without a query; every other one is queried.  A
-    string that some SAT witness realizes but the backend answered UNSAT is
-    an OracleProtocolError."""
+    vertex is effective without a query; every other one is queried.  Once
+    a vertex has no effective string, no assignment has nonzero weight, so
+    every later string is ineffective without a query.  A string that some
+    SAT witness realizes but the backend answered UNSAT is an
+    OracleProtocolError."""
     _require_closed(grid)
     return _effective_support(grid, backend)
 
@@ -412,6 +414,9 @@ def _effective_support(grid: Grid, backend) -> EffectiveSupportReport:
                 for seen, s in zip(realized, witness or ()):
                     seen.add(s)
         report.effective.append(effective)
+        if not effective:   # every assignment reads some string here: none is effective
+            report.effective += [set() for _ in grid.vertices[vidx + 1:]]
+            break
     for (vid, sig), seen, effective in zip(grid.vertices, realized, report.effective):
         lied = sorted(seen.intersection(sig.entries) - effective)
         if lied:

@@ -408,6 +408,19 @@ def test_witnesses_cover_later_queries():
     assert oracle.queries == 2
 
 
+def test_unsat_vertex_ends_the_queries():
+    # pins joined port to port give both ends of an edge the same bit: the
+    # first vertex has no effective string, so no assignment does and
+    # nothing more is queried
+    grid = Grid.make([(f"p{v}", pin_signature()) for v in range(4)],
+                     [((v, p), (v + 1, p)) for v in (0, 2) for p in range(2)])
+    oracle = CountingOracle()
+    report = effective_support(grid, oracle)
+    assert report.effective == [set()] * 4
+    assert oracle.queries == 1
+    assert brute_force_partition(prune_effective(grid)) == brute_force_partition(grid) == ZERO
+
+
 def test_prune_effective_example():
     grid = pinned_triple_grid()
     pruned = prune_effective(grid)
