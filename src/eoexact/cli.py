@@ -15,12 +15,9 @@ import json
 import os
 import sys
 import time
+from typing import TYPE_CHECKING
 
-from . import classify as _classify
-from . import generate as _generate
-from . import tractable, transforms
 from .errors import EOError, UsageError
-from .grids import Grid, brute_force_partition, load_grid_file, render_grid_text
 from .signatures import (
     BUILTIN_SIGNATURES,
     BinaryDiseq,
@@ -35,6 +32,9 @@ from .signatures import (
     tensor,
 )
 from .values import FieldMode, parse_value, render_value
+
+if TYPE_CHECKING:
+    from .grids import Grid
 
 SCHEMA = "eoexact.report/1"
 
@@ -71,6 +71,7 @@ def _load_sigset(path: str, mode: FieldMode) -> list[Signature]:
 
 
 def _oracle_backend(spec: str):
+    from . import tractable
     if spec == "exhaustive":
         return tractable.ExhaustiveOracle()
     if spec.startswith("external:"):
@@ -87,19 +88,21 @@ def _oracle_backend(spec: str):
 
 
 def _pick_auto_engine(grid: Grid) -> str:
+    from . import classify
     distinct = [s for s in grid.distinct_signatures() if not s.is_zero()]
     if distinct and all(
-            not isinstance(_classify.membership_affine(s), _classify.Refutation)
+            not isinstance(classify.membership_affine(s), classify.Refutation)
             for s in distinct):
         return "affine"
     if distinct and all(
-            not isinstance(_classify.membership_product(s), _classify.Refutation)
+            not isinstance(classify.membership_product(s), classify.Refutation)
             for s in distinct):
         return "product"
     return "brute"
 
 
 def _cmd_eval(args, argv, mode):
+    from .grids import brute_force_partition, load_grid_file
     grid = load_grid_file(args.grid, mode)
     engine = args.engine
     if engine == "auto":
@@ -107,17 +110,21 @@ def _cmd_eval(args, argv, mode):
     if engine == "brute":
         z = brute_force_partition(grid)
     elif engine == "affine":
-        z = tractable.eval_affine(grid)
+        from .tractable import eval_affine
+        z = eval_affine(grid)
     elif engine == "product":
-        z = tractable.eval_product(grid)
+        from .tractable import eval_product
+        z = eval_product(grid)
     elif engine == "fpnp":
+        from .tractable import eval_fpnp
         hint = args.cls
         if hint == "auto":
+            from .classify import membership_all_pairings
             distinct = [s for s in grid.distinct_signatures() if not s.is_zero()]
             hint = "product" if all(
-                _classify.membership_all_pairings(s, "product").ok
+                membership_all_pairings(s, "product").ok
                 for s in distinct) else "affine"
-        z = tractable.eval_fpnp(grid, hint, _oracle_backend(args.backend))
+        z = eval_fpnp(grid, hint, _oracle_backend(args.backend))
     else:
         raise UsageError(f"unknown engine {engine!r}")
     report = _base_report("eval", argv, mode)
@@ -128,11 +135,12 @@ def _cmd_eval(args, argv, mode):
 
 
 def _cmd_classify(args, argv, mode):
+    from .classify import dichotomy_verdict, verdict_extended
     sigs = _load_sigset(args.sigset, mode)
     if args.mode == "eo":
-        verdict = _classify.dichotomy_verdict(sigs)
+        verdict = dichotomy_verdict(sigs)
     else:
-        verdict = _classify.verdict_extended(sigs, args.mode.replace("-", "_"))
+        verdict = verdict_extended(sigs, args.mode.replace("-", "_"))
     report = _base_report("classify", argv, mode)
     report["mode"] = args.mode
     report["verdict"] = verdict.to_json()
@@ -150,10 +158,11 @@ def _cmd_classify(args, argv, mode):
 
 
 def _cmd_generate(args, argv, mode):
+    from . import generate
     sigs = _load_sigset(args.sigfile, mode)
-    caps = {"steps": _generate.DEFAULT_STEP_CAP,
-            "size": _generate.DEFAULT_SET_CAP,
-            "order": _generate.DEFAULT_ORDER_CAP}
+    caps = {"steps": generate.DEFAULT_STEP_CAP,
+            "size": generate.DEFAULT_SET_CAP,
+            "order": generate.DEFAULT_ORDER_CAP}
     if args.caps:
         for piece in args.caps.split(","):
             key, _, val = piece.partition("=")
@@ -164,7 +173,7 @@ def _cmd_generate(args, argv, mode):
     human = []
     recipe_lines = []
     for sig in sigs:
-        rep = _generate.delta_realizability(
+        rep = generate.delta_realizability(
             sig, max_steps=caps["steps"], max_set=caps["size"],
             order_cap=caps["order"])
         payload.append({"signature": sig.name, **rep.to_json()})
@@ -193,9 +202,11 @@ def _cmd_generate(args, argv, mode):
 
 
 def _cmd_prune(args, argv, mode):
+    from .grids import load_grid_file, render_grid_text
+    from .tractable import prune_effective
     grid = load_grid_file(args.grid, mode)
     backend = _oracle_backend(args.backend)
-    pruned = tractable.prune_effective(grid, backend)
+    pruned = prune_effective(grid, backend)
     text = render_grid_text(pruned)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -221,9 +232,11 @@ def _cmd_prune(args, argv, mode):
 
 
 def _cmd_interp(args, argv, mode):
+    from .grids import load_grid_file
+    from .tractable import interpolate_delta
     grid = load_grid_file(args.grid, mode)
     x = parse_value(args.x, mode)
-    z = tractable.interpolate_delta(grid, x)
+    z = interpolate_delta(grid, x)
     report = _base_report("interp", argv, mode)
     report["x"] = render_value(x)
     report["result"] = render_value(z)
@@ -235,15 +248,18 @@ def _cmd_transform(args, argv, mode):
     report = _base_report("transform", argv, mode)
     report["op"] = args.op
     if args.op in ("restrict-eo", "pad"):
+        from .transforms import pad_to_eo, restrict_eo
         sigs = _load_sigset(args.file, mode)
-        fn = transforms.restrict_eo if args.op == "restrict-eo" else transforms.pad_to_eo
+        fn = restrict_eo if args.op == "restrict-eo" else pad_to_eo
         blocks = [render_signature_block(fn(s), s.name) for s in sigs]
         text = "\n".join(blocks)
         report["signatures"] = text
         human = [text.rstrip()]
     else:
+        from .grids import load_grid_file, render_grid_text
+        from .transforms import grid_pad_single_weighted
         grid = load_grid_file(args.file, mode)
-        padded, diag = transforms.grid_pad_single_weighted(grid)
+        padded, diag = grid_pad_single_weighted(grid)
         text = render_grid_text(padded)
         report["grid"] = text
         report["balanced"] = diag.balanced

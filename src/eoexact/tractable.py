@@ -16,7 +16,7 @@ import shlex
 import subprocess
 from dataclasses import dataclass, field
 
-from . import classify, f2
+from . import f2
 from .errors import (
     EOError,
     NoAsymmetricGateFound,
@@ -62,16 +62,17 @@ def _require_closed(grid: Grid) -> Diagnostics:
     return diag
 
 
-def _certificates(grid: Grid, membership, error):
-    """Class certificates of the vertex signatures, keyed by signature, or
-    None as soon as a vertex signature is zero; a vertex outside the class
-    raises error."""
+def _certificates(grid: Grid, cls: str, error):
+    """Certificates of class cls for the vertex signatures, keyed by
+    signature, or None as soon as a vertex signature is zero; a vertex
+    outside the class raises error."""
+    from . import classify
     certs = {}
     for vid, sig in grid.vertices:
         if sig.is_zero():
             return None
         if sig not in certs:
-            got = membership(sig)
+            got = classify.membership(sig, cls)
             if isinstance(got, classify.Refutation):
                 raise error(f"vertex {vid}: {got.stage} at {got.witness}")
             certs[sig] = got
@@ -96,7 +97,7 @@ def eval_affine(grid: Grid) -> ExactValue:
 
 
 def _eval_affine(grid: Grid) -> ExactValue:
-    certs = _certificates(grid, classify.membership_affine, NonAffineVertex)
+    certs = _certificates(grid, "affine", NonAffineVertex)
     if certs is None:
         return ZERO
     # a slot reads its edge variable, xor 1 at the edge's second end
@@ -171,7 +172,7 @@ def eval_product(grid: Grid) -> ExactValue:
 
 
 def _eval_product(grid: Grid) -> ExactValue:
-    certs = _certificates(grid, classify.membership_product, NonProductVertex)
+    certs = _certificates(grid, "product", NonProductVertex)
     if certs is None:
         return ZERO
     # slot -> (mask of its group's variable, or 0 for a pin; bit read when
@@ -460,6 +461,7 @@ def eval_fpnp(grid: Grid, class_hint: str, backend=None) -> ExactValue:
     have affine support and pass the hinted class outright; the engine checks
     that, and a failure there is a soundness alarm, not a routine error.
     """
+    from . import classify
     if class_hint not in ("affine", "product"):
         raise ValueError(f"bad class hint {class_hint!r}")
     if not _require_closed(grid).all_eo:
@@ -544,6 +546,7 @@ def interpolate_delta(grid: Grid, x: ExactValue) -> ExactValue:
 
 def _binary_gates(signatures: list[Signature], max_vertices: int):
     """Yield (gate signature as BinaryDiseq, description) for all small gates."""
+    from .classify import perfect_pairings
     for size in range(1, max_vertices + 1):
         for combo in itertools.combinations_with_replacement(signatures, size):
             ports = [(v, p) for v, sig in enumerate(combo) for p in range(sig.arity)]
@@ -553,7 +556,7 @@ def _binary_gates(signatures: list[Signature], max_vertices: int):
                 for d2 in range(d1 + 1, len(ports)):
                     dangling = [ports[d1], ports[d2]]
                     rest = [s for i, s in enumerate(ports) if i not in (d1, d2)]
-                    for matching in classify.perfect_pairings(range(len(rest))):
+                    for matching in perfect_pairings(range(len(rest))):
                         edges = [(rest[i], rest[j]) for i, j in matching]
                         grid = Grid.make(
                             [(f"g{v}", sig) for v, sig in enumerate(combo)],
@@ -575,6 +578,7 @@ def reduce_single_delta(grid: Grid, gate_vertex_cap: int = 3) -> ExactValue:
     asymmetric binary gate is searched to disentangle the two orientations
     by a 2x2 linear solve.
     """
+    from .classify import symmetry_class
     _require_closed(grid)
     pins = pin_vertices(grid)
     if len(pins) != 1:
@@ -587,7 +591,7 @@ def reduce_single_delta(grid: Grid, gate_vertex_cap: int = 3) -> ExactValue:
         if sig not in distinct:
             distinct.append(sig)
     if all(sig.is_zero() or
-           classify.symmetry_class(sig).kind == "dual_symmetric"
+           symmetry_class(sig).kind == "dual_symmetric"
            for sig in distinct):
         return z3 / 2
     for bd, gate_grid in _binary_gates(distinct, gate_vertex_cap):

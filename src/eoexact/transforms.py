@@ -8,11 +8,14 @@ of single signatures and of whole grids.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from . import f2
 from .errors import MixedWeights, UnbalancedPadding
-from .grids import Grid
 from .signatures import Signature, delta0, delta1, from_entries, pin_signature, tensor
+
+if TYPE_CHECKING:
+    from .grids import Grid
 
 
 @dataclass(frozen=True)
@@ -89,6 +92,7 @@ def grid_pad_single_weighted(grid: Grid, strict: bool = False) -> tuple[Grid, Pa
     identically zero: a constant-0 grid comes back with a diagnostic, or an
     UnbalancedPadding error under strict=True.
     """
+    from .grids import Grid
     diag = PadDiagnostics(balanced=True)
     new_vertices: list[tuple[str, Signature]] = []
     port_map: dict[tuple[int, int], tuple[int, int]] = {}

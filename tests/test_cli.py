@@ -1,5 +1,7 @@
 import json
 import os
+import pathlib
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -8,6 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eoexact.cli import main
+
+FIXTURES = pathlib.Path(__file__).parent.parent / "fixtures"
 
 
 def run_cli(capsys, argv):
@@ -130,7 +134,12 @@ def test_domain_error_exit_code(workdir, capsys, tmp_path):
 
 
 @pytest.mark.parametrize("argv", [["eval", "--engine", "brute", "missing.grid"],
-                                  ["classify", "missing.sigset"]])
+                                  ["classify", "missing.sigset"],
+                                  ["prune", "missing.grid"],
+                                  ["interp", "--x", "2", "missing.grid"],
+                                  ["transform", "--op", "pad", "missing.sig"],
+                                  ["transform", "--op", "grid-pad", "missing.grid"],
+                                  ["gate", "missing.gate"]])
 def test_missing_input_file_exit_code(tmp_path, capsys, argv):
     argv = argv[:-1] + [str(tmp_path / argv[-1])]
     assert main(argv) == 1
@@ -270,14 +279,83 @@ def test_use_line_takes_absolute_paths(workdir, tmp_path, capsys):
     assert run_cli(capsys, ["gate", str(other / "abs.gate")])[0] == 0
 
 
-def test_cli_import_leaves_mpmath_unloaded():
-    import eoexact
-    src = os.path.dirname(os.path.dirname(eoexact.__file__))
-    code = "import sys, eoexact.cli; print('mpmath' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src})
+# -- each command imports only what it runs ---------------------------------------
+
+# one invocation per command path, on the shipped fixtures (run from FIXTURES)
+COMMANDS = {
+    "eval-brute": ["eval", "--engine", "brute", "deq4-closed.grid"],
+    "eval-auto": ["eval", "--engine", "auto", "deq4-closed.grid"],
+    "eval-fpnp": ["eval", "--engine", "fpnp", "deq4-closed.grid"],
+    "classify": ["classify", "m-delta1.sigset"],
+    "generate": ["generate", "neq4-1i.sig"],
+    "gate": ["gate", "loop.gate"],
+    "interp": ["interp", "pinned.grid", "--x", "2"],
+    "transform-pad": ["transform", "--op", "pad", "deq4.sig"],
+    "transform-grid-pad": ["transform", "--op", "grid-pad", "deq4-closed.grid"],
+    "prune": ["prune", "pinned.grid", "--backend",
+              "external:" + shlex.join([sys.executable, "-m", "eoexact.oracle_cli"])],
+}
+NOT_LOADED = {
+    "import": ([], {"classify", "generate", "tractable", "transforms", "grids", "gauss",
+                    "mpmath"}),
+    "gate": (COMMANDS["gate"], {"classify", "generate"}),
+    "transform-pad": (COMMANDS["transform-pad"], {"classify", "generate", "grids"}),
+    "eval-brute": (COMMANDS["eval-brute"], {"classify", "generate", "tractable"}),
+    "interp": (COMMANDS["interp"], {"classify", "generate"}),
+    "prune": (["prune", "pinned.grid", "--backend", "exhaustive"], {"classify", "generate"}),
+    "classify": (COMMANDS["classify"], {"tractable", "generate", "grids"}),
+}
+LOADED_MODULES = (
+    "import contextlib, io, sys\n"
+    "from eoexact.cli import main\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    code = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+    "print(code, *sorted(m for m in sys.modules if m.startswith('eoexact.') or m == 'mpmath'))\n")
+
+
+@pytest.mark.parametrize("argv, absent", NOT_LOADED.values(), ids=NOT_LOADED)
+def test_cli_loads_only_what_it_runs(argv, absent):
+    proc = subprocess.run([sys.executable, "-c", LOADED_MODULES, *argv], cwd=FIXTURES,
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    code, *names = proc.stdout.split()
+    assert code == "0"
+    assert not {name.removeprefix("eoexact.") for name in names} & absent
+
+
+@pytest.mark.parametrize("argv", COMMANDS.values(), ids=COMMANDS)
+def test_module_entry_matches_main(argv, capsys, monkeypatch):
+    monkeypatch.chdir(FIXTURES)
+    code = main(argv)
+    report = capsys.readouterr().out.partition("== report ==\n")[2]
+    proc = subprocess.run([sys.executable, "-m", "eoexact.cli", *argv], cwd=FIXTURES,
+                          capture_output=True, text=True)
+    assert code == 0 and report
+    assert (proc.returncode, proc.stdout.partition("== report ==\n")[2]) == (code, report)
+
+
+@pytest.mark.parametrize("argv", COMMANDS.values(), ids=COMMANDS)
+def test_bad_field_exit_code(argv, capsys, monkeypatch):
+    monkeypatch.chdir(FIXTURES)
+    monkeypatch.setenv("EO_FIELD", "zeta:x")
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: LiteralSyntaxError: bad field spec 'zeta:x'\n"
+
+
+@pytest.mark.parametrize("argv", [COMMANDS["prune"][:2], COMMANDS["eval-fpnp"]])
+def test_missing_oracle_exit_code(argv, capsys, monkeypatch):
+    monkeypatch.chdir(FIXTURES)
+    assert main(argv + ["--backend", "external:/nonexistent"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: FileNotFoundError: ")
+    assert err.count("\n") == 1
+
+
+def test_import_error_is_not_a_domain_error(monkeypatch):
+    monkeypatch.chdir(FIXTURES)
+    monkeypatch.setitem(sys.modules, "eoexact.classify", None)
+    with pytest.raises(ImportError):
+        main(COMMANDS["classify"])
 
 
 FUZZ_FILES = {
