@@ -8,10 +8,11 @@ constraint.  Grids are immutable; rewiring helpers return new grids.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import os
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import chain, count
 from math import prod
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -69,13 +70,18 @@ class Grid:
     def distinct_signatures(self) -> list[Signature]:
         return list(dict.fromkeys(sig for _, sig in self.vertices))
 
+    @functools.cached_property
+    def diagnostics(self) -> Diagnostics:
+        """validate(self), kept on the instance; not a field, so == and hash ignore it."""
+        return validate(self)
 
-@dataclass
+
+@dataclass(frozen=True)
 class Diagnostics:
     ok: bool
     closed: bool
     all_eo: bool
-    issues: list[str] = field(default_factory=list)
+    issues: tuple[str, ...] = ()
 
 
 def validate(grid: Grid) -> Diagnostics:
@@ -105,11 +111,11 @@ def validate(grid: Grid) -> Diagnostics:
             issues.append(f"vertex {vid}: {wired[vidx]} ports wired, arity {sig.arity} "
                           "(PortCountMismatch)")
     all_eo = all(sig.is_eo() for sig in grid.distinct_signatures())
-    return Diagnostics(ok=not issues, closed=grid.is_closed, all_eo=all_eo, issues=issues)
+    return Diagnostics(ok=not issues, closed=grid.is_closed, all_eo=all_eo, issues=tuple(issues))
 
 
 def require_valid(grid: Grid) -> Diagnostics:
-    diag = validate(grid)
+    diag = grid.diagnostics
     if not diag.ok:
         raise InvalidGrid("; ".join(diag.issues))
     return diag

@@ -93,10 +93,6 @@ def eval_affine(grid: Grid) -> ExactValue:
     system means the value 0.
     """
     _require_closed(grid)
-    return _eval_affine(grid)
-
-
-def _eval_affine(grid: Grid) -> ExactValue:
     certs = _certificates(grid, "affine", NonAffineVertex)
     if certs is None:
         return ZERO
@@ -168,10 +164,6 @@ def eval_product(grid: Grid) -> ExactValue:
     assignments; every other group is fixed by the particular solution.
     """
     _require_closed(grid)
-    return _eval_product(grid)
-
-
-def _eval_product(grid: Grid) -> ExactValue:
     certs = _certificates(grid, "product", NonProductVertex)
     if certs is None:
         return ZERO
@@ -396,10 +388,6 @@ def effective_support(grid: Grid, backend=None) -> EffectiveSupportReport:
     SAT witness realizes but the backend answered UNSAT is an
     OracleProtocolError."""
     _require_closed(grid)
-    return _effective_support(grid, backend)
-
-
-def _effective_support(grid: Grid, backend) -> EffectiveSupportReport:
     backend = backend or ExhaustiveOracle()
     report = EffectiveSupportReport(getattr(backend, "name", "?"))
     realized: list[set[int]] = [set() for _ in grid.vertices]  # by some SAT witness
@@ -434,11 +422,7 @@ def prune_effective(grid: Grid, backend=None) -> Grid:
     nonzero-weight assignment.
     """
     _require_closed(grid)
-    return _prune_effective(grid, backend)
-
-
-def _prune_effective(grid: Grid, backend) -> Grid:
-    report = _effective_support(grid, backend)
+    report = effective_support(grid, backend)
     out = grid
     for vidx, ((_, sig), keep) in enumerate(zip(grid.vertices, report.effective)):
         if len(keep) < len(sig.entries):  # keep is a subset of the support
@@ -479,9 +463,8 @@ def eval_fpnp(grid: Grid, class_hint: str, backend=None) -> ExactValue:
             raise PreconditionViolated(
                 f"signature {f.name or f} fails the {class_hint} pairing test")
 
-    # the pruned grid keeps the wiring validated above
-    pruned = _prune_effective(grid, backend)
-    engine = _eval_affine if class_hint == "affine" else _eval_product
+    pruned = prune_effective(grid, backend)
+    engine = eval_affine if class_hint == "affine" else eval_product
     try:
         return engine(pruned)
     except (NonAffineVertex, NonProductVertex) as exc:

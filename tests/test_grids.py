@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -62,6 +63,29 @@ def test_validate_examples():
     open_ok = Grid.make([("v", diseq(4))], [((0, 0), (0, 2))], [(0, 1), (0, 3)])
     d3 = validate(open_ok)
     assert d3.ok and not d3.closed
+
+
+def test_cached_diagnostics_leave_equality_alone():
+    checked, fresh = closed_diseq4_grid(), closed_diseq4_grid()
+    assert checked.diagnostics.ok
+    assert checked == fresh and hash(checked) == hash(fresh)
+    assert repr(checked) == repr(fresh)
+
+
+def test_bad_wiring_raises_on_every_call():
+    bad = Grid.make([("v", diseq(4))], [((0, 0), (0, 2))], [(0, 1)])
+    for _ in range(2):
+        with pytest.raises(InvalidGrid, match="ports wired"):
+            brute_force_partition(bad)
+
+
+def test_diagnostics_are_frozen():
+    diag = validate(closed_diseq4_grid())
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        diag.ok = False
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        diag.issues = ("edge 0 connects a slot to itself",)
+    assert diag.issues == ()
 
 
 def test_brute_force_examples():

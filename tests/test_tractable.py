@@ -537,17 +537,46 @@ def loop_pin_grid(f, reversed_pin=False):
 
 
 def test_eval_fpnp_validates_once(monkeypatch):
-    grid = Grid.make([(f"v{v}", diseq(4)) for v in range(4)],
-                     [((v, 2 + p), ((v + 1) % 4, p)) for v in range(4) for p in range(2)])
     calls = []
     validate = grids.validate
     monkeypatch.setattr(grids, "validate", lambda g: calls.append(g) or validate(g))
+    grid = deq4_ring([diseq(4)] * 4)
     assert eval_fpnp(grid, "affine") == V(2)
-    assert calls == [grid]
+    assert len(calls) == 1 and calls[0] is grid
     for public in (effective_support, prune_effective, eval_affine, eval_product):
-        calls.clear()
+        grid = deq4_ring([diseq(4)] * 4)
+        before = len(calls)
         public(grid)
-        assert calls == [grid]
+        public(grid)
+        assert len(calls) == before + 1 and calls[-1] is grid
+    assert len({id(g) for g in calls}) == len(calls)
+
+
+def test_eval_fpnp_goes_through_public_names(monkeypatch):
+    # the pipeline's prune and engine calls stay visible to wrappers of the
+    # module's public names
+    seen = []
+
+    def counting(name):
+        real = getattr(tractable, name)
+        return lambda *args: seen.append(name) or real(*args)
+
+    for name in ("prune_effective", "eval_affine", "eval_product"):
+        monkeypatch.setattr(tractable, name, counting(name))
+    grid = deq4_ring([diseq(4)] * 4)
+    assert eval_fpnp(grid, "affine") == V(2)
+    assert seen == ["prune_effective", "eval_affine"]
+    seen.clear()
+    assert eval_fpnp(grid, "product") == V(2)
+    assert seen == ["prune_effective", "eval_product"]
+
+
+def test_unbalanced_replacement_of_validated_grid_is_rejected():
+    grid = deq4_ring([diseq(4)] * 4)
+    assert eval_fpnp(grid, "affine") == V(2)
+    bad = grid.with_vertex_signature(1, from_entries(4, {"0111": 1, "0011": 1}))
+    with pytest.raises(PreconditionViolated, match="unbalanced support"):
+        eval_fpnp(bad, "affine")
 
 
 def test_interpolate_delta_example():
