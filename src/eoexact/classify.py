@@ -20,7 +20,7 @@ from .errors import (
     ZeroSignature,
 )
 from .f2 import AffineSpace, f2_affine_span
-from .signatures import Signature, dual, pin_pair
+from .signatures import Signature, dual
 from .values import ExactValue, I, ONE, ZERO, i_power_exponent, render_value
 
 PAIRING_ARITY_CAP = 12
@@ -484,47 +484,53 @@ def is_rebalancing(f: Signature, b: int) -> RebalanceResult:
     """Recursive partner search: every port x needs a partner y such that no
     support string puts b on both, and pinning (x, y) to (b, 1-b) leaves a
     rebalancing residual.  Zero signatures and nonzero constants rebalance.
+
+    The condition reads the support only, and a pin only selects strings, so
+    the search recurses on (arity, support) pairs and memoizes on them.
     """
     _require_eo(f)
     if b not in (0, 1):
         raise ValueError("bit must be 0 or 1")
-    memo: dict[Signature, dict | None | str] = {}
+    memo: dict[tuple[int, tuple[int, ...]], dict | None | str] = {}
 
-    def partner(sig: Signature, x: int):
+    def partner(n: int, supp: tuple[int, ...], x: int):
         """(y, residual chain) for the first port y that no support string
         sets to b together with x and whose pin leaves a rebalancing
         residual; None if there is no such port."""
-        n = sig.arity
         for y in range(n):
             both = (1 << (n - 1 - x)) | (1 << (n - 1 - y))
             clash = both if b else 0  # the strings that read b at x and at y
-            if y == x or any(m & both == clash for m in sig.support()):
+            if y == x or any(m & both == clash for m in supp):
                 continue
-            sub = rec(pin_pair(sig, x, y, f"{b}{1 - b}"))
+            pin = (1 << (n - 1 - x)) if b else (1 << (n - 1 - y))  # x=b, y=1-b
+            rest = [p for p in range(n) if p not in (x, y)]
+            sub = rec(n - 2, tuple(f2.gather(m, rest, n) for m in supp if m & both == pin))
             if sub is not None:
                 return y, sub
         return None
 
-    def rec(sig: Signature):
-        if sig in memo:
-            return memo[sig]
-        if sig.arity == 0 or sig.is_zero():
-            memo[sig] = "leaf"
+    def rec(n: int, supp: tuple[int, ...]):
+        key = (n, supp)
+        if key in memo:
+            return memo[key]
+        if n == 0 or not supp:
+            memo[key] = "leaf"
             return "leaf"
-        memo[sig] = None  # cycle guard; residuals strictly shrink, so unused
+        memo[key] = None  # cycle guard; residuals strictly shrink, so unused
         chain: dict = {}
-        for x in range(sig.arity):
-            found = partner(sig, x)
+        for x in range(n):
+            found = partner(n, supp, x)
             if found is None:
                 return None
             chain[x] = {"partner": found[0], "residual": found[1]}
-        memo[sig] = chain
+        memo[key] = chain
         return chain
 
-    result = rec(f)
+    supp = f.support()
+    result = rec(f.arity, supp)
     if result is None:
         # locate a failing port at the top level for the report
-        failing = next((x for x in range(f.arity) if partner(f, x) is None), None)
+        failing = next((x for x in range(f.arity) if partner(f.arity, supp, x) is None), None)
         return RebalanceResult(False, b, failing_port=failing)
     chain = result if result != "leaf" else {}
     return RebalanceResult(True, b, chain=chain)

@@ -7,6 +7,7 @@ from eoexact.classify import (
     AffineCertificate,
     PairingClassReport,
     ProductCertificate,
+    RebalanceResult,
     Refutation,
     dichotomy_verdict,
     diseq_embedding,
@@ -34,11 +35,17 @@ from eoexact.signatures import (
     from_entries,
     gen_diseq,
     neq2,
+    pin_pair,
     symmetric,
     tensor,
 )
 from eoexact.values import ExactValue, I, ONE
-from tests_helpers import rand_affine_signature, rand_eo_signature, rand_product_signature
+from tests_helpers import (
+    rand_affine_signature,
+    rand_eo_signature,
+    rand_nonzero_value,
+    rand_product_signature,
+)
 
 V = ExactValue.rational
 
@@ -454,6 +461,77 @@ def test_rebalancing_examples():
     r0 = is_rebalancing(g, 0)
     assert not r0.ok
     assert is_rebalancing(g, 1).ok
+
+
+def _reference_rebalancing(f: Signature, b: int) -> RebalanceResult:
+    """The partner search on Signatures: pin each pair with pin_pair and
+    memoize on the residual signature itself."""
+    memo: dict = {}
+
+    def partner(sig, x):
+        n = sig.arity
+        for y in range(n):
+            both = (1 << (n - 1 - x)) | (1 << (n - 1 - y))
+            clash = both if b else 0
+            if y == x or any(m & both == clash for m in sig.support()):
+                continue
+            sub = rec(pin_pair(sig, x, y, f"{b}{1 - b}"))
+            if sub is not None:
+                return y, sub
+        return None
+
+    def rec(sig):
+        if sig in memo:
+            return memo[sig]
+        if sig.arity == 0 or sig.is_zero():
+            memo[sig] = "leaf"
+            return "leaf"
+        memo[sig] = None
+        chain = {}
+        for x in range(sig.arity):
+            found = partner(sig, x)
+            if found is None:
+                return None
+            chain[x] = {"partner": found[0], "residual": found[1]}
+        memo[sig] = chain
+        return chain
+
+    result = rec(f)
+    if result is None:
+        failing = next((x for x in range(f.arity) if partner(f, x) is None), None)
+        return RebalanceResult(False, b, failing_port=failing)
+    return RebalanceResult(True, b, chain=result if result != "leaf" else {})
+
+
+def _balanced_sub_support(rng: random.Random, arity: int) -> list[int]:
+    strings = [m for m in range(1 << arity) if f2.is_balanced(m, arity)]
+    keep = rng.choice([len(strings), rng.randint(1, len(strings))])
+    return sorted(rng.sample(strings, keep))
+
+
+def test_rebalancing_matches_signature_reference():
+    rng = random.Random(151)
+    outcomes = set()
+    for arity in (2, 4, 6, 8, 10):
+        for _ in range({2: 4, 4: 30, 6: 30, 8: 12, 10: 4}[arity]):
+            f = Signature(arity, {m: rand_nonzero_value(rng) for m in
+                                  _balanced_sub_support(rng, arity)})
+            for b in (0, 1):
+                got = is_rebalancing(f, b)
+                assert got.to_json() == _reference_rebalancing(f, b).to_json(), (f, b)
+                outcomes.add((arity, got.ok))
+    assert {ok for _, ok in outcomes} == {True, False}
+
+
+def test_rebalancing_trace_reads_support_only():
+    rng = random.Random(152)
+    for arity in (4, 6, 8):
+        supp = _balanced_sub_support(rng, arity)
+        f = Signature(arity, {m: rand_nonzero_value(rng) for m in supp})
+        g = Signature(arity, {m: rand_nonzero_value(rng) + 7 for m in supp})
+        assert f != g
+        for b in (0, 1):
+            assert is_rebalancing(f, b).to_json() == is_rebalancing(g, b).to_json()
 
 
 def test_rebalancing_implies_gap_or_all_up():

@@ -1,14 +1,17 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from eoexact.classify import symmetry_class
+from eoexact import generate
+from eoexact.classify import pairing_count, perfect_pairings, symmetry_class
 from eoexact.errors import CoprimalityError, NotEO
 from eoexact.generate import (
     DEFAULT_ORDER_CAP,
     GeneratingState,
     LoopRecipe,
+    LoopSpec,
     PathRecipe,
     combine_roots,
     delta_realizability,
@@ -22,10 +25,12 @@ from eoexact.signatures import (
     from_entries,
     gen_diseq,
     neq2,
+    self_loop,
     symmetric,
     tensor,
 )
 from eoexact.values import ExactValue, I, ONE, ZERO
+from tests_helpers import rand_cyclotomic, rand_nonzero_value
 
 V = ExactValue.rational
 Z = ExactValue.zeta
@@ -239,3 +244,101 @@ def test_finite_group_conjugate_dual_library():
         if desc.outcome == "finite_group" and desc.order >= 3:
             rep = delta_realizability(sig)
             assert rep.consistent, (sig, rep.findings)
+
+
+# -- the loop layer against a per-combination fold -------------------------------
+
+
+def _reference_loop_layer(f, weights, state, work_cap):
+    """Every (pair, matching, weights, orientations) folded from f with
+    self_loop, then normalized; the first recipe per parameter is kept."""
+    n = f.arity
+    d = n // 2
+    out = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            rest = [p for p in range(n) if p not in (i, j)]
+            for matching in perfect_pairings(rest):
+                for combo in itertools.product(weights, repeat=d - 1):
+                    for orients in itertools.product(("ij", "ji"), repeat=d - 1):
+                        state.work += 1
+                        if state.work > work_cap:
+                            raise generate._WorkCap()
+                        g = f
+                        live = list(range(n))
+                        for (pa, pb), w, ori in zip(matching, combo, orients):
+                            g = self_loop(g, live.index(pa), live.index(pb),
+                                          BinaryDiseq(ONE, w), ori)
+                            live.remove(pa)
+                            live.remove(pb)
+                        bd = as_binary_diseq(g)
+                        if bd is None or bd.is_zero():
+                            continue
+                        param = bd.normalized()[0].b
+                        if param not in out:
+                            loops = tuple(LoopSpec(pa, pb, w, ori) for (pa, pb), w, ori
+                                          in zip(matching, combo, orients))
+                            out[param] = (LoopRecipe((i, j), loops),
+                                          ZERO if bd.a.is_zero() else bd.b / bd.a)
+    return out
+
+
+def _dense_balanced(rng, arity):
+    return from_entries(arity, {m: rand_nonzero_value(rng) for m in range(1 << arity)
+                                if bin(m).count("1") * 2 == arity})
+
+
+def _layer_cases():
+    rng = random.Random(23)
+    z8, z5 = Z(8, 1), Z(5, 1)
+    # 00 and 11 cancel when ports 2, 3 close with weight 1 and ports 0, 1 dangle
+    cancelling = from_entries(4, {"0001": 1, "0010": -1, "1101": 2, "1110": -2,
+                                  "0101": 1, "0110": 2, "1001": 3, "1010": I})
+    return [
+        (gen_diseq("01", 1, I), (ONE,)),
+        (gen_diseq("0101", 1, I), (ONE, I, V(-1), -I)),
+        (gen_diseq("011001", 2, -I), (ONE, I)),
+        (gen_diseq("01010101", 1, I), (ONE,)),
+        (gen_diseq("0101", 1, z8), (ONE, z8, z8 * z8)),
+        (gen_diseq("001101", z8, 1), (ONE, z8 ** 3)),
+        (gen_diseq("01010101", 1, z8), (ONE, z8)),
+        (gen_diseq("01", 2, z5), (ONE,)),
+        (gen_diseq("1001", 1, z5), (ONE, z5, z5 ** 4)),
+        (gen_diseq("010101", rand_cyclotomic(rng, 5), 1), (ONE, z5)),
+        (gen_diseq("01010101", z5, 3), (ONE,)),
+        (_dense_balanced(rng, 4), (ONE, I, V(2))),
+        (_dense_balanced(rng, 6), (ONE, V(-1), I)),
+        (cancelling, (ONE, V(2))),
+    ]
+
+
+def test_loop_layer_matches_reference():
+    for f, weights in _layer_cases():
+        new, ref = GeneratingState(f), GeneratingState(f)
+        got = generate._loop_layer(f, list(weights), new, generate.DEFAULT_WORK_CAP)
+        want = _reference_loop_layer(f, list(weights), ref, generate.DEFAULT_WORK_CAP)
+        assert list(got.items()) == list(want.items()), f
+        assert new.work == ref.work, f
+        assert got, f
+    # the last, cancelling case keeps the gate whose 00 and 11 entries cancel
+    assert not f.is_eo()
+    assert any(recipe.dangling == (0, 1) for recipe, _ in got.values())
+
+
+@pytest.mark.parametrize("sig", [gen_diseq("0101", 1, Z(8, 1)),
+                                 gen_diseq("011001", 1, 2),
+                                 gen_diseq("0101", 1, I)])
+def test_work_cap_matches_reference(sig, monkeypatch):
+    _, full = generating_process(sig)
+    n = sig.arity  # the first layer has the one weight 1
+    first = n * (n - 1) // 2 * pairing_count(n - 2) * 2 ** (n // 2 - 1)
+    caps = sorted({first - 1, first, first + 1, full.work - 1, full.work, full.work + 1})
+    runs = {}
+    for label, layer in (("new", generate._loop_layer), ("ref", _reference_loop_layer)):
+        monkeypatch.setattr(generate, "_loop_layer", layer)
+        runs[label] = []
+        for cap in caps:
+            desc, state = generating_process(sig, work_cap=cap)
+            runs[label].append((cap, desc.to_json(), state.work, list(state.recipes.items())))
+    assert runs["new"] == runs["ref"]
+    assert any("work cap" in desc["note"] for _, desc, _, _ in runs["new"])
