@@ -89,7 +89,7 @@ def _oracle_backend(spec: str):
 
 def _pick_auto_engine(grid: Grid) -> str:
     from . import classify
-    distinct = [s for s in grid.distinct_signatures() if not s.is_zero()]
+    distinct = [s for s in grid.signature_index.distinct if not s.is_zero()]
     if distinct and all(
             not isinstance(classify.membership_affine(s), classify.Refutation)
             for s in distinct):
@@ -120,7 +120,7 @@ def _cmd_eval(args, argv, mode):
         hint = args.cls
         if hint == "auto":
             from .classify import membership_all_pairings
-            distinct = [s for s in grid.distinct_signatures() if not s.is_zero()]
+            distinct = [s for s in grid.signature_index.distinct if not s.is_zero()]
             hint = "product" if all(
                 membership_all_pairings(s, "product").ok
                 for s in distinct) else "affine"

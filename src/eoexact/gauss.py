@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import EOError
 from .values import ExactValue, I, ONE, ZERO, as_value
 
 Affine = tuple[int, int]
@@ -41,14 +40,6 @@ class Z4Form:
 
     def add_linear(self, v: int, lam: int) -> None:
         self.lin[v] = (self.lin[v] + lam) % 4
-
-    def add_quad_pair(self, u: int, v: int) -> None:
-        """Add 2*t_u*t_v (mod 4); squares fold into the linear part."""
-        if u == v:
-            self.add_linear(u, 2)
-            return
-        self.adj[u] ^= 1 << v
-        self.adj[v] ^= 1 << u
 
     def remove_var(self, v: int) -> tuple[int, int]:
         """Drop every term of t_v; returns its linear coefficient and neighbour mask."""
@@ -94,15 +85,6 @@ class Z4Form:
             self.add_linear(y, 2 * ac)
         self.add_const(2 * ac * bc)
 
-    # -- evaluation --------------------------------------------------------------
-
-    def value_at(self, t: int) -> int:
-        acc = self.const
-        for v in _mask_bits(t):
-            # each pair inside t is counted once from either end
-            acc += self.lin[v] + (self.adj[v] & t).bit_count()
-        return acc % 4
-
 
 def _mask_bits(mask: int):
     while mask:
@@ -146,12 +128,3 @@ def gauss_sum(form: Z4Form) -> ExactValue:
                 work.add_doubled_product(solved, (nb_p, 0))
     return factor * I ** work.const
 
-
-def enumerate_sum(form: Z4Form, cap: int = 1 << 24) -> ExactValue:
-    """Brute-force reference for gauss_sum (differential testing)."""
-    if 1 << form.nvars > cap:
-        raise EOError("enumeration fallback cap exceeded")
-    acc = ZERO
-    for t in range(1 << form.nvars):
-        acc = acc + I ** form.value_at(t)
-    return acc

@@ -38,6 +38,11 @@ Slot = tuple[int, int]  # (vertex index, 0-based port)
 DEFAULT_OP_CAP = 1 << 20
 
 
+class SignatureIndex(NamedTuple):
+    distinct: tuple[Signature, ...]  # the distinct vertex signatures, first seen first
+    of_vertex: tuple[int, ...]       # each vertex's position in distinct
+
+
 @dataclass(frozen=True)
 class Grid:
     vertices: tuple[tuple[str, Signature], ...]
@@ -67,8 +72,12 @@ class Grid:
         verts[vidx] = (vid, sig)
         return replace(self, vertices=tuple(verts))
 
-    def distinct_signatures(self) -> list[Signature]:
-        return list(dict.fromkeys(sig for _, sig in self.vertices))
+    @functools.cached_property
+    def signature_index(self) -> SignatureIndex:
+        """Each vertex's distinct signature, hashed once per vertex; kept like diagnostics."""
+        pos: dict[Signature, int] = {}
+        of_vertex = tuple(pos.setdefault(sig, len(pos)) for _, sig in self.vertices)
+        return SignatureIndex(tuple(pos), of_vertex)
 
     @functools.cached_property
     def diagnostics(self) -> Diagnostics:
@@ -110,7 +119,7 @@ def validate(grid: Grid) -> Diagnostics:
         if wired[vidx] != sig.arity:
             issues.append(f"vertex {vid}: {wired[vidx]} ports wired, arity {sig.arity} "
                           "(PortCountMismatch)")
-    all_eo = all(sig.is_eo() for sig in grid.distinct_signatures())
+    all_eo = all(sig.is_eo() for sig in grid.signature_index.distinct)
     return Diagnostics(ok=not issues, closed=grid.is_closed, all_eo=all_eo, issues=tuple(issues))
 
 
@@ -126,7 +135,7 @@ class Plan(NamedTuple):
     width: int  # frontier bits open at the widest step
 
 
-def plan_contraction(grid: Grid, tables: Mapping[Signature, Mapping] | None = None) -> Plan:
+def plan_contraction(grid: Grid, tables: Sequence[Mapping] | None = None) -> Plan:
     """Compile a grid into contraction steps, one per vertex, placing first
     the vertex with most edges to placed ones, then the one with the smaller
     support, then the lowest index.
@@ -137,7 +146,8 @@ def plan_contraction(grid: Grid, tables: Mapping[Signature, Mapping] | None = No
     is (vertex, mask of the bits it closes, groups): the support strings that
     pass the vertex's self-loops, keyed by the bits they need on the closed
     edges, as (bits they open, string, weight).  The weight is the string's
-    entry in tables[signature], or in the signature itself without tables.
+    entry in tables[grid.signature_index.of_vertex[v]] for vertex v, or in
+    the signature itself without tables.
     """
     peer: dict[Slot, Slot] = {}
     for a, b in grid.edges:
@@ -151,6 +161,8 @@ def plan_contraction(grid: Grid, tables: Mapping[Signature, Mapping] | None = No
     placed = [False] * len(grid.vertices)
     heap = [(0, size[v], v) for v in range(len(grid.vertices))]
     heapq.heapify(heap)
+    index = grid.signature_index
+    tables = tables or [sig.entries for sig in index.distinct]
     steps, width = [], d
     while heap:
         neg, _, v = heapq.heappop(heap)
@@ -180,7 +192,7 @@ def plan_contraction(grid: Grid, tables: Mapping[Signature, Mapping] | None = No
                 score[u] += 1
                 heapq.heappush(heap, (-score[u], size[u], u))
         groups: dict[int, list[tuple[int, int, object]]] = {}
-        for s, w in (sig.entries if tables is None else tables[sig]).items():
+        for s, w in tables[index.of_vertex[v]].items():
             if loops and not all((s & m) not in (0, m) for m in loops):
                 continue
             read = out = 0
@@ -227,15 +239,14 @@ def _collapse(grid: Grid, cap: int) -> Signature:
     product of their weights.  The pass carries raw numerators: each
     distinct signature is scaled once by the lcm of its denominators, and
     each final entry is divided once by the product of those lcms."""
-    sigs = grid.distinct_signatures()
-    arm = RawArm(w for sig in sigs for w in sig.entries.values())
-    tables, scale = {}, {}
-    for sig in sigs:
-        tables[sig], scale[sig] = arm.numerators(sig.entries)
+    index = grid.signature_index
+    arm = RawArm(w for sig in index.distinct for w in sig.entries.values())
+    raw = [arm.numerators(sig.entries) for sig in index.distinct]
     frontier = {0: arm.one}
-    for frontier in frontier_pass(plan_contraction(grid, tables), frontier, arm.mul_add, cap):
+    for frontier in frontier_pass(plan_contraction(grid, [t for t, _ in raw]), frontier,
+                                  arm.mul_add, cap):
         pass
-    den = prod(scale[sig] for _, sig in grid.vertices)
+    den = prod(raw[k][1] for k in index.of_vertex)
     return Signature(len(grid.dangling), {k: arm.value(v, den) for k, v in frontier.items()})
 
 
@@ -355,32 +366,14 @@ def load_grid_file(path, mode: FieldMode = GAUSS_MODE) -> Grid:
 
 def render_grid_text(grid: Grid) -> str:
     """Self-contained grid file: inline signature blocks, then the wiring."""
-    blocks: list[str] = []
-    sig_names: dict[int, str] = {}
-    seen: dict[Signature, str] = {}
-    for vidx, (vid, sig) in enumerate(grid.vertices):
-        if sig in seen:
-            sig_names[vidx] = seen[sig]
-            continue
-        name = f"s{len(seen)}"
-        seen[sig] = name
-        sig_names[vidx] = name
-        blocks.append(render_signature_block(sig, name))
+    index = grid.signature_index
+    blocks = [render_signature_block(sig, f"s{k}") for k, sig in enumerate(index.distinct)]
     lines = ["\n".join(blocks)] if blocks else []
-    for vidx, (vid, _) in enumerate(grid.vertices):
-        lines.append(f"vertex {vid} {sig_names[vidx]}")
+    for (vid, _), k in zip(grid.vertices, index.of_vertex):
+        lines.append(f"vertex {vid} s{k}")
     for (va, pa), (vb, pb) in grid.edges:
         lines.append(f"edge {grid.vertices[va][0]}.{pa + 1} {grid.vertices[vb][0]}.{pb + 1}")
     for (v, p) in grid.dangling:
         lines.append(f"dangle {grid.vertices[v][0]}.{p + 1}")
     return "\n".join(lines) + "\n"
 
-
-def join_gates(f: Signature, g: Signature, l: int) -> Grid:
-    """Open grid joining the last l ports of f to the first l ports of g."""
-    if l < 0 or l > f.arity or l > g.arity:
-        raise InvalidGrid("bad join width")
-    edges = [((0, f.arity - l + t), (1, t)) for t in range(l)]
-    dangling = [(0, p) for p in range(f.arity - l)] + \
-        [(1, p) for p in range(l, g.arity)]
-    return Grid.make([("f", f), ("g", g)], edges, dangling)

@@ -17,9 +17,7 @@ from . import f2
 from .errors import (
     ArityMismatch,
     CapExceeded,
-    EOError,
     LiteralSyntaxError,
-    NotEO,
     PortError,
     ZeroSignature,
 )
@@ -221,30 +219,6 @@ def neq2() -> Signature:
     return diseq(2).with_name("neq2")
 
 
-def build_named(kind: str, *args, eo: bool = False, **kwargs) -> Signature:
-    """Dispatch constructor for the standard signatures."""
-    if kind == "equality":
-        return equality(*args)
-    if kind == "diseq":
-        return diseq(*args)
-    if kind == "gen_diseq":
-        alpha = args[0]
-        if eo:
-            n, mask = f2.string_to_mask(alpha)
-            if not f2.is_balanced(mask, n):
-                raise NotEO(f"support string {alpha} is not balanced")
-        return gen_diseq(*args, **kwargs)
-    if kind == "symmetric":
-        return symmetric(*args)
-    if kind == "delta0":
-        return delta0()
-    if kind == "delta1":
-        return delta1()
-    if kind == "pin":
-        return pin_signature()
-    raise EOError(f"unknown signature kind {kind!r}")
-
-
 # -- calculus -----------------------------------------------------------------
 
 
@@ -311,16 +285,6 @@ def permute(f: Signature, perm: Sequence[int]) -> Signature:
     if sorted(perm) != list(range(k)):
         raise PortError(f"bad permutation {perm!r}")
     return Signature(k, {f2.gather(m, perm, k): v for m, v in f.entries.items()})
-
-
-def signature_matrix(f: Signature, split: int) -> list[list[ExactValue]]:
-    """2^split x 2^(k-split) matrix; rows indexed by x_1..x_split."""
-    k = f.arity
-    if not 0 <= split <= k:
-        raise PortError(f"bad split {split} for arity {k}")
-    cols = 1 << (k - split)
-    return [[f.value((r << (k - split)) | c) for c in range(cols)]
-            for r in range(1 << split)]
 
 
 # -- signature files ----------------------------------------------------------

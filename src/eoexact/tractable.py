@@ -45,7 +45,6 @@ from .signatures import (
     BinaryDiseq,
     Signature,
     as_binary_diseq,
-    diseq,
     from_entries,
     neq2,
     pin_signature,
@@ -63,19 +62,19 @@ def _require_closed(grid: Grid) -> Diagnostics:
 
 
 def _certificates(grid: Grid, cls: str, error):
-    """Certificates of class cls for the vertex signatures, keyed by
-    signature, or None as soon as a vertex signature is zero; a vertex
-    outside the class raises error."""
+    """Certificates of class cls by position in grid.signature_index.distinct,
+    or None as soon as a vertex signature is zero; a vertex outside the class
+    raises error.  Vertices are read in order, each signature once."""
     from . import classify
-    certs = {}
-    for vid, sig in grid.vertices:
-        if sig.is_zero():
-            return None
-        if sig not in certs:
+    certs = [None] * len(grid.signature_index.distinct)
+    for (vid, sig), k in zip(grid.vertices, grid.signature_index.of_vertex):
+        if certs[k] is None:
+            if sig.is_zero():
+                return None
             got = classify.membership(sig, cls)
             if isinstance(got, classify.Refutation):
                 raise error(f"vertex {vid}: {got.stage} at {got.witness}")
-            certs[sig] = got
+            certs[k] = got
     return certs
 
 
@@ -102,13 +101,14 @@ def eval_affine(grid: Grid) -> ExactValue:
         slot_edge[sa] = (eidx, 0)
         slot_edge[sb] = (eidx, 1)
 
-    checks = {sig: cert.space.parity_checks() for sig, cert in certs.items()}
+    of_vertex = grid.signature_index.of_vertex
+    checks = [cert.space.parity_checks() for cert in certs]
     equations: list[tuple[int, int]] = []
-    for vidx, (vid, sig) in enumerate(grid.vertices):
-        n = sig.arity
-        for h in checks[sig]:
+    for vidx, k in enumerate(of_vertex):
+        n = certs[k].arity
+        for h in checks[k]:
             mask = 0
-            const = f2.dot(h, certs[sig].space.offset)
+            const = f2.dot(h, certs[k].space.offset)
             for p in range(n):
                 if f2.bit_at(h, p, n):
                     eidx, side = slot_edge[(vidx, p)]
@@ -128,10 +128,10 @@ def eval_affine(grid: Grid) -> ExactValue:
             edge_mask[e] |= 1 << t
             vec ^= 1 << e
     total = Z4Form(len(basis))
-    for vidx, (vid, sig) in enumerate(grid.vertices):
-        cert = certs[sig]
+    for vidx, k in enumerate(of_vertex):
+        cert = certs[k]
         # local coordinate i reads the pivot port of basis row i, less the offset
-        n = sig.arity
+        n = cert.arity
         coords = []
         for b in cert.space.basis:
             port = n - 1 - (b.bit_length() - 1)
@@ -144,8 +144,8 @@ def eval_affine(grid: Grid) -> ExactValue:
             if mu:
                 total.add_doubled_product(coords[i], coords[j])
     result = _gauss_sum(total)
-    for vid, sig in grid.vertices:
-        result = result * certs[sig].lam
+    for k in of_vertex:
+        result = result * certs[k].lam
     return result
 
 
@@ -172,8 +172,8 @@ def eval_product(grid: Grid) -> ExactValue:
     slot_expr: dict[Slot, tuple[int, int]] = {}
     weights: list[tuple[ExactValue, ExactValue]] = []
     total = ONE
-    for vidx, (vid, sig) in enumerate(grid.vertices):
-        cert = certs[sig]
+    for vidx, k in enumerate(grid.signature_index.of_vertex):
+        cert = certs[k]
         total = total * cert.lam
         for port, bit in cert.pins:
             slot_expr[(vidx, port)] = (0, bit)
@@ -375,9 +375,6 @@ class EffectiveSupportReport:
     backend: str
     effective: list[set[int]] = field(default_factory=list)  # per vertex index
 
-    def effective_masks(self, vertex: int) -> list[int]:
-        return sorted(self.effective[vertex])
-
 
 def effective_support(grid: Grid, backend=None) -> EffectiveSupportReport:
     """Find the effective strings of every vertex, vertex by vertex.  A
@@ -450,7 +447,7 @@ def eval_fpnp(grid: Grid, class_hint: str, backend=None) -> ExactValue:
         raise ValueError(f"bad class hint {class_hint!r}")
     if not _require_closed(grid).all_eo:
         raise PreconditionViolated("grid carries a signature with unbalanced support")
-    distinct = grid.distinct_signatures()
+    distinct = grid.signature_index.distinct
     if any(f.is_zero() for f in distinct):
         return ZERO
     triples = [classify.triple_class(f) for f in distinct]
@@ -567,12 +564,10 @@ def reduce_single_delta(grid: Grid, gate_vertex_cap: int = 3) -> ExactValue:
     if len(pins) != 1:
         raise EOError(f"expected exactly one pin occurrence, found {len(pins)}")
     vpin = pins[0]
-    others = [sig for i, (_, sig) in enumerate(grid.vertices) if i != vpin]
     z3 = brute_force_partition(grid.with_vertex_signature(vpin, neq2()))
-    distinct = []
-    for sig in others:
-        if sig not in distinct:
-            distinct.append(sig)
+    # the pin is the only vertex carrying its signature
+    index = grid.signature_index
+    distinct = [sig for k, sig in enumerate(index.distinct) if k != index.of_vertex[vpin]]
     if all(sig.is_zero() or
            symmetry_class(sig).kind == "dual_symmetric"
            for sig in distinct):
@@ -586,21 +581,3 @@ def reduce_single_delta(grid: Grid, gate_vertex_cap: int = 3) -> ExactValue:
     raise NoAsymmetricGateFound(
         f"no asymmetric binary gate with at most {gate_vertex_cap} vertices")
 
-
-def realize_delta_copies(k: int) -> Grid:
-    """Open gate turning one pin plus one disequality into k parallel pins.
-
-    Wiring one pin across a (2k+2)-ary disequality forces one whole side to
-    each bit; the 2k leftover ports, interleaved, carry exactly the k-fold
-    tensor power of the pin.
-    """
-    if k < 1:
-        raise EOError("need a positive number of pin copies")
-    big = diseq(2 * k + 2)
-    verts = [("p", pin_signature()), ("d", big)]
-    edges = [((0, 0), (1, 0)), ((0, 1), (1, k + 1))]
-    dangling = []
-    for t in range(1, k + 1):
-        dangling.append((1, k + 1 + t))
-        dangling.append((1, t))
-    return Grid.make(verts, edges, dangling)

@@ -17,6 +17,7 @@ they denote the same algebraic number; a session fixes one N and sticks to it
 from __future__ import annotations
 
 import re as _re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -157,6 +158,9 @@ def _meet(n: int | None, m: int | None) -> int | None:
     if m % n == 0:
         return m
     raise FieldMismatch(f"incompatible cyclotomic orders {n} and {m}")
+
+
+_HASH_P, _HASH_INF = sys.hash_info.modulus, sys.hash_info.inf
 
 
 class ExactValue:
@@ -342,8 +346,15 @@ class ExactValue:
     def __hash__(self) -> int:
         if self._n is None:
             a, b, d = self._co
-            # A real value hashes like the int or Fraction it equals.
-            return hash(Fraction(a, d)) if b == 0 else hash(self._co)
+            if b:
+                return hash(self._co)
+            if d == 1:
+                return hash(a)
+            # A real value hashes like the Fraction a/d it equals: CPython's
+            # rational hash, |a| / d modulo the hash prime, signed like a (the
+            # interpreter turns a returned -1 into -2, as it does for Fraction).
+            h = _HASH_INF if d % _HASH_P == 0 else abs(a) * pow(d, -1, _HASH_P) % _HASH_P
+            return h if a >= 0 else -h
         return hash((self._n, self._co))
 
     def __repr__(self) -> str:

@@ -1,0 +1,35 @@
+"""The traced benchmark (perfbench/tracing.py) wraps library functions by
+module and name, and perfbench reads Signature.values.  These tests load the
+benchmark's module from its file, unchanged, and check that every name it
+looks up still resolves, so that deleting or renaming one fails here rather
+than only in a traced benchmark run."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+from eoexact.signatures import Signature, diseq
+from eoexact.values import ONE, ZERO, ExactValue
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_resolves():
+    tracing = load_tracing()
+    missing = [f"eoexact.{module}.{name}"
+               for module, names in tracing.SPAN_GROUPS.values() for name in names
+               if not callable(getattr(importlib.import_module(f"eoexact.{module}"), name, None))]
+    assert missing == []
+    assert [op for op in tracing.VALUE_OPS if not hasattr(ExactValue, op)] == []
+
+
+def test_signature_values_is_kept():
+    assert isinstance(Signature.__dict__["values"], property)
+    assert diseq(2).values == (ZERO, ONE, ONE, ZERO)

@@ -3,8 +3,9 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eoexact.gauss import Z4Form, enumerate_sum, gauss_sum
+from eoexact.gauss import Z4Form, gauss_sum
 from eoexact.values import ExactValue, I
+from tests_helpers import add_quad_pair, enumerate_sum, form_value_at
 
 V = ExactValue.rational
 
@@ -17,7 +18,7 @@ def rand_form(rng, nvars):
     for u in range(nvars):
         for v in range(u + 1, nvars):
             if rng.random() < 0.4:
-                form.add_quad_pair(u, v)
+                add_quad_pair(form, u, v)
     return form
 
 
@@ -52,7 +53,7 @@ def test_affine_lift_matches_xor():
         form.add_affine_lift(mask, cbit, scale)
         for t in range(1 << n):
             xor = bin(t & mask).count("1") % 2 ^ cbit
-            assert form.value_at(t) == (scale * xor) % 4
+            assert form_value_at(form, t) == (scale * xor) % 4
 
 
 def test_doubled_product_matches_and():
@@ -66,7 +67,7 @@ def test_doubled_product_matches_and():
         for t in range(1 << n):
             va = bin(t & a[0]).count("1") % 2 ^ a[1]
             vb = bin(t & b[0]).count("1") % 2 ^ b[1]
-            assert form.value_at(t) == (2 * va * vb) % 4
+            assert form_value_at(form, t) == (2 * va * vb) % 4
 
 
 def rand_mask(rng, nvars):
@@ -113,7 +114,7 @@ def test_gauss_sum_vs_enumeration_hypothesis(data):
     for u in range(n):
         for v in range(u + 1, n):
             if data.draw(st.booleans()):
-                form.add_quad_pair(u, v)
+                add_quad_pair(form, u, v)
     assert gauss_sum(form) == enumerate_sum(form)
 
 

@@ -16,7 +16,6 @@ from eoexact.grids import (
     Grid,
     brute_force_partition,
     gate_signature,
-    join_gates,
     load_grid_file,
     parse_grid_text,
     plan_contraction,
@@ -31,17 +30,18 @@ from eoexact.signatures import (
     neq2,
     pin_signature,
     self_loop,
-    signature_matrix,
     tensor,
 )
 from eoexact.values import ExactValue, I, ONE, ZERO
 from tests_helpers import (
     dense_torus,
     enumerate_reference,
+    join_gates,
     rand_cyclotomic,
     rand_value,
     rand_wired_grid,
     reweighted,
+    signature_matrix,
 )
 
 V = ExactValue.rational
@@ -68,8 +68,22 @@ def test_validate_examples():
 def test_cached_diagnostics_leave_equality_alone():
     checked, fresh = closed_diseq4_grid(), closed_diseq4_grid()
     assert checked.diagnostics.ok
+    assert checked.signature_index.distinct == (diseq(4),)
     assert checked == fresh and hash(checked) == hash(fresh)
     assert repr(checked) == repr(fresh)
+
+
+def test_signature_index():
+    # first-seen order, equal signatures shared whatever their names, kept
+    # on the grid, and built afresh for a grid with a replaced vertex
+    a, b = diseq(4), gen_diseq("0011", 1, 2)
+    grid = Grid.make([("x", b), ("y", a), ("z", b), ("w", a.with_name("other"))])
+    index = grid.signature_index
+    assert index == ((b, a), (0, 1, 0, 1)) and index.distinct[1] is a
+    assert grid.signature_index is index
+    swapped = grid.with_vertex_signature(0, a)
+    assert swapped.signature_index == ((a, b), (0, 0, 1, 0))
+    assert grid.signature_index is index
 
 
 def test_bad_wiring_raises_on_every_call():

@@ -7,7 +7,6 @@ from eoexact.signatures import (
     BinaryDiseq,
     Signature,
     as_binary_diseq,
-    build_named,
     delta0,
     delta1,
     diseq,
@@ -23,11 +22,11 @@ from eoexact.signatures import (
     pin_signature,
     render_signature_block,
     self_loop,
-    signature_matrix,
     symmetric,
     tensor,
 )
 from eoexact.values import I, ONE, ZERO, ExactValue
+from tests_helpers import signature_matrix
 
 V = ExactValue.rational
 
@@ -42,21 +41,21 @@ def rand_eo_signature(rng, arity, density=0.7):
 
 
 def test_build_named_examples():
-    d4 = build_named("diseq", 4)
+    d4 = diseq(4)
     assert d4.support_strings() == ("0011", "1100")
     assert d4.value_at("1100") == ONE and d4.value_at("0011") == ONE
 
-    d0 = build_named("symmetric", [1, 0])
+    d0 = symmetric([1, 0])
     assert d0 == delta0()
     assert d0.support_strings() == ("0",)
 
-    g = build_named("gen_diseq", "0101", 1, -1)
+    g = gen_diseq("0101", 1, -1)
     assert g.value_at("0101") == ONE
     assert g.value_at("1010") == V(-1)
     assert len(g.support()) == 2
 
     with pytest.raises(ArityMismatch):
-        build_named("symmetric", [])
+        symmetric([])
 
 
 def test_only_nonzero_entries_are_stored():

@@ -17,6 +17,7 @@ from eoexact.errors import (
 from eoexact.grids import Grid, brute_force_partition, gate_signature
 from eoexact.signatures import (
     BinaryDiseq,
+    Signature,
     delta0,
     diseq,
     from_entries,
@@ -36,7 +37,6 @@ from eoexact.tractable import (
     eval_product,
     interpolate_delta,
     prune_effective,
-    realize_delta_copies,
     reduce_single_delta,
     support_oracle,
 )
@@ -49,6 +49,7 @@ from tests_helpers import (
     rand_eo_signature,
     rand_product_signature,
     rand_wired_grid,
+    realize_delta_copies,
 )
 
 V = ExactValue.rational
@@ -145,6 +146,51 @@ def test_eval_product_examples():
         eval_product(Grid.make(
             [("v", from_entries(4, {"1100": 1, "1010": 1, "1001": 1}))],
             [((0, 0), (0, 2)), ((0, 1), (0, 3))]))
+
+
+@pytest.mark.parametrize("engine, error, outside", [
+    (eval_affine, NonAffineVertex, gen_diseq("0011", 1, 2)),
+    (eval_product, NonProductVertex, from_entries(4, {"1100": 1, "1010": 1, "1001": 1})),
+], ids=["affine", "product"])
+def test_first_occurrence_decides_refusal_or_zero(engine, error, outside):
+    # vertices are read in order: whichever of an outside signature and a
+    # zero one comes first decides, and a refusal names the first vertex
+    # carrying the outside signature
+    zero = from_entries(4, {})
+    with pytest.raises(error, match="^vertex v1: "):
+        engine(deq4_ring([diseq(4), outside, zero, outside]))
+    assert engine(deq4_ring([diseq(4), zero, outside, zero])) == ZERO
+
+
+def unit_deq4_ring(n):
+    """Ring of n deq4 vertices weighted by seeded powers of i (affine and product)."""
+    rng = random.Random(n)
+    units = [ONE, I, V(-1), -I]
+    return deq4_ring([from_entries(4, {"0011": rng.choice(units), "1100": rng.choice(units)})
+                      for _ in range(n)])
+
+
+def cut_open(grid):
+    """The grid with its last two edges cut into four dangling slots."""
+    return Grid.make(grid.vertices, grid.edges[:-2], [s for e in grid.edges[-2:] for s in e])
+
+
+@pytest.mark.parametrize("run, make", [
+    (brute_force_partition, unit_deq4_ring),
+    (gate_signature, lambda n: cut_open(unit_deq4_ring(n))),
+    (eval_affine, unit_deq4_ring),
+    (eval_product, unit_deq4_ring),
+], ids=["brute", "gate", "affine", "product"])
+def test_signatures_hashed_once_per_grid(monkeypatch, run, make):
+    grid = make(128)
+    calls = []
+    real = Signature.__hash__
+    monkeypatch.setattr(Signature, "__hash__", lambda sig: calls.append(sig) or real(sig))
+    first = run(grid)
+    assert len(calls) <= len(grid.vertices)
+    calls.clear()
+    assert run(grid) == first
+    assert calls == []
 
 
 def test_eval_product_matches_brute_force():
@@ -482,7 +528,7 @@ def test_effective_triples_stay_one_sided():
         grid = rand_closed_grid(rng, [f], max_vertices=4, max_edges=8)
         report = effective_support(grid)
         for vidx, (vid, sig) in enumerate(grid.vertices):
-            eff = set(report.effective_masks(vidx))
+            eff = sorted(report.effective[vidx])
             supp = set(sig.support())
             for a in eff:
                 for b in eff:

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -73,6 +74,25 @@ def test_hash_agrees_with_eq():
     assert {Fraction(-2, 6): "q"}[V(Fraction(-1, 3))] == "q"
     assert hash(G(-7, 0)) == hash(-7) and hash(ZERO) == hash(0)
     assert hash(G(1, 2)) == hash(G(Fraction(2, 2), 2))
+
+
+def test_real_hash_matches_fraction_and_int():
+    P, inf = sys.hash_info.modulus, sys.hash_info.inf
+    rng = random.Random(16)
+    edge = (0, 1, 2, P - 1, P, P + 1, P + 2, 2 * P, 3 * P + 3)
+    pairs = [(sign * a, d) for a in edge for sign in (1, -1)
+             for d in (1, 2, 3, P - 1, P, P + 1, 2 * P, 3 * P + 3)]
+    pairs += [(rng.randint(-10 ** 30, 10 ** 30), rng.randint(1, 10 ** rng.randint(1, 30)))
+              for _ in range(3000)]
+    for a, d in pairs:
+        q = Fraction(a, d)
+        assert hash(V(q)) == hash(q), (a, d)
+        if q.denominator == 1:
+            assert hash(V(q)) == hash(q.numerator), (a, d)
+    assert hash(V(Fraction(1, P))) == inf       # a denominator divisible by the modulus
+    assert hash(V(Fraction(-1, 2 * P))) == -inf
+    assert hash(V(Fraction(-(P + 2), 2))) == -2  # the rational hash -1 maps to -2
+    assert hash(V(-1)) == hash(-1) == -2
 
 
 @pytest.mark.parametrize("bad", [0.1, 0.5, "1/2", 1j])

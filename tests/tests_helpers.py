@@ -1,4 +1,5 @@
-"""Shared randomized generators for the test suite (deterministic via seeds)."""
+"""Shared randomized generators for the test suite (deterministic via seeds),
+and the reference constructions the tests check the library against."""
 
 from __future__ import annotations
 
@@ -6,9 +7,11 @@ import random
 from fractions import Fraction
 
 from eoexact import f2
+from eoexact.errors import EOError, InvalidGrid, PortError
 from eoexact.f2 import AffineSpace
+from eoexact.gauss import Z4Form
 from eoexact.grids import Grid
-from eoexact.signatures import Signature, from_entries
+from eoexact.signatures import Signature, diseq, from_entries, pin_signature
 from eoexact.values import ExactValue, I, ONE, ZERO, euler_phi
 
 V = ExactValue.rational
@@ -166,11 +169,11 @@ def rand_wired_grid(rng: random.Random, max_vertices: int = 5, max_vars: int = 1
 def reweighted(grid: Grid, rng: random.Random, draw) -> Grid:
     """The grid with each distinct signature's entries redrawn by draw(rng),
     on the same support (a draw of zero drops its string)."""
-    new = {}
-    for _, sig in grid.vertices:
-        if sig not in new:
-            new[sig] = from_entries(sig.arity, {m: draw(rng) for m in sig.support()})
-    return Grid.make([(vid, new[sig]) for vid, sig in grid.vertices], grid.edges, grid.dangling)
+    index = grid.signature_index
+    new = [from_entries(sig.arity, {m: draw(rng) for m in sig.support()})
+           for sig in index.distinct]
+    return Grid.make([(vid, new[k]) for (vid, _), k in zip(grid.vertices, index.of_vertex)],
+                     grid.edges, grid.dangling)
 
 
 def dense_torus(side: int, rng: random.Random) -> Grid:
@@ -218,3 +221,73 @@ def enumerate_reference(grid: Grid) -> tuple[Signature, list[set[int]]]:
             for seen, m in zip(reached, masks):
                 seen.add(m)
     return Signature(d, entries), reached
+
+
+# -- reference constructions ---------------------------------------------------
+
+
+def add_quad_pair(form: Z4Form, u: int, v: int) -> None:
+    """Add 2*t_u*t_v (mod 4) to the form; squares fold into the linear part."""
+    if u == v:
+        form.add_linear(u, 2)
+        return
+    form.adj[u] ^= 1 << v
+    form.adj[v] ^= 1 << u
+
+
+def form_value_at(form: Z4Form, t: int) -> int:
+    """The form's value mod 4 at the assignment t (bit v is t_v)."""
+    acc = form.const
+    for v in range(t.bit_length()):
+        if t >> v & 1:
+            # each pair inside t is counted once from either end
+            acc += form.lin[v] + (form.adj[v] & t).bit_count()
+    return acc % 4
+
+
+def enumerate_sum(form: Z4Form, cap: int = 1 << 24) -> ExactValue:
+    """Brute-force reference for gauss_sum: i^form(t) summed over every t."""
+    if 1 << form.nvars > cap:
+        raise EOError("enumeration fallback cap exceeded")
+    acc = ZERO
+    for t in range(1 << form.nvars):
+        acc = acc + I ** form_value_at(form, t)
+    return acc
+
+
+def signature_matrix(f: Signature, split: int) -> list[list[ExactValue]]:
+    """2^split x 2^(k-split) matrix; rows indexed by x_1..x_split."""
+    k = f.arity
+    if not 0 <= split <= k:
+        raise PortError(f"bad split {split} for arity {k}")
+    cols = 1 << (k - split)
+    return [[f.value((r << (k - split)) | c) for c in range(cols)]
+            for r in range(1 << split)]
+
+
+def join_gates(f: Signature, g: Signature, l: int) -> Grid:
+    """Open grid joining the last l ports of f to the first l ports of g."""
+    if l < 0 or l > f.arity or l > g.arity:
+        raise InvalidGrid("bad join width")
+    edges = [((0, f.arity - l + t), (1, t)) for t in range(l)]
+    dangling = [(0, p) for p in range(f.arity - l)] + \
+        [(1, p) for p in range(l, g.arity)]
+    return Grid.make([("f", f), ("g", g)], edges, dangling)
+
+
+def realize_delta_copies(k: int) -> Grid:
+    """Open gate turning one pin plus one disequality into k parallel pins.
+
+    Wiring one pin across a (2k+2)-ary disequality forces one whole side to
+    each bit; the 2k leftover ports, interleaved, carry exactly the k-fold
+    tensor power of the pin.
+    """
+    if k < 1:
+        raise EOError("need a positive number of pin copies")
+    verts = [("p", pin_signature()), ("d", diseq(2 * k + 2))]
+    edges = [((0, 0), (1, 0)), ((0, 1), (1, k + 1))]
+    dangling = []
+    for t in range(1, k + 1):
+        dangling.append((1, k + 1 + t))
+        dangling.append((1, t))
+    return Grid.make(verts, edges, dangling)
