@@ -127,4 +127,3 @@ def gauss_sum(form: Z4Form) -> ExactValue:
                 work.add_affine_lift(*solved, lam_p)
                 work.add_doubled_product(solved, (nb_p, 0))
     return factor * I ** work.const
-

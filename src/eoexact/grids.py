@@ -376,4 +376,3 @@ def render_grid_text(grid: Grid) -> str:
     for (v, p) in grid.dangling:
         lines.append(f"dangle {grid.vertices[v][0]}.{p + 1}")
     return "\n".join(lines) + "\n"
-

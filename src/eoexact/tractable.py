@@ -580,4 +580,3 @@ def reduce_single_delta(grid: Grid, gate_vertex_cap: int = 3) -> ExactValue:
             return (z4 - bd.b * z3) / (bd.a - bd.b)
     raise NoAsymmetricGateFound(
         f"no asymmetric binary gate with at most {gate_vertex_cap} vertices")
-
