@@ -264,7 +264,6 @@ def generating_process(f: Signature,
     state = GeneratingState(f)
     state.recipes[ONE] = None
     current: dict[ExactValue, Recipe | None] = {ONE: None}
-    orders: dict[ExactValue, int] = {ONE: 1}
     lcm_history: list[int] = [1]
 
     for step in range(1, max_steps + 1):
@@ -273,6 +272,9 @@ def generating_process(f: Signature,
         except _WorkCap:
             return _cap_outcome(state, lcm_history, "loop enumeration work cap"), state
         layer_params = []
+        # The closure is the cyclic group spanned by the previous closure and
+        # this round's roots, so its order is the lcm of their orders.
+        group_order = lcm_history[-1]
         for param, (recipe, raw_ratio) in layer.items():
             if param.is_zero():
                 state.recipes[ZERO] = recipe
@@ -290,7 +292,7 @@ def generating_process(f: Signature,
                 state.recipes.setdefault(param, recipe)
                 return _cap_outcome(state, lcm_history,
                                     f"root order beyond cap {order_cap}"), state
-            orders[param] = ro.order
+            group_order = lcm(group_order, ro.order)
             layer_params.append(param)
             state.recipes.setdefault(param, recipe)
         merged = dict(current)
@@ -303,12 +305,6 @@ def generating_process(f: Signature,
         for p in closed:
             if p not in state.recipes:
                 state.recipes[p] = closed[p]
-            if p not in orders:
-                ro = root_order(p, max(order_cap, len(closed) + 1))
-                orders[p] = ro.order if ro.is_root else 0
-        group_order = 1
-        for p in closed:
-            group_order = lcm(group_order, orders.get(p, 1) or 1)
         state.steps.append(GenerationStep(
             step, tuple(sorted(layer.keys(), key=str)),
             tuple(sorted(closed.keys(), key=str)), group_order))

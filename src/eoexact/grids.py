@@ -277,8 +277,7 @@ def chain_gate(chain: Sequence[Signature]) -> Signature:
 
 
 def parse_grid_text(text: str, base_dir: str = ".",
-                    mode: FieldMode = GAUSS_MODE,
-                    extra_signatures: dict[str, Signature] | None = None) -> Grid:
+                    mode: FieldMode = GAUSS_MODE) -> Grid:
     """Parse the line-based grid format.
 
     Directives: ``use <signature-file>``, ``vertex <id> <signature-name>``,
@@ -287,8 +286,6 @@ def parse_grid_text(text: str, base_dir: str = ".",
     self-contained.  ``#`` starts a comment.
     """
     names: dict[str, Signature] = dict(BUILTIN_SIGNATURES)
-    if extra_signatures:
-        names.update(extra_signatures)
     vertices: list[tuple[str, Signature]] = []
     vertex_index: dict[str, int] = {}
     edges: list[tuple[Slot, Slot]] = []

@@ -28,66 +28,59 @@ def parse_clauses(text: str) -> tuple[list[list[int]], int]:
 
 
 def solve(clauses: list[list[int]], nvars: int) -> dict[int, bool] | None:
-    assign: dict[int, bool] = {}
+    """DPLL in one loop: unit propagation in passes over the clauses, in
+    order, until a fixed point; then decide the lowest unassigned variable,
+    false first.
 
-    def value(lit: int) -> bool | None:
-        v = assign.get(abs(lit))
-        if v is None:
-            return None
-        return v if lit > 0 else not v
-
-    def propagate() -> list[int] | None:
-        """Unit propagation; returns trail of variables set, None on conflict."""
-        trail: list[int] = []
+    ``trail`` lists the assigned variables in order and ``decisions`` holds
+    the trail positions of the decisions still at false.  A conflict undoes
+    the trail back to the newest of them and flips it to true; when none is
+    left the clauses are unsatisfiable.  ``clauses`` is only read, and its
+    literals lie within ``nvars``, as ``parse_clauses`` gives them.
+    """
+    value: list[bool | None] = [None] * (nvars + 1)
+    trail: list[int] = []
+    decisions: list[int] = []
+    while True:
+        conflict = False
         changed = True
-        while changed:
+        while changed and not conflict:
             changed = False
             for clause in clauses:
-                unassigned = None
-                satisfied = False
                 count = 0
                 for lit in clause:
-                    val = value(lit)
-                    if val is True:
-                        satisfied = True
-                        break
+                    val = value[abs(lit)]
                     if val is None:
-                        unassigned = lit
                         count += 1
-                if satisfied:
-                    continue
-                if count == 0:
-                    for v in trail:
-                        del assign[v]
-                    return None
-                if count == 1:
-                    assign[abs(unassigned)] = unassigned > 0
-                    trail.append(abs(unassigned))
-                    changed = True
-        return trail
-
-    def dfs() -> bool:
-        trail = propagate()
-        if trail is None:
-            return False
-        var = next((v for v in range(1, nvars + 1) if v not in assign), None)
+                        unit = lit
+                    elif val == (lit > 0):
+                        break
+                else:
+                    if count == 0:
+                        conflict = True
+                        break
+                    if count == 1:
+                        value[abs(unit)] = unit > 0
+                        trail.append(abs(unit))
+                        changed = True
+        if conflict:
+            if not decisions:
+                return None
+            mark = decisions.pop()
+            for var in trail[mark + 1:]:
+                value[var] = None
+            del trail[mark + 1:]
+            value[trail[mark]] = True
+            continue
+        var = next((v for v in range(1, nvars + 1) if value[v] is None), None)
         if var is None:
-            return True
-        for choice in (False, True):
-            assign[var] = choice
-            if dfs():
-                return True
-            del assign[var]
-        for v in trail:
-            del assign[v]
-        return False
-
-    if dfs():
-        return {v: assign.get(v, False) for v in range(1, nvars + 1)}
-    return None
+            return {v: value[v] for v in range(1, nvars + 1)}
+        decisions.append(len(trail))
+        value[var] = False
+        trail.append(var)
 
 
-def main(argv: list[str] | None = None) -> int:
+def main() -> int:
     text = sys.stdin.read()
     try:
         clauses, nvars = parse_clauses(text)

@@ -675,6 +675,8 @@ def parse_value(text: str, mode: FieldMode = GAUSS_MODE) -> ExactValue:
             idx += 1
             expect_term = True
             continue
+        if not expect_term:
+            raise LiteralSyntaxError(f"missing '+' or '-' between terms in {text!r}")
         coeff = 1
         atom: ExactValue | None = None
         if _RAT.match(tok):

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -29,7 +30,7 @@ from eoexact.signatures import (
     symmetric,
     tensor,
 )
-from eoexact.values import ExactValue, I, ONE, ZERO
+from eoexact.values import ExactValue, I, ONE, ZERO, root_order
 from tests_helpers import rand_cyclotomic, rand_nonzero_value
 
 V = ExactValue.rational
@@ -342,3 +343,27 @@ def test_work_cap_matches_reference(sig, monkeypatch):
             runs[label].append((cap, desc.to_json(), state.work, list(state.recipes.items())))
     assert runs["new"] == runs["ref"]
     assert any("work cap" in desc["note"] for _, desc, _, _ in runs["new"])
+
+
+def test_order_lcm_is_lcm_of_closure_root_orders():
+    # each round's group order, taken from the generators, equals the lcm of
+    # root_order over every element of that round's closure
+    rng = random.Random(29)
+    sigs = [f for f, _ in _layer_cases()]
+    for _ in range(24):
+        pattern = rng.choice(["01", "0101", "0110", "1001", "001011", "011001"])
+        n = rng.choice([2, 4, 8, 12, 5])
+        sigs.append(gen_diseq(pattern, Z(n, rng.randrange(n)), Z(n, rng.randrange(n))))
+    nontrivial = 0
+    for f in sigs:
+        if not f.is_eo() or f.arity < 2 or f.arity % 2:
+            continue
+        _, state = generating_process(f)
+        for step in state.steps:
+            cap = max(DEFAULT_ORDER_CAP, len(step.closure_params) + 1)
+            want = 1
+            for p in step.closure_params:
+                want = lcm(want, root_order(p, cap).order)
+            assert step.order_lcm == want, (f, step)
+            nontrivial += want > 1
+    assert nontrivial >= 10

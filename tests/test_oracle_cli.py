@@ -1,4 +1,6 @@
+import copy
 import os
+import random
 import subprocess
 import sys
 
@@ -6,6 +8,9 @@ import pytest
 
 import eoexact
 from eoexact.oracle_cli import parse_clauses, solve
+from eoexact.signatures import diseq, from_entries, gen_diseq, neq2, pin_signature
+from eoexact.tractable import encode_support_query
+from tests_helpers import rand_closed_grid, reference_solve
 
 
 def run_oracle(text):
@@ -78,6 +83,70 @@ def test_solver_on_random_instances():
             assert got is not None
             for clause in clauses:
                 assert any(got[abs(l)] == (l > 0) for l in clause)
+
+
+def random_cnf(rng):
+    """0-12 variables, widths 1-4; literals drawn with replacement, so
+    clauses repeat literals and hold tautologies."""
+    nvars = rng.randint(0, 12)
+    if nvars == 0:
+        return [], 0
+    clauses = []
+    for _ in range(rng.randint(0, 3 * nvars + 4)):
+        clause = [rng.choice([1, -1]) * rng.randint(1, nvars)
+                  for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.1:
+            clause.append(rng.choice(clause))
+        if rng.random() < 0.1:
+            clause.append(-rng.choice(clause))
+        clauses.append(clause)
+    return clauses, nvars
+
+
+def assert_same_as_reference(clauses, nvars):
+    snapshot = copy.deepcopy(clauses)
+    got = solve(clauses, nvars)
+    assert clauses == snapshot
+    assert got == reference_solve(clauses, nvars), (clauses, nvars)
+    return got
+
+
+def test_solve_matches_reference_on_random_cnfs():
+    rng = random.Random(17)
+    cases = [([], 0)] + [random_cnf(rng) for _ in range(1500)]
+    assert any(len(set(c)) < len(c) for cs, _ in cases for c in cs)
+    assert any(-l in c for cs, _ in cases for c in cs for l in c)
+    answers = [assert_same_as_reference(c, n) for c, n in cases]
+    assert answers.count(None) > 100 and len(answers) - answers.count(None) > 100
+
+
+def test_solve_matches_reference_on_support_queries():
+    # the pool of the backend-agreement acceptance test
+    rng = random.Random(19)
+    pool = [diseq(4), gen_diseq("0101", 1, 2), neq2(),
+            from_entries(4, {"0011": 1, "0101": 1, "1010": 1}),
+            pin_signature()]
+    answers = []
+    for _ in range(120):
+        grid = rand_closed_grid(rng, pool, max_vertices=4, max_edges=10)
+        for vidx, (_, sig) in enumerate(grid.vertices):
+            for m in sig.support():
+                answers.append(assert_same_as_reference(
+                    *parse_clauses(encode_support_query(grid, vidx, m))))
+    assert answers.count(None) > 10 and len(answers) - answers.count(None) > 10
+
+
+def test_solve_has_no_depth_limit():
+    model = solve([[1000]], 1000)
+    assert model == {v: v == 1000 for v in range(1, 1001)}
+
+
+def test_cli_answers_deep_query():
+    code, line = run_oracle("1000\n")
+    assert code == 0
+    lits = line.split()
+    assert lits[0] == "SAT" and len(lits) == 1001
+    assert lits[-1] == "1000"
 
 
 def test_import_stays_light():

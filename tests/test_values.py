@@ -434,6 +434,22 @@ def test_literal_parse_zeta():
         parse_value("z3^1", mode)
 
 
+def test_literal_juxtaposed_terms_rejected():
+    mode = FieldMode.parse("zeta:8")
+    for text in ("i i", "ii", "i2", "z8z8", "z8^1 i", "1+i 2"):
+        with pytest.raises(LiteralSyntaxError, match="between terms"):
+            parse_value(text, mode)
+    # One coefficient times one atom is still a single term, and signs may
+    # lead or repeat.
+    assert parse_value("2i", mode) == G(0, 2)
+    assert parse_value("2 i", mode) == G(0, 2)
+    assert parse_value("1/2i", mode) == G(0, Fraction(1, 2))
+    assert parse_value("3*z8^1", mode) == V(3) * Z(8, 1)
+    assert parse_value("+3", mode) == V(3)
+    assert parse_value("--3", mode) == V(3)
+    assert parse_value("3+-2", mode) == ONE
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(-20, 20), st.integers(-20, 20),
        st.integers(1, 9), st.integers(1, 9))

@@ -291,3 +291,66 @@ def realize_delta_copies(k: int) -> Grid:
         dangling.append((1, k + 1 + t))
         dangling.append((1, t))
     return Grid.make(verts, edges, dangling)
+
+
+def reference_solve(clauses: list[list[int]], nvars: int) -> dict[int, bool] | None:
+    """The recursive DPLL that ``oracle_cli.solve`` replaced, kept as its
+    reference: the same propagation passes and the same decision order, so
+    both return the same model or ``None`` on every input."""
+    assign: dict[int, bool] = {}
+
+    def value(lit: int) -> bool | None:
+        v = assign.get(abs(lit))
+        if v is None:
+            return None
+        return v if lit > 0 else not v
+
+    def propagate() -> list[int] | None:
+        """Unit propagation; returns trail of variables set, None on conflict."""
+        trail: list[int] = []
+        changed = True
+        while changed:
+            changed = False
+            for clause in clauses:
+                unassigned = None
+                satisfied = False
+                count = 0
+                for lit in clause:
+                    val = value(lit)
+                    if val is True:
+                        satisfied = True
+                        break
+                    if val is None:
+                        unassigned = lit
+                        count += 1
+                if satisfied:
+                    continue
+                if count == 0:
+                    for v in trail:
+                        del assign[v]
+                    return None
+                if count == 1:
+                    assign[abs(unassigned)] = unassigned > 0
+                    trail.append(abs(unassigned))
+                    changed = True
+        return trail
+
+    def dfs() -> bool:
+        trail = propagate()
+        if trail is None:
+            return False
+        var = next((v for v in range(1, nvars + 1) if v not in assign), None)
+        if var is None:
+            return True
+        for choice in (False, True):
+            assign[var] = choice
+            if dfs():
+                return True
+            del assign[var]
+        for v in trail:
+            del assign[v]
+        return False
+
+    if dfs():
+        return {v: assign.get(v, False) for v in range(1, nvars + 1)}
+    return None
