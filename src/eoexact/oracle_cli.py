@@ -12,6 +12,12 @@ from __future__ import annotations
 import sys
 
 
+# The solver allocates one slot per variable up to the largest literal, so a
+# larger variable is refused before anything is allocated; it is far above
+# any grid the engines can handle (one variable per edge).
+MAX_VARIABLE = 1 << 20
+
+
 def parse_clauses(text: str) -> tuple[list[list[int]], int]:
     clauses: list[list[int]] = []
     nvars = 0
@@ -22,6 +28,8 @@ def parse_clauses(text: str) -> tuple[list[list[int]], int]:
         lits = [int(tok) for tok in line.split()]
         if any(l == 0 for l in lits):
             raise ValueError("literal 0 is not allowed")
+        if any(abs(l) > MAX_VARIABLE for l in lits):
+            raise ValueError(f"variable above the limit {MAX_VARIABLE}")
         clauses.append(lits)
         nvars = max(nvars, max(abs(l) for l in lits))
     return clauses, nvars

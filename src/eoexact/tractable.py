@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import shlex
 import subprocess
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import f2
@@ -78,6 +79,26 @@ def _certificates(grid: Grid, cls: str, error):
     return certs
 
 
+def _set_bits(mask: int) -> list[int]:
+    """Positions of the set bits of mask, lowest first."""
+    text = bin(mask)[:1:-1]
+    out = []
+    pos = text.find("1")
+    while pos >= 0:
+        out.append(pos)
+        pos = text.find("1", pos + 1)
+    return out
+
+
+def _power_product(values: list[ExactValue], counts: Counter, flip: int = 0) -> ExactValue:
+    """The product of values[key ^ flip] ** count over the counted keys: one
+    power per distinct key, however often it occurs."""
+    total = ONE
+    for key, count in counts.items():
+        total = total * values[key ^ flip] ** count
+    return total
+
+
 # ---------------------------------------------------------------------------
 # affine-class engine
 # ---------------------------------------------------------------------------
@@ -89,31 +110,40 @@ def eval_affine(grid: Grid) -> ExactValue:
     Support constraints become one F2 linear system over edge variables; the
     i-exponents, written in the free variables of its solution, add up to
     one Z4 quadratic form, summed exactly by gauss_sum.  An infeasible
-    system means the value 0.
+    system means the value 0.  Each certificate's parity checks and
+    coordinates are read once per distinct signature, and its scale is
+    raised to the number of vertices carrying it.
     """
     _require_closed(grid)
     certs = _certificates(grid, "affine", NonAffineVertex)
     if certs is None:
         return ZERO
-    # a slot reads its edge variable, xor 1 at the edge's second end
-    slot_edge: dict[Slot, tuple[int, int]] = {}
-    for eidx, (sa, sb) in enumerate(grid.edges):
-        slot_edge[sa] = (eidx, 0)
-        slot_edge[sb] = (eidx, 1)
-
+    # per certificate: each parity check as (ports, constant), each local
+    # coordinate as (pivot port of its basis row, offset bit there)
+    checks, coords = [], []
+    for cert in certs:
+        n, offset = cert.arity, cert.space.offset
+        checks.append([([p for p in range(n) if f2.bit_at(h, p, n)], f2.dot(h, offset))
+                       for h in cert.space.parity_checks()])
+        pivots = [n - b.bit_length() for b in cert.space.basis]
+        coords.append([(p, f2.bit_at(offset, p, n)) for p in pivots])
     of_vertex = grid.signature_index.of_vertex
-    checks = [cert.space.parity_checks() for cert in certs]
+    # slot[start[v] + p] is 2 * edge, plus 1 at the edge's second end, which
+    # reads the edge variable xor 1
+    start = list(itertools.accumulate((certs[k].arity for k in of_vertex), initial=0))
+    slot = [0] * start[-1]
+    for eidx, ((va, pa), (vb, pb)) in enumerate(grid.edges):
+        slot[start[va] + pa] = 2 * eidx
+        slot[start[vb] + pb] = 2 * eidx + 1
+
     equations: list[tuple[int, int]] = []
-    for vidx, k in enumerate(of_vertex):
-        n = certs[k].arity
-        for h in checks[k]:
+    for s, k in zip(start, of_vertex):
+        for ports, const in checks[k]:
             mask = 0
-            const = f2.dot(h, certs[k].space.offset)
-            for p in range(n):
-                if f2.bit_at(h, p, n):
-                    eidx, side = slot_edge[(vidx, p)]
-                    mask ^= 1 << eidx
-                    const ^= side
+            for p in ports:
+                e = slot[s + p]
+                mask ^= 1 << (e >> 1)
+                const ^= e & 1
             equations.append((mask, const))
     solved = f2.solve_linear_system(equations, len(grid.edges))
     if solved is None:
@@ -123,30 +153,22 @@ def eval_affine(grid: Grid) -> ExactValue:
     # each edge variable as an affine function of the free variables
     edge_mask = [0] * len(grid.edges)
     for t, vec in enumerate(basis):
-        while vec:
-            e = vec.bit_length() - 1
+        for e in _set_bits(vec):
             edge_mask[e] |= 1 << t
-            vec ^= 1 << e
+    edge_const = [int(c) for c in f"{particular:0{len(grid.edges)}b}"[::-1]]
     total = Z4Form(len(basis))
-    for vidx, k in enumerate(of_vertex):
+    for s, k in zip(start, of_vertex):
         cert = certs[k]
-        # local coordinate i reads the pivot port of basis row i, less the offset
-        n = cert.arity
-        coords = []
-        for b in cert.space.basis:
-            port = n - 1 - (b.bit_length() - 1)
-            eidx, side = slot_edge[(vidx, port)]
-            const = ((particular >> eidx) & 1) ^ side ^ f2.bit_at(cert.space.offset, port, n)
-            coords.append((edge_mask[eidx], const))
-        for (mask, const), lam in zip(coords, cert.lin):
+        xs = []
+        for p, off in coords[k]:
+            e = slot[s + p]
+            xs.append((edge_mask[e >> 1], edge_const[e >> 1] ^ (e & 1) ^ off))
+        for (mask, const), lam in zip(xs, cert.lin):
             total.add_affine_lift(mask, const, lam)
         for i, j, mu in cert.quad:
             if mu:
-                total.add_doubled_product(coords[i], coords[j])
-    result = _gauss_sum(total)
-    for k in of_vertex:
-        result = result * certs[k].lam
-    return result
+                total.add_doubled_product(xs[i], xs[j])
+    return _gauss_sum(total) * _power_product([c.lam for c in certs], Counter(of_vertex))
 
 
 # ---------------------------------------------------------------------------
@@ -162,52 +184,57 @@ def eval_product(grid: Grid) -> ExactValue:
     f2.solve_linear_system.  Each free basis vector of the solution is one
     connected set of groups, which contributes the sum of its two
     assignments; every other group is fixed by the particular solution.
+    Weights are counted by (distinct signature, group, bit) and each one is
+    raised to its count, as is each certificate's scale.
     """
     _require_closed(grid)
     certs = _certificates(grid, "product", NonProductVertex)
     if certs is None:
         return ZERO
-    # slot -> (mask of its group's variable, or 0 for a pin; bit read when
-    # that variable is 0)
-    slot_expr: dict[Slot, tuple[int, int]] = {}
-    weights: list[tuple[ExactValue, ExactValue]] = []
-    total = ONE
-    for vidx, k in enumerate(grid.signature_index.of_vertex):
-        cert = certs[k]
-        total = total * cert.lam
+    # weights[key + b]: weight of one certificate group when its leader bit
+    # is b, key even; ports[k][p]: (mask of port p's group among certificate
+    # k's groups, or 0 for a pin; bit read when that group's variable is 0)
+    weights: list[ExactValue] = []
+    ports: list[list[tuple[int, int]]] = []
+    group_keys: list[list[int]] = []
+    for cert in certs:
+        local = [(0, 0)] * cert.arity
         for port, bit in cert.pins:
-            slot_expr[(vidx, port)] = (0, bit)
-        for grp in cert.groups:
-            var = 1 << len(weights)
-            weights.append((grp.w0, grp.w1))
+            local[port] = (0, bit)
+        keys = []
+        for j, grp in enumerate(cert.groups):
+            keys.append(len(weights))
+            weights += (grp.w0, grp.w1)
             for port, parity in zip(grp.ports, grp.parities):
-                slot_expr[(vidx, port)] = (var, parity)
+                local[port] = (1 << j, parity)
+        ports.append(local)
+        group_keys.append(keys)
+    of_vertex = grid.signature_index.of_vertex
+    first: list[int] = []    # per vertex: the variable of its first group
+    var_key: list[int] = []  # per variable: its group's key
+    for k in of_vertex:
+        first.append(len(var_key))
+        var_key += group_keys[k]
     equations = []
-    for sa, sb in grid.edges:
-        ma, pa = slot_expr[sa]
-        mb, pb = slot_expr[sb]
-        equations.append((ma ^ mb, pa ^ pb ^ 1))
-    solved = f2.solve_linear_system(equations, len(weights))
+    for (va, pa), (vb, pb) in grid.edges:
+        ma, ba = ports[of_vertex[va]][pa]
+        mb, bb = ports[of_vertex[vb]][pb]
+        equations.append(((ma << first[va]) ^ (mb << first[vb]), ba ^ bb ^ 1))
+    solved = f2.solve_linear_system(equations, len(var_key))
     if solved is None:
         return ZERO
     particular, basis = solved
 
-    fixed = (1 << len(weights)) - 1
+    # each variable's weight key under the particular solution
+    bits = f"{particular:0{len(var_key)}b}"[::-1]
+    key = [k + (b == "1") for k, b in zip(var_key, bits)]
+    total = _power_product([c.lam for c in certs], Counter(of_vertex))
+    fixed = (1 << len(var_key)) - 1
     for vec in basis:
         fixed ^= vec
-        same = other = ONE
-        while vec:
-            g = vec.bit_length() - 1
-            bit = (particular >> g) & 1
-            same = same * weights[g][bit]
-            other = other * weights[g][bit ^ 1]
-            vec ^= 1 << g
-        total = total * (same + other)
-    while fixed:
-        g = fixed.bit_length() - 1
-        total = total * weights[g][(particular >> g) & 1]
-        fixed ^= 1 << g
-    return total
+        counts = Counter(key[v] for v in _set_bits(vec))
+        total = total * (_power_product(weights, counts) + _power_product(weights, counts, 1))
+    return total * _power_product(weights, Counter(key[v] for v in _set_bits(fixed)))
 
 
 # ---------------------------------------------------------------------------

@@ -311,12 +311,19 @@ class ExactValue:
     def __pow__(self, k: int) -> ExactValue:
         if k < 0:
             return self.inverse() ** (-k)
-        result = ONE
+        if k == 0:
+            return ONE
+        # the lowest set bit seeds the result; squares stop at the top bit
         base = self
+        while not k & 1:
+            base = base * base
+            k >>= 1
+        result = base
+        k >>= 1
         while k:
+            base = base * base
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
         return result
 
@@ -612,22 +619,25 @@ class FieldMode:
 
 GAUSS_MODE = FieldMode("gauss")
 
-_TOKEN = _re.compile(r"(\d+(?:/\d+)?|z\d+(?:\^\d+)?|i|[+*-])")
+_TOKEN = _re.compile(r"\s*(\d+(?:/\d+)?|z\d+(?:\^\d+)?|i|[+*-])")
 _RAT = _re.compile(r"\A\d+(?:/\d+)?\Z")
 _ZLIT = _re.compile(r"\Az(\d+)(?:\^(\d+))?\Z")
 
 
 def _tokenize(text: str) -> list[str]:
-    stripped = "".join(text.split())
-    if not stripped:
+    """Numbers, atoms and operators; whitespace may separate tokens but never
+    lies inside one, so "2 3" is two numbers, not 23."""
+    end = len(text.rstrip())
+    if not end:
         raise LiteralSyntaxError("empty value literal")
     pos = 0
     out = []
-    while pos < len(stripped):
-        m = _TOKEN.match(stripped, pos)
+    while pos < end:
+        m = _TOKEN.match(text, pos, end)
         if not m:
-            raise LiteralSyntaxError(f"bad value literal {text!r} at {stripped[pos:]!r}")
-        out.append(m.group(0))
+            raise LiteralSyntaxError(
+                f"bad value literal {text!r} at {text[pos:end].lstrip()!r}")
+        out.append(m.group(1))
         pos = m.end()
     return out
 
@@ -655,7 +665,7 @@ def _atom(tok: str, mode: FieldMode) -> ExactValue:
 
 
 def parse_value(text: str, mode: FieldMode = GAUSS_MODE) -> ExactValue:
-    """Parse a value literal; whitespace-insensitive."""
+    """Parse a value literal; whitespace may stand between tokens, not inside one."""
     toks = _tokenize(text)
     total = ZERO
     sign = 1
@@ -691,7 +701,7 @@ def parse_value(text: str, mode: FieldMode = GAUSS_MODE) -> ExactValue:
                     raise LiteralSyntaxError(f"dangling '*' in {text!r}")
                 atom = _atom(toks[idx], mode)
                 idx += 1
-            elif idx < len(toks) and toks[idx] not in "+-":
+            elif idx < len(toks) and toks[idx] not in "+-" and not _RAT.match(toks[idx]):
                 atom = _atom(toks[idx], mode)
                 idx += 1
         else:

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import eoexact
-from eoexact.oracle_cli import parse_clauses, solve
+from eoexact.oracle_cli import MAX_VARIABLE, parse_clauses, solve
 from eoexact.signatures import diseq, from_entries, gen_diseq, neq2, pin_signature
 from eoexact.tractable import encode_support_query
 from tests_helpers import rand_closed_grid, reference_solve
@@ -147,6 +147,17 @@ def test_cli_answers_deep_query():
     lits = line.split()
     assert lits[0] == "SAT" and len(lits) == 1001
     assert lits[-1] == "1000"
+
+
+def test_variable_above_limit_fails_before_allocating():
+    with pytest.raises(ValueError, match="limit"):
+        parse_clauses(f"1\n-{MAX_VARIABLE + 1} 2\n")
+    assert parse_clauses(f"{MAX_VARIABLE}\n")[1] == MAX_VARIABLE
+    # one tiny clause naming a huge variable: a one-line error, not a 10^8-slot list
+    proc = subprocess.run([sys.executable, "-m", "eoexact.oracle_cli"],
+                          input="100000000\n", capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 2
+    assert proc.stdout.startswith("ERROR ") and len(proc.stdout.splitlines()) == 1
 
 
 def test_import_stays_light():

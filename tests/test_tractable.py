@@ -234,6 +234,90 @@ def test_eval_product_several_components():
     assert eval_product(grid) == want == brute_force_partition(grid)
 
 
+SCALES = [V(2), V(3), ExactValue.gauss(1, 1), ExactValue.gauss(2, -1), ExactValue.zeta(8, 1),
+          ExactValue.zeta(8, 3) * V(2), ExactValue.zeta(8, 1) + ONE]
+
+
+def scaled(sig, factor, unary=None):
+    """sig times factor, and times unary[p] at every port p reading 1."""
+    entries = {}
+    for m, w in sig.entries.items():
+        w = w * factor
+        for p in range(sig.arity):
+            if unary and f2.bit_at(m, p, sig.arity):
+                w = w * unary[p]
+        entries[m] = w
+    return from_entries(sig.arity, entries)
+
+
+def class_pool(rng, cls, arity):
+    """Two or three distinct nonzero signatures of one arity in the class, with
+    non-unit Gaussian and Q(zeta_8) weights (unary twists keep product class).
+    Mostly their supports hold 0..01..1, which a ring of them can read at every
+    vertex, so that not every ring is infeasible."""
+    pool = []
+    size = rng.choice([2, 3])
+    base = (1 << arity // 2) - 1
+    while len(pool) < size:
+        if cls == "affine":
+            sig = scaled(rand_affine_signature(rng, arity), rng.choice(SCALES))
+        else:
+            sig = scaled(rand_product_signature(rng, arity), rng.choice(SCALES),
+                         [rng.choice(SCALES) for _ in range(arity)])
+        if sig not in pool and (base in sig.entries or rng.random() < 0.2):
+            pool.append(sig)
+    return pool
+
+
+def ring_of(rng, pool, length):
+    """Ring of signatures drawn from pool: the upper half of v's ports meets the
+    lower half of v+1's (a one-vertex ring closes on itself)."""
+    half = pool[0].arity // 2
+    sigs = [rng.choice(pool) for _ in range(length)]
+    edges = [((v, half + p), ((v + 1) % length, p)) for v in range(length) for p in range(half)]
+    return Grid.make([(f"v{v}", sig) for v, sig in enumerate(sigs)], edges)
+
+
+@pytest.mark.parametrize("cls, engine", [("affine", eval_affine), ("product", eval_product)])
+def test_engines_match_brute_force_on_repeated_signatures(cls, engine):
+    rng = random.Random(89)
+    heads_to_heads = Grid.make([("p", pin_signature()), ("q", pin_signature())],
+                               [((0, 0), (1, 0)), ((0, 1), (1, 1))])
+    zeros = nonzeros = 0
+    for _ in range(24):
+        parts = []
+        for _ in range(rng.randint(1, 3)):
+            pool = class_pool(rng, cls, rng.choice([2, 4]))
+            if pool[0].arity == 2 and rng.random() < 0.5:
+                pool.append(pin_signature())
+            parts.append(ring_of(rng, pool, rng.randint(1, 40)))
+        if rng.random() < 0.15:
+            parts.append(heads_to_heads)  # an inconsistent system: Z = 0
+        grid = disjoint_union(*parts)
+        got = engine(grid)
+        assert got == brute_force_partition(grid)
+        zeros += got.is_zero()
+        nonzeros += not got.is_zero()
+    assert zeros >= 3 and nonzeros >= 3
+
+
+@pytest.mark.parametrize("engine", [eval_affine, eval_product])
+def test_engines_multiply_once_per_distinct_factor(monkeypatch, engine):
+    rng = random.Random(97)
+    # weights in both classes: each ratio is a power of i
+    zeta = ExactValue.zeta(8, 1)
+    pool = [from_entries(4, {"0011": w, "1100": w * r}) for w, r in
+            [(V(2), I), (ExactValue.gauss(1, 1), -I), (zeta, ONE), (zeta + 1, V(-1))]]
+    grid = deq4_ring([rng.choice(pool) for _ in range(512)])
+    assert len(grid.signature_index.distinct) == 4
+    want = brute_force_partition(grid)
+    calls = []
+    real = ExactValue.__mul__
+    monkeypatch.setattr(ExactValue, "__mul__", lambda a, b: calls.append(1) or real(a, b))
+    assert engine(grid) == want
+    assert len(calls) < 200  # 1 000 or more when each vertex is one product
+
+
 # -- support oracle ---------------------------------------------------------------
 
 

@@ -327,6 +327,31 @@ def test_norm_expansion_identity(a, b):
     assert lhs == rhs
 
 
+@pytest.mark.parametrize("base", [G(2, 0), G(1, 1), G(Fraction(3, 2), -2), I,
+                                  Z(8, 1), Z(8, 1) + V(1), V(3) * Z(8, 3) - V(Fraction(1, 2)),
+                                  Z(5, 2) + V(2)],
+                         ids=["2", "1+i", "3/2-2i", "i", "z8", "1+z8", "3z8^3-1/2", "2+z5^2"])
+def test_pow_matches_repeated_multiplication(base, monkeypatch):
+    want = ONE
+    for k in range(34):
+        assert base ** k == want
+        if k:
+            assert base ** -k == want.inverse()
+        want = want * base
+    # square-and-multiply: bit_length - 1 squarings and popcount - 1 products
+    calls = []
+    real = ExactValue.__mul__
+    monkeypatch.setattr(ExactValue, "__mul__", lambda a, b: calls.append(1) or real(a, b))
+    for k in (1, 2, 3, 256, 1000):
+        calls.clear()
+        got = base ** k
+        assert len(calls) == k.bit_length() - 1 + bin(k).count("1") - 1
+    assert got == base ** 488 * base ** 512
+    assert V(0) ** 0 == ONE and V(0) ** 5 == ZERO
+    with pytest.raises(ZeroDivisionError):
+        V(0) ** -1
+
+
 def test_compare_abs():
     assert compare_abs(V(2), V(-3)) == -1
     assert compare_abs(G(3, 4), V(5)) == 0
@@ -448,6 +473,21 @@ def test_literal_juxtaposed_terms_rejected():
     assert parse_value("+3", mode) == V(3)
     assert parse_value("--3", mode) == V(3)
     assert parse_value("3+-2", mode) == ONE
+
+
+def test_literal_whitespace_separates_tokens():
+    mode = FieldMode.parse("zeta:8")
+    # a space never joins two numbers, nor a number to an exponent
+    for text in ("2 3", "1/2 3", "z8^1 2", "1 2/3", "2 2i"):
+        with pytest.raises(LiteralSyntaxError, match="between terms"):
+            parse_value(text, mode)
+    for text in ("z 8", "1/ 2", "z8^ 1", "3 /4"):
+        with pytest.raises(LiteralSyntaxError, match="bad value literal"):
+            parse_value(text, mode)
+    assert parse_value("1 + i", mode) == G(1, 1)
+    assert parse_value(" 2 ", mode) == V(2)
+    assert parse_value("\t-  1/2 +\n3 * z8^2 ", mode) == G(Fraction(-1, 2), 3)
+    assert parse_value("3*z8^2", mode) == G(0, 3)
 
 
 @settings(max_examples=60, deadline=None)
