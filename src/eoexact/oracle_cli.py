@@ -43,12 +43,17 @@ def solve(clauses: list[list[int]], nvars: int) -> dict[int, bool] | None:
     ``trail`` lists the assigned variables in order and ``decisions`` holds
     the trail positions of the decisions still at false.  A conflict undoes
     the trail back to the newest of them and flips it to true; when none is
-    left the clauses are unsatisfiable.  ``clauses`` is only read, and its
-    literals lie within ``nvars``, as ``parse_clauses`` gives them.
+    left the clauses are unsatisfiable.  Every variable below ``cursor`` is
+    assigned, so the scan for the next decision resumes there; a backtrack
+    sets it to the decision it flips, since every variable below that
+    decision was assigned before it and stays so.  ``clauses`` is only
+    read, and its literals lie within ``nvars``, as ``parse_clauses`` gives
+    them.
     """
     value: list[bool | None] = [None] * (nvars + 1)
     trail: list[int] = []
     decisions: list[int] = []
+    cursor = 1
     while True:
         conflict = False
         changed = True
@@ -78,14 +83,16 @@ def solve(clauses: list[list[int]], nvars: int) -> dict[int, bool] | None:
             for var in trail[mark + 1:]:
                 value[var] = None
             del trail[mark + 1:]
-            value[trail[mark]] = True
+            cursor = trail[mark]
+            value[cursor] = True
             continue
-        var = next((v for v in range(1, nvars + 1) if value[v] is None), None)
-        if var is None:
+        while cursor <= nvars and value[cursor] is not None:
+            cursor += 1
+        if cursor > nvars:
             return {v: value[v] for v in range(1, nvars + 1)}
         decisions.append(len(trail))
-        value[var] = False
-        trail.append(var)
+        value[cursor] = False
+        trail.append(cursor)
 
 
 def main() -> int:

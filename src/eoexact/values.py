@@ -23,6 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .errors import (
     EmptyInput,
@@ -67,16 +68,6 @@ def _divmod_monic(num, den) -> tuple[list[int], list[int]]:
     return quot, num[:dd] + [0] * (dd - len(num))
 
 
-def _poly_mul(a, b) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, p in enumerate(a):
-        if p:
-            for j, q in enumerate(b):
-                if q:
-                    out[i + j] += p * q
-    return out
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_coeffs(n: int) -> tuple[int, ...]:
     """Integer coefficients (ascending) of the n-th cyclotomic polynomial.
@@ -94,18 +85,61 @@ def cyclotomic_coeffs(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def _reduce(n: int, nums) -> list[int]:
-    """The int vector nums reduced modulo the n-th cyclotomic polynomial."""
-    return _divmod_monic(nums, cyclotomic_coeffs(n))[1]
+class _Field(NamedTuple):
+    """What arithmetic in Q(zeta_n) needs of its order; its size is the
+    number of terms of Phi_n, never a phi(n)-square table."""
+
+    n: int
+    phi: int
+    i_pos: int  # position of i in the power basis: n/4 when 4 | n, else 0
+    # (j - phi, e) for each nonzero term e*x^j of Phi_n below x^phi: a
+    # coefficient c at position k >= phi folds away as c*e subtracted at k + j - phi
+    terms: tuple[tuple[int, int], ...]
 
 
-def _galois(n: int, nums, k: int) -> list[int]:
+@lru_cache(maxsize=None)
+def _field(n: int) -> _Field:
+    phi = cyclotomic_coeffs(n)
+    k = len(phi) - 1
+    return _Field(n, k, n // 4 if n % 4 == 0 else 0,
+                  tuple((j - k, e) for j, e in enumerate(phi[:k]) if e))
+
+
+def _reduce(field: _Field, nums: list[int]) -> list[int]:
+    """The int list nums, of any length, reduced in place modulo Phi_n,
+    top-down with no quotient; returned."""
+    _, k, _, terms = field
+    for i in range(len(nums) - 1, k - 1, -1):
+        c = nums[i]
+        if c:
+            for j, e in terms:
+                nums[i + j] -= c * e
+    if len(nums) > k:
+        del nums[k:]
+    else:
+        nums.extend([0] * (k - len(nums)))
+    return nums
+
+
+def _mul(field: _Field, x, y) -> list[int]:
+    """The product of the int vectors x and y (any lengths) reduced modulo
+    Phi_n: the one multiply-and-reduce kernel of Q(zeta_n)."""
+    out = [0] * (len(x) + len(y) - 1)
+    for i, p in enumerate(x):
+        if p:
+            for j, q in enumerate(y, i):
+                out[j] += p * q
+    return _reduce(field, out)
+
+
+def _galois(field: _Field, nums, k: int) -> list[int]:
     """The automorphism zeta_n -> zeta_n^k (gcd(k, n) = 1) applied to a
     reduced int vector, reduced again."""
+    n = field.n
     out = [0] * n
     for j, c in enumerate(nums):
         out[j * k % n] = c
-    return _reduce(n, out)
+    return _reduce(field, out)
 
 
 def _check_ambient(n: int) -> None:
@@ -133,18 +167,20 @@ def _gaussian(a: int, b: int, d: int) -> ExactValue:
     return ExactValue(None, (a, b, d))
 
 
-def _cyclotomic(n: int, nums, d: int) -> ExactValue:
+def _cyclotomic(field: _Field, nums: list[int], d: int) -> ExactValue:
     """The value sum nums[j] zeta_n^j / d in canonical form, downcast to a
-    Gaussian triple when it lies in Q(i); d != 0, n passed _check_ambient."""
-    if len(nums) != euler_phi(n):
-        nums = _reduce(n, nums)
+    Gaussian triple when it lies in Q(i); d != 0, n passed _check_ambient.
+    A list nums of the wrong length is reduced in place."""
+    n, k, q, _ = field
+    if len(nums) != k:
+        _reduce(field, nums)
     g = gcd(d, *nums)
     if d < 0:
         g = -g
     if g != 1:
         nums, d = [c // g for c in nums], d // g
-    q = n // 4 if n % 4 == 0 else 0  # position of i in the power basis, if any
-    if not any(c for j, c in enumerate(nums) if j and j != q):
+    # Q(i) holds the values whose only nonzero positions are 0 and q
+    if k == nums.count(0) + (nums[0] != 0) + (q != 0 and nums[q] != 0):
         return ExactValue(None, (nums[0], nums[q] if q else 0, d))
     return ExactValue(n, (*nums, d))
 
@@ -194,7 +230,7 @@ class ExactValue:
         """The root of unity zeta_n^k, canonicalised."""
         _check_ambient(n)
         k %= n
-        return _cyclotomic(n, [0] * k + [1], 1)
+        return _cyclotomic(_field(n), [0] * k + [1], 1)
 
     # -- predicates ----------------------------------------------------
 
@@ -217,28 +253,28 @@ class ExactValue:
 
     # -- coercion ------------------------------------------------------
 
-    def _embed(self, n: int) -> tuple[list[int] | tuple[int, ...], int]:
-        """Numerators and denominator of self inside Q(zeta_n); the numerators
-        are reduced unless self comes from a proper subfield Q(zeta_m)."""
-        co = self._co
+    def _embed(self, field: _Field) -> tuple[list[int] | tuple[int, ...], int]:
+        """Numerators and denominator of self inside Q(zeta_n), reduced; a
+        Gaussian value gives the shortest vector, [a] or a up to b at the
+        position of i."""
+        co, n = self._co, field.n
         if self._n == n:
             return co[:-1], co[-1]
         if self._n is None:
             a, b, d = co
-            out = [0] * euler_phi(n)
-            out[0] = a
-            if b:
-                if n % 4 != 0:
-                    raise FieldMismatch(f"i is not contained in Q(zeta_{n})")
-                out[n // 4] = b
-            return out, d
+            if not b:
+                return [a], d
+            q = field.i_pos
+            if not q:
+                raise FieldMismatch(f"i is not contained in Q(zeta_{n})")
+            return [a] + [0] * (q - 1) + [b], d
         if n % self._n != 0:
             raise FieldMismatch(f"cannot embed Q(zeta_{self._n}) into Q(zeta_{n})")
         step = n // self._n
         out = [0] * n
         for j, c in enumerate(co[:-1]):
             out[j * step] = c
-        return out, co[-1]
+        return _reduce(field, out), co[-1]
 
     # -- arithmetic ----------------------------------------------------
 
@@ -249,12 +285,12 @@ class ExactValue:
             if d == f:
                 return _gaussian(a + c, b + e, d)
             return _gaussian(a * f + c * d, b * f + e * d, d * f)
-        n = _meet(self._n, other._n)
-        (x, d), (y, f) = self._embed(n), other._embed(n)
+        field = _field(_meet(self._n, other._n))
+        (x, d), (y, f) = self._embed(field), other._embed(field)
         if d == f:
-            return _cyclotomic(n, [p + q for p, q in zip_longest(x, y, fillvalue=0)], d)
+            return _cyclotomic(field, [p + q for p, q in zip_longest(x, y, fillvalue=0)], d)
         return _cyclotomic(
-            n, [p * f + q * d for p, q in zip_longest(x, y, fillvalue=0)], d * f)
+            field, [p * f + q * d for p, q in zip_longest(x, y, fillvalue=0)], d * f)
 
     def __radd__(self, other) -> ExactValue:
         return self.__add__(other)
@@ -277,9 +313,9 @@ class ExactValue:
         if self._n is None and other._n is None:
             (a, b, d), (c, e, f) = self._co, other._co
             return _gaussian(a * c - b * e, a * e + b * c, d * f)
-        n = _meet(self._n, other._n)
-        (x, d), (y, f) = self._embed(n), other._embed(n)
-        return _cyclotomic(n, _poly_mul(x, y), d * f)
+        field = _field(_meet(self._n, other._n))
+        (x, d), (y, f) = self._embed(field), other._embed(field)
+        return _cyclotomic(field, _mul(field, x, y), d * f)
 
     def __rmul__(self, other) -> ExactValue:
         return self.__mul__(other)
@@ -290,17 +326,21 @@ class ExactValue:
         if self._n is None:
             a, b, d = self._co
             return _gaussian(a * d, -b * d, a * a + b * b)
+        n, nums, d = self._n, self._co[:-1], self._co[-1]
+        field = _field(n)
+        if nums.count(0) == field.phi - 1:  # c zeta^j / d inverts to d zeta^(n - j) / c
+            j = next(j for j, c in enumerate(nums) if c)
+            return _cyclotomic(field, [0] * (n - j) + [d], nums[j])
         # 1/c is the product of the other Galois conjugates of c over the
         # rational norm c * (that product).
-        n, nums, d = self._n, self._co[:-1], self._co[-1]
         prod = [1]
         for k in range(2, n):
             if gcd(k, n) == 1:
-                prod = _reduce(n, _poly_mul(prod, _galois(n, nums, k)))
-        norm = _reduce(n, _poly_mul(nums, prod))
+                prod = _mul(field, prod, _galois(field, nums, k))
+        norm = _mul(field, nums, prod)
         if any(norm[1:]):
             raise EOError("cyclotomic inverse failed; norm is not rational")
-        return _cyclotomic(n, [c * d for c in prod], norm[0])
+        return _cyclotomic(field, [c * d for c in prod], norm[0])
 
     def __truediv__(self, other) -> ExactValue:
         return self.__mul__(as_value(other).inverse())
@@ -331,8 +371,8 @@ class ExactValue:
         if self._n is None:
             a, b, d = self._co
             return ExactValue(None, (a, -b, d))
-        n = self._n
-        return _cyclotomic(n, _galois(n, self._co[:-1], n - 1), self._co[-1])
+        field = _field(self._n)
+        return _cyclotomic(field, _galois(field, self._co[:-1], self._n - 1), self._co[-1])
 
     def abs2(self) -> ExactValue:
         """x * conj(x); always a real value."""
@@ -422,29 +462,28 @@ class RawArm:
     holds every value.  The caller keeps the denominator aside, so no product
     or sum builds an ExactValue or takes a gcd.  ``mul_add`` is the merge
     kernel of ``grids.frontier_pass``: for each (out, string, numerator) in
-    matches it adds val * numerator into nxt[rest | out].  A Q(zeta_N) sum is
-    left unreduced until it is multiplied again or read back.
+    matches it adds val * numerator into nxt[rest | out].  A Q(zeta_N)
+    product goes through the multiply-and-reduce kernel of ExactValue, so
+    every sum is a reduced list of phi(N) entries.
     """
 
-    __slots__ = ("n", "one", "mul_add")
+    __slots__ = ("field", "one", "mul_add")
 
     def __init__(self, vals):
         n = None
         for v in vals:
             if v._n is not None and v._n != n:
                 n = _meet(n, v._n)
-        self.n = n
         if n is None:
-            self.one, self.mul_add = (1, 0), _gauss_mul_add
+            self.field, self.one, self.mul_add = None, (1, 0), _gauss_mul_add
             return
-        phi = cyclotomic_coeffs(n)
-        self.one = [1] + [0] * (len(phi) - 2)
+        self.field = field = _field(n)
+        self.one = [1] + [0] * (field.phi - 1)
 
         def mul_add(nxt, key, val, rest, matches):
-            val = _divmod_monic(val, phi)[1]
             for out, _, w in matches:
                 k = rest | out
-                prod = _poly_mul(val, w)
+                prod = _mul(field, val, w)
                 acc = nxt.get(k)
                 if acc is None:
                     nxt[k] = prod
@@ -456,24 +495,23 @@ class RawArm:
     def numerators(self, entries) -> tuple[dict, int]:
         """The values of the mapping entries over their least common
         denominator L, as {key: numerator}, and L; FieldMismatch when a value
-        does not embed in the arm."""
-        n = self.n
+        does not embed in the arm.  A Q(zeta_N) numerator is reduced, and may
+        be shorter than phi(N) when its value is Gaussian."""
+        field = self.field
         den = lcm(*(v._co[-1] for v in entries.values()))
         out = {}
         for k, v in entries.items():
-            if n is None:
+            if field is None:
                 nums = v._co[:2]
             else:
-                nums = v._embed(n)[0]
-                if len(nums) != euler_phi(n):
-                    nums = _reduce(n, nums)
+                nums = v._embed(field)[0]
             f = den // v._co[-1]
             out[k] = nums if f == 1 else tuple(c * f for c in nums)
         return out, den
 
     def value(self, nums, d: int) -> ExactValue:
         """The value numerator / d in canonical form."""
-        return _gaussian(*nums, d) if self.n is None else _cyclotomic(self.n, nums, d)
+        return _gaussian(*nums, d) if self.field is None else _cyclotomic(self.field, nums, d)
 
 
 def i_power_exponent(x: ExactValue) -> int | None:

@@ -160,6 +160,18 @@ def test_variable_above_limit_fails_before_allocating():
     assert proc.stdout.startswith("ERROR ") and len(proc.stdout.splitlines()) == 1
 
 
+def test_cli_answers_largest_variable_in_linear_time():
+    # one clause over every variable up to the limit: a decision scan that
+    # restarts at variable 1 costs about 5 * 10^11 steps here and never answers
+    proc = subprocess.run([sys.executable, "-m", "eoexact.oracle_cli"],
+                          input=f"{MAX_VARIABLE} -1\n", capture_output=True, text=True,
+                          timeout=30)
+    assert proc.returncode == 0
+    lits = proc.stdout.split()
+    assert lits[0] == "SAT" and len(lits) == MAX_VARIABLE + 1
+    assert lits[1] == "-1" and lits[-1] == f"-{MAX_VARIABLE}"
+
+
 def test_import_stays_light():
     src = os.path.dirname(os.path.dirname(eoexact.__file__))
     code = ("import sys, eoexact.oracle_cli; "

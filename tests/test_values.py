@@ -7,13 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eoexact import values
 from eoexact.errors import EOError, LiteralSyntaxError, SingularSystem, ZeroValue
+from eoexact.grids import brute_force_partition
 from eoexact.values import (
     I,
     ONE,
     ZERO,
     ExactValue,
     FieldMode,
+    RootOrder,
     as_value,
     compare_abs,
     cyclotomic_coeffs,
@@ -24,6 +27,8 @@ from eoexact.values import (
     root_order,
     vandermonde_solve,
 )
+
+from tests_helpers import dense_torus, enumerate_reference, rand_cyclotomic, reweighted
 
 V = ExactValue.rational
 G = ExactValue.gauss
@@ -37,6 +42,8 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_coeffs(4) == (1, 0, 1)
     assert cyclotomic_coeffs(8) == (1, 0, 0, 0, 1)
     assert cyclotomic_coeffs(12) == (1, 0, -1, 0, 1)
+    phi105 = cyclotomic_coeffs(105)
+    assert len(phi105) == 49 and [j for j, c in enumerate(phi105) if c == -2] == [7, 41]
 
 
 def test_gaussian_basics():
@@ -150,7 +157,9 @@ def test_gaussian_arm_matches_fraction_reference(xs, ys):
         assert x == a and hash(x) == hash(a)
 
 
-_ORDERS = [3, 5, 7, 8, 12, 15, 16, 20, 24, 36]
+# 1 and 2 downcast every value; Phi_9 has a gap; Phi_105 is the first
+# cyclotomic polynomial with a coefficient outside {-1, 0, 1} (two -2s)
+_ORDERS = [1, 2, 3, 5, 7, 8, 9, 12, 15, 16, 20, 24, 36, 105]
 
 
 def _ref_reduce(vec, n):
@@ -158,18 +167,22 @@ def _ref_reduce(vec, n):
     phi = cyclotomic_coeffs(n)
     k = len(phi) - 1
     vec = list(vec) + [Fraction(0)] * (k - len(vec))
+    terms = [(j, e) for j, e in enumerate(phi) if e]
     for i in range(len(vec) - 1, k - 1, -1):
         c = vec[i]
-        for j, e in enumerate(phi):
-            vec[i - k + j] -= c * e
+        if c:
+            for j, e in terms:
+                vec[i - k + j] -= c * e
     return vec[:k]
 
 
 def _ref_cyc_mul(x, y, n):
     out = [Fraction(0)] * (len(x) + len(y) - 1)
     for i, p in enumerate(x):
-        for j, q in enumerate(y):
-            out[i + j] += p * q
+        if p:
+            for j, q in enumerate(y):
+                if q:
+                    out[i + j] += p * q
     return _ref_reduce(out, n)
 
 
@@ -299,7 +312,7 @@ def _rand_cyclotomic(rng, n):
     return x
 
 
-@pytest.mark.parametrize("n", [3, 5, 7, 8, 12, 15, 16, 20, 24, 36])
+@pytest.mark.parametrize("n", [3, 5, 7, 8, 12, 15, 16, 20, 24, 36, 105])
 def test_field_axioms_across_orders(n):
     rng = random.Random(n)
     for _ in range(8):
@@ -312,6 +325,34 @@ def test_field_axioms_across_orders(n):
         if not a.is_zero():
             assert a * a.inverse() == ONE
             assert (b / a) * a == b
+
+
+def test_arithmetic_after_warm_up_divides_no_polynomial(monkeypatch):
+    # Phi_N is found by division once per order, in cyclotomic_coeffs; after
+    # that every operation, and the raw contraction, folds with Phi_N's terms
+    rng = random.Random(19)
+    operands = {n: [_rand_cyclotomic(rng, n) for _ in range(3)] for n in (5, 8, 105)}
+    grid = reweighted(dense_torus(2, rng), rng, lambda r: rand_cyclotomic(r, 8))
+    assert any(not w.is_gaussian for _, sig in grid.vertices for w in sig.entries.values())
+    want = enumerate_reference(grid)[0].value(0)
+    for n in operands:
+        values._field(n)
+
+    def refuse(*args):
+        raise AssertionError("polynomial division after warm-up")
+    monkeypatch.setattr(values, "_divmod_monic", refuse)
+    for n, (a, b, c) in operands.items():
+        assert not a.is_zero() and not b.is_zero()
+        assert (a + b) - b == a and (a - b) + b == a
+        assert (a * b) / b == a and a / a == ONE
+        assert a * a.inverse() == ONE and (c * a) * a.inverse() == c
+        assert (V(Fraction(-2, 3)) * Z(n, 2)).inverse() == V(Fraction(-3, 2)) * Z(n, n - 2)
+        assert a.conj().conj() == a and (a * b).conj() == a.conj() * b.conj()
+        assert a ** 3 == a * a * a and a ** -2 * a * a == ONE
+        assert a.abs2() == a * a.conj() and a.abs2() == a.abs2().conj()
+        assert root_order(Z(n, 1), cap=n) == RootOrder("root", n)
+        assert root_order(Z(n, 1) * 2).kind == "not_root"
+    assert brute_force_partition(grid) == want
 
 
 @settings(max_examples=60, deadline=None)
