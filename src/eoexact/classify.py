@@ -516,7 +516,7 @@ def is_rebalancing(f: Signature, b: int) -> RebalanceResult:
         if n == 0 or not supp:
             memo[key] = "leaf"
             return "leaf"
-        memo[key] = None  # cycle guard; residuals strictly shrink, so unused
+        memo[key] = None  # stays None, memoizing the failure, unless a chain is found
         chain: dict = {}
         for x in range(n):
             found = partner(n, supp, x)

@@ -28,7 +28,7 @@ from .signatures import (
     BUILTIN_SIGNATURES,
     Signature,
     load_signature_file,
-    parse_signature_blocks,
+    parse_signature_lines,
     render_signature_block,
 )
 from .values import ExactValue, FieldMode, GAUSS_MODE, RawArm
@@ -315,14 +315,14 @@ def parse_grid_text(text: str, base_dir: str = ".",
             continue
         parts = line.split()
         if parts[0] == "signature":
-            block = [raw]
+            block = [(idx, raw)]
             while idx < len(lines):
                 peek = lines[idx].split("#", 1)[0].strip()
                 if peek and peek.split()[0] in ("signature", "use", "vertex", "edge", "dangle"):
                     break
-                block.append(lines[idx])
+                block.append((idx + 1, lines[idx]))
                 idx += 1
-            for sig in parse_signature_blocks("\n".join(block), mode):
+            for sig in parse_signature_lines(block, mode):
                 names[sig.name] = sig
             continue
         if parts[0] == "use":

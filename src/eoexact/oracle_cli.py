@@ -10,6 +10,7 @@ cheap.
 from __future__ import annotations
 
 import sys
+from array import array
 
 
 # The solver allocates one slot per variable up to the largest literal, so a
@@ -35,7 +36,7 @@ def parse_clauses(text: str) -> tuple[list[list[int]], int]:
     return clauses, nvars
 
 
-def solve(clauses: list[list[int]], nvars: int) -> dict[int, bool] | None:
+def solve(clauses: list[list[int]], nvars: int) -> list[bool | None] | None:
     """DPLL in one loop: unit propagation in passes over the clauses, in
     order, until a fixed point; then decide the lowest unassigned variable,
     false first.
@@ -48,11 +49,12 @@ def solve(clauses: list[list[int]], nvars: int) -> dict[int, bool] | None:
     sets it to the decision it flips, since every variable below that
     decision was assigned before it and stays so.  ``clauses`` is only
     read, and its literals lie within ``nvars``, as ``parse_clauses`` gives
-    them.
+    them.  A model is the value list itself: ``model[v]`` is the value of
+    variable v, and slot 0 is unused.
     """
     value: list[bool | None] = [None] * (nvars + 1)
-    trail: list[int] = []
-    decisions: list[int] = []
+    trail = array("i")  # C ints: variables stay within MAX_VARIABLE
+    decisions = array("i")
     cursor = 1
     while True:
         conflict = False
@@ -89,7 +91,7 @@ def solve(clauses: list[list[int]], nvars: int) -> dict[int, bool] | None:
         while cursor <= nvars and value[cursor] is not None:
             cursor += 1
         if cursor > nvars:
-            return {v: value[v] for v in range(1, nvars + 1)}
+            return value
         decisions.append(len(trail))
         value[cursor] = False
         trail.append(cursor)
@@ -105,9 +107,13 @@ def main() -> int:
     model = solve(clauses, nvars)
     if model is None:
         print("UNSAT")
-    else:
-        lits = " ".join(str(v if model[v] else -v) for v in range(1, nvars + 1))
-        print(f"SAT {lits}".rstrip())
+        return 0
+    # the SAT line goes out in chunks, so no string is kept per variable
+    print("SAT", end="")
+    for lo in range(1, nvars + 1, 4096):
+        chunk = range(lo, min(lo + 4096, nvars + 1))
+        print("".join([f" {v}" if model[v] else f" -{v}" for v in chunk]), end="")
+    print()
     return 0
 
 

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import f2
 from .errors import (
     ArityMismatch,
     CapExceeded,
+    EOError,
     LiteralSyntaxError,
     PortError,
     ZeroSignature,
@@ -297,41 +298,39 @@ def parse_signature_blocks(text: str, mode: FieldMode = GAUSS_MODE) -> list[Sign
     ``<bitstring> <value-literal>`` line sets one entry; omitted strings are
     zero; ``#`` starts a comment.
     """
-    sigs: list[Signature] = []
-    current: dict[str, object] | None = None
-    cur_name = ""
-    cur_arity = -1
+    return parse_signature_lines(enumerate(text.splitlines(), 1), mode)
 
-    def flush():
-        nonlocal current
-        if current is not None:
-            sigs.append(from_entries(cur_arity, current, cur_name))
-            current = None
 
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+def parse_signature_lines(numbered: Iterable[tuple[int, str]],
+                          mode: FieldMode = GAUSS_MODE) -> list[Signature]:
+    """Signature blocks from (line number, line) pairs, so that every error
+    names its line in the file the lines come from."""
+    blocks: list[tuple[int, str, dict[str, ExactValue]]] = []  # arity, name, entries
+    for lineno, raw in numbered:
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = line.split()
-        if parts[0] == "signature":
-            flush()
-            if len(parts) != 4 or parts[2] != "arity":
-                raise LiteralSyntaxError(f"line {lineno}: bad signature header {raw!r}")
-            cur_name = parts[1]
-            try:
-                cur_arity = int(parts[3])
-            except ValueError:
-                raise LiteralSyntaxError(f"line {lineno}: bad arity in {raw!r}") from None
-            current = {}
-            continue
-        if current is None:
-            raise LiteralSyntaxError(f"line {lineno}: entry before signature header")
-        bits = parts[0]
-        if len(bits) != cur_arity or any(c not in "01" for c in bits):
-            raise LiteralSyntaxError(f"line {lineno}: bad bit string {bits!r}")
-        current[bits] = parse_value(" ".join(parts[1:]), mode)
-    flush()
-    return sigs
+        try:
+            if parts[0] == "signature":
+                if len(parts) != 4 or parts[2] != "arity":
+                    raise LiteralSyntaxError(f"bad signature header {raw!r}")
+                try:
+                    arity = int(parts[3])
+                except ValueError:
+                    raise LiteralSyntaxError(f"bad arity in {raw!r}") from None
+                Signature(arity, {})  # an arity out of range fails on the header's line
+                blocks.append((arity, parts[1], {}))
+                continue
+            if not blocks:
+                raise LiteralSyntaxError("entry before signature header")
+            arity, _, entries = blocks[-1]
+            bits = parts[0]
+            if len(bits) != arity or any(c not in "01" for c in bits):
+                raise LiteralSyntaxError(f"bad bit string {bits!r}")
+            entries[bits] = parse_value(" ".join(parts[1:]), mode)
+        except EOError as exc:
+            raise type(exc)(f"line {lineno}: {exc}") from None
+    return [from_entries(arity, entries, name) for arity, name, entries in blocks]
 
 
 def render_signature_block(sig: Signature, name: str | None = None) -> str:

@@ -142,11 +142,19 @@ def _galois(field: _Field, nums, k: int) -> list[int]:
     return _reduce(field, out)
 
 
+# The largest ambient order: Q(zeta_N) builds tables of up to N + 1 entries
+# and euler_phi trial-divides N, so a larger order, from EO_FIELD or a zN
+# literal, is refused before either runs.
+MAX_ORDER = 1 << 17
+
+
 def _check_ambient(n: int) -> None:
     # Downcast detection of Q(i) values relies on zeta^(N/4) reducing to a
     # monomial, which needs N/4 < phi(N).  First failure is N = 420.
     if n < 1:
         raise EOError("cyclotomic index must be positive")
+    if n > MAX_ORDER:
+        raise EOError(f"cyclotomic order {n} above the limit {MAX_ORDER}")
     if n % 4 == 0 and n // 4 >= euler_phi(n):
         raise EOError(f"unsupported ambient cyclotomic order {n}")
 
@@ -632,69 +640,68 @@ def vandermonde_solve(nodes, rhs) -> list[ExactValue]:
 
 @dataclass(frozen=True)
 class FieldMode:
-    """Session arithmetic mode: Gaussian rationals or one fixed Q(zeta_N)."""
+    """Session arithmetic mode: the order N of one fixed Q(zeta_N), or None
+    for Gaussian rationals."""
 
-    kind: str  # "gauss" | "zeta"
     order: int | None = None
 
     @staticmethod
     def parse(spec: str) -> FieldMode:
         spec = spec.strip().lower()
         if spec == "gauss":
-            return FieldMode("gauss")
+            return FieldMode()
         if spec.startswith("zeta:"):
             try:
                 n = int(spec.split(":", 1)[1])
             except ValueError:
                 raise LiteralSyntaxError(f"bad field spec {spec!r}") from None
             _check_ambient(n)
-            return FieldMode("zeta", n)
+            return FieldMode(n)
         raise LiteralSyntaxError(f"bad field spec {spec!r}")
 
     def spec(self) -> str:
-        return "gauss" if self.kind == "gauss" else f"zeta:{self.order}"
+        return "gauss" if self.order is None else f"zeta:{self.order}"
 
 
-GAUSS_MODE = FieldMode("gauss")
+GAUSS_MODE = FieldMode()
 
-_TOKEN = _re.compile(r"\s*(\d+(?:/\d+)?|z\d+(?:\^\d+)?|i|[+*-])")
-_RAT = _re.compile(r"\A\d+(?:/\d+)?\Z")
-_ZLIT = _re.compile(r"\Az(\d+)(?:\^(\d+))?\Z")
+# One term of a value literal: a run of signs, then an optional rational, an
+# optional '*' and an optional atom, i or zN^k.  Whitespace may stand between
+# these pieces but never inside a number or an atom, so "2 3" is two terms.
+_TERM = _re.compile(r"\s*((?:[+-]\s*)*)(?:(\d+(?:/\d+)?)\s*)?(\*\s*)?(i|z(\d+)(?:\^(\d+))?)?")
 
 
-def _tokenize(text: str) -> list[str]:
-    """Numbers, atoms and operators; whitespace may separate tokens but never
-    lies inside one, so "2 3" is two numbers, not 23."""
+def _terms(text: str) -> list[_re.Match]:
+    """The term matches that cover text; all are matched before any is
+    evaluated, so a character no term holds is reported first."""
     end = len(text.rstrip())
     if not end:
         raise LiteralSyntaxError("empty value literal")
-    pos = 0
-    out = []
+    out, pos = [], 0
     while pos < end:
-        m = _TOKEN.match(text, pos, end)
-        if not m:
+        m = _TERM.match(text, pos, end)
+        if not any(m.groups()):
             raise LiteralSyntaxError(
                 f"bad value literal {text!r} at {text[pos:end].lstrip()!r}")
-        out.append(m.group(1))
+        out.append(m)
         pos = m.end()
     return out
 
 
-def _atom(tok: str, mode: FieldMode) -> ExactValue:
+def _atom(m: _re.Match, mode: FieldMode) -> ExactValue:
+    """The atom of the term match m, i or zN^k, in the session field."""
+    tok, n, k = m.group(4, 5, 6)
     if tok == "i":
         return I
-    m = _ZLIT.match(tok)
-    if not m:
-        raise LiteralSyntaxError(f"bad term {tok!r}")
-    n = int(m.group(1))
-    k = int(m.group(2)) if m.group(2) else 1
+    n, k = int(n), int(k) if k else 1
     if n < 1:
         raise LiteralSyntaxError(f"bad root order in {tok!r}")
-    if mode.kind == "zeta":
-        if mode.order % n != 0:
+    order = mode.order
+    if order is not None:
+        if order % n != 0:
             raise LiteralSyntaxError(
-                f"literal {tok!r} does not live in the session field Q(zeta_{mode.order})")
-        return ExactValue.zeta(mode.order, (mode.order // n) * k)
+                f"literal {tok!r} does not live in the session field Q(zeta_{order})")
+        return ExactValue.zeta(order, order // n * k)
     val = ExactValue.zeta(n, k)
     if not val.is_gaussian:
         raise LiteralSyntaxError(
@@ -703,56 +710,27 @@ def _atom(tok: str, mode: FieldMode) -> ExactValue:
 
 
 def parse_value(text: str, mode: FieldMode = GAUSS_MODE) -> ExactValue:
-    """Parse a value literal; whitespace may stand between tokens, not inside one."""
-    toks = _tokenize(text)
+    """Parse a value literal: terms, each a run of signs and then a rational,
+    an atom, or a rational times an atom ('*' optional); every term after the
+    first needs a sign."""
     total = ZERO
-    sign = 1
-    idx = 0
-    expect_term = True
-    while idx < len(toks):
-        tok = toks[idx]
-        if tok in "+-":
-            if expect_term and tok == "-":
-                sign = -sign
-                idx += 1
-                continue
-            if expect_term:
-                idx += 1
-                continue
-            sign = 1 if tok == "+" else -1
-            idx += 1
-            expect_term = True
-            continue
-        if not expect_term:
+    for t, m in enumerate(_terms(text)):
+        signs, num, star, atom = m.group(1, 2, 3, 4)
+        if t and not signs:
             raise LiteralSyntaxError(f"missing '+' or '-' between terms in {text!r}")
-        coeff = 1
-        atom: ExactValue | None = None
-        if _RAT.match(tok):
+        if not (num or star or atom):
+            raise LiteralSyntaxError(f"trailing operator in {text!r}")
+        term = ONE
+        if num:
             try:
-                coeff = Fraction(tok)
+                term = ExactValue.rational(Fraction(num))
             except ZeroDivisionError:
                 raise LiteralSyntaxError(f"zero denominator in {text!r}") from None
-            idx += 1
-            if idx < len(toks) and toks[idx] == "*":
-                idx += 1
-                if idx >= len(toks):
-                    raise LiteralSyntaxError(f"dangling '*' in {text!r}")
-                atom = _atom(toks[idx], mode)
-                idx += 1
-            elif idx < len(toks) and toks[idx] not in "+-" and not _RAT.match(toks[idx]):
-                atom = _atom(toks[idx], mode)
-                idx += 1
-        else:
-            atom = _atom(tok, mode)
-            idx += 1
-        term = ExactValue.rational(coeff)
-        if atom is not None:
-            term = term * atom
-        total = total + (term if sign > 0 else -term)
-        expect_term = False
-        sign = 1
-    if expect_term:
-        raise LiteralSyntaxError(f"trailing operator in {text!r}")
+        if star and not (num and atom):
+            raise LiteralSyntaxError(f"'*' needs a number before and an atom after in {text!r}")
+        if atom:
+            term = term * _atom(m, mode)
+        total = total + (-term if signs.count("-") % 2 else term)
     return total
 
 

@@ -241,6 +241,21 @@ def test_generate_coefficient_past_float_range(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("order", [1152921504606846976, 9223372036854775804])
+def test_huge_field_order_exit_code(tmp_path, order):
+    # once a MemoryError traceback (a list of 2^60 coefficients) and a hang
+    # in euler_phi's trial division (4 times the prime 2^61 - 1)
+    sig = tmp_path / "huge.sig"
+    sig.write_text(f"signature f arity 2\n01 1\n10 z{order}^1\n")
+    for field in (f"zeta:{order}", "gauss"):
+        proc = subprocess.run([sys.executable, "-m", "eoexact.cli", "classify", str(sig)],
+                              capture_output=True, text=True, timeout=30,
+                              env={**os.environ, "EO_FIELD": field})
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: EOError: ") and proc.stderr.count("\n") == 1
+        assert f"{order} above the limit" in proc.stderr
+
+
 def test_gate_non_integer_port_exit_code(tmp_path, capsys):
     for step in ("permute 1 x", "loop a b"):
         script = tmp_path / "bad.gate"

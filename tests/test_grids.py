@@ -10,6 +10,7 @@ from eoexact.errors import (
     FieldMismatch,
     GridFormatError,
     InvalidGrid,
+    LiteralSyntaxError,
     OpenGridError,
 )
 from eoexact.grids import (
@@ -401,6 +402,16 @@ def test_grid_file_errors(tmp_path):
     for line in ("use", "use  # no file", "use a\0b.sig"):
         with pytest.raises(GridFormatError):
             parse_grid_text(line + "\n")
+
+
+def test_inline_block_errors_name_the_file_line():
+    text = "# wiring below\nvertex p delta\n\nsignature f arity 2\n{}\nvertex a f\n"
+    with pytest.raises(LiteralSyntaxError, match="^line 5: bad bit string '0110'"):
+        parse_grid_text(text.format("0110 1"))
+    with pytest.raises(LiteralSyntaxError, match="^line 5: missing '\\+' or '-' between terms"):
+        parse_grid_text(text.format("01 2 3"))
+    with pytest.raises(LiteralSyntaxError, match="^line 5: bad signature header"):
+        parse_grid_text(text.format("signature g arity"))
 
 
 def test_with_vertex_signature():

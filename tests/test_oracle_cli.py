@@ -34,10 +34,15 @@ def test_parse_clauses():
         parse_clauses("1 0\n")
 
 
+def as_model(value):
+    """solve's value list as the {variable: value} dict reference_solve gives."""
+    return None if value is None else {v: value[v] for v in range(1, len(value))}
+
+
 def test_solve_sat_and_unsat():
     assert solve([[1, 2], [-1, 2]], 2)[2]
     assert solve([[1], [-1]], 1) is None
-    assert solve([], 0) == {}
+    assert as_model(solve([], 0)) == {}
 
 
 def test_cli_roundtrip_sat():
@@ -105,7 +110,7 @@ def random_cnf(rng):
 
 def assert_same_as_reference(clauses, nvars):
     snapshot = copy.deepcopy(clauses)
-    got = solve(clauses, nvars)
+    got = as_model(solve(clauses, nvars))
     assert clauses == snapshot
     assert got == reference_solve(clauses, nvars), (clauses, nvars)
     return got
@@ -137,7 +142,7 @@ def test_solve_matches_reference_on_support_queries():
 
 
 def test_solve_has_no_depth_limit():
-    model = solve([[1000]], 1000)
+    model = as_model(solve([[1000]], 1000))
     assert model == {v: v == 1000 for v in range(1, 1001)}
 
 
@@ -147,6 +152,16 @@ def test_cli_answers_deep_query():
     lits = line.split()
     assert lits[0] == "SAT" and len(lits) == 1001
     assert lits[-1] == "1000"
+
+
+@pytest.mark.parametrize("nvars", [0, 1, 4095, 4096, 4097, 10000])
+def test_cli_sat_line_is_one_line_across_chunks(nvars):
+    text = f"{nvars} -1\n" if nvars else "\n"
+    proc = subprocess.run([sys.executable, "-m", "eoexact.oracle_cli"],
+                          input=text, capture_output=True, text=True)
+    want = "".join(f" -{v}" for v in range(1, nvars + 1))
+    assert proc.returncode == 0
+    assert proc.stdout == f"SAT{want}\n"
 
 
 def test_variable_above_limit_fails_before_allocating():

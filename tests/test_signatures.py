@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from eoexact.errors import ArityMismatch, LiteralSyntaxError, PortError
+from eoexact.errors import ArityMismatch, CapExceeded, EOError, LiteralSyntaxError, PortError
 from eoexact.signatures import (
     BinaryDiseq,
     Signature,
@@ -250,3 +250,17 @@ signature gd arity 4
         parse_signature_blocks("0011 1\n")
     with pytest.raises(LiteralSyntaxError):
         parse_signature_blocks("signature f arity 2\n111 1\n")
+
+
+def test_signature_block_errors_name_their_line():
+    text = "# a comment\nsignature f arity 2\n01 1\n10 2 3\n"
+    with pytest.raises(LiteralSyntaxError,
+                       match="^line 4: missing '\\+' or '-' between terms in '2 3'$"):
+        parse_signature_blocks(text)
+    # an error that is not a syntax error keeps its class
+    with pytest.raises(EOError, match="^line 3: unsupported ambient cyclotomic order 420$") as err:
+        parse_signature_blocks("signature f arity 2\n\n01 z420^1\n")
+    assert type(err.value) is EOError
+    # an arity out of range is reported at its header's line
+    with pytest.raises(CapExceeded, match="^line 2: arity 17"):
+        parse_signature_blocks("signature f arity 2\nsignature g arity 17\nsignature h arity 2\n")

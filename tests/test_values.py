@@ -1,4 +1,6 @@
+import itertools
 import random
+import re
 import sys
 from fractions import Fraction
 from math import gcd
@@ -28,7 +30,13 @@ from eoexact.values import (
     vandermonde_solve,
 )
 
-from tests_helpers import dense_torus, enumerate_reference, rand_cyclotomic, reweighted
+from tests_helpers import (
+    dense_torus,
+    enumerate_reference,
+    rand_cyclotomic,
+    reference_parse_value,
+    reweighted,
+)
 
 V = ExactValue.rational
 G = ExactValue.gauss
@@ -547,11 +555,85 @@ def test_render_parse_roundtrip_zeta():
         assert parse_value(render_value(v), mode) == v
 
 
+def test_render_parse_roundtrip_cyclotomic():
+    rng = random.Random(20)
+    for n in (3, 5, 9, 12, 16, 36, 105):
+        mode = FieldMode.parse(f"zeta:{n}")
+        for _ in range(40):
+            v = rand_cyclotomic(rng, n)
+            got = parse_value(render_value(v), mode)
+            assert got == v and hash(got) == hash(v), (n, render_value(v))
+
+
+# Numbers, a zero denominator, atoms with and without exponents (z0 and a bare
+# z are malformed), every operator, whitespace and a stray letter.
+LITERAL_ALPHABET = ["2", "12", "1/2", "1/0", "i", "z8", "z8^3", "z16^5", "z4^0",
+                    "z3", "z0", "z", "+", "-", "*", "/", "^", " ", "\t", "\n", "x"]
+
+
+def _parse_outcome(parse, text, mode):
+    try:
+        return parse(text, mode)
+    except Exception as exc:
+        return type(exc)
+
+
+def test_literal_parser_matches_reference():
+    rng = random.Random(20)
+    corpus = ["".join(seq) for k in range(4)
+              for seq in itertools.product(LITERAL_ALPHABET, repeat=k)]
+    corpus += ["".join(rng.choices(LITERAL_ALPHABET, k=rng.randint(4, 12)))
+               for _ in range(2000)]
+    # joined pieces can spell a large order (z8 then 12 reads z812), whose
+    # field is slow to build; those literals are left out
+    corpus = [t for t in corpus if all(int(n) <= 64 for n in re.findall(r"z(\d+)", t))]
+    modes = [FieldMode.parse(spec) for spec in ("gauss", "zeta:8", "zeta:16")]
+    values = 0
+    for text in corpus:
+        for mode in modes:
+            got = _parse_outcome(parse_value, text, mode)
+            want = _parse_outcome(reference_parse_value, text, mode)
+            if isinstance(want, type):
+                assert got is want, (text, mode, got, want)
+            else:
+                values += 1
+                assert isinstance(got, ExactValue) and got._co == want._co and \
+                    got.ambient == want.ambient, (text, mode, got, want)
+    assert len(corpus) > 10000 and values > 2000
+
+
 def test_field_mode_spec():
     assert FieldMode.parse("gauss").spec() == "gauss"
     assert FieldMode.parse("zeta:12").spec() == "zeta:12"
     with pytest.raises(LiteralSyntaxError):
         FieldMode.parse("zeta:x")
+
+
+def test_field_mode_holds_only_the_order():
+    assert FieldMode.parse("gauss") == values.GAUSS_MODE == FieldMode()
+    assert FieldMode.parse("gauss").order is None
+    assert FieldMode.parse(" ZETA:8 ").order == 8
+    assert list(vars(FieldMode.parse("zeta:8"))) == ["order"]
+
+
+@pytest.mark.parametrize("n", [1152921504606846976, 9223372036854775804])
+def test_order_above_limit_rejected_at_once(n):
+    # n = 4 * (2^61 - 1) once spent its time in euler_phi's trial division,
+    # and a zN literal of order 2^60 asked for a list of 2^60 coefficients
+    with pytest.raises(EOError, match="limit"):
+        FieldMode.parse(f"zeta:{n}")
+    with pytest.raises(EOError, match="limit"):
+        parse_value(f"z{n}^1")
+    with pytest.raises(EOError, match="limit"):
+        ExactValue.zeta(n)
+
+
+def test_order_limit_admits_large_orders():
+    assert values.MAX_ORDER >= 99991
+    assert FieldMode.parse("zeta:99991").spec() == "zeta:99991"
+    assert FieldMode.parse(f"zeta:{values.MAX_ORDER}").order == values.MAX_ORDER
+    with pytest.raises(EOError):
+        FieldMode.parse(f"zeta:{values.MAX_ORDER + 1}")
 
 
 def test_unsupported_ambient_order_rejected():

@@ -4,15 +4,16 @@ and the reference constructions the tests check the library against."""
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 from eoexact import f2
-from eoexact.errors import EOError, InvalidGrid, PortError
+from eoexact.errors import EOError, InvalidGrid, LiteralSyntaxError, PortError
 from eoexact.f2 import AffineSpace
 from eoexact.gauss import Z4Form
 from eoexact.grids import Grid
 from eoexact.signatures import Signature, diseq, from_entries, pin_signature
-from eoexact.values import ExactValue, I, ONE, ZERO, euler_phi
+from eoexact.values import GAUSS_MODE, ExactValue, FieldMode, I, ONE, ZERO, euler_phi
 
 V = ExactValue.rational
 
@@ -354,3 +355,102 @@ def reference_solve(clauses: list[list[int]], nvars: int) -> dict[int, bool] | N
     if dfs():
         return {v: assign.get(v, False) for v in range(1, nvars + 1)}
     return None
+
+
+_TOKEN = re.compile(r"\s*(\d+(?:/\d+)?|z\d+(?:\^\d+)?|i|[+*-])")
+_RAT = re.compile(r"\A\d+(?:/\d+)?\Z")
+_ZLIT = re.compile(r"\Az(\d+)(?:\^(\d+))?\Z")
+
+
+def _reference_tokenize(text: str) -> list[str]:
+    end = len(text.rstrip())
+    if not end:
+        raise LiteralSyntaxError("empty value literal")
+    pos = 0
+    out = []
+    while pos < end:
+        m = _TOKEN.match(text, pos, end)
+        if not m:
+            raise LiteralSyntaxError(
+                f"bad value literal {text!r} at {text[pos:end].lstrip()!r}")
+        out.append(m.group(1))
+        pos = m.end()
+    return out
+
+
+def _reference_atom(tok: str, mode: FieldMode) -> ExactValue:
+    if tok == "i":
+        return I
+    m = _ZLIT.match(tok)
+    if not m:
+        raise LiteralSyntaxError(f"bad term {tok!r}")
+    n = int(m.group(1))
+    k = int(m.group(2)) if m.group(2) else 1
+    if n < 1:
+        raise LiteralSyntaxError(f"bad root order in {tok!r}")
+    if mode.order is not None:
+        if mode.order % n != 0:
+            raise LiteralSyntaxError(
+                f"literal {tok!r} does not live in the session field Q(zeta_{mode.order})")
+        return ExactValue.zeta(mode.order, (mode.order // n) * k)
+    val = ExactValue.zeta(n, k)
+    if not val.is_gaussian:
+        raise LiteralSyntaxError(
+            f"literal {tok!r} needs a cyclotomic session field (EO_FIELD=zeta:{n})")
+    return val
+
+
+def reference_parse_value(text: str, mode: FieldMode = GAUSS_MODE) -> ExactValue:
+    """The token-level state machine that ``values.parse_value`` replaced,
+    kept as its reference: on every literal both give the same value or
+    raise the same exception class."""
+    toks = _reference_tokenize(text)
+    total = ZERO
+    sign = 1
+    idx = 0
+    expect_term = True
+    while idx < len(toks):
+        tok = toks[idx]
+        if tok in "+-":
+            if expect_term and tok == "-":
+                sign = -sign
+                idx += 1
+                continue
+            if expect_term:
+                idx += 1
+                continue
+            sign = 1 if tok == "+" else -1
+            idx += 1
+            expect_term = True
+            continue
+        if not expect_term:
+            raise LiteralSyntaxError(f"missing '+' or '-' between terms in {text!r}")
+        coeff = 1
+        atom: ExactValue | None = None
+        if _RAT.match(tok):
+            try:
+                coeff = Fraction(tok)
+            except ZeroDivisionError:
+                raise LiteralSyntaxError(f"zero denominator in {text!r}") from None
+            idx += 1
+            if idx < len(toks) and toks[idx] == "*":
+                idx += 1
+                if idx >= len(toks):
+                    raise LiteralSyntaxError(f"dangling '*' in {text!r}")
+                atom = _reference_atom(toks[idx], mode)
+                idx += 1
+            elif idx < len(toks) and toks[idx] not in "+-" and not _RAT.match(toks[idx]):
+                atom = _reference_atom(toks[idx], mode)
+                idx += 1
+        else:
+            atom = _reference_atom(tok, mode)
+            idx += 1
+        term = ExactValue.rational(coeff)
+        if atom is not None:
+            term = term * atom
+        total = total + (term if sign > 0 else -term)
+        expect_term = False
+        sign = 1
+    if expect_term:
+        raise LiteralSyntaxError(f"trailing operator in {text!r}")
+    return total
