@@ -14,6 +14,7 @@ from . import f2
 from .errors import (
     CapExceeded,
     EmptySet,
+    FieldMismatch,
     ModeViolation,
     NotEO,
     PairingViolation,
@@ -21,7 +22,7 @@ from .errors import (
 )
 from .f2 import AffineSpace, f2_affine_span
 from .signatures import Signature, dual
-from .values import ExactValue, I, ONE, ZERO, i_power_exponent, render_value
+from .values import ExactValue, I, ONE, ZERO, render_value
 
 PAIRING_ARITY_CAP = 12
 
@@ -262,9 +263,15 @@ def membership_affine(f: Signature) -> AffineCertificate | Refutation:
         return Refutation("support_not_affine", f2.mask_to_string(missing, n))
     base = span.offset
     lam = f.value(base)
+    units: dict[ExactValue, int] = {}  # lam * i^e -> e, with no division
+    for e in range(4):
+        try:
+            units[lam * I ** e] = e
+        except FieldMismatch:  # i is not in the field of lam: only +-lam
+            pass
     exps: dict[int, int] = {}
     for m in supp:
-        e = i_power_exponent(f.value(m) / lam)
+        e = units.get(f.value(m))
         if e is None:
             return Refutation("ratio_not_power_of_i", f2.mask_to_string(m, n))
         exps[m] = e

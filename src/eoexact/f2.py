@@ -117,11 +117,6 @@ def _free_basis(basis: list[int], n: int) -> list[int]:
     return list(out.values())
 
 
-def nullspace(rows: list[int], n: int) -> list[int]:
-    """Basis of {h : dot(h, r) = 0 for every row r}, bit positions shared with rows."""
-    return _free_basis(rref(rows, n), n)
-
-
 @dataclass(frozen=True)
 class AffineSpace:
     """Affine subspace of F2^n: offset + span(basis).
@@ -168,10 +163,6 @@ class AffineSpace:
             raise EOError("mask not in affine space")
         rel = mask ^ self.offset
         return tuple((rel >> (b.bit_length() - 1)) & 1 for b in self.basis)
-
-    def parity_checks(self) -> list[int]:
-        """Vectors h with: mask in space implies dot(h, mask) == dot(h, offset)."""
-        return nullspace(list(self.basis), self.n)
 
 
 def f2_affine_span(strings: Iterable[int] | Iterable[str], n: int | None = None) -> AffineSpace:

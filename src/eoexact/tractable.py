@@ -15,7 +15,7 @@ import itertools
 import shlex
 import subprocess
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import f2
 from .errors import (
@@ -107,62 +107,45 @@ def _power_product(values: list[ExactValue], counts: Counter, flip: int = 0) -> 
 def eval_affine(grid: Grid) -> ExactValue:
     """Exact partition function when every vertex signature is affine-class.
 
-    Support constraints become one F2 linear system over edge variables; the
-    i-exponents, written in the free variables of its solution, add up to
-    one Z4 quadratic form, summed exactly by gauss_sum.  An infeasible
-    system means the value 0.  Each certificate's parity checks and
-    coordinates are read once per distinct signature, and its scale is
-    raised to the number of vertices carrying it.
+    The variables are each vertex's coordinates in its certificate's affine
+    space: a port reads the offset bit xor the coordinates whose basis row
+    holds that port, and each edge gives one XOR equation between its two
+    ends, solved by f2.solve_linear_system.  An infeasible system means the
+    value 0.  The i-exponents, written in the free variables of the
+    solution, add up to one Z4 quadratic form, summed exactly by gauss_sum;
+    each certificate's scale is raised to the number of vertices carrying it.
     """
     _require_closed(grid)
     certs = _certificates(grid, "affine", NonAffineVertex)
     if certs is None:
         return ZERO
-    # per certificate: each parity check as (ports, constant), each local
-    # coordinate as (pivot port of its basis row, offset bit there)
-    checks, coords = [], []
-    for cert in certs:
-        n, offset = cert.arity, cert.space.offset
-        checks.append([([p for p in range(n) if f2.bit_at(h, p, n)], f2.dot(h, offset))
-                       for h in cert.space.parity_checks()])
-        pivots = [n - b.bit_length() for b in cert.space.basis]
-        coords.append([(p, f2.bit_at(offset, p, n)) for p in pivots])
+    # ports[k][p]: (mask of the coordinates of certificate k that port p
+    # reads, offset bit at p)
+    ports = [[(sum(f2.bit_at(b, p, c.arity) << i for i, b in enumerate(c.space.basis)),
+               f2.bit_at(c.space.offset, p, c.arity)) for p in range(c.arity)]
+             for c in certs]
     of_vertex = grid.signature_index.of_vertex
-    # slot[start[v] + p] is 2 * edge, plus 1 at the edge's second end, which
-    # reads the edge variable xor 1
-    start = list(itertools.accumulate((certs[k].arity for k in of_vertex), initial=0))
-    slot = [0] * start[-1]
-    for eidx, ((va, pa), (vb, pb)) in enumerate(grid.edges):
-        slot[start[va] + pa] = 2 * eidx
-        slot[start[vb] + pb] = 2 * eidx + 1
-
-    equations: list[tuple[int, int]] = []
-    for s, k in zip(start, of_vertex):
-        for ports, const in checks[k]:
-            mask = 0
-            for p in ports:
-                e = slot[s + p]
-                mask ^= 1 << (e >> 1)
-                const ^= e & 1
-            equations.append((mask, const))
-    solved = f2.solve_linear_system(equations, len(grid.edges))
+    # vertex v's coordinates are the variables first[v] .. first[v + 1] - 1
+    first = list(itertools.accumulate((certs[k].space.dimension for k in of_vertex), initial=0))
+    equations = []
+    for (va, pa), (vb, pb) in grid.edges:
+        ma, ca = ports[of_vertex[va]][pa]
+        mb, cb = ports[of_vertex[vb]][pb]
+        equations.append(((ma << first[va]) ^ (mb << first[vb]), ca ^ cb ^ 1))
+    solved = f2.solve_linear_system(equations, first[-1])
     if solved is None:
         return ZERO
     particular, basis = solved
 
-    # each edge variable as an affine function of the free variables
-    edge_mask = [0] * len(grid.edges)
+    # each coordinate as an affine function of the free variables
+    var_mask = [0] * first[-1]
     for t, vec in enumerate(basis):
-        for e in _set_bits(vec):
-            edge_mask[e] |= 1 << t
-    edge_const = [int(c) for c in f"{particular:0{len(grid.edges)}b}"[::-1]]
+        for x in _set_bits(vec):
+            var_mask[x] |= 1 << t
     total = Z4Form(len(basis))
-    for s, k in zip(start, of_vertex):
+    for s, e, k in zip(first, first[1:], of_vertex):
         cert = certs[k]
-        xs = []
-        for p, off in coords[k]:
-            e = slot[s + p]
-            xs.append((edge_mask[e >> 1], edge_const[e >> 1] ^ (e & 1) ^ off))
+        xs = [(var_mask[x], (particular >> x) & 1) for x in range(s, e)]
         for (mask, const), lam in zip(xs, cert.lin):
             total.add_affine_lift(mask, const, lam)
         for i, j, mu in cert.quad:
@@ -179,11 +162,13 @@ def eval_affine(grid: Grid) -> ExactValue:
 def eval_product(grid: Grid) -> ExactValue:
     """Exact partition function when every vertex signature is product-class.
 
-    Each parity group is one F2 variable (its leader bit); pins and edge
-    disequalities become XOR equations on at most two of them, solved by
-    f2.solve_linear_system.  Each free basis vector of the solution is one
-    connected set of groups, which contributes the sum of its two
-    assignments; every other group is fixed by the particular solution.
+    Each parity group is one variable.  An edge between two groups links
+    their parities, an edge to a pin fixes its group (a link to one ground
+    node at 0), and a pin-pin edge links the ground to itself, a constant
+    check.  One iterative walk per connected set of groups assigns each group
+    its parity relative to the set's first group; a conflict means the value
+    0.  The ground's set contributes its one assignment, every other set the
+    sum of its two.
     Weights are counted by (distinct signature, group, bit) and each one is
     raised to its count, as is each certificate's scale.
     """
@@ -192,49 +177,60 @@ def eval_product(grid: Grid) -> ExactValue:
     if certs is None:
         return ZERO
     # weights[key + b]: weight of one certificate group when its leader bit
-    # is b, key even; ports[k][p]: (mask of port p's group among certificate
-    # k's groups, or 0 for a pin; bit read when that group's variable is 0)
+    # is b, key even; ports[k][p]: (index of port p's group in certificate k,
+    # or -1 for a pin; bit read when that group's leader bit is 0)
     weights: list[ExactValue] = []
     ports: list[list[tuple[int, int]]] = []
     group_keys: list[list[int]] = []
     for cert in certs:
-        local = [(0, 0)] * cert.arity
+        local = [(-1, 0)] * cert.arity
         for port, bit in cert.pins:
-            local[port] = (0, bit)
+            local[port] = (-1, bit)
         keys = []
         for j, grp in enumerate(cert.groups):
             keys.append(len(weights))
             weights += (grp.w0, grp.w1)
             for port, parity in zip(grp.ports, grp.parities):
-                local[port] = (1 << j, parity)
+                local[port] = (j, parity)
         ports.append(local)
         group_keys.append(keys)
     of_vertex = grid.signature_index.of_vertex
-    first: list[int] = []    # per vertex: the variable of its first group
-    var_key: list[int] = []  # per variable: its group's key
+    first: list[int] = []    # per vertex: the node of its first group
+    node_key: list[int] = []  # per node: its group's weight key
     for k in of_vertex:
-        first.append(len(var_key))
-        var_key += group_keys[k]
-    equations = []
+        first.append(len(node_key))
+        node_key += group_keys[k]
+    ground = len(node_key)
+    links: list[list[tuple[int, int]]] = [[] for _ in range(ground + 1)]
     for (va, pa), (vb, pb) in grid.edges:
-        ma, ba = ports[of_vertex[va]][pa]
-        mb, bb = ports[of_vertex[vb]][pb]
-        equations.append(((ma << first[va]) ^ (mb << first[vb]), ba ^ bb ^ 1))
-    solved = f2.solve_linear_system(equations, len(var_key))
-    if solved is None:
-        return ZERO
-    particular, basis = solved
+        ja, ba = ports[of_vertex[va]][pa]
+        jb, bb = ports[of_vertex[vb]][pb]
+        a = first[va] + ja if ja >= 0 else ground
+        b = first[vb] + jb if jb >= 0 else ground
+        links[a].append((b, ba ^ bb ^ 1))
+        links[b].append((a, ba ^ bb ^ 1))
 
-    # each variable's weight key under the particular solution
-    bits = f"{particular:0{len(var_key)}b}"[::-1]
-    key = [k + (b == "1") for k, b in zip(var_key, bits)]
     total = _power_product([c.lam for c in certs], Counter(of_vertex))
-    fixed = (1 << len(var_key)) - 1
-    for vec in basis:
-        fixed ^= vec
-        counts = Counter(key[v] for v in _set_bits(vec))
-        total = total * (_power_product(weights, counts) + _power_product(weights, counts, 1))
-    return total * _power_product(weights, Counter(key[v] for v in _set_bits(fixed)))
+    rel = [-1] * (ground + 1)  # each node's parity relative to its set's first node
+    for root in (ground, *range(ground)):
+        if rel[root] >= 0:
+            continue
+        rel[root] = 0
+        stack, counts = [root], Counter()
+        while stack:
+            g = stack.pop()
+            r = rel[g]
+            for h, parity in links[g]:
+                if rel[h] < 0:
+                    rel[h] = r ^ parity
+                    stack.append(h)
+                elif rel[h] != r ^ parity:
+                    return ZERO
+            if g != ground:
+                counts[node_key[g] + r] += 1
+        own = _power_product(weights, counts)
+        total = total * (own if root == ground else own + _power_product(weights, counts, 1))
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -447,12 +443,13 @@ def prune_effective(grid: Grid, backend=None) -> Grid:
     """
     _require_closed(grid)
     report = effective_support(grid, backend)
-    out = grid
-    for vidx, ((_, sig), keep) in enumerate(zip(grid.vertices, report.effective)):
-        if len(keep) < len(sig.entries):  # keep is a subset of the support
-            pruned = from_entries(sig.arity, {m: sig.entries[m] for m in keep}, sig.name)
-            out = out.with_vertex_signature(vidx, pruned)
-    return out
+    pruned = {vidx: from_entries(sig.arity, {m: sig.entries[m] for m in keep}, sig.name)
+              for vidx, ((_, sig), keep) in enumerate(zip(grid.vertices, report.effective))
+              if len(keep) < len(sig.entries)}  # keep is a subset of the support
+    if not pruned:
+        return grid
+    return replace(grid, vertices=tuple((vid, pruned.get(vidx, sig))
+                                        for vidx, (vid, sig) in enumerate(grid.vertices)))
 
 
 # ---------------------------------------------------------------------------

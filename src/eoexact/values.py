@@ -522,14 +522,6 @@ class RawArm:
         return _gaussian(*nums, d) if self.field is None else _cyclotomic(self.field, nums, d)
 
 
-def i_power_exponent(x: ExactValue) -> int | None:
-    """Return e with x == i**e for e in 0..3, or None."""
-    for e, v in enumerate((ONE, I, MINUS_ONE, ExactValue.gauss(0, -1))):
-        if x == v:
-            return e
-    return None
-
-
 def compare_abs(a: ExactValue, b: ExactValue) -> int:
     """Exact comparison of |a| and |b|: returns -1, 0 or 1.
 
@@ -688,12 +680,22 @@ def _terms(text: str) -> list[_re.Match]:
     return out
 
 
+def _int(digits: str) -> int:
+    """int(digits); a number past CPython's integer-string limit is a
+    LiteralSyntaxError."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise LiteralSyntaxError(
+            f"number of more than {sys.get_int_max_str_digits()} digits") from None
+
+
 def _atom(m: _re.Match, mode: FieldMode) -> ExactValue:
     """The atom of the term match m, i or zN^k, in the session field."""
     tok, n, k = m.group(4, 5, 6)
     if tok == "i":
         return I
-    n, k = int(n), int(k) if k else 1
+    n, k = _int(n), _int(k) if k else 1
     if n < 1:
         raise LiteralSyntaxError(f"bad root order in {tok!r}")
     order = mode.order
@@ -723,7 +725,7 @@ def parse_value(text: str, mode: FieldMode = GAUSS_MODE) -> ExactValue:
         term = ONE
         if num:
             try:
-                term = ExactValue.rational(Fraction(num))
+                term = ExactValue.rational(Fraction(*map(_int, num.split("/"))))
             except ZeroDivisionError:
                 raise LiteralSyntaxError(f"zero denominator in {text!r}") from None
         if star and not (num and atom):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -39,12 +40,14 @@ from eoexact.signatures import (
     symmetric,
     tensor,
 )
-from eoexact.values import ExactValue, I, ONE
+from eoexact.values import ExactValue, I, ONE, ZERO
 from tests_helpers import (
     rand_affine_signature,
+    rand_cyclotomic,
     rand_eo_signature,
     rand_nonzero_value,
     rand_product_signature,
+    reference_membership_affine,
 )
 
 V = ExactValue.rational
@@ -357,6 +360,30 @@ def test_membership_affine_rejects_perturbed():
         else:
             assert got.verify(g)
     assert hits > 10
+
+
+@pytest.mark.parametrize("order", [None, 8, 5], ids=["gauss", "zeta8", "zeta5"])
+def test_membership_affine_matches_division_reference(order):
+    # the same certificate or refutation as with one division per string;
+    # Q(zeta_5) lacks i, so there only +-scale can match
+    rng = random.Random(43)
+    units = [ONE, V(-1)] if order == 5 else [ONE, I, V(-1), -I]
+    stages = Counter()
+    for _ in range(80):
+        n = rng.randint(1, 5)
+        f = rand_affine_signature(rng, n, n)
+        values = {m: rng.choice(units) if order == 5 else f.value(m) for m in f.support()}
+        if rng.random() < 0.5:
+            m = rng.choice(list(values))
+            values[m] = values[m] * rng.choice([*units, V(3), V(3)])
+        scale = ZERO
+        while scale.is_zero():
+            scale = rand_nonzero_value(rng) if order is None else rand_cyclotomic(rng, order)
+        g = from_entries(n, {m: scale * v for m, v in values.items()})
+        got = membership_affine(g)
+        assert got == reference_membership_affine(g)
+        stages[got.stage if isinstance(got, Refutation) else "certificate"] += 1
+    assert stages["certificate"] >= 30 and stages["ratio_not_power_of_i"] >= 5
 
 
 # -- product membership ---------------------------------------------------------

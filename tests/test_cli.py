@@ -256,6 +256,31 @@ def test_huge_field_order_exit_code(tmp_path, order):
         assert f"{order} above the limit" in proc.stderr
 
 
+def test_affine_membership_in_a_large_field_is_quick(tmp_path):
+    # the scale of f is z + 1, whose inverse in Q(zeta_99991) multiplies
+    # 99 989 conjugates; membership compares with +-scale and divides by nothing
+    sig = tmp_path / "big.sig"
+    sig.write_text("signature f arity 2\n01 z99991^1 + 1\n")
+    proc = subprocess.run([sys.executable, "-m", "eoexact.cli", "classify", str(sig)],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "EO_FIELD": "zeta:99991"})
+    assert proc.returncode == 0, proc.stderr
+    assert "outcome: fp" in proc.stdout
+
+
+def test_overlong_number_in_a_value_literal(tmp_path, capsys):
+    # CPython converts at most sys.get_int_max_str_digits() digits to an int
+    limit = sys.get_int_max_str_digits()
+    sig = tmp_path / "long.sig"
+    sig.write_text(f"signature f arity 2\n01 {'7' * limit}\n")
+    code, _, rep = run_cli(capsys, ["classify", str(sig)])
+    assert code == 0 and rep["verdict"]["outcome"] == "fp"
+    sig.write_text(f"signature f arity 2\n01 {'7' * 5001}\n")
+    assert main(["classify", str(sig)]) == 1
+    assert capsys.readouterr().err == \
+        f"error: LiteralSyntaxError: line 2: number of more than {limit} digits\n"
+
+
 def test_gate_non_integer_port_exit_code(tmp_path, capsys):
     for step in ("permute 1 x", "loop a b"):
         script = tmp_path / "bad.gate"

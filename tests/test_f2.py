@@ -12,12 +12,12 @@ from eoexact.f2 import (
     hamming,
     is_balanced,
     mask_to_string,
-    nullspace,
     rref,
     solve_linear_system,
     string_to_mask,
     weight_excess,
 )
+from tests_helpers import nullspace, parity_checks
 
 
 def test_string_conventions():
@@ -93,7 +93,7 @@ def test_coordinates_roundtrip():
 
 def test_parity_checks():
     sp = f2_affine_span([0b0011, 0b1100], n=4)
-    checks = sp.parity_checks()
+    checks = parity_checks(sp)
     assert len(checks) == 3
     for h in checks:
         want = dot(h, sp.offset)

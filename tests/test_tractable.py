@@ -4,6 +4,7 @@ import sys
 import pytest
 
 from eoexact import f2, grids, tractable
+from eoexact.classify import membership
 from eoexact.errors import (
     BruteForceCapExceeded,
     NoAsymmetricGateFound,
@@ -45,11 +46,14 @@ from tests_helpers import (
     dense_torus,
     enumerate_reference,
     rand_affine_signature,
+    rand_class_grid,
     rand_closed_grid,
     rand_eo_signature,
     rand_product_signature,
     rand_wired_grid,
     realize_delta_copies,
+    reference_eval_affine,
+    reference_eval_product,
 )
 
 V = ExactValue.rational
@@ -318,6 +322,45 @@ def test_engines_multiply_once_per_distinct_factor(monkeypatch, engine):
     assert len(calls) < 200  # 1 000 or more when each vertex is one product
 
 
+@pytest.mark.parametrize("cls, engine, reference", [
+    ("affine", eval_affine, reference_eval_affine),
+    ("product", eval_product, reference_eval_product),
+], ids=["affine", "product"])
+def test_engines_match_references_on_random_grids(cls, engine, reference):
+    rng = random.Random(103)
+    zeros = self_edges = 0
+    shapes = set()  # affine: (arity, dimension); product: (has pins, has groups)
+    for _ in range(300):
+        grid = rand_class_grid(rng, cls)
+        got = engine(grid)
+        assert got == reference(grid) == brute_force_partition(grid)
+        zeros += got.is_zero()
+        self_edges += any(a[0] == b[0] for a, b in grid.edges)
+        for sig in grid.signature_index.distinct:
+            cert = membership(sig, cls)
+            shapes.add((sig.arity, cert.space.dimension) if cls == "affine"
+                       else (bool(cert.pins), bool(cert.groups)))
+    assert 30 <= zeros <= 270 and self_edges >= 100
+    if cls == "affine":
+        assert {d for _, d in shapes} == set(range(6))
+        assert all((n, n) in shapes for n in range(1, 6))
+    else:
+        assert shapes == {(False, True), (True, False), (True, True)}
+
+
+@pytest.mark.parametrize("engine", [eval_affine, eval_product])
+def test_engines_on_a_deep_ring(engine):
+    # 20 000 weighted deq4 vertices: every vertex reads 0011 or every one 1100
+    rng = random.Random(107)
+    pool = [(a, a * I ** k) for a in (ONE, V(2), ExactValue.gauss(1, 1)) for k in range(4)]
+    weights = [rng.choice(pool) for _ in range(20_000)]
+    grid = deq4_ring([from_entries(4, {"0011": a, "1100": b}) for a, b in weights])
+    prod_a = prod_b = ONE
+    for a, b in weights:
+        prod_a, prod_b = prod_a * a, prod_b * b
+    assert engine(grid) == prod_a + prod_b
+
+
 # -- support oracle ---------------------------------------------------------------
 
 
@@ -578,6 +621,29 @@ def test_prune_preserves_z_random():
         grid = rand_closed_grid(rng, sigs, max_vertices=4, max_edges=7)
         assert brute_force_partition(prune_effective(grid)) == \
             brute_force_partition(grid)
+
+
+def test_prune_builds_the_grid_of_per_vertex_replacements():
+    # a ring on which 0101 is ineffective at every vertex, among others
+    rng = random.Random(109)
+    sig = from_entries(4, {"1100": 1, "0011": 1, "0101": 1})
+    grids = [deq4_ring([sig] * 6)]
+    for _ in range(10):
+        sigs = [rand_eo_signature(rng, rng.choice([2, 4]), nonzero=True) for _ in range(3)]
+        grids.append(rand_closed_grid(rng, sigs, max_vertices=4, max_edges=7))
+    changed = 0
+    for grid in grids:
+        want = grid
+        for vidx, keep in enumerate(effective_support(grid).effective):
+            old = grid.signature_of(vidx)
+            if len(keep) < len(old.entries):
+                changed += 1
+                want = want.with_vertex_signature(
+                    vidx, from_entries(old.arity, {m: old.entries[m] for m in keep}, old.name))
+        got = prune_effective(grid)
+        assert got == want
+        assert [s.name for _, s in got.vertices] == [s.name for _, s in want.vertices]
+    assert changed >= 10
 
 
 # -- oracle-assisted pipeline ---------------------------------------------------

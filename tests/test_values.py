@@ -23,7 +23,6 @@ from eoexact.values import (
     compare_abs,
     cyclotomic_coeffs,
     euler_phi,
-    i_power_exponent,
     parse_value,
     render_value,
     root_order,
@@ -33,6 +32,7 @@ from eoexact.values import (
 from tests_helpers import (
     dense_torus,
     enumerate_reference,
+    i_power_exponent,
     rand_cyclotomic,
     reference_parse_value,
     reweighted,

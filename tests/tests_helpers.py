@@ -3,16 +3,27 @@ and the reference constructions the tests check the library against."""
 
 from __future__ import annotations
 
+import itertools
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 from eoexact import f2
-from eoexact.errors import EOError, InvalidGrid, LiteralSyntaxError, PortError
+from eoexact.classify import AffineCertificate, Refutation
+from eoexact.errors import (
+    EOError,
+    InvalidGrid,
+    LiteralSyntaxError,
+    NonAffineVertex,
+    NonProductVertex,
+    PortError,
+)
 from eoexact.f2 import AffineSpace
-from eoexact.gauss import Z4Form
+from eoexact.gauss import Z4Form, gauss_sum
 from eoexact.grids import Grid
 from eoexact.signatures import Signature, diseq, from_entries, pin_signature
+from eoexact.tractable import _certificates, _power_product, _require_closed, _set_bits
 from eoexact.values import GAUSS_MODE, ExactValue, FieldMode, I, ONE, ZERO, euler_phi
 
 V = ExactValue.rational
@@ -54,10 +65,10 @@ def rand_eo_signature(rng: random.Random, arity: int, density: float = 0.7,
             return from_entries(arity, entries)
 
 
-def rand_affine_signature(rng: random.Random, arity: int) -> Signature:
+def rand_affine_signature(rng: random.Random, arity: int, max_dim: int = 3) -> Signature:
     """Random member of the affine class, built from its normal form."""
     n = arity
-    dim = rng.randint(0, min(n, 3))
+    dim = rng.randint(0, min(n, max_dim))
     rows = [rng.randrange(1, 1 << n) for _ in range(dim)]
     offset = rng.randrange(1 << n)
     space = AffineSpace.make(n, offset, rows)
@@ -134,6 +145,31 @@ def rand_closed_grid(rng: random.Random, signatures: list[Signature],
         if not ok:
             continue
         return Grid.make([(f"v{i}", sig) for i, sig in enumerate(chosen)], edges)
+
+
+def rand_class_grid(rng: random.Random, cls: str, max_vertices: int = 5) -> Grid:
+    """Random closed grid of affine- or product-class vertices of arity 1-5:
+    the ports are matched at random, so two ports of one vertex may meet.
+    Affine supports take every dimension up to the arity; product vertices
+    carry pins and parity groups.  About half the vertices reuse an earlier
+    signature of their arity."""
+    while True:
+        arities = [rng.randint(1, 5) for _ in range(rng.randint(1, max_vertices))]
+        if sum(arities) % 2 == 0:
+            break
+    sigs: list[Signature] = []
+    for n in arities:
+        earlier = [s for s in sigs if s.arity == n]
+        if earlier and rng.random() < 0.5:
+            sigs.append(rng.choice(earlier))
+        elif cls == "affine":
+            sigs.append(rand_affine_signature(rng, n, n))
+        else:
+            sigs.append(rand_product_signature(rng, n))
+    slots = [(v, p) for v, n in enumerate(arities) for p in range(n)]
+    rng.shuffle(slots)
+    return Grid.make([(f"v{v}", sig) for v, sig in enumerate(sigs)],
+                     zip(slots[::2], slots[1::2]))
 
 
 def rand_single_weighted_signature(rng: random.Random, arity: int) -> Signature:
@@ -292,6 +328,189 @@ def realize_delta_copies(k: int) -> Grid:
         dangling.append((1, k + 1 + t))
         dangling.append((1, t))
     return Grid.make(verts, edges, dangling)
+
+
+def i_power_exponent(x: ExactValue) -> int | None:
+    """Return e with x == i**e for e in 0..3, or None."""
+    for e, v in enumerate((ONE, I, -ONE, -I)):
+        if x == v:
+            return e
+    return None
+
+
+def reference_membership_affine(f: Signature) -> AffineCertificate | Refutation:
+    """membership_affine as it was with one division per support string: each
+    ratio f(m) / f(offset) is matched against the powers of i."""
+    supp = f.support()
+    n = f.arity
+    span = f2.f2_affine_span(supp, n)
+    if span.size() != len(supp):
+        missing = next(el for el in span.elements() if el not in set(supp))
+        return Refutation("support_not_affine", f2.mask_to_string(missing, n))
+    base = span.offset
+    lam = f.value(base)
+    exps: dict[int, int] = {}
+    for m in supp:
+        e = i_power_exponent(f.value(m) / lam)
+        if e is None:
+            return Refutation("ratio_not_power_of_i", f2.mask_to_string(m, n))
+        exps[m] = e
+    d = span.dimension
+    lin = [exps[base ^ span.basis[i]] for i in range(d)]
+    quad: list[tuple[int, int, int]] = []
+    for i in range(d):
+        for j in range(i + 1, d):
+            s = (exps[base ^ span.basis[i] ^ span.basis[j]] - lin[i] - lin[j]) % 4
+            if s % 2:
+                return Refutation(
+                    "quadratic_parity",
+                    f2.mask_to_string(base ^ span.basis[i] ^ span.basis[j], n))
+            quad.append((i, j, s // 2))
+    cert = AffineCertificate(n, lam, span, tuple(lin), tuple(quad))
+    for m in supp:
+        if exps[m] != cert.exponent(span.coordinates(m)):
+            return Refutation("exponent_mismatch", f2.mask_to_string(m, n))
+    return cert
+
+
+def nullspace(rows: list[int], n: int) -> list[int]:
+    """Basis of {h : dot(h, r) = 0 for every row r}, bit positions shared with rows."""
+    return f2._free_basis(f2.rref(rows, n), n)
+
+
+def parity_checks(space: AffineSpace) -> list[int]:
+    """Vectors h with: mask in space implies dot(h, mask) == dot(h, space.offset)."""
+    return nullspace(list(space.basis), space.n)
+
+
+def reference_eval_affine(grid: Grid) -> ExactValue:
+    """The affine engine over edge variables, kept as the reference of
+    ``tractable.eval_affine``: one equation per certificate parity check.
+
+    Support constraints become one F2 linear system over edge variables; the
+    i-exponents, written in the free variables of its solution, add up to
+    one Z4 quadratic form, summed exactly by gauss_sum.  An infeasible
+    system means the value 0.  Each certificate's parity checks and
+    coordinates are read once per distinct signature, and its scale is
+    raised to the number of vertices carrying it.
+    """
+    _require_closed(grid)
+    certs = _certificates(grid, "affine", NonAffineVertex)
+    if certs is None:
+        return ZERO
+    # per certificate: each parity check as (ports, constant), each local
+    # coordinate as (pivot port of its basis row, offset bit there)
+    checks, coords = [], []
+    for cert in certs:
+        n, offset = cert.arity, cert.space.offset
+        checks.append([([p for p in range(n) if f2.bit_at(h, p, n)], f2.dot(h, offset))
+                       for h in parity_checks(cert.space)])
+        pivots = [n - b.bit_length() for b in cert.space.basis]
+        coords.append([(p, f2.bit_at(offset, p, n)) for p in pivots])
+    of_vertex = grid.signature_index.of_vertex
+    # slot[start[v] + p] is 2 * edge, plus 1 at the edge's second end, which
+    # reads the edge variable xor 1
+    start = list(itertools.accumulate((certs[k].arity for k in of_vertex), initial=0))
+    slot = [0] * start[-1]
+    for eidx, ((va, pa), (vb, pb)) in enumerate(grid.edges):
+        slot[start[va] + pa] = 2 * eidx
+        slot[start[vb] + pb] = 2 * eidx + 1
+
+    equations: list[tuple[int, int]] = []
+    for s, k in zip(start, of_vertex):
+        for ports, const in checks[k]:
+            mask = 0
+            for p in ports:
+                e = slot[s + p]
+                mask ^= 1 << (e >> 1)
+                const ^= e & 1
+            equations.append((mask, const))
+    solved = f2.solve_linear_system(equations, len(grid.edges))
+    if solved is None:
+        return ZERO
+    particular, basis = solved
+
+    # each edge variable as an affine function of the free variables
+    edge_mask = [0] * len(grid.edges)
+    for t, vec in enumerate(basis):
+        for e in _set_bits(vec):
+            edge_mask[e] |= 1 << t
+    edge_const = [int(c) for c in f"{particular:0{len(grid.edges)}b}"[::-1]]
+    total = Z4Form(len(basis))
+    for s, k in zip(start, of_vertex):
+        cert = certs[k]
+        xs = []
+        for p, off in coords[k]:
+            e = slot[s + p]
+            xs.append((edge_mask[e >> 1], edge_const[e >> 1] ^ (e & 1) ^ off))
+        for (mask, const), lam in zip(xs, cert.lin):
+            total.add_affine_lift(mask, const, lam)
+        for i, j, mu in cert.quad:
+            if mu:
+                total.add_doubled_product(xs[i], xs[j])
+    return gauss_sum(total) * _power_product([c.lam for c in certs], Counter(of_vertex))
+
+
+def reference_eval_product(grid: Grid) -> ExactValue:
+    """The product engine over an F2 system, kept as the reference of
+    ``tractable.eval_product``.
+
+    Each parity group is one F2 variable (its leader bit); pins and edge
+    disequalities become XOR equations on at most two of them, solved by
+    f2.solve_linear_system.  Each free basis vector of the solution is one
+    connected set of groups, which contributes the sum of its two
+    assignments; every other group is fixed by the particular solution.
+    Weights are counted by (distinct signature, group, bit) and each one is
+    raised to its count, as is each certificate's scale.
+    """
+    _require_closed(grid)
+    certs = _certificates(grid, "product", NonProductVertex)
+    if certs is None:
+        return ZERO
+    # weights[key + b]: weight of one certificate group when its leader bit
+    # is b, key even; ports[k][p]: (mask of port p's group among certificate
+    # k's groups, or 0 for a pin; bit read when that group's variable is 0)
+    weights: list[ExactValue] = []
+    ports: list[list[tuple[int, int]]] = []
+    group_keys: list[list[int]] = []
+    for cert in certs:
+        local = [(0, 0)] * cert.arity
+        for port, bit in cert.pins:
+            local[port] = (0, bit)
+        keys = []
+        for j, grp in enumerate(cert.groups):
+            keys.append(len(weights))
+            weights += (grp.w0, grp.w1)
+            for port, parity in zip(grp.ports, grp.parities):
+                local[port] = (1 << j, parity)
+        ports.append(local)
+        group_keys.append(keys)
+    of_vertex = grid.signature_index.of_vertex
+    first: list[int] = []    # per vertex: the variable of its first group
+    var_key: list[int] = []  # per variable: its group's key
+    for k in of_vertex:
+        first.append(len(var_key))
+        var_key += group_keys[k]
+    equations = []
+    for (va, pa), (vb, pb) in grid.edges:
+        ma, ba = ports[of_vertex[va]][pa]
+        mb, bb = ports[of_vertex[vb]][pb]
+        equations.append(((ma << first[va]) ^ (mb << first[vb]), ba ^ bb ^ 1))
+    solved = f2.solve_linear_system(equations, len(var_key))
+    if solved is None:
+        return ZERO
+    particular, basis = solved
+
+    # each variable's weight key under the particular solution
+    bits = f"{particular:0{len(var_key)}b}"[::-1]
+    key = [k + (b == "1") for k, b in zip(var_key, bits)]
+    total = _power_product([c.lam for c in certs], Counter(of_vertex))
+    fixed = (1 << len(var_key)) - 1
+    for vec in basis:
+        fixed ^= vec
+        counts = Counter(key[v] for v in _set_bits(vec))
+        total = total * (_power_product(weights, counts) + _power_product(weights, counts, 1))
+    return total * _power_product(weights, Counter(key[v] for v in _set_bits(fixed)))
 
 
 def reference_solve(clauses: list[list[int]], nvars: int) -> dict[int, bool] | None:
