@@ -232,16 +232,6 @@ class AffineCertificate:
                 return False
         return True
 
-    def to_json(self) -> dict:
-        return {
-            "kind": "affine",
-            "scale": render_value(self.lam),
-            "support_offset": f2.mask_to_string(self.space.offset, self.arity),
-            "support_basis": [f2.mask_to_string(b, self.arity) for b in self.space.basis],
-            "linear": list(self.lin),
-            "quadratic": [[i, j, mu] for i, j, mu in self.quad],
-        }
-
 
 @dataclass(frozen=True)
 class Refutation:
@@ -332,19 +322,6 @@ class ProductCertificate:
     def verify(self, f: Signature) -> bool:
         return f.arity == self.arity and \
             all(f.value(m) == self.reconstruct(m) for m in range(1 << f.arity))
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "product",
-            "scale": render_value(self.lam),
-            "pins": [[p, b] for p, b in self.pins],
-            "groups": [{
-                "ports": list(g.ports),
-                "parities": list(g.parities),
-                "w0": render_value(g.w0),
-                "w1": render_value(g.w1),
-            } for g in self.groups],
-        }
 
 
 def membership_product(f: Signature) -> ProductCertificate | Refutation:

@@ -9,11 +9,11 @@ constraint.  Grids are immutable; rewiring helpers return new grids.
 from __future__ import annotations
 
 import functools
-import heapq
 import os
 from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import chain, count
+from heapq import heapify, heappop, heappush
+from itertools import chain
 from math import prod
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -25,6 +25,7 @@ from .errors import (
     OpenGridError,
 )
 from .signatures import (
+    ARITY_CAP,
     BUILTIN_SIGNATURES,
     Signature,
     load_signature_file,
@@ -147,65 +148,122 @@ def plan_contraction(grid: Grid, tables: Sequence[Mapping] | None = None) -> Pla
     pass the vertex's self-loops, keyed by the bits they need on the closed
     edges, as (bits they open, string, weight).  The weight is the string's
     entry in tables[grid.signature_index.of_vertex[v]] for vertex v, or in
-    the signature itself without tables.
+    the signature itself without tables.  Steps of one shape (signature,
+    and per port its role and frontier bit) share one groups mapping, which
+    no caller may change.  The grid must be valid (see require_valid).
     """
-    peer: dict[Slot, Slot] = {}
-    for a, b in grid.edges:
-        peer[a], peer[b] = b, a
-    d = len(grid.dangling)
-    held = {s: d - 1 - i for i, s in enumerate(grid.dangling)}  # open slot -> its bit
-    free: list[int] = []
-    unused = count(d)
-    score = [0] * len(grid.vertices)
-    size = [len(sig.support()) for _, sig in grid.vertices]
-    placed = [False] * len(grid.vertices)
-    heap = [(0, size[v], v) for v in range(len(grid.vertices))]
-    heapq.heapify(heap)
     index = grid.signature_index
-    tables = tables or [sig.entries for sig in index.distinct]
+    of_vertex = index.of_vertex
+    # Slot off[v] + p is port p of vertex v.  A queue key encodes (-edges to
+    # placed vertices, support size, vertex) in one int: a support has at most
+    # 2^ARITY_CAP strings, so `up` lies above every size and vertex part.
+    # key[v] is v's current key, lowered by `up` per edge to a placed vertex
+    # and None once v is placed; a popped key that is not current is stale.
+    low = len(of_vertex).bit_length()
+    mask = (1 << low) - 1
+    off, key = [0], []
+    for v, (_, sig) in enumerate(grid.vertices):
+        off.append(off[-1] + sig.arity)
+        key.append(len(sig.support()) << low | v)
+    up = 1 << low + ARITY_CAP + 1
+    queue = key[:]
+    heapify(queue)
+    # peer and peer_vertex name the slot and vertex at the other end of a
+    # slot's edge (-1: dangling); held is the frontier bit a slot holds
+    peer = [-1] * off[-1]
+    peer_vertex = peer[:]
+    held = peer[:]
+    for (va, pa), (vb, pb) in grid.edges:
+        a = off[va] + pa
+        b = off[vb] + pb
+        peer[a] = b
+        peer[b] = a
+        peer_vertex[a] = vb
+        peer_vertex[b] = va
+    d = len(grid.dangling)
+    bit = 1 << d
+    for v, p in grid.dangling:
+        bit >>= 1
+        held[off[v] + p] = bit
+    free, top, live = 0, 1 << d, d  # freed bits, lowest never used, bits held
+    shapes: dict[tuple[int, ...], dict] = {}
     steps, width = [], d
-    while heap:
-        neg, _, v = heapq.heappop(heap)
-        if placed[v] or -neg != score[v]:
+    while queue:
+        k = heappop(queue)
+        v = k & mask
+        if k != key[v]:
             continue
-        placed[v] = True
-        sig = grid.signature_of(v)
-        n = sig.arity
-        close, reads, opens, loops = 0, [], [], []  # reads/opens: (port bit, frontier bit)
-        for p in range(n):
-            bit = 1 << (n - 1 - p)
-            other = peer.get((v, p))
-            if other is None:
-                opens.append((bit, 1 << held[v, p]))
-            elif other[0] == v:
-                if p < other[1]:
-                    loops.append(bit | 1 << (n - 1 - other[1]))
-            elif placed[other[0]]:
-                k = held.pop(other)
-                heapq.heappush(free, k)
-                close |= 1 << k
-                reads.append((bit, 1 << k))
+        key[v] = None
+        end = off[v + 1]
+        close = 0
+        # the step's shape: v's signature position, then per port its
+        # frontier bit if it opens one, minus it if it reads one, and on a
+        # self-loop the port bits of both ends (never a power of 2) at the
+        # lower port and 0 at the other
+        shape = [of_vertex[v]]
+        for s in range(off[v], end):
+            q = peer[s]
+            if q < 0:
+                shape.append(held[s])
+            elif (u := peer_vertex[s]) == v:
+                shape.append(1 << (end - 1 - s) | 1 << (end - 1 - q) if s < q else 0)
+            elif key[u] is None:
+                bit = held[q]
+                free |= bit
+                close |= bit
+                live -= 1
+                shape.append(-bit)
             else:
-                held[v, p] = k = heapq.heappop(free) if free else next(unused)
-                opens.append((bit, 1 << k))
-                u = other[0]
-                score[u] += 1
-                heapq.heappush(heap, (-score[u], size[u], u))
-        groups: dict[int, list[tuple[int, int, object]]] = {}
-        for s, w in tables[index.of_vertex[v]].items():
-            if loops and not all((s & m) not in (0, m) for m in loops):
-                continue
-            read = out = 0
-            for bit, k in reads:
-                if not s & bit:
-                    read |= k
-            for bit, k in opens:
-                if s & bit:
-                    out |= k
-            groups.setdefault(read, []).append((out, s, w))
+                if free:
+                    bit = free & -free
+                    free ^= bit
+                else:
+                    bit, top = top, top << 1
+                held[s] = bit
+                live += 1
+                shape.append(bit)
+                key[u] -= up
+                heappush(queue, key[u])
+        shape = tuple(shape)
+        groups = shapes.get(shape)
+        if groups is None:
+            # decode the shape, then group the support strings
+            reads, opens, loops = [], [], []  # reads/opens: (port bit, frontier bit)
+            bit = 1 << len(shape) - 1
+            for c in shape[1:]:
+                bit >>= 1
+                if c < 0:
+                    reads.append((bit, -c))
+                elif c & (c - 1):
+                    loops.append(c)
+                elif c:
+                    opens.append((bit, c))
+            groups = shapes[shape] = {}
+            sig = shape[0]
+            for s, w in (tables[sig] if tables else index.distinct[sig].entries).items():
+                if loops and not _opposite_ends(s, loops):
+                    continue
+                read = out = 0
+                for bit, k in reads:
+                    if not s & bit:
+                        read |= k
+                for bit, k in opens:
+                    if s & bit:
+                        out |= k
+                groups.setdefault(read, []).append((out, s, w))
         steps.append((v, close, groups))
-        width = max(width, len(held))
+        if live > width:
+            width = live
     return Plan(steps, width)
+
+
+def _opposite_ends(s: int, loops: list[int]) -> bool:
+    """Whether the string reads opposite bits at the two ends of every
+    self-loop, each given as the port bits of its two ends."""
+    for m in loops:
+        if (s & m) in (0, m):
+            return False
+    return True
 
 
 def frontier_pass(plan: Plan, frontier: dict, merge: Callable[..., None],

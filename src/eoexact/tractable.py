@@ -272,6 +272,7 @@ class ExhaustiveOracle:
         return True, tuple(masks)
 
     def _passes(self, grid: Grid) -> None:
+        require_valid(grid)  # the plan reads every port as wired or dangling
         plan = plan_contraction(grid)
         steps = plan.steps
         trail = list(frontier_pass(plan, {0: None}, _first_parent, DEFAULT_OP_CAP))

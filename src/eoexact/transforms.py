@@ -25,10 +25,6 @@ class WeightProfile:
     mixed: bool
 
     @property
-    def single_weighted(self) -> bool:
-        return not self.mixed
-
-    @property
     def balanced(self) -> bool:
         return self.weight is not None and 2 * self.weight == self.arity
 

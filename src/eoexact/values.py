@@ -566,8 +566,10 @@ def root_order(x: ExactValue, cap: int = 64) -> RootOrder:
     """Smallest k <= cap with x**k == 1, or the reason there is none.
 
     Gaussian mode is decisive: the only Gaussian-rational roots of unity are
-    1, -1, i, -i.  Cyclotomic mode reports "unknown" for unimodular values
-    with no order within the cap.
+    1, -1, i, -i.  In Q(zeta_N) the roots of unity are the M-th roots for
+    M = lcm(2, N), so x is one exactly when x**M == 1, and its order is the
+    least divisor of M that x reaches 1 at, found prime by prime.  A root of
+    order above the cap is reported "unknown".
     """
     if x.is_zero():
         raise ZeroValue("root order of zero is undefined")
@@ -581,12 +583,22 @@ def root_order(x: ExactValue, cap: int = 64) -> RootOrder:
         if x == I or x == ExactValue.gauss(0, -1):
             return RootOrder("root", 4)
         return RootOrder("not_root")
-    power = x
-    for k in range(1, cap + 1):
-        if power == ONE:
-            return RootOrder("root", k)
-        power = power * x
-    return RootOrder("unknown")
+    m = order = lcm(2, x.ambient)
+    rest, p = m, 2
+    while rest > 1:
+        if p * p > rest:
+            p = rest  # the last prime factor
+        if rest % p == 0:
+            while rest % p == 0:
+                rest //= p
+            while order % p == 0 and x ** (order // p) == ONE:
+                order //= p
+        p += 1
+    # x**(order // p) == 1 implies x**m == 1, so only an order still at m
+    # leaves open whether x is a root at all
+    if order == m and x ** m != ONE:
+        return RootOrder("not_root")
+    return RootOrder("root", order) if order <= cap else RootOrder("unknown")
 
 
 # -- exact Vandermonde solving ------------------------------------------------
@@ -736,22 +748,46 @@ def parse_value(text: str, mode: FieldMode = GAUSS_MODE) -> ExactValue:
     return total
 
 
+_SHORT = 10 ** 600  # str() converts any int below it, whatever the digit limit
+
+
+def _decimal(n: int) -> str:
+    """str(n) for an int of any length.  CPython's str() refuses an int of
+    more digits than sys.get_int_max_str_digits(), which is never below 640,
+    so a longer one is split by divmod with a power of ten, halving its
+    digit count per level."""
+    if -_SHORT < n < _SHORT:
+        return str(n)
+    if n < 0:
+        return "-" + _decimal(-n)
+    k = n.bit_length() * 3 // 20  # about half the digits: log10(2) > 3/10
+    hi, lo = divmod(n, 10 ** k)
+    return _decimal(hi) + _decimal(lo).zfill(k)
+
+
+def _rational(q: Fraction) -> str:
+    """str(q), also past CPython's integer-string limit."""
+    if q.denominator == 1:
+        return _decimal(q.numerator)
+    return f"{_decimal(q.numerator)}/{_decimal(q.denominator)}"
+
+
 def render_value(v: ExactValue) -> str:
-    """Canonical literal for a value; parse_value(render_value(v)) == v."""
+    """Canonical literal for a value; parse_value(render_value(v)) == v
+    while no number in it has more digits than a literal may hold."""
     if v.is_gaussian:
         re, im = v.gauss_parts()
         if im == 0:
-            return str(re)
+            return _rational(re)
         if re == 0:
             if im == 1:
                 return "i"
             if im == -1:
                 return "-i"
-            return f"{im}i"
-        imag = "i" if im == 1 else ("-i" if im == -1 else f"{abs(im)}i")
+            return f"{_rational(im)}i"
         if im > 0:
-            return f"{re}+{imag}" if im == 1 else f"{re}+{im}i"
-        return f"{re}-i" if im == -1 else f"{re}-{abs(im)}i"
+            return f"{_rational(re)}+i" if im == 1 else f"{_rational(re)}+{_rational(im)}i"
+        return f"{_rational(re)}-i" if im == -1 else f"{_rational(re)}-{_rational(-im)}i"
     n = v.ambient
     den = v._co[-1]
     pieces: list[str] = []
@@ -760,11 +796,11 @@ def render_value(v: ExactValue) -> str:
             continue
         c = Fraction(c, den)
         if j == 0:
-            body = str(abs(c))
+            body = _rational(abs(c))
         elif abs(c) == 1:
             body = f"z{n}^{j}"
         else:
-            body = f"{abs(c)}*z{n}^{j}"
+            body = f"{_rational(abs(c))}*z{n}^{j}"
         if not pieces:
             pieces.append(body if c > 0 else f"-{body}")
         else:

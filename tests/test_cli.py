@@ -281,6 +281,20 @@ def test_overlong_number_in_a_value_literal(tmp_path, capsys):
         f"error: LiteralSyntaxError: line 2: number of more than {limit} digits\n"
 
 
+
+@pytest.mark.parametrize("engine", ["brute", "auto"])
+def test_eval_renders_a_result_past_the_digit_limit(tmp_path, capsys, engine):
+    # a ring of two vertices reading 01 (weight n) or both 10: Z = n^2 + 1
+    n = "1" + "0" * 2998 + "1"
+    grid = tmp_path / "huge.grid"
+    grid.write_text(f"signature f arity 2\n01 {n}\n10 1\n"
+                    "vertex a f\nvertex b f\nedge a.2 b.1\nedge b.2 a.1\n")
+    code, human, rep = run_cli(capsys, ["eval", "--engine", engine, str(grid)])
+    z = "1" + "0" * 2998 + "2" + "0" * 2998 + "2"
+    assert code == 0
+    assert rep["result"] == z
+    assert f"Z = {z}\n" in human
+
 def test_gate_non_integer_port_exit_code(tmp_path, capsys):
     for step in ("permute 1 x", "loop a b"):
         script = tmp_path / "bad.gate"

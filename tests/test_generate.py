@@ -58,6 +58,12 @@ def test_fourth_root_group():
     assert set(state.closure()) == {ONE, I, V(-1), ExactValue.gauss(0, -1)}
 
 
+def test_unimodular_non_root_outside_q_i_is_decided():
+    x = ExactValue.gauss(Fraction(3, 5), Fraction(4, 5)) * Z(8, 1)
+    desc, _ = generating_process(gen_diseq("1100", 1, x))
+    assert desc.outcome == "non_root"
+
+
 def test_non_root_detected():
     desc, state = generating_process(gen_diseq("0101", 1, 2))
     assert desc.outcome == "non_root"

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import random
 from fractions import Fraction
@@ -13,9 +14,12 @@ from eoexact.errors import (
     LiteralSyntaxError,
     OpenGridError,
 )
+from eoexact import grids, tractable
 from eoexact.grids import (
+    DEFAULT_OP_CAP,
     Grid,
     brute_force_partition,
+    frontier_pass,
     gate_signature,
     load_grid_file,
     parse_grid_text,
@@ -33,14 +37,16 @@ from eoexact.signatures import (
     self_loop,
     tensor,
 )
-from eoexact.values import ExactValue, I, ONE, ZERO
+from eoexact.values import ExactValue, I, ONE, RawArm, ZERO
 from tests_helpers import (
     dense_torus,
     enumerate_reference,
     join_gates,
     rand_cyclotomic,
+    rand_nonzero_value,
     rand_value,
     rand_wired_grid,
+    reference_plan_contraction,
     reweighted,
     signature_matrix,
 )
@@ -331,6 +337,97 @@ def test_cap_error_names_the_plan_width():
     assert plan_contraction(ring).width == 4
     with pytest.raises(BruteForceCapExceeded, match="contraction.* opens 4 frontier bits"):
         brute_force_partition(ring, cap=3)
+
+
+def ring(sigs):
+    """Ring of arity-2h signatures: the last h ports of v meet the first h of v+1."""
+    n, h = len(sigs), sigs[0].arity // 2
+    return Grid.make([(f"v{v}", s) for v, s in enumerate(sigs)],
+                     [((v, h + p), ((v + 1) % n, p)) for v in range(n) for p in range(h)])
+
+
+def loop_closed(rng, arity, dangling):
+    """A dense balanced base whose other ports are closed in pairs, each
+    through one binary loop vertex."""
+    base = from_entries(arity, {m: rand_nonzero_value(rng) for m in range(1 << arity)
+                                if 2 * bin(m).count("1") == arity})
+    ports = list(range(arity))
+    rng.shuffle(ports)
+    verts, edges = [("f", base)], []
+    for t in range((arity - dangling) // 2):
+        verts.append((f"w{t}", from_entries(2, {"01": 1, "10": rand_nonzero_value(rng)})))
+        edges += [((0, ports[2 * t]), (t + 1, 1)), ((0, ports[2 * t + 1]), (t + 1, 0))]
+    return Grid.make(verts, edges, [(0, p) for p in sorted(ports[arity - dangling:])])
+
+
+def planner_inputs():
+    """Seeded wired grids (self-loops, dangling ports, arity-0 vertices and
+    zero signatures among them), dense tori, weighted deq4 rings and loop
+    gadget shapes."""
+    grids_ = [rand_wired_grid(random.Random(seed), max_vertices=7) for seed in range(2000)]
+    grids_ += [dense_torus(side, random.Random(side)) for side in range(3, 8)]
+    rng = random.Random(22)
+    for n in (1, 2, 3, 16, 64, 512):
+        pool = [gen_diseq("1100", rand_nonzero_value(rng), rand_nonzero_value(rng))
+                for _ in range(3)]
+        grids_.append(ring([rng.choice(pool) for _ in range(n)]))
+    for arity, dangling in ((4, 0), (6, 0), (6, 2), (6, 4), (8, 4), (8, 2)):
+        grids_ += [loop_closed(rng, arity, dangling) for _ in range(3)]
+    return grids_
+
+
+def raw_tables(grid):
+    """The numerator tables that brute force and gates plan with."""
+    index = grid.signature_index
+    arm = RawArm(w for sig in index.distinct for w in sig.entries.values())
+    return arm, [arm.numerators(sig.entries)[0] for sig in index.distinct]
+
+
+def test_plan_matches_reference_planner():
+    for grid in planner_inputs():
+        assert validate(grid).ok
+        assert plan_contraction(grid) == reference_plan_contraction(grid)
+        tables = raw_tables(grid)[1]
+        assert plan_contraction(grid, tables) == reference_plan_contraction(grid, tables)
+
+
+def test_collapse_plans_with_raw_tables(monkeypatch):
+    calls = []
+    real = grids.plan_contraction
+    monkeypatch.setattr(grids, "plan_contraction",
+                        lambda grid, tables=None: calls.append(tables) or real(grid, tables))
+    grid = loop_closed(random.Random(3), 6, 2)
+    gate_signature(grid)
+    assert calls == [raw_tables(grid)[1]]
+
+
+def test_plan_steps_of_one_shape_share_groups():
+    plan = plan_contraction(ring([diseq(4)] * 4096))
+    assert len(plan.steps) == 4096
+    assert len({id(groups) for _, _, groups in plan.steps}) <= 4
+
+
+def test_passes_leave_shared_groups_unchanged(monkeypatch):
+    rng = random.Random(7)
+    for draw in (rand_nonzero_value, lambda r: rand_cyclotomic(r, 8)):
+        pool = [gen_diseq("1100", draw(rng), draw(rng)) for _ in range(2)]
+        grid = ring([rng.choice(pool) for _ in range(12)])
+        arm, tables = raw_tables(grid)
+        plan = plan_contraction(grid, tables)
+        assert len({id(groups) for _, _, groups in plan.steps}) < len(plan.steps)
+        before = copy.deepcopy(plan.steps)
+        for _ in frontier_pass(plan, {0: arm.one}, arm.mul_add, DEFAULT_OP_CAP):
+            pass
+        assert plan.steps == before
+
+        made = []
+        monkeypatch.setattr(tractable, "plan_contraction",
+                            lambda g: made.append(plan_contraction(g)) or made[-1])
+        oracle = tractable.ExhaustiveOracle()
+        for v, (_, sig) in enumerate(grid.vertices):
+            for mask in sig.support():
+                assert oracle.query(grid, v, mask)[0]
+        assert len(made) == 1 and made[0].steps == plan_contraction(grid).steps
 
 
 def test_validate_checks_balance_once_per_signature(monkeypatch):

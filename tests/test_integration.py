@@ -1,6 +1,8 @@
 """Cross-module scenarios: cyclotomic weights through every engine, and
 pipelines where pruning genuinely rewrites supports."""
 
+from fractions import Fraction
+
 from eoexact.classify import (
     AffineCertificate,
     ProductCertificate,
@@ -49,6 +51,9 @@ def test_interpolation_with_cyclotomic_base():
     grid = Grid.make([("f", f), ("d", pin_signature())],
                      [((1, 1), (0, 0)), ((1, 0), (0, 1)), ((0, 2), (0, 3))])
     x = V(2) * Z(8, 1)  # modulus 2: provably off the unit circle
+    assert interpolate_delta(grid, x) == brute_force_partition(grid)
+    # modulus 1, but x^8 != 1, so x is no root of unity of Q(zeta_8)
+    x = ExactValue.gauss(Fraction(3, 5), Fraction(4, 5)) * Z(8, 1)
     assert interpolate_delta(grid, x) == brute_force_partition(grid)
 
 

@@ -7,6 +7,7 @@ from eoexact import f2, grids, tractable
 from eoexact.classify import membership
 from eoexact.errors import (
     BruteForceCapExceeded,
+    InvalidGrid,
     NoAsymmetricGateFound,
     NonAffineVertex,
     NonProductVertex,
@@ -464,6 +465,14 @@ def test_exhaustive_oracle_cap(monkeypatch):
     assert ExhaustiveOracle().query(grid, 0, 0b0011)[0]
     monkeypatch.setattr(tractable, "DEFAULT_OP_CAP", 7)
     with pytest.raises(BruteForceCapExceeded, match="contraction"):
+        ExhaustiveOracle().query(grid, 0, 0b0011)
+
+
+def test_exhaustive_oracle_rejects_an_invalid_grid():
+    # port 4 of the second vertex is neither wired nor dangling
+    grid = Grid.make([("a", diseq(4)), ("b", diseq(4))],
+                     [((0, p), (1, p)) for p in range(3)], [(0, 3)])
+    with pytest.raises(InvalidGrid, match="PortCountMismatch"):
         ExhaustiveOracle().query(grid, 0, 0b0011)
 
 

@@ -428,6 +428,19 @@ def test_root_order_cyclotomic():
                       ).order == 3
     assert root_order(ONE + Z(5, 1)).kind == "not_root"
     assert root_order(Z(5, 1), cap=3).kind == "unknown"
+    # unimodular, yet no power is 1: decided from x^lcm(2, N), not by trial
+    assert root_order(G(Fraction(3, 5), Fraction(4, 5)) * Z(8, 1)).kind == "not_root"
+    assert root_order(G(Fraction(3, 5), Fraction(4, 5)) * Z(20, 3), cap=10 ** 6).kind == "not_root"
+
+
+def test_root_orders_of_all_roots_in_small_fields():
+    for n in (3, 5, 8, 9, 12, 16):
+        for j in range(2 * n):
+            x = -Z(n, j % n) if j >= n else Z(n, j)
+            want = next(k for k in range(1, 2 * n + 1) if x ** k == ONE)
+            assert root_order(x, cap=2 * n) == RootOrder("root", want)
+            if not x.is_gaussian:  # 1, -1, i and -i are decided whatever the cap
+                assert root_order(x, cap=want - 1).kind == "unknown"
 
 
 @settings(max_examples=80, deadline=None)
@@ -564,6 +577,40 @@ def test_render_parse_roundtrip_cyclotomic():
             got = parse_value(render_value(v), mode)
             assert got == v and hash(got) == hash(v), (n, render_value(v))
 
+
+
+
+def test_reflected_operators_match_forward_ones():
+    # int and Fraction on the left reach __radd__, __rsub__, __rmul__ and
+    # __rtruediv__, which are public API
+    for x in (G(Fraction(3, 2), -2), Z(8, 1) + V(Fraction(1, 3)), Z(5, 2) * V(-4)):
+        for k in (2, -7, Fraction(5, 3)):
+            assert k * x == x * k == V(k) * x
+            assert k + x == x + k == V(k) + x
+            assert k - x == V(k) - x == -(x - k)
+            assert k / x == V(k) / x == V(k) * x.inverse()
+        assert 1 + x == V(1) + x and 1 - x == V(1) - x
+        assert 2 * x == V(2) * x and 1 / x == x.inverse()
+
+def test_render_long_numbers():
+    # up to CPython's default integer-string limit a rendering is str() of
+    # its parts; past it the parts are converted in pieces, exactly
+    rng = random.Random(22)
+    for digits in (1, 2, 599, 600, 601, 1300, 4299, 4300):
+        for _ in range(4):
+            a = rng.randrange(10 ** (digits - 1), 10 ** digits) * rng.choice((1, -1))
+            b = rng.randrange(1, 10 ** digits)
+            q = Fraction(a, b if abs(a) != b else b + 1)  # a part of +-1 renders as i
+            assert render_value(V(q)) == str(q)
+            assert render_value(G(0, q)) == f"{q}i"
+            assert render_value(G(1, q)) == (f"1+{q}i" if q > 0 else f"1-{-q}i")
+            assert render_value(Z(8, 3) * V(q)) == (f"{q}*z8^3" if q > 0 else f"-{-q}*z8^3")
+    big = 10 ** 9000 + 7 * 10 ** 4500 + 3
+    want = "1" + "0" * 4499 + "7" + "0" * 4499 + "3"
+    assert render_value(V(big)) == want
+    assert render_value(V(Fraction(-big, 10 ** 5000 + 1))) == \
+        f"-{want}/1{'0' * 4999}1"
+    assert render_value(G(0, big)) == want + "i"
 
 # Numbers, a zero denominator, atoms with and without exponents (z0 and a bare
 # z are malformed), every operator, whitespace and a stray letter.

@@ -3,11 +3,14 @@ and the reference constructions the tests check the library against."""
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
 import re
 from collections import Counter
 from fractions import Fraction
+from itertools import count
+from typing import Mapping, Sequence
 
 from eoexact import f2
 from eoexact.classify import AffineCertificate, Refutation
@@ -21,7 +24,7 @@ from eoexact.errors import (
 )
 from eoexact.f2 import AffineSpace
 from eoexact.gauss import Z4Form, gauss_sum
-from eoexact.grids import Grid
+from eoexact.grids import Grid, Plan
 from eoexact.signatures import Signature, diseq, from_entries, pin_signature
 from eoexact.tractable import _certificates, _power_product, _require_closed, _set_bits
 from eoexact.values import GAUSS_MODE, ExactValue, FieldMode, I, ONE, ZERO, euler_phi
@@ -673,3 +676,76 @@ def reference_parse_value(text: str, mode: FieldMode = GAUSS_MODE) -> ExactValue
     if expect_term:
         raise LiteralSyntaxError(f"trailing operator in {text!r}")
     return total
+
+
+def reference_plan_contraction(grid: Grid, tables: Sequence[Mapping] | None = None) -> Plan:
+    """Compile a grid into contraction steps, one per vertex, placing first
+    the vertex with most edges to placed ones, then the one with the smaller
+    support, then the lowest index.
+
+    A frontier state is an int of open-edge bits: dangling slot i holds bit
+    d-1-i throughout; an edge holds the lowest free bit above those, set to
+    what its first placed end reads, until its second end closes it.  A step
+    is (vertex, mask of the bits it closes, groups): the support strings that
+    pass the vertex's self-loops, keyed by the bits they need on the closed
+    edges, as (bits they open, string, weight).  The weight is the string's
+    entry in tables[grid.signature_index.of_vertex[v]] for vertex v, or in
+    the signature itself without tables.
+    """
+    peer: dict[Slot, Slot] = {}
+    for a, b in grid.edges:
+        peer[a], peer[b] = b, a
+    d = len(grid.dangling)
+    held = {s: d - 1 - i for i, s in enumerate(grid.dangling)}  # open slot -> its bit
+    free: list[int] = []
+    unused = count(d)
+    score = [0] * len(grid.vertices)
+    size = [len(sig.support()) for _, sig in grid.vertices]
+    placed = [False] * len(grid.vertices)
+    heap = [(0, size[v], v) for v in range(len(grid.vertices))]
+    heapq.heapify(heap)
+    index = grid.signature_index
+    tables = tables or [sig.entries for sig in index.distinct]
+    steps, width = [], d
+    while heap:
+        neg, _, v = heapq.heappop(heap)
+        if placed[v] or -neg != score[v]:
+            continue
+        placed[v] = True
+        sig = grid.signature_of(v)
+        n = sig.arity
+        close, reads, opens, loops = 0, [], [], []  # reads/opens: (port bit, frontier bit)
+        for p in range(n):
+            bit = 1 << (n - 1 - p)
+            other = peer.get((v, p))
+            if other is None:
+                opens.append((bit, 1 << held[v, p]))
+            elif other[0] == v:
+                if p < other[1]:
+                    loops.append(bit | 1 << (n - 1 - other[1]))
+            elif placed[other[0]]:
+                k = held.pop(other)
+                heapq.heappush(free, k)
+                close |= 1 << k
+                reads.append((bit, 1 << k))
+            else:
+                held[v, p] = k = heapq.heappop(free) if free else next(unused)
+                opens.append((bit, 1 << k))
+                u = other[0]
+                score[u] += 1
+                heapq.heappush(heap, (-score[u], size[u], u))
+        groups: dict[int, list[tuple[int, int, object]]] = {}
+        for s, w in tables[index.of_vertex[v]].items():
+            if loops and not all((s & m) not in (0, m) for m in loops):
+                continue
+            read = out = 0
+            for bit, k in reads:
+                if not s & bit:
+                    read |= k
+            for bit, k in opens:
+                if s & bit:
+                    out |= k
+            groups.setdefault(read, []).append((out, s, w))
+        steps.append((v, close, groups))
+        width = max(width, len(held))
+    return Plan(steps, width)
