@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from . import classify, f2
+from . import classify
 from .errors import CoprimalityError, EOError, NotEO
 from .grids import Grid, chain_gate, gate_signature
 from .signatures import BinaryDiseq, Signature, neq2, self_loop
@@ -65,7 +65,7 @@ class GeneratingState:
     base: Signature
     steps: list[GenerationStep] = field(default_factory=list)
     recipes: dict[ExactValue, Recipe | None] = field(default_factory=dict)
-    work: int = 0
+    work: int = 0           # loop-layer forms evaluated; the work cap bounds it
 
     def closure(self) -> tuple[ExactValue, ...]:
         return self.steps[-1].closure_params if self.steps else (ONE,)
@@ -128,92 +128,141 @@ def _loop_layer(f: Signature, weights: Sequence[ExactValue],
     """All normalized binary parameters from d-1 weighted self-loops on f.
 
     Returns {parameter: (recipe, raw ratio b/a)}, each parameter with the
-    first recipe that reaches it; zero gates are dropped.  A loop is linear
-    in its weight w: with A and B the partial signature restricted to 01
-    and 10 on the loop's ports, orientation "ij" leaves A + w*B and "ji"
-    leaves w*A + B.  So each loop prefix is closed and split once per
-    matching, and each normalized parameter is computed once per (a, b).
+    first recipe that reaches it in the order (dangling pair, matching,
+    weight tuple, orientations); zero gates are dropped.  A loop is linear in
+    its weight, so for one dangling pair and matching each gate entry is a
+    multilinear form: the sum of f(s) * w^(r xor o) over the support strings
+    s that read 01 or 10 on every loop, where bit t of r is set when s reads
+    10 on loop t and o holds the orientations ("ji" sets the bit).  When the
+    weights are a finite group W of roots listed with 1 first, and the 00
+    and 11 forms are empty while 01 and 10 are single terms, the ratios over
+    all weight tuples form one coset c*W (or the one value c), read off the
+    exponents; other forms are evaluated per weight tuple.  state.work grows
+    by one per (pair, matching) that its forms decide (a coset, or no 01 or
+    10 term) and by one per (weight tuple, orientations) elsewhere.
     """
     n = f.arity
-    d = n // 2
+    loops = n // 2 - 1
+    m = len(weights)
+    inverse = _group_inverses(weights)
+    reach = [_first_reach(inverse, flip) for flip in (0, 1)] if inverse else None
+    strings = [([s >> (n - 1 - p) & 1 for p in range(n)], v) for s, v in f.entries.items()]
+    orients = [(ors, sum(o << t for t, o in enumerate(ors)))
+               for ors in itertools.product((0, 1), repeat=loops)]
     out: dict[ExactValue, tuple[LoopRecipe, ExactValue]] = {}
     params: dict[tuple[ExactValue, ExactValue], ExactValue] = {}
+    ratios: dict[tuple[ExactValue, ExactValue], tuple[ExactValue, ExactValue | None]] = {}
+    covered: set[ExactValue] = set()
+
+    def recipe(pair, matching, ws, ors) -> LoopRecipe:
+        return LoopRecipe(pair, tuple(LoopSpec(pa, pb, weights[w], ("ij", "ji")[o])
+                                      for (pa, pb), w, o in zip(matching, ws, ors)))
+
     for i in range(n):
         for j in range(i + 1, n):
             rest = [p for p in range(n) if p not in (i, j)]
             for matching in classify.perfect_pairings(rest):
-                # per loop: the arity before it, the positions of its two
-                # ports among the live ones, and the positions it keeps
-                cuts = []
-                live = list(range(n))
-                for pa, pb in matching:
-                    ia, ib = live.index(pa), live.index(pb)
-                    kept = [p for p in range(len(live)) if p not in (ia, ib)]
-                    cuts.append((len(live), ia, ib, kept))
-                    live.remove(pa)
-                    live.remove(pb)
-                splits: dict[tuple, tuple[dict, dict]] = {}
-
-                def closed(ws: tuple[int, ...], ors: tuple[int, ...]):
-                    """The entries of f after the loops with weight indices ws
-                    and orientations ors."""
-                    if not ws:
-                        return f.entries
-                    return _linear_loop(*split(ws[:-1], ors[:-1]), weights[ws[-1]], ors[-1])
-
-                def split(ws: tuple[int, ...], ors: tuple[int, ...]):
-                    """(A, B) of closed(ws, ors) on the next loop's ports."""
-                    got = splits.get((ws, ors))
+                # the four forms by dangling bits x_i x_j, as (r, f(s)) terms;
+                # the dangling bits and r fix s, so no two terms share an r
+                forms: tuple[list[tuple[int, ExactValue]], ...] = ([], [], [], [])
+                for b, v in strings:
+                    r = 0
+                    for t, (pa, pb) in enumerate(matching):
+                        if b[pa] == b[pb]:
+                            break
+                        r |= b[pa] << t
+                    else:
+                        forms[b[i] << 1 | b[j]].append((r, v))
+                f00, f01, f10, f11 = forms
+                if not (f01 or f10) or (inverse and not (f00 or f11)
+                                         and len(f01) == len(f10) == 1):
+                    state.work += 1
+                    if state.work > work_cap:
+                        raise _WorkCap()
+                    if not (f01 or f10):
+                        continue
+                    (r1, c1), (r2, c2) = f01[0], f10[0]
+                    # the parameter is the ratio b/a, or a/b when |a| < |b|;
+                    # unimodular weights keep that choice across the coset
+                    got = ratios.get((c1, c2))
                     if got is None:
-                        got = splits[ws, ors] = _split_pair(closed(ws, ors), *cuts[len(ws)])
-                    return got
-
-                for ws in itertools.product(range(len(weights)), repeat=d - 1):
-                    for ors in itertools.product((0, 1), repeat=d - 1):
+                        got = ratios[c1, c2] = (c2 / c1,
+                                                c1 / c2 if compare_abs(c1, c2) < 0 else None)
+                    c, inv_c = got
+                    if (c if inv_c is None else inv_c) in covered:
+                        continue
+                    # only the last loop T whose exponents differ carries a
+                    # weight; the others keep weights[0] == 1
+                    diff = r1 ^ r2
+                    last = diff.bit_length() - 1
+                    for k, o, q in reach[r1 >> last & 1] if diff else ((0, 0, 0),):
+                        ratio = c * weights[q]
+                        param = ratio if inv_c is None else inv_c * weights[inverse[q]]
+                        covered.add(param)
+                        if param not in out:
+                            ws, ors = [0] * loops, [0] * loops
+                            if diff:
+                                ws[last], ors[last] = k, o
+                            out[param] = (recipe((i, j), matching, ws, ors), ratio)
+                    continue
+                for ws in itertools.product(range(m), repeat=loops):
+                    # mono[mask]: the product of the weights of the loops in mask
+                    mono = [ONE]
+                    for k in ws:
+                        w = weights[k]
+                        mono += [w] + [x * w for x in mono[1:]]
+                    for ors, o in orients:
                         state.work += 1
                         if state.work > work_cap:
                             raise _WorkCap()
-                        g = closed(ws, ors)
-                        if any(not g[m].is_zero() for m in (0b00, 0b11) if m in g):
+                        if not (_form_value(f00, mono, o).is_zero()
+                                and _form_value(f11, mono, o).is_zero()):
                             continue
-                        a, b = g.get(0b01, ZERO), g.get(0b10, ZERO)
+                        a, b = _form_value(f01, mono, o), _form_value(f10, mono, o)
                         if a.is_zero() and b.is_zero():
                             continue
                         param = params.get((a, b))
                         if param is None:
                             param = params[a, b] = BinaryDiseq(a, b).parameter
                         if param not in out:
-                            loops = tuple(
-                                LoopSpec(pa, pb, weights[w], ("ij", "ji")[o])
-                                for (pa, pb), w, o in zip(matching, ws, ors))
-                            out[param] = (LoopRecipe((i, j), loops),
+                            out[param] = (recipe((i, j), matching, ws, ors),
                                           ZERO if a.is_zero() else b / a)
     return out
 
 
-def _split_pair(entries, k: int, ia: int, ib: int, kept: list[int]
-                ) -> tuple[dict[int, ExactValue], dict[int, ExactValue]]:
-    """The arity-k entries with (x_ia, x_ib) = 01 and = 10, over the kept ports."""
-    sa, sb = k - 1 - ia, k - 1 - ib
-    a: dict[int, ExactValue] = {}
-    b: dict[int, ExactValue] = {}
-    for m, v in entries.items():
-        bits = (m >> sa & 1, m >> sb & 1)
-        if bits == (0, 1):
-            a[f2.gather(m, kept, k)] = v
-        elif bits == (1, 0):
-            b[f2.gather(m, kept, k)] = v
-    return a, b
+def _group_inverses(weights: Sequence[ExactValue]) -> list[int] | None:
+    """For weights that are a finite group of roots listed with 1 first
+    (m distinct values whose m-th powers are 1), the index of each one's
+    inverse; None otherwise."""
+    m = len(weights)
+    index = {w: k for k, w in enumerate(weights)}
+    if not m or len(index) != m or weights[0] != ONE or any(w ** m != ONE for w in weights[1:]):
+        return None
+    inverse = [index.get(w.conj()) for w in weights]
+    return None if None in inverse else inverse
 
 
-def _linear_loop(a: dict[int, ExactValue], b: dict[int, ExactValue],
-                 w: ExactValue, swapped: int) -> dict[int, ExactValue]:
-    """a + w*b for orientation "ij", w*a + b for "ji" (swapped)."""
-    plain, scaled = (b, a) if swapped else (a, b)
-    out = dict(plain)
-    for m, v in scaled.items():
-        out[m] = out[m] + w * v if m in out else w * v
+def _first_reach(inverse: list[int], flip: int) -> list[tuple[int, int, int]]:
+    """(k, o, q) for each index q of a group of weights, in the order weight
+    index k and orientation o of one loop first reach w_q: the loop scales
+    the ratio by w_k when o == flip and by 1/w_k otherwise."""
+    seen: set[int] = set()
+    out = []
+    for k in range(len(inverse)):
+        for o in (0, 1):
+            q = k if o == flip else inverse[k]
+            if q not in seen:
+                seen.add(q)
+                out.append((k, o, q))
     return out
+
+
+def _form_value(form: list[tuple[int, ExactValue]], mono: list[ExactValue], o: int) -> ExactValue:
+    """sum of c * w^(r xor o) over the terms (r, c) of a form."""
+    total = ZERO
+    for r, c in form:
+        total = total + (c if r == o else c * mono[r ^ o])
+    return total
 
 
 class _WorkCap(Exception):
@@ -265,6 +314,14 @@ def generating_process(f: Signature,
     state.recipes[ONE] = None
     current: dict[ExactValue, Recipe | None] = {ONE: None}
     lcm_history: list[int] = [1]
+    labels: dict[ExactValue, str] = {}
+
+    def label(p: ExactValue) -> str:
+        """str(p), rendered once per process: steps are sorted by it."""
+        got = labels.get(p)
+        if got is None:
+            got = labels[p] = str(p)
+        return got
 
     for step in range(1, max_steps + 1):
         try:
@@ -299,15 +356,17 @@ def generating_process(f: Signature,
         for p in layer_params:
             merged.setdefault(p, state.recipes[p])
         try:
-            closed = _closure_under_products(merged, max_set)
+            # the current set is closed already, so a layer with nothing new
+            # leaves it as it is
+            closed = (current if len(merged) == len(current)
+                      else _closure_under_products(merged, max_set))
         except _WorkCap:
             return _cap_outcome(state, lcm_history, "closure size cap"), state
         for p in closed:
             if p not in state.recipes:
                 state.recipes[p] = closed[p]
         state.steps.append(GenerationStep(
-            step, tuple(sorted(layer.keys(), key=str)),
-            tuple(sorted(closed.keys(), key=str)), group_order))
+            step, tuple(sorted(layer, key=label)), tuple(sorted(closed, key=label)), group_order))
         lcm_history.append(group_order)
         if set(closed) == set(current):
             return RootDescriptor("finite_group", order=group_order,

@@ -1,13 +1,15 @@
 """The traced benchmark (perfbench/tracing.py) wraps library functions by
-module and name, and perfbench reads Signature.values.  These tests load the
-benchmark's module from its file, unchanged, and check that every name it
-looks up still resolves, so that deleting or renaming one fails here rather
-than only in a traced benchmark run."""
+module and name, and perfbench reads Signature.values and the state that
+generating_process returns.  These tests load the benchmark's module from its
+file, unchanged, and check that every name it looks up still resolves, so that
+deleting or renaming one fails here rather than only in a traced benchmark
+run."""
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+from eoexact.generate import generating_process
 from eoexact.signatures import Signature, diseq
 from eoexact.values import ONE, ZERO, ExactValue
 
@@ -33,3 +35,14 @@ def test_every_traced_name_resolves():
 def test_signature_values_is_kept():
     assert isinstance(Signature.__dict__["values"], property)
     assert diseq(2).values == (ZERO, ONE, ONE, ZERO)
+
+
+def test_generating_process_state_is_readable():
+    # the generate.process trace hook reads result[1].work and
+    # len(result[1].closure())
+    result = generating_process(diseq(4))
+    assert isinstance(result, tuple) and len(result) == 2
+    _, state = result
+    assert type(state.work) is int and state.work > 0
+    assert callable(state.closure)
+    assert len(state.closure()) == 1

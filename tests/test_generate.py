@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 from math import lcm
 
@@ -12,7 +13,6 @@ from eoexact.generate import (
     DEFAULT_ORDER_CAP,
     GeneratingState,
     LoopRecipe,
-    LoopSpec,
     PathRecipe,
     combine_roots,
     delta_realizability,
@@ -26,12 +26,11 @@ from eoexact.signatures import (
     from_entries,
     gen_diseq,
     neq2,
-    self_loop,
     symmetric,
     tensor,
 )
 from eoexact.values import ExactValue, I, ONE, ZERO, root_order
-from tests_helpers import rand_cyclotomic, rand_nonzero_value
+from tests_helpers import rand_cyclotomic, rand_nonzero_value, reference_loop_layer
 
 V = ExactValue.rational
 Z = ExactValue.zeta
@@ -253,41 +252,7 @@ def test_finite_group_conjugate_dual_library():
             assert rep.consistent, (sig, rep.findings)
 
 
-# -- the loop layer against a per-combination fold -------------------------------
-
-
-def _reference_loop_layer(f, weights, state, work_cap):
-    """Every (pair, matching, weights, orientations) folded from f with
-    self_loop, then normalized; the first recipe per parameter is kept."""
-    n = f.arity
-    d = n // 2
-    out = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            rest = [p for p in range(n) if p not in (i, j)]
-            for matching in perfect_pairings(rest):
-                for combo in itertools.product(weights, repeat=d - 1):
-                    for orients in itertools.product(("ij", "ji"), repeat=d - 1):
-                        state.work += 1
-                        if state.work > work_cap:
-                            raise generate._WorkCap()
-                        g = f
-                        live = list(range(n))
-                        for (pa, pb), w, ori in zip(matching, combo, orients):
-                            g = self_loop(g, live.index(pa), live.index(pb),
-                                          BinaryDiseq(ONE, w), ori)
-                            live.remove(pa)
-                            live.remove(pb)
-                        bd = as_binary_diseq(g)
-                        if bd is None or bd.is_zero():
-                            continue
-                        param = bd.normalized()[0].b
-                        if param not in out:
-                            loops = tuple(LoopSpec(pa, pb, w, ori) for (pa, pb), w, ori
-                                          in zip(matching, combo, orients))
-                            out[param] = (LoopRecipe((i, j), loops),
-                                          ZERO if bd.a.is_zero() else bd.b / bd.a)
-    return out
+# -- the loop layer against the per-tuple reference -------------------------------
 
 
 def _dense_balanced(rng, arity):
@@ -319,36 +284,149 @@ def _layer_cases():
     ]
 
 
+def _is_group(weights):
+    """1 first, distinct, and closed under products (so a finite group)."""
+    have = set(weights)
+    return (weights[0] == ONE and len(have) == len(weights)
+            and all(p * q in have for p in weights for q in weights))
+
+
+def _form_count(f, weights):
+    """The work of one loop layer: one unit per (dangling pair, matching)
+    whose gate is decided from its forms (no 01 or 10 term, or a coset of a
+    group of weights), and one per (weight tuple, orientations) elsewhere."""
+    n, loops = f.arity, f.arity // 2 - 1
+    per_tuple = len(weights) ** loops * 2 ** loops
+    group = _is_group(weights)
+    bit = lambda s, p: s >> (n - 1 - p) & 1  # noqa: E731
+    total = 0
+    for i, j in itertools.combinations(range(n), 2):
+        for matching in perfect_pairings([p for p in range(n) if p not in (i, j)]):
+            reads = [2 * bit(s, i) + bit(s, j) for s in f.support()
+                     if all(bit(s, pa) != bit(s, pb) for pa, pb in matching)]
+            count = [reads.count(e) for e in range(4)]
+            decided = (count[1] == count[2] == 0
+                       or (group and count[0] == count[3] == 0 and count[1] == count[2] == 1))
+            total += 1 if decided else per_tuple
+    return total
+
+
+def _per_tuple_count(f, weights):
+    n, loops = f.arity, f.arity // 2 - 1
+    return n * (n - 1) // 2 * pairing_count(n - 2) * (len(weights) * 2) ** loops
+
+
+def _assert_layers_match(f, weights):
+    new, ref = GeneratingState(f), GeneratingState(f)
+    got = generate._loop_layer(f, list(weights), new, generate.DEFAULT_WORK_CAP)
+    want = reference_loop_layer(f, list(weights), ref, generate.DEFAULT_WORK_CAP)
+    assert list(got.items()) == list(want.items()), (f, weights)
+    assert new.work == _form_count(f, weights), (f, weights)
+    assert ref.work == _per_tuple_count(f, weights), (f, weights)
+    return got
+
+
 def test_loop_layer_matches_reference():
     for f, weights in _layer_cases():
-        new, ref = GeneratingState(f), GeneratingState(f)
-        got = generate._loop_layer(f, list(weights), new, generate.DEFAULT_WORK_CAP)
-        want = _reference_loop_layer(f, list(weights), ref, generate.DEFAULT_WORK_CAP)
-        assert list(got.items()) == list(want.items()), f
-        assert new.work == ref.work, f
+        got = _assert_layers_match(f, weights)
         assert got, f
     # the last, cancelling case keeps the gate whose 00 and 11 entries cancel
     assert not f.is_eo()
     assert any(recipe.dangling == (0, 1) for recipe, _ in got.values())
 
 
+def _roots(w, order):
+    """The group generated by the root w, 1 first, in a seeded order."""
+    rest = [w ** k for k in range(1, order)]
+    random.Random(order).shuffle(rest)
+    return (ONE, *rest)
+
+
+def _seeded_layer_inputs():
+    rng = random.Random(31)
+    z8, z5, z12 = Z(8, 1), Z(5, 1), Z(12, 1)
+    groups = [_roots(I, 4), _roots(z8, 8), _roots(-z5, 10), _roots(z12, 12)]
+    cases = []
+    for arity in (2, 4, 6):
+        for group in groups:
+            alpha = "".join(rng.sample("01" * (arity // 2), arity))
+            w = rng.choice(group[1:])
+            cases.append((gen_diseq(alpha, rng.choice((ONE, V(2), V(Fraction(1, 3)))), w), group))
+    for arity in (4, 6):
+        balanced = [m for m in range(1 << arity) if bin(m).count("1") * 2 == arity]
+        for size in (3, 4):
+            f = from_entries(arity, {m: rand_nonzero_value(rng)
+                                     for m in rng.sample(balanced, size)})
+            cases.append((f, rng.choice(groups[:2])))
+    cases.append((_dense_balanced(rng, 4), groups[1]))
+    cases.append((_dense_balanced(rng, 6), groups[0]))
+    return cases
+
+
+def test_loop_layer_matches_reference_on_seeded_sets():
+    cosets = 0
+    for f, weights in _seeded_layer_inputs():
+        _assert_layers_match(f, weights)
+        cosets += _form_count(f, weights) < _per_tuple_count(f, weights)
+    assert cosets >= 12
+
+
+def _run(f, layer, monkeypatch, **caps):
+    with monkeypatch.context() as patch:
+        patch.setattr(generate, "_loop_layer", layer)
+        desc, state = generating_process(f, **caps)
+    return desc.to_json(), repr(list(state.recipes.items())), repr(state.steps), state
+
+
+def test_generating_process_matches_reference_layer(monkeypatch):
+    rng = random.Random(37)
+    sigs = [f for f, _ in _seeded_layer_inputs() if f.is_eo()]
+    for w in (I, Z(8, 3), Z(5, 2), Z(12, 5)):
+        for arity in (2, 4, 6):
+            sigs.append(gen_diseq("".join(rng.sample("01" * (arity // 2), arity)), ONE, w))
+    outcomes = set()
+    for f in sigs:
+        new = _run(f, generate._loop_layer, monkeypatch)
+        ref = _run(f, reference_loop_layer, monkeypatch)
+        assert new[:3] == ref[:3], f
+        assert new[3].work <= ref[3].work
+        outcomes.add(new[0]["outcome"])
+    assert {"finite_group", "non_root"} <= outcomes
+
+
 @pytest.mark.parametrize("sig", [gen_diseq("0101", 1, Z(8, 1)),
                                  gen_diseq("011001", 1, 2),
                                  gen_diseq("0101", 1, I)])
 def test_work_cap_matches_reference(sig, monkeypatch):
-    _, full = generating_process(sig)
-    n = sig.arity  # the first layer has the one weight 1
-    first = n * (n - 1) // 2 * pairing_count(n - 2) * 2 ** (n // 2 - 1)
-    caps = sorted({first - 1, first, first + 1, full.work - 1, full.work, full.work + 1})
-    runs = {}
-    for label, layer in (("new", generate._loop_layer), ("ref", _reference_loop_layer)):
-        monkeypatch.setattr(generate, "_loop_layer", layer)
-        runs[label] = []
-        for cap in caps:
-            desc, state = generating_process(sig, work_cap=cap)
-            runs[label].append((cap, desc.to_json(), state.work, list(state.recipes.items())))
-    assert runs["new"] == runs["ref"]
-    assert any("work cap" in desc["note"] for _, desc, _, _ in runs["new"])
+    desc_full, full = generating_process(sig)
+    need = full.work
+    # each round's layer runs over the closure of the round before it
+    layers = [(ONE,)] + [(ONE, *(p for p in step.closure_params if p != ONE))
+                         for step in full.steps]
+    ran = len(full.steps) + (desc_full.outcome != "finite_group")
+    assert need == sum(_form_count(sig, weights) for weights in layers[:ran])
+    n = sig.arity  # the first layer, over the one weight 1, is one coset per (pair, matching)
+    first = n * (n - 1) // 2 * pairing_count(n - 2)
+    ref = _run(sig, reference_loop_layer, monkeypatch)
+    assert (desc_full.to_json(), repr(list(full.recipes.items()))) == ref[:2]
+    for cap in sorted({first - 1, first, first + 1, need - 1, need, need + 1}):
+        desc, state = generating_process(sig, work_cap=cap)
+        if cap < need:
+            assert desc.outcome == "cap_exhausted"
+            assert desc.note == "loop enumeration work cap"
+            assert state.work == cap + 1
+        else:
+            assert state.work == need
+            assert (desc.to_json(), repr(list(state.recipes.items()))) == ref[:2]
+
+
+@pytest.mark.parametrize("alpha", ["11110000", "01011001", "01010101"])
+@pytest.mark.parametrize("k", [1, 3])
+def test_arity_8_zeta_8_decided_at_default_caps(alpha, k):
+    start = time.perf_counter()
+    desc, _ = generating_process(gen_diseq(alpha, 1, Z(8, k)))
+    assert (desc.outcome, desc.order) == ("finite_group", 8)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_order_lcm_is_lcm_of_closure_root_orders():

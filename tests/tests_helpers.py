@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import count
 from typing import Mapping, Sequence
 
-from eoexact import f2
+from eoexact import classify, f2, generate
 from eoexact.classify import AffineCertificate, Refutation
 from eoexact.errors import (
     EOError,
@@ -23,9 +23,10 @@ from eoexact.errors import (
     PortError,
 )
 from eoexact.f2 import AffineSpace
+from eoexact.generate import GeneratingState, LoopRecipe, LoopSpec
 from eoexact.gauss import Z4Form, gauss_sum
 from eoexact.grids import Grid, Plan
-from eoexact.signatures import Signature, diseq, from_entries, pin_signature
+from eoexact.signatures import BinaryDiseq, Signature, diseq, from_entries, pin_signature
 from eoexact.tractable import _certificates, _power_product, _require_closed, _set_bits
 from eoexact.values import GAUSS_MODE, ExactValue, FieldMode, I, ONE, ZERO, euler_phi
 
@@ -749,3 +750,99 @@ def reference_plan_contraction(grid: Grid, tables: Sequence[Mapping] | None = No
         steps.append((v, close, groups))
         width = max(width, len(held))
     return Plan(steps, width)
+
+
+def reference_loop_layer(f: Signature, weights: Sequence[ExactValue],
+                         state: GeneratingState, work_cap: int
+                         ) -> dict[ExactValue, tuple[LoopRecipe, ExactValue]]:
+    """All normalized binary parameters from d-1 weighted self-loops on f,
+    one weight tuple and orientation tuple at a time: the loop layer that
+    generate._loop_layer replaced, kept as its reference.
+
+    Returns {parameter: (recipe, raw ratio b/a)}, each parameter with the
+    first recipe that reaches it; zero gates are dropped.  A loop is linear
+    in its weight w: with A and B the partial signature restricted to 01
+    and 10 on the loop's ports, orientation "ij" leaves A + w*B and "ji"
+    leaves w*A + B.  So each loop prefix is closed and split once per
+    matching, and each normalized parameter is computed once per (a, b).
+    """
+    n = f.arity
+    d = n // 2
+    out: dict[ExactValue, tuple[LoopRecipe, ExactValue]] = {}
+    params: dict[tuple[ExactValue, ExactValue], ExactValue] = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            rest = [p for p in range(n) if p not in (i, j)]
+            for matching in classify.perfect_pairings(rest):
+                # per loop: the arity before it, the positions of its two
+                # ports among the live ones, and the positions it keeps
+                cuts = []
+                live = list(range(n))
+                for pa, pb in matching:
+                    ia, ib = live.index(pa), live.index(pb)
+                    kept = [p for p in range(len(live)) if p not in (ia, ib)]
+                    cuts.append((len(live), ia, ib, kept))
+                    live.remove(pa)
+                    live.remove(pb)
+                splits: dict[tuple, tuple[dict, dict]] = {}
+
+                def closed(ws: tuple[int, ...], ors: tuple[int, ...]):
+                    """The entries of f after the loops with weight indices ws
+                    and orientations ors."""
+                    if not ws:
+                        return f.entries
+                    return _linear_loop(*split(ws[:-1], ors[:-1]), weights[ws[-1]], ors[-1])
+
+                def split(ws: tuple[int, ...], ors: tuple[int, ...]):
+                    """(A, B) of closed(ws, ors) on the next loop's ports."""
+                    got = splits.get((ws, ors))
+                    if got is None:
+                        got = splits[ws, ors] = _split_pair(closed(ws, ors), *cuts[len(ws)])
+                    return got
+
+                for ws in itertools.product(range(len(weights)), repeat=d - 1):
+                    for ors in itertools.product((0, 1), repeat=d - 1):
+                        state.work += 1
+                        if state.work > work_cap:
+                            raise generate._WorkCap()
+                        g = closed(ws, ors)
+                        if any(not g[m].is_zero() for m in (0b00, 0b11) if m in g):
+                            continue
+                        a, b = g.get(0b01, ZERO), g.get(0b10, ZERO)
+                        if a.is_zero() and b.is_zero():
+                            continue
+                        param = params.get((a, b))
+                        if param is None:
+                            param = params[a, b] = BinaryDiseq(a, b).parameter
+                        if param not in out:
+                            loops = tuple(
+                                LoopSpec(pa, pb, weights[w], ("ij", "ji")[o])
+                                for (pa, pb), w, o in zip(matching, ws, ors))
+                            out[param] = (LoopRecipe((i, j), loops),
+                                          ZERO if a.is_zero() else b / a)
+    return out
+
+
+def _split_pair(entries, k: int, ia: int, ib: int, kept: list[int]
+                ) -> tuple[dict[int, ExactValue], dict[int, ExactValue]]:
+    """The arity-k entries with (x_ia, x_ib) = 01 and = 10, over the kept ports."""
+    sa, sb = k - 1 - ia, k - 1 - ib
+    a: dict[int, ExactValue] = {}
+    b: dict[int, ExactValue] = {}
+    for m, v in entries.items():
+        bits = (m >> sa & 1, m >> sb & 1)
+        if bits == (0, 1):
+            a[f2.gather(m, kept, k)] = v
+        elif bits == (1, 0):
+            b[f2.gather(m, kept, k)] = v
+    return a, b
+
+
+def _linear_loop(a: dict[int, ExactValue], b: dict[int, ExactValue],
+                 w: ExactValue, swapped: int) -> dict[int, ExactValue]:
+    """a + w*b for orientation "ij", w*a + b for "ji" (swapped)."""
+    plain, scaled = (b, a) if swapped else (a, b)
+    out = dict(plain)
+    for m, v in scaled.items():
+        out[m] = out[m] + w * v if m in out else w * v
+    return out
