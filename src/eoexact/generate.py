@@ -137,13 +137,15 @@ def _loop_layer(f: Signature, weights: Sequence[ExactValue],
     weights are a finite group W of roots listed with 1 first, and the 00
     and 11 forms are empty while 01 and 10 are single terms, the ratios over
     all weight tuples form one coset c*W (or the one value c), read off the
-    exponents; other forms are evaluated per weight tuple.  state.work grows
-    by one per (pair, matching) that its forms decide (a coset, or no 01 or
-    10 term) and by one per (weight tuple, orientations) elsewhere.
+    exponents.  Other forms are evaluated at every (weight tuple,
+    orientations) by closing one loop at a time on vectors over all
+    orientations, so each prefix of a weight tuple is closed once.
+    state.work grows by one per (pair, matching) that its forms decide (a
+    coset, or no 01 or 10 term) and by one per (weight tuple, orientations)
+    elsewhere.
     """
     n = f.arity
     loops = n // 2 - 1
-    m = len(weights)
     inverse = _group_inverses(weights)
     reach = [_first_reach(inverse, flip) for flip in (0, 1)] if inverse else None
     strings = [([s >> (n - 1 - p) & 1 for p in range(n)], v) for s, v in f.entries.items()]
@@ -151,6 +153,8 @@ def _loop_layer(f: Signature, weights: Sequence[ExactValue],
                for ors in itertools.product((0, 1), repeat=loops)]
     out: dict[ExactValue, tuple[LoopRecipe, ExactValue]] = {}
     params: dict[tuple[ExactValue, ExactValue], ExactValue] = {}
+    # (c, 1/c or None) by the two terms' values, and the representatives of
+    # the whole cosets inserted so far
     ratios: dict[tuple[ExactValue, ExactValue], tuple[ExactValue, ExactValue | None]] = {}
     covered: set[ExactValue] = set()
 
@@ -189,36 +193,34 @@ def _loop_layer(f: Signature, weights: Sequence[ExactValue],
                         got = ratios[c1, c2] = (c2 / c1,
                                                 c1 / c2 if compare_abs(c1, c2) < 0 else None)
                     c, inv_c = got
-                    if (c if inv_c is None else inv_c) in covered:
+                    rep = c if inv_c is None else inv_c
+                    if rep in covered:
                         continue
                     # only the last loop T whose exponents differ carries a
                     # weight; the others keep weights[0] == 1
                     diff = r1 ^ r2
                     last = diff.bit_length() - 1
+                    if diff:  # equal exponents give the one value c, not c*W
+                        covered.add(rep)
                     for k, o, q in reach[r1 >> last & 1] if diff else ((0, 0, 0),):
                         ratio = c * weights[q]
                         param = ratio if inv_c is None else inv_c * weights[inverse[q]]
-                        covered.add(param)
                         if param not in out:
                             ws, ors = [0] * loops, [0] * loops
                             if diff:
                                 ws[last], ors[last] = k, o
                             out[param] = (recipe((i, j), matching, ws, ors), ratio)
                     continue
-                for ws in itertools.product(range(m), repeat=loops):
-                    # mono[mask]: the product of the weights of the loops in mask
-                    mono = [ONE]
-                    for k in ws:
-                        w = weights[k]
-                        mono += [w] + [x * w for x in mono[1:]]
+                vectors = [[dict(form).get(r) for r in range(1 << loops)] if form else None
+                           for form in forms]
+                for ws, (g00, g01, g10, g11) in _closed_loops(vectors, weights, loops):
                     for ors, o in orients:
                         state.work += 1
                         if state.work > work_cap:
                             raise _WorkCap()
-                        if not (_form_value(f00, mono, o).is_zero()
-                                and _form_value(f11, mono, o).is_zero()):
+                        if not (_at(g00, o).is_zero() and _at(g11, o).is_zero()):
                             continue
-                        a, b = _form_value(f01, mono, o), _form_value(f10, mono, o)
+                        a, b = _at(g01, o), _at(g10, o)
                         if a.is_zero() and b.is_zero():
                             continue
                         param = params.get((a, b))
@@ -257,12 +259,48 @@ def _first_reach(inverse: list[int], flip: int) -> list[tuple[int, int, int]]:
     return out
 
 
-def _form_value(form: list[tuple[int, ExactValue]], mono: list[ExactValue], o: int) -> ExactValue:
-    """sum of c * w^(r xor o) over the terms (r, c) of a form."""
-    total = ZERO
-    for r, c in form:
-        total = total + (c if r == o else c * mono[r ^ o])
-    return total
+def _closed_loops(vectors: list, weights: Sequence[ExactValue], loops: int,
+                  t: int = 0, ws: tuple[int, ...] = ()):
+    """(ws, vectors) for each tuple ws of weight indices of loops t, t+1, ...
+    in product order, each form's vector with those loops closed.  A vector
+    lists a form's values by an index over the loops whose bit t is r_t while
+    loop t is open and o_t once it is closed; None is no term, and so is a
+    vector that is None.  Each prefix of ws is closed once."""
+    if t == loops:
+        yield ws, vectors
+        return
+    for k, w in enumerate(weights):
+        yield from _closed_loops([vec and _close_loop(vec, w, 1 << t) for vec in vectors],
+                                 weights, loops, t + 1, ws + (k,))
+
+
+def _close_loop(vec: list, w: ExactValue, bit: int) -> list:
+    """vec with the loop of `bit` closed by weight w: with x and y the values
+    at r_t = 0 and 1, orientation "ij" (o_t = 0) leaves x + w*y and "ji"
+    leaves w*x + y."""
+    out = [None] * len(vec)
+    one = w == ONE
+    for p in range(len(vec)):
+        if p & bit:
+            continue
+        q = p | bit
+        x, y = vec[p], vec[q]
+        if x is None:
+            if y is not None:
+                out[p], out[q] = (y, y) if one else (w * y, y)
+        elif y is None:
+            out[p], out[q] = (x, x) if one else (x, w * x)
+        elif one:
+            out[p] = out[q] = x + y
+        else:
+            out[p], out[q] = x + w * y, w * x + y
+    return out
+
+
+def _at(vec: list | None, o: int) -> ExactValue:
+    """A form's value at orientation o, ZERO where it has no term."""
+    v = vec[o] if vec else None
+    return ZERO if v is None else v
 
 
 class _WorkCap(Exception):

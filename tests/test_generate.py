@@ -13,6 +13,7 @@ from eoexact.generate import (
     DEFAULT_ORDER_CAP,
     GeneratingState,
     LoopRecipe,
+    LoopSpec,
     PathRecipe,
     combine_roots,
     delta_realizability,
@@ -26,6 +27,7 @@ from eoexact.signatures import (
     from_entries,
     gen_diseq,
     neq2,
+    self_loop,
     symmetric,
     tensor,
 )
@@ -252,7 +254,41 @@ def test_finite_group_conjugate_dual_library():
             assert rep.consistent, (sig, rep.findings)
 
 
-# -- the loop layer against the per-tuple reference -------------------------------
+# -- the loop layer against the per-tuple reference and a per-combination fold ----
+
+
+def _fold_loop_layer(f, weights, state, work_cap):
+    """Every (pair, matching, weights, orientations) folded from f with
+    self_loop, then normalized; the first recipe per parameter is kept."""
+    n = f.arity
+    d = n // 2
+    out = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            rest = [p for p in range(n) if p not in (i, j)]
+            for matching in perfect_pairings(rest):
+                for combo in itertools.product(weights, repeat=d - 1):
+                    for orients in itertools.product(("ij", "ji"), repeat=d - 1):
+                        state.work += 1
+                        if state.work > work_cap:
+                            raise generate._WorkCap()
+                        g = f
+                        live = list(range(n))
+                        for (pa, pb), w, ori in zip(matching, combo, orients):
+                            g = self_loop(g, live.index(pa), live.index(pb),
+                                          BinaryDiseq(ONE, w), ori)
+                            live.remove(pa)
+                            live.remove(pb)
+                        bd = as_binary_diseq(g)
+                        if bd is None or bd.is_zero():
+                            continue
+                        param = bd.normalized()[0].b
+                        if param not in out:
+                            loops = tuple(LoopSpec(pa, pb, w, ori) for (pa, pb), w, ori
+                                          in zip(matching, combo, orients))
+                            out[param] = (LoopRecipe((i, j), loops),
+                                          ZERO if bd.a.is_zero() else bd.b / bd.a)
+    return out
 
 
 def _dense_balanced(rng, arity):
@@ -316,13 +352,20 @@ def _per_tuple_count(f, weights):
     return n * (n - 1) // 2 * pairing_count(n - 2) * (len(weights) * 2) ** loops
 
 
-def _assert_layers_match(f, weights):
+def _assert_layers_match(f, weights, fold=True):
+    """The layer, the per-tuple reference and (with fold) the fold give the
+    same items in the same order, each with its exact work."""
     new, ref = GeneratingState(f), GeneratingState(f)
     got = generate._loop_layer(f, list(weights), new, generate.DEFAULT_WORK_CAP)
     want = reference_loop_layer(f, list(weights), ref, generate.DEFAULT_WORK_CAP)
     assert list(got.items()) == list(want.items()), (f, weights)
     assert new.work == _form_count(f, weights), (f, weights)
     assert ref.work == _per_tuple_count(f, weights), (f, weights)
+    if fold:
+        folded = GeneratingState(f)
+        oracle = _fold_loop_layer(f, list(weights), folded, generate.DEFAULT_WORK_CAP)
+        assert list(oracle.items()) == list(want.items()), (f, weights)
+        assert folded.work == ref.work, (f, weights)
     return got
 
 
@@ -360,15 +403,22 @@ def _seeded_layer_inputs():
             cases.append((f, rng.choice(groups[:2])))
     cases.append((_dense_balanced(rng, 4), groups[1]))
     cases.append((_dense_balanced(rng, 6), groups[0]))
+    # one (pair, matching) gives the one value 1 from equal exponents, and a
+    # later one the whole coset of 1: the first must not stand for the second
+    cases.append((from_entries(6, {"010101": 1, "100101": I, "011100": -1, "100011": -I}),
+                  groups[0]))
     return cases
 
 
 def test_loop_layer_matches_reference_on_seeded_sets():
-    cosets = 0
+    cosets = folded = 0
     for f, weights in _seeded_layer_inputs():
-        _assert_layers_match(f, weights)
+        # the fold costs two self_loop calls per tuple, so it checks the smaller layers
+        fold = _per_tuple_count(f, weights) <= 3000
+        _assert_layers_match(f, weights, fold)
         cosets += _form_count(f, weights) < _per_tuple_count(f, weights)
-    assert cosets >= 12
+        folded += fold
+    assert cosets >= 12 and folded >= 14
 
 
 def _run(f, layer, monkeypatch, **caps):
@@ -408,16 +458,27 @@ def test_work_cap_matches_reference(sig, monkeypatch):
     n = sig.arity  # the first layer, over the one weight 1, is one coset per (pair, matching)
     first = n * (n - 1) // 2 * pairing_count(n - 2)
     ref = _run(sig, reference_loop_layer, monkeypatch)
-    assert (desc_full.to_json(), repr(list(full.recipes.items()))) == ref[:2]
+    assert (desc_full.to_json(), repr(list(full.recipes.items())), repr(full.steps)) == ref[:3]
     for cap in sorted({first - 1, first, first + 1, need - 1, need, need + 1}):
-        desc, state = generating_process(sig, work_cap=cap)
+        desc, recipes, steps, state = _run(sig, generate._loop_layer, monkeypatch, work_cap=cap)
         if cap < need:
-            assert desc.outcome == "cap_exhausted"
-            assert desc.note == "loop enumeration work cap"
+            assert desc["outcome"] == "cap_exhausted"
+            assert desc["note"] == "loop enumeration work cap"
             assert state.work == cap + 1
         else:
             assert state.work == need
-            assert (desc.to_json(), repr(list(state.recipes.items()))) == ref[:2]
+            assert (desc, recipes, steps) == ref[:3]
+    # the reference layer and the fold count one unit per (weight tuple,
+    # orientations), and agree at every cap around their own need
+    per_tuple_need, per_tuple_first = ref[3].work, first * 2 ** (n // 2 - 1)
+    notes = []
+    for cap in sorted({per_tuple_first - 1, per_tuple_first, per_tuple_first + 1,
+                       per_tuple_need - 1, per_tuple_need, per_tuple_need + 1}):
+        runs = [_run(sig, layer, monkeypatch, work_cap=cap)
+                for layer in (reference_loop_layer, _fold_loop_layer)]
+        assert runs[0][:3] == runs[1][:3] and runs[0][3].work == runs[1][3].work, cap
+        notes.append(runs[0][0]["note"])
+    assert "loop enumeration work cap" in notes
 
 
 @pytest.mark.parametrize("alpha", ["11110000", "01011001", "01010101"])
