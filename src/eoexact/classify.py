@@ -7,8 +7,7 @@ them (each certificate type has a ``verify`` method used by the tests).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from . import f2
 from .errors import (
@@ -50,8 +49,7 @@ def _sig_label(f: Signature, idx: int | None = None) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TripleWitness:
+class TripleWitness(NamedTuple):
     alpha: int
     beta: int
     gamma: int
@@ -63,8 +61,7 @@ class TripleWitness:
                              ("gamma", self.gamma), ("delta", self.delta))}
 
 
-@dataclass(frozen=True)
-class TripleClass:
+class TripleClass(NamedTuple):
     """Where triple-xors of support strings can land.
 
     gap: some xor is balanced but unsupported; heavy / light: some xor has
@@ -205,8 +202,7 @@ def restrict_to_pairing(f: Signature, pairing: Pairing) -> Signature:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AffineCertificate:
+class AffineCertificate(NamedTuple):
     """f == lam * i^(sum lin_i t_i + 2 sum quad_ij t_i t_j) on its affine support."""
 
     arity: int
@@ -233,8 +229,7 @@ class AffineCertificate:
         return True
 
 
-@dataclass(frozen=True)
-class Refutation:
+class Refutation(NamedTuple):
     stage: str
     witness: str
 
@@ -288,16 +283,14 @@ def membership_affine(f: Signature) -> AffineCertificate | Refutation:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProductGroup:
+class ProductGroup(NamedTuple):
     ports: tuple[int, ...]        # leader first
     parities: tuple[int, ...]     # relative to the leader, parity 0 for the leader
     w0: ExactValue                # weight when the leader bit is 0
     w1: ExactValue
 
 
-@dataclass(frozen=True)
-class ProductCertificate:
+class ProductCertificate(NamedTuple):
     """f == lam * prod of per-group weights on a pins+parity product support."""
 
     arity: int
@@ -402,8 +395,7 @@ def membership(f: Signature, cls: str) -> AffineCertificate | ProductCertificate
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PairingClassReport:
+class PairingClassReport(NamedTuple):
     cls: str
     ok: bool
     pairings_checked: int
@@ -452,12 +444,13 @@ def membership_all_pairings(f: Signature, cls: str) -> PairingClassReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class RebalanceResult:
-    ok: bool
-    bit: int
-    failing_port: int | None = None
-    chain: dict | None = None  # per-port partner map, nested through residuals
+    def __init__(self, ok: bool, bit: int, failing_port: int | None = None,
+                 chain: dict | None = None):
+        self.ok = ok
+        self.bit = bit
+        self.failing_port = failing_port
+        self.chain = chain  # per-port partner map, nested through residuals
 
     def to_json(self) -> dict:
         return {"ok": self.ok, "bit": self.bit,
@@ -525,8 +518,7 @@ def is_rebalancing(f: Signature, b: int) -> RebalanceResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SymmetryReport:
+class SymmetryReport(NamedTuple):
     kind: str  # "dual_symmetric" | "dual_antisymmetric" | "conjugate_dual" | "none"
     unit: ExactValue | None = None
 
@@ -620,16 +612,19 @@ def natural_pairing(d: int) -> Pairing:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class Verdict:
-    outcome: str                      # "sharp_p_hard" | "fp_np" | "fp"
-    classes: tuple[str, ...] = ()
-    direction: str | None = None      # "up" | "down" | "both"
-    rebalancing: int | None = None
-    witness: dict | None = None
-    notes: list[str] = field(default_factory=list)
-    per_signature: list[dict] = field(default_factory=list)
-    certificates: dict = field(default_factory=dict)
+    def __init__(self, outcome: str, classes: tuple[str, ...] = (),
+                 direction: str | None = None, rebalancing: int | None = None,
+                 witness: dict | None = None, notes: list[str] | None = None,
+                 per_signature: list[dict] | None = None, certificates: dict | None = None):
+        self.outcome = outcome            # "sharp_p_hard" | "fp_np" | "fp"
+        self.classes = classes
+        self.direction = direction        # "up" | "down" | "both"
+        self.rebalancing = rebalancing
+        self.witness = witness
+        self.notes = [] if notes is None else notes
+        self.per_signature = [] if per_signature is None else per_signature
+        self.certificates = {} if certificates is None else certificates
 
     @property
     def tractable(self) -> bool:

@@ -8,8 +8,7 @@ document which convention they take.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import EmptyInput, EOError
 
@@ -117,8 +116,7 @@ def _free_basis(basis: list[int], n: int) -> list[int]:
     return list(out.values())
 
 
-@dataclass(frozen=True)
-class AffineSpace:
+class AffineSpace(NamedTuple):
     """Affine subspace of F2^n: offset + span(basis).
 
     Canonical form: basis in reduced row echelon form, offset with all pivot

@@ -12,26 +12,21 @@ variable number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .values import ExactValue, I, ONE, ZERO, as_value
 
 Affine = tuple[int, int]
 
 
-@dataclass
 class Z4Form:
     """lin[v] is the coefficient of t_v; adj[v] is the neighbour mask of t_v,
     with bit u set iff 2*t_u*t_v is a term."""
 
-    nvars: int
-    const: int = 0
-    lin: list[int] = field(default_factory=list)
-    adj: list[int] = field(default_factory=list)
-
-    def __post_init__(self):
-        self.lin = self.lin or [0] * self.nvars
-        self.adj = self.adj or [0] * self.nvars
+    def __init__(self, nvars: int, const: int = 0, lin: list[int] | None = None,
+                 adj: list[int] | None = None):
+        self.nvars = nvars
+        self.const = const
+        self.lin = lin or [0] * nvars
+        self.adj = adj or [0] * nvars
 
     # -- primitive mutators ------------------------------------------------
 

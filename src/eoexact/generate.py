@@ -11,10 +11,9 @@ parameter, by a growing root lattice, or not at all (finite root group).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import classify
 from .errors import CoprimalityError, EOError, NotEO
@@ -28,23 +27,20 @@ DEFAULT_ORDER_CAP = 64
 DEFAULT_WORK_CAP = 250_000
 
 
-@dataclass(frozen=True)
-class LoopSpec:
+class LoopSpec(NamedTuple):
     port_a: int
     port_b: int
     weight: ExactValue      # normalized parameter of the loop weight
     orientation: str        # "ij" | "ji"
 
 
-@dataclass(frozen=True)
-class LoopRecipe:
+class LoopRecipe(NamedTuple):
     """d-1 weighted self-loops on the base signature, two ports left open."""
     dangling: tuple[int, int]
     loops: tuple[LoopSpec, ...]
 
 
-@dataclass(frozen=True)
-class PathRecipe:
+class PathRecipe(NamedTuple):
     """Chain of previously realized parameters; parameters multiply."""
     parts: tuple[ExactValue, ...]
 
@@ -52,33 +48,36 @@ class PathRecipe:
 Recipe = LoopRecipe | PathRecipe
 
 
-@dataclass
-class GenerationStep:
+class GenerationStep(NamedTuple):
     index: int
     loop_params: tuple[ExactValue, ...]
     closure_params: tuple[ExactValue, ...]
     order_lcm: int
 
 
-@dataclass
 class GeneratingState:
-    base: Signature
-    steps: list[GenerationStep] = field(default_factory=list)
-    recipes: dict[ExactValue, Recipe | None] = field(default_factory=dict)
-    work: int = 0           # loop-layer forms evaluated; the work cap bounds it
+    def __init__(self, base: Signature, steps: list[GenerationStep] | None = None,
+                 recipes: dict[ExactValue, Recipe | None] | None = None, work: int = 0):
+        self.base = base
+        self.steps = [] if steps is None else steps
+        self.recipes = {} if recipes is None else recipes
+        self.work = work        # loop-layer forms evaluated; the work cap bounds it
 
     def closure(self) -> tuple[ExactValue, ...]:
         return self.steps[-1].closure_params if self.steps else (ONE,)
 
 
-@dataclass
 class RootDescriptor:
-    outcome: str  # "finite_group" | "non_root" | "order_growth" | "cap_exhausted" | "pin_direct"
-    order: int | None = None
-    value: ExactValue | None = None
-    recipe: Recipe | None = None
-    orders_seen: tuple[int, ...] = ()
-    note: str = ""
+    def __init__(self, outcome: str, order: int | None = None, value: ExactValue | None = None,
+                 recipe: Recipe | None = None, orders_seen: tuple[int, ...] = (),
+                 note: str = ""):
+        # "finite_group" | "non_root" | "order_growth" | "cap_exhausted" | "pin_direct"
+        self.outcome = outcome
+        self.order = order
+        self.value = value
+        self.recipe = recipe
+        self.orders_seen = orders_seen
+        self.note = note
 
     def to_json(self) -> dict:
         return {
@@ -370,11 +369,16 @@ def generating_process(f: Signature,
         # The closure is the cyclic group spanned by the previous closure and
         # this round's roots, so its order is the lcm of their orders.
         group_order = lcm_history[-1]
+        # every element of the current set has an order dividing that lcm, so
+        # within the cap root_order would call it a root and add no order
+        known = current if group_order <= order_cap else {}
         for param, (recipe, raw_ratio) in layer.items():
             if param.is_zero():
                 state.recipes[ZERO] = recipe
                 return RootDescriptor("pin_direct", value=ZERO, recipe=recipe,
                                       note="a free pin is realized directly"), state
+            if param in known:
+                continue
             ro = root_order(param, order_cap)
             if ro.kind == "not_root":
                 state.recipes.setdefault(param, recipe)
@@ -454,16 +458,19 @@ def combine_roots(a: int, c: int, b: int, d: int, t: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class PinRealizabilityReport:
-    descriptor: RootDescriptor
-    symmetry: classify.SymmetryReport
-    route: str
-    consistent: bool
-    findings: list[str] = field(default_factory=list)
-    equal_pair_gadget: bool = False
-    # the gadget recipes of the generating-process run (not part of to_json)
-    recipes: dict[ExactValue, Recipe | None] = field(default_factory=dict)
+    def __init__(self, descriptor: RootDescriptor, symmetry: classify.SymmetryReport,
+                 route: str, consistent: bool, findings: list[str] | None = None,
+                 equal_pair_gadget: bool = False,
+                 recipes: dict[ExactValue, Recipe | None] | None = None):
+        self.descriptor = descriptor
+        self.symmetry = symmetry
+        self.route = route
+        self.consistent = consistent
+        self.findings = [] if findings is None else findings
+        self.equal_pair_gadget = equal_pair_gadget
+        # the gadget recipes of the generating-process run (not part of to_json)
+        self.recipes = {} if recipes is None else recipes
 
     def to_json(self) -> dict:
         return {

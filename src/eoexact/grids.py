@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import os
 from collections import Counter
-from dataclasses import dataclass, replace
 from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import prod
@@ -44,11 +43,39 @@ class SignatureIndex(NamedTuple):
     of_vertex: tuple[int, ...]       # each vertex's position in distinct
 
 
-@dataclass(frozen=True)
 class Grid:
+    """Immutable; equality and hash read the three fields, and the cached
+    properties live in the instance dict."""
+
     vertices: tuple[tuple[str, Signature], ...]
     edges: tuple[tuple[Slot, Slot], ...]
-    dangling: tuple[Slot, ...] = ()
+    dangling: tuple[Slot, ...]
+
+    def __init__(self, vertices: tuple[tuple[str, Signature], ...],
+                 edges: tuple[tuple[Slot, Slot], ...], dangling: tuple[Slot, ...] = ()):
+        init = object.__setattr__
+        init(self, "vertices", vertices)
+        init(self, "edges", edges)
+        init(self, "dangling", dangling)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.vertices, self.edges, self.dangling) == \
+            (other.vertices, other.edges, other.dangling)
+
+    def __hash__(self) -> int:
+        return hash((self.vertices, self.edges, self.dangling))
+
+    def __repr__(self) -> str:
+        return (f"Grid(vertices={self.vertices!r}, edges={self.edges!r}, "
+                f"dangling={self.dangling!r})")
 
     # -- construction ------------------------------------------------------
 
@@ -71,7 +98,7 @@ class Grid:
             raise InvalidGrid("replacement signature must keep the arity")
         verts = list(self.vertices)
         verts[vidx] = (vid, sig)
-        return replace(self, vertices=tuple(verts))
+        return Grid(tuple(verts), self.edges, self.dangling)
 
     @functools.cached_property
     def signature_index(self) -> SignatureIndex:
@@ -86,12 +113,16 @@ class Grid:
         return validate(self)
 
 
-@dataclass(frozen=True)
-class Diagnostics:
+class Diagnostics(NamedTuple):
     ok: bool
     closed: bool
     all_eo: bool
     issues: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        # the error this record has always raised, imported on this path only
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
 
 def validate(grid: Grid) -> Diagnostics:

@@ -9,9 +9,8 @@ throughout; callers test for triviality where they care.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import f2
 from .errors import (
@@ -37,29 +36,45 @@ from .values import (
 ARITY_CAP = 16
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Signature:
     """Function from {0,1}^arity to exact values, stored as its nonzero
     entries in mask order; every other mask reads zero.  The support and the
-    hash are computed once, at construction."""
+    hash are computed once, at construction.  Immutable."""
+
+    __slots__ = ("arity", "entries", "name", "_support", "_hash")
 
     arity: int
     entries: Mapping[int, ExactValue]
-    name: str | None = None
+    name: str | None
 
-    def __post_init__(self):
-        if self.arity < 0 or self.arity > ARITY_CAP:
-            raise CapExceeded(f"arity {self.arity} outside [0, {ARITY_CAP}]")
-        size = 1 << self.arity
+    def __init__(self, arity: int, entries: Mapping[int, ExactValue],
+                 name: str | None = None):
+        if arity < 0 or arity > ARITY_CAP:
+            raise CapExceeded(f"arity {arity} outside [0, {ARITY_CAP}]")
+        size = 1 << arity
         kept: dict[int, ExactValue] = {}
-        for mask in sorted(self.entries):
+        for mask in sorted(entries):
             if not 0 <= mask < size:
-                raise ArityMismatch(f"mask {mask} outside [0, {size}) for arity {self.arity}")
-            if not self.entries[mask].is_zero():
-                kept[mask] = self.entries[mask]
-        object.__setattr__(self, "entries", MappingProxyType(kept))
-        object.__setattr__(self, "_support", tuple(kept))
-        object.__setattr__(self, "_hash", hash((self.arity, tuple(kept.items()))))
+                raise ArityMismatch(f"mask {mask} outside [0, {size}) for arity {arity}")
+            if not entries[mask].is_zero():
+                kept[mask] = entries[mask]
+        init = object.__setattr__
+        init(self, "arity", arity)
+        init(self, "entries", MappingProxyType(kept))
+        init(self, "name", name)
+        init(self, "_support", tuple(kept))
+        init(self, "_hash", hash((arity, tuple(kept.items()))))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, which __setattr__ leaves as
+        # the only way to set the slots
+        return Signature, (self.arity, dict(self.entries), self.name)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Signature):
@@ -128,8 +143,7 @@ def from_entries(arity: int, entries: dict[str, object] | dict[int, object],
     return Signature(arity, table, name)
 
 
-@dataclass(frozen=True)
-class BinaryDiseq:
+class BinaryDiseq(NamedTuple):
     """Binary signature supported on {01, 10}: value a at 01, b at 10."""
 
     a: ExactValue

@@ -12,10 +12,7 @@ reduction.
 from __future__ import annotations
 
 import itertools
-import shlex
-import subprocess
 from collections import Counter
-from dataclasses import dataclass, field, replace
 
 from . import f2
 from .errors import (
@@ -332,16 +329,23 @@ ORACLE_TIMEOUT_S = 120
 
 class ExternalOracle:
     """Subprocess backend speaking the clause-form text protocol; a nonzero
-    exit code or no answer within ORACLE_TIMEOUT_S is a protocol error."""
+    exit code or no answer within ORACLE_TIMEOUT_S is a protocol error.
+    subprocess and shlex are imported here, by their only user, so a command
+    that spawns no oracle does not load them."""
 
     def __init__(self, command):
-        self.command = shlex.split(command) if isinstance(command, str) else list(command)
+        if isinstance(command, str):
+            import shlex
+            self.command = shlex.split(command)
+        else:
+            self.command = list(command)
         self.name = f"external:{' '.join(self.command)}"
 
     def query(self, grid: Grid, vertex: int, mask: int):
         if mask not in grid.signature_of(vertex).support():
             return False, None
         text = encode_support_query(grid, vertex, mask)
+        import subprocess
         try:
             proc = subprocess.run(self.command, input=text, capture_output=True,
                                   text=True, timeout=ORACLE_TIMEOUT_S)
@@ -394,10 +398,10 @@ def support_oracle(grid: Grid, vertex: int, string, backend=None):
     return backend.query(grid, vertex, mask)
 
 
-@dataclass
 class EffectiveSupportReport:
-    backend: str
-    effective: list[set[int]] = field(default_factory=list)  # per vertex index
+    def __init__(self, backend: str, effective: list[set[int]] | None = None):
+        self.backend = backend
+        self.effective = [] if effective is None else effective  # per vertex index
 
 
 def effective_support(grid: Grid, backend=None) -> EffectiveSupportReport:
@@ -449,8 +453,8 @@ def prune_effective(grid: Grid, backend=None) -> Grid:
               if len(keep) < len(sig.entries)}  # keep is a subset of the support
     if not pruned:
         return grid
-    return replace(grid, vertices=tuple((vid, pruned.get(vidx, sig))
-                                        for vidx, (vid, sig) in enumerate(grid.vertices)))
+    verts = tuple((vid, pruned.get(vidx, sig)) for vidx, (vid, sig) in enumerate(grid.vertices))
+    return Grid(verts, grid.edges, grid.dangling)
 
 
 # ---------------------------------------------------------------------------

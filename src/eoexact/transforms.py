@@ -7,8 +7,7 @@ of single signatures and of whole grids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import f2
 from .errors import MixedWeights, UnbalancedPadding
@@ -18,8 +17,7 @@ if TYPE_CHECKING:
     from .grids import Grid
 
 
-@dataclass(frozen=True)
-class WeightProfile:
+class WeightProfile(NamedTuple):
     arity: int
     weight: int | None  # the unique support Hamming weight, None for empty support
     mixed: bool
@@ -66,15 +64,17 @@ def pad_to_eo(f: Signature) -> Signature:
     return out.with_name(f.name)
 
 
-@dataclass
 class PadDiagnostics:
-    balanced: bool
-    zero_ends_added: int = 0
-    one_ends_added: int = 0
-    pairing_edges: int = 0
-    replaced_pins: int = 0
-    padded_vertices: list[str] = field(default_factory=list)
-    message: str = ""
+    def __init__(self, balanced: bool, zero_ends_added: int = 0, one_ends_added: int = 0,
+                 pairing_edges: int = 0, replaced_pins: int = 0,
+                 padded_vertices: list[str] | None = None, message: str = ""):
+        self.balanced = balanced
+        self.zero_ends_added = zero_ends_added
+        self.one_ends_added = one_ends_added
+        self.pairing_edges = pairing_edges
+        self.replaced_pins = replaced_pins
+        self.padded_vertices = [] if padded_vertices is None else padded_vertices
+        self.message = message
 
 
 def grid_pad_single_weighted(grid: Grid, strict: bool = False) -> tuple[Grid, PadDiagnostics]:

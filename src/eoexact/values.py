@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import re as _re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
@@ -552,8 +551,7 @@ def compare_abs(a: ExactValue, b: ExactValue) -> int:
 # -- root orders -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RootOrder:
+class RootOrder(NamedTuple):
     kind: str  # "root" | "not_root" | "unknown"
     order: int | None = None
 
@@ -642,12 +640,29 @@ def vandermonde_solve(nodes, rhs) -> list[ExactValue]:
 # -- value literals -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class FieldMode:
     """Session arithmetic mode: the order N of one fixed Q(zeta_N), or None
-    for Gaussian rationals."""
+    for Gaussian rationals.  Immutable; compares and hashes by the order."""
 
-    order: int | None = None
+    def __init__(self, order: int | None = None):
+        object.__setattr__(self, "order", order)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.order == other.order
+
+    def __hash__(self) -> int:
+        return hash((self.order,))
+
+    def __repr__(self) -> str:
+        return f"FieldMode(order={self.order!r})"
 
     @staticmethod
     def parse(spec: str) -> FieldMode:

@@ -159,12 +159,11 @@ def test_bad_oracle_literal_exit_code(workdir, capsys):
 
 
 def test_oracle_timeout_exit_code(workdir, capsys, monkeypatch):
-    from eoexact import tractable
-
     def hung(cmd, **kwargs):
         raise subprocess.TimeoutExpired(cmd, kwargs.get("timeout"))
 
-    monkeypatch.setattr(tractable.subprocess, "run", hung)
+    # ExternalOracle imports subprocess when it queries, so it finds the patch
+    monkeypatch.setattr(subprocess, "run", hung)
     assert main(["prune", str(workdir / "deq4-closed.grid"),
                  "--backend", "external:eo-oracle"]) == 1
     err = capsys.readouterr().err
@@ -355,16 +354,23 @@ NOT_LOADED = {
     "gate": (COMMANDS["gate"], {"classify", "generate"}),
     "transform-pad": (COMMANDS["transform-pad"], {"classify", "generate", "grids"}),
     "eval-brute": (COMMANDS["eval-brute"], {"classify", "generate", "tractable"}),
+    "eval-auto": (COMMANDS["eval-auto"], {"generate", "transforms"}),
     "interp": (COMMANDS["interp"], {"classify", "generate"}),
     "prune": (["prune", "pinned.grid", "--backend", "exhaustive"], {"classify", "generate"}),
+    "prune-external": (COMMANDS["prune"], {"classify", "generate"}),
     "classify": (COMMANDS["classify"], {"tractable", "generate", "grids"}),
+    "generate": (COMMANDS["generate"], {"tractable", "transforms", "gauss"}),
 }
+# standard modules that no command needs: dataclasses and the inspect it
+# imports cost more start-up than most commands' work; subprocess only
+# serves an external oracle
+STDLIB = ("mpmath", "dataclasses", "inspect", "subprocess")
 LOADED_MODULES = (
     "import contextlib, io, sys\n"
     "from eoexact.cli import main\n"
     "with contextlib.redirect_stdout(io.StringIO()):\n"
     "    code = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
-    "print(code, *sorted(m for m in sys.modules if m.startswith('eoexact.') or m == 'mpmath'))\n")
+    f"print(code, *sorted(m for m in sys.modules if m.startswith('eoexact.') or m in {STDLIB}))\n")
 
 
 @pytest.mark.parametrize("argv, absent", NOT_LOADED.values(), ids=NOT_LOADED)
@@ -374,7 +380,10 @@ def test_cli_loads_only_what_it_runs(argv, absent):
     assert proc.returncode == 0, proc.stderr
     code, *names = proc.stdout.split()
     assert code == "0"
-    assert not {name.removeprefix("eoexact.") for name in names} & absent
+    loaded = {name.removeprefix("eoexact.") for name in names}
+    assert not loaded & absent
+    assert not loaded & {"dataclasses", "inspect"}
+    assert ("subprocess" in loaded) == any(arg.startswith("external:") for arg in argv)
 
 
 @pytest.mark.parametrize("argv", COMMANDS.values(), ids=COMMANDS)

@@ -32,7 +32,12 @@ from eoexact.signatures import (
     tensor,
 )
 from eoexact.values import ExactValue, I, ONE, ZERO, root_order
-from tests_helpers import rand_cyclotomic, rand_nonzero_value, reference_loop_layer
+from tests_helpers import (
+    rand_cyclotomic,
+    rand_nonzero_value,
+    reference_generating_process,
+    reference_loop_layer,
+)
 
 V = ExactValue.rational
 Z = ExactValue.zeta
@@ -488,6 +493,48 @@ def test_arity_8_zeta_8_decided_at_default_caps(alpha, k):
     desc, _ = generating_process(gen_diseq(alpha, 1, Z(8, k)))
     assert (desc.outcome, desc.order) == ("finite_group", 8)
     assert time.perf_counter() - start < 2.0
+
+
+def _counting_root_order(monkeypatch, process, f):
+    """process(f) as (descriptor, recipes, steps, work), and its root_order calls."""
+    calls = []
+
+    def counting(x, cap=DEFAULT_ORDER_CAP):
+        calls.append(x)
+        return root_order(x, cap)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(generate, "root_order", counting)
+        desc, state = process(f)
+    return (desc.to_json(), repr(list(state.recipes.items())), repr(state.steps),
+            state.work), calls, state
+
+
+def test_root_order_skipped_inside_the_closure(monkeypatch):
+    # the benchmark's realizability inputs: arity-4 disequalities with a
+    # zeta_8 or zeta_5 weight and arity-6 ones off the circle; then arity 8
+    sigs = [gen_diseq(a, 1, Z(n, k)) for a in ("0011", "0101", "0110", "1001", "1010", "1100")
+            for n, ks in ((8, (1, 3, 5, 7)), (5, (1, 2, 3, 4))) for k in ks]
+    sigs += [gen_diseq(a, 1, w) for a in ("011001", "101010")
+             for w in (V(2), V(3), ExactValue.gauss(1, 1), ExactValue.gauss(2, -1))]
+    sigs += [gen_diseq(a, 1, Z(8, k)) for a in ("11110000", "01011001", "01010101")
+             for k in (1, 3)]
+    outcomes = set()
+    skipped = 0
+    for f in sigs:
+        got, calls, state = _counting_root_order(monkeypatch, generating_process, f)
+        want, ref_calls, _ = _counting_root_order(monkeypatch, reference_generating_process, f)
+        assert got == want, f
+        outcomes.add(got[0]["outcome"])
+        skipped += len(ref_calls) - len(calls)
+        if got[0]["outcome"] == "finite_group":
+            # one call per layer parameter outside the closure it was built on
+            before = [(ONE,)] + [step.closure_params for step in state.steps]
+            outside = [p for step, prior in zip(state.steps, before)
+                       for p in step.loop_params if p not in prior]
+            assert sorted(calls, key=str) == sorted(outside, key=str)
+    assert outcomes == {"finite_group", "non_root"}
+    assert skipped >= len(sigs)
 
 
 def test_order_lcm_is_lcm_of_closure_root_orders():

@@ -1,17 +1,25 @@
 """Cross-module scenarios: cyclotomic weights through every engine, and
 pipelines where pruning genuinely rewrites supports."""
 
+import copy
 from fractions import Fraction
+
+import pytest
 
 from eoexact.classify import (
     AffineCertificate,
     ProductCertificate,
     dichotomy_verdict,
     membership_affine,
+    membership_all_pairings,
     membership_product,
+    symmetry_class,
+    triple_class,
 )
-from eoexact.grids import Grid, brute_force_partition
-from eoexact.signatures import from_entries, gen_diseq, pin_signature
+from eoexact.generate import LoopRecipe, PathRecipe, generating_process
+from eoexact.grids import Grid, brute_force_partition, validate
+from eoexact.signatures import BinaryDiseq, diseq, from_entries, gen_diseq, pin_signature
+from eoexact.transforms import weight_profile
 from eoexact.tractable import (
     eval_affine,
     eval_fpnp,
@@ -19,7 +27,7 @@ from eoexact.tractable import (
     interpolate_delta,
     prune_effective,
 )
-from eoexact.values import ExactValue, I, ONE
+from eoexact.values import ExactValue, FieldMode, I, ONE, root_order
 
 V = ExactValue.rational
 Z = ExactValue.zeta
@@ -78,3 +86,42 @@ def test_classify_with_cyclotomic_values():
     assert v.tractable
     assert "product" in v.classes
     assert "affine" not in v.classes  # zeta_8 ratio is not a power of i
+
+
+def _immutable_records():
+    """One of each immutable record, from the calls that return them."""
+    gd = gen_diseq("0101", 1, I)
+    heavy = from_entries(4, {"1100": 1, "1010": 1, "1001": 2})
+    affine = membership_affine(gd)
+    product = membership_product(gd)
+    _, state = generating_process(gd)
+    recipes = list(state.recipes.values())
+    loop = next(r for r in recipes if isinstance(r, LoopRecipe))
+    grid = Grid.make([("v", diseq(4))], [((0, 0), (0, 2)), ((0, 1), (0, 3))])
+    return [
+        triple_class(heavy), triple_class(heavy).heavy, affine, affine.space,
+        membership_affine(heavy), product, product.groups[0],
+        membership_all_pairings(gd, "affine"), symmetry_class(gd), loop, loop.loops[0],
+        next(r for r in recipes if isinstance(r, PathRecipe)), state.steps[0],
+        validate(grid), BinaryDiseq(ONE, I), root_order(I), weight_profile(gd),
+        gd, grid, FieldMode.parse("zeta:8"),
+    ]
+
+
+def test_immutable_records_refuse_assignment():
+    plain = {"Signature": ("arity", "entries", "name"),
+             "Grid": ("vertices", "edges", "dangling"), "FieldMode": ("order",)}
+    records = _immutable_records()
+    assert len({type(r).__name__ for r in records}) == len(records)
+    for rec in records:
+        names = getattr(rec, "_fields", None) or plain[type(rec).__name__]
+        for name in names:
+            before = getattr(rec, name)
+            with pytest.raises(AttributeError):
+                setattr(rec, name, None)
+            with pytest.raises(AttributeError):
+                delattr(rec, name)
+            assert getattr(rec, name) is before
+        with pytest.raises(AttributeError):
+            rec.extra = 1
+        assert copy.copy(rec) == rec

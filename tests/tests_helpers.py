@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import random
 import re
 from collections import Counter
@@ -28,7 +29,16 @@ from eoexact.gauss import Z4Form, gauss_sum
 from eoexact.grids import Grid, Plan
 from eoexact.signatures import BinaryDiseq, Signature, diseq, from_entries, pin_signature
 from eoexact.tractable import _certificates, _power_product, _require_closed, _set_bits
-from eoexact.values import GAUSS_MODE, ExactValue, FieldMode, I, ONE, ZERO, euler_phi
+from eoexact.values import (
+    GAUSS_MODE,
+    ExactValue,
+    FieldMode,
+    I,
+    ONE,
+    ZERO,
+    compare_abs,
+    euler_phi,
+)
 
 V = ExactValue.rational
 
@@ -821,6 +831,64 @@ def reference_loop_layer(f: Signature, weights: Sequence[ExactValue],
                             out[param] = (LoopRecipe((i, j), loops),
                                           ZERO if a.is_zero() else b / a)
     return out
+
+
+def reference_generating_process(f: Signature,
+                                 max_steps: int = generate.DEFAULT_STEP_CAP,
+                                 max_set: int = generate.DEFAULT_SET_CAP,
+                                 order_cap: int = generate.DEFAULT_ORDER_CAP,
+                                 work_cap: int = generate.DEFAULT_WORK_CAP):
+    """generate.generating_process as it was before it skipped root_order on
+    layer parameters already in the closure: every parameter of every layer
+    gets root_order (looked up on generate, where tests patch it)."""
+    state = GeneratingState(f)
+    state.recipes[ONE] = None
+    current: dict = {ONE: None}
+    lcm_history = [1]
+    for step in range(1, max_steps + 1):
+        try:
+            layer = generate._loop_layer(f, list(current), state, work_cap)
+        except generate._WorkCap:
+            return generate._cap_outcome(state, lcm_history, "loop enumeration work cap"), state
+        layer_params = []
+        group_order = lcm_history[-1]
+        for param, (recipe, raw_ratio) in layer.items():
+            if param.is_zero():
+                state.recipes[ZERO] = recipe
+                return generate.RootDescriptor("pin_direct", value=ZERO, recipe=recipe,
+                                               note="a free pin is realized directly"), state
+            ro = generate.root_order(param, order_cap)
+            if ro.kind == "not_root":
+                state.recipes.setdefault(param, recipe)
+                rep = param
+                if not raw_ratio.is_zero() and compare_abs(param, ONE) < 0:
+                    rep = param.inverse()
+                return generate.RootDescriptor("non_root", value=rep, recipe=recipe,
+                                               note="parameter off the root lattice"), state
+            if ro.kind == "unknown":
+                state.recipes.setdefault(param, recipe)
+                return generate._cap_outcome(state, lcm_history,
+                                             f"root order beyond cap {order_cap}"), state
+            group_order = math.lcm(group_order, ro.order)
+            layer_params.append(param)
+            state.recipes.setdefault(param, recipe)
+        merged = dict(current)
+        for p in layer_params:
+            merged.setdefault(p, state.recipes[p])
+        try:
+            closed = generate._closure_under_products(merged, max_set)
+        except generate._WorkCap:
+            return generate._cap_outcome(state, lcm_history, "closure size cap"), state
+        for p in closed:
+            state.recipes.setdefault(p, closed[p])
+        state.steps.append(generate.GenerationStep(
+            step, tuple(sorted(layer, key=str)), tuple(sorted(closed, key=str)), group_order))
+        lcm_history.append(group_order)
+        if set(closed) == set(current):
+            return generate.RootDescriptor("finite_group", order=group_order,
+                                           orders_seen=tuple(lcm_history[1:])), state
+        current = closed
+    return generate._cap_outcome(state, lcm_history, "step cap"), state
 
 
 def _split_pair(entries, k: int, ia: int, ib: int, kept: list[int]
