@@ -361,16 +361,16 @@ NOT_LOADED = {
     "classify": (COMMANDS["classify"], {"tractable", "generate", "grids"}),
     "generate": (COMMANDS["generate"], {"tractable", "transforms", "gauss"}),
 }
-# standard modules that no command needs: dataclasses and the inspect it
-# imports cost more start-up than most commands' work; subprocess only
-# serves an external oracle
-STDLIB = ("mpmath", "dataclasses", "inspect", "subprocess")
+# other modules the script reports: no command needs dataclasses or the
+# inspect it imports, which cost more start-up than most commands' work, and
+# subprocess serves only an external oracle
+WATCHED = ("mpmath", "dataclasses", "inspect", "subprocess")
 LOADED_MODULES = (
     "import contextlib, io, sys\n"
     "from eoexact.cli import main\n"
     "with contextlib.redirect_stdout(io.StringIO()):\n"
     "    code = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
-    f"print(code, *sorted(m for m in sys.modules if m.startswith('eoexact.') or m in {STDLIB}))\n")
+    f"print(code, *sorted(m for m in sys.modules if m.startswith('eoexact.') or m in {WATCHED}))\n")
 
 
 @pytest.mark.parametrize("argv, absent", NOT_LOADED.values(), ids=NOT_LOADED)

@@ -22,8 +22,8 @@ GRID = (
     "vertex v1 deq4\nedge v1.1 v1.3\nedge v1.2 v1.4\n"
 )
 
-# every recipe kind: loops over two to three port pairs, paths, the direct
-# pin and the unit's None; the recipe file prints each one's repr
+# every recipe kind: one to three loops, paths, the direct pin and the
+# unit's None; the recipe file prints each one's repr
 RECIPE_SIGSET = SIGSET + (
     "signature neq4i arity 4\n0101 1\n1010 i\n"
     "signature mform arity 4\n1100 1\n1010 1\n1001 2\n"
