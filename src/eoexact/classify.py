@@ -244,7 +244,8 @@ def membership_affine(f: Signature) -> AffineCertificate | Refutation:
     n = f.arity
     span = f2_affine_span(supp, n)
     if span.size() != len(supp):
-        missing = next(el for el in span.elements() if el not in set(supp))
+        supp_set = set(supp)
+        missing = next(el for el in span.elements() if el not in supp_set)
         return Refutation("support_not_affine", f2.mask_to_string(missing, n))
     base = span.offset
     lam = f.value(base)
@@ -318,64 +319,56 @@ class ProductCertificate(NamedTuple):
 
 
 def membership_product(f: Signature) -> ProductCertificate | Refutation:
-    """Certificate that f factors into unaries and binary (dis)equalities."""
+    """Certificate that f factors into unaries and binary (dis)equalities.
+
+    Column p is an int whose bit k is the bit support string k reads at port
+    p.  A constant column pins its port; free ports with equal or
+    complementary columns share a group, led by its first port, and a port's
+    parity is whether its column differs from the leader's.
+    """
     _require_nonzero(f)
     n = f.arity
     supp = f.support()
-    supp_set = set(supp)
+    full = (1 << len(supp)) - 1
     pins = []
-    free = []
+    groups: list[tuple[list[int], list[int]]] = []  # (ports, parities)
+    flips: list[int] = []  # per group, the mask of its ports
+    leaders: dict[int, tuple[int, int]] = {}  # column -> (group, parity)
+    first = 0  # the string of the pins and of every group's leader at 0
     for p in range(n):
-        bits = {f2.bit_at(m, p, n) for m in supp}
-        if len(bits) == 1:
-            pins.append((p, bits.pop()))
-        else:
-            free.append(p)
-    # group free ports by forced equal / forced opposite
-    groups: list[list[int]] = []
-    parities: dict[int, int] = {}
-    for p in free:
-        placed = False
-        for g in groups:
-            lead = g[0]
-            rel = {f2.bit_at(m, p, n) ^ f2.bit_at(m, lead, n) for m in supp}
-            if len(rel) == 1:
-                g.append(p)
-                parities[p] = rel.pop()
-                placed = True
-                break
-        if not placed:
-            groups.append([p])
-            parities[p] = 0
+        bit = 1 << (n - 1 - p)
+        col = sum(1 << k for k, m in enumerate(supp) if m & bit)
+        if col == 0 or col == full:
+            pins.append((p, col & 1))
+            first |= bit * (col & 1)
+            continue
+        if col not in leaders:
+            leaders[col], leaders[col ^ full] = (len(groups), 0), (len(groups), 1)
+            groups.append(([], []))
+            flips.append(0)
+        gi, parity = leaders[col]
+        groups[gi][0].append(p)
+        groups[gi][1].append(parity)
+        flips[gi] |= bit
+        first |= bit * parity
     if len(supp) != 1 << len(groups):
-        # find a combination that should exist but does not
+        # every support string is one of the 2^g combinations, so one is missing
+        supp_set = set(supp)
         for combo in range(1 << len(groups)):
-            m = 0
-            for port, bit in pins:
-                m = f2.set_bit(m, port, n, bit)
-            for gi, g in enumerate(groups):
-                rep = (combo >> gi) & 1
-                for port in g:
-                    m = f2.set_bit(m, port, n, rep ^ parities[port])
+            m = first
+            for gi, flip in enumerate(flips):
+                if combo >> gi & 1:
+                    m ^= flip
             if m not in supp_set:
                 return Refutation("support_not_product", f2.mask_to_string(m, n))
-        return Refutation("support_not_product", "inconsistent combination count")
     base = supp[0]
     lam = f.value(base)
-    ws = []
-    for g in groups:
-        flip = 0
-        for port in g:
-            flip = f2.set_bit(flip, port, n, 1)
-        lead_bit = f2.bit_at(base, g[0], n)
-        val_base = ONE
+    cert_groups = []
+    for (ports, parities), flip in zip(groups, flips):
         val_flip = f.value(base ^ flip) / lam
-        w0, w1 = (val_base, val_flip) if lead_bit == 0 else (val_flip, val_base)
-        ws.append((w0, w1))
-    cert = ProductCertificate(
-        n, lam, tuple(pins),
-        tuple(ProductGroup(tuple(g), tuple(parities[p] for p in g), w0, w1)
-              for g, (w0, w1) in zip(groups, ws)))
+        w0, w1 = (val_flip, ONE) if f2.bit_at(base, ports[0], n) else (ONE, val_flip)
+        cert_groups.append(ProductGroup(tuple(ports), tuple(parities), w0, w1))
+    cert = ProductCertificate(n, lam, tuple(pins), tuple(cert_groups))
     for m in supp:
         if f.value(m) != cert.reconstruct(m):
             return Refutation("values_not_rank_one", f2.mask_to_string(m, n))

@@ -87,12 +87,6 @@ class ModeViolation(EOError):
     """Input signatures do not satisfy the requested extension mode."""
 
 
-# -- generating process ----------------------------------------------------
-
-class CoprimalityError(EOError):
-    pass
-
-
 # -- tractable evaluators --------------------------------------------------
 
 class NonAffineVertex(EOError):
@@ -127,10 +121,6 @@ class OracleProtocolError(EOError):
 
 class MixedWeights(EOError):
     pass
-
-
-class UnbalancedPadding(EOError):
-    """Weight bookkeeping of a single-weighted grid admits no balanced padding."""
 
 
 # -- cli -------------------------------------------------------------------

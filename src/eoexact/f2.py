@@ -29,11 +29,6 @@ def bit_at(mask: int, pos: int, n: int) -> int:
     return (mask >> (n - 1 - pos)) & 1
 
 
-def set_bit(mask: int, pos: int, n: int, value: int) -> int:
-    b = 1 << (n - 1 - pos)
-    return (mask | b) if value else (mask & ~b)
-
-
 def gather(mask: int, positions: Iterable[int], n: int) -> int:
     """The string of the bits of mask at the given positions, in their order."""
     out = 0
@@ -43,7 +38,7 @@ def gather(mask: int, positions: Iterable[int], n: int) -> int:
 
 
 def hamming(mask: int) -> int:
-    return bin(mask).count("1")
+    return mask.bit_count()
 
 
 def is_balanced(mask: int, n: int) -> bool:

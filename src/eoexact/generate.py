@@ -11,12 +11,11 @@ parameter, by a growing root lattice, or not at all (finite root group).
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import NamedTuple, Sequence
 
 from . import classify
-from .errors import CoprimalityError, EOError, NotEO
+from .errors import EOError, NotEO
 from .grids import Grid, chain_gate, gate_signature
 from .signatures import BinaryDiseq, Signature, neq2, self_loop
 from .values import ExactValue, ONE, ZERO, compare_abs, render_value, root_order
@@ -424,33 +423,6 @@ def _cap_outcome(state: GeneratingState, lcm_history: list[int], why: str) -> Ro
                               note=f"group order kept growing ({why})")
     return RootDescriptor("cap_exhausted", orders_seen=tuple(lcm_history[1:]),
                           note=why)
-
-
-# ---------------------------------------------------------------------------
-# root combination arithmetic
-# ---------------------------------------------------------------------------
-
-
-def combine_roots(a: int, c: int, b: int, d: int, t: int) -> tuple[int, int]:
-    """Exponents (r, s) with frac(rc/a + sd/b) == frac(t/ab).
-
-    Needs gcd(a, c) == gcd(b, d) == gcd(a, b) == 1; computed with modular
-    inverses from the extended Euclid algorithm.
-    """
-    if a < 1 or b < 1:
-        raise CoprimalityError("moduli must be positive")
-    if gcd(a, c) != 1 or gcd(b, d) != 1:
-        raise CoprimalityError("numerators must be coprime to their moduli")
-    if gcd(a, b) != 1:
-        raise CoprimalityError("moduli must be coprime")
-    # rcb + sda == t (mod ab), split by the Chinese remainders
-    r = (t * pow(c * b % a if a > 1 else 0, -1, a)) % a if a > 1 else 0
-    s = (t * pow(d * a % b if b > 1 else 0, -1, b)) % b if b > 1 else 0
-    lhs = Fraction(r * c, a) + Fraction(s * d, b)
-    want = Fraction(t, a * b)
-    if (lhs - want) % 1 != 0:
-        raise EOError("root combination arithmetic failed")
-    return r, s
 
 
 # ---------------------------------------------------------------------------

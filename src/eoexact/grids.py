@@ -416,32 +416,33 @@ def parse_grid_text(text: str, base_dir: str = ".",
             continue
         if parts[0] == "use":
             if len(parts) < 2 or "\0" in line:
-                raise GridFormatError(f"bad use line {raw!r}")
+                raise GridFormatError(f"line {idx}: bad use line {raw!r}")
             path = line.split(None, 1)[1]
             names.update(load_signature_file(os.path.join(base_dir, path), mode))
             continue
         if parts[0] == "vertex":
             if len(parts) != 3:
-                raise GridFormatError(f"bad vertex line {raw!r}")
+                raise GridFormatError(f"line {idx}: bad vertex line {raw!r}")
             vid, signame = parts[1], parts[2]
             if signame not in names:
-                raise GridFormatError(f"unknown signature {signame!r} for vertex {vid!r}")
+                raise GridFormatError(
+                    f"line {idx}: unknown signature {signame!r} for vertex {vid!r}")
             if vid in vertex_index:
-                raise GridFormatError(f"duplicate vertex id {vid!r}")
+                raise GridFormatError(f"line {idx}: duplicate vertex id {vid!r}")
             vertex_index[vid] = len(vertices)
             vertices.append((vid, names[signame].with_name(signame)))
             continue
         if parts[0] == "edge":
             if len(parts) != 3:
-                raise GridFormatError(f"bad edge line {raw!r}")
+                raise GridFormatError(f"line {idx}: bad edge line {raw!r}")
             edges.append((parse_slot(parts[1], idx), parse_slot(parts[2], idx)))
             continue
         if parts[0] == "dangle":
             if len(parts) != 2:
-                raise GridFormatError(f"bad dangle line {raw!r}")
+                raise GridFormatError(f"line {idx}: bad dangle line {raw!r}")
             dangling.append(parse_slot(parts[1], idx))
             continue
-        raise GridFormatError(f"unknown directive {parts[0]!r}")
+        raise GridFormatError(f"line {idx}: unknown directive {parts[0]!r}")
     return Grid.make(vertices, edges, dangling)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import f2
-from .errors import MixedWeights, UnbalancedPadding
+from .errors import MixedWeights
 from .signatures import Signature, delta0, delta1, from_entries, pin_signature, tensor
 
 if TYPE_CHECKING:
@@ -65,19 +65,15 @@ def pad_to_eo(f: Signature) -> Signature:
 
 
 class PadDiagnostics:
-    def __init__(self, balanced: bool, zero_ends_added: int = 0, one_ends_added: int = 0,
-                 pairing_edges: int = 0, replaced_pins: int = 0,
-                 padded_vertices: list[str] | None = None, message: str = ""):
+    def __init__(self, balanced: bool, pairing_edges: int = 0, replaced_pins: int = 0,
+                 message: str = ""):
         self.balanced = balanced
-        self.zero_ends_added = zero_ends_added
-        self.one_ends_added = one_ends_added
         self.pairing_edges = pairing_edges
         self.replaced_pins = replaced_pins
-        self.padded_vertices = [] if padded_vertices is None else padded_vertices
         self.message = message
 
 
-def grid_pad_single_weighted(grid: Grid, strict: bool = False) -> tuple[Grid, PadDiagnostics]:
+def grid_pad_single_weighted(grid: Grid) -> tuple[Grid, PadDiagnostics]:
     """Rewrite a closed single-weighted grid into a balanced-signature grid.
 
     Unary forced-bit vertices become binary pins keeping their original
@@ -85,10 +81,11 @@ def grid_pad_single_weighted(grid: Grid, strict: bool = False) -> tuple[Grid, Pa
     and spare pin ports are then matched pairwise (0-end to 1-end) through
     fresh edges.  The partition function is preserved exactly.  When the
     weight bookkeeping admits no balanced matching the partition function is
-    identically zero: a constant-0 grid comes back with a diagnostic, or an
-    UnbalancedPadding error under strict=True.
+    identically zero: a constant-0 grid comes back with a diagnostic.  An
+    invalid grid raises InvalidGrid.
     """
-    from .grids import Grid
+    from .grids import Grid, require_valid
+    require_valid(grid)
     diag = PadDiagnostics(balanced=True)
     new_vertices: list[tuple[str, Signature]] = []
     port_map: dict[tuple[int, int], tuple[int, int]] = {}
@@ -117,20 +114,15 @@ def grid_pad_single_weighted(grid: Grid, strict: bool = False) -> tuple[Grid, Pa
         for p in range(sig.arity):
             port_map[(vidx, p)] = (vidx, p)
         if padded.arity != sig.arity:
-            diag.padded_vertices.append(vid)
             forced_zero = prof.weight is not None and 2 * prof.weight > sig.arity
             for p in range(sig.arity, padded.arity):
                 (zero_ends if forced_zero else one_ends).append((vidx, p))
 
-    diag.zero_ends_added = len(zero_ends)
-    diag.one_ends_added = len(one_ends)
     if len(zero_ends) != len(one_ends):
         diag.balanced = False
         diag.message = (
             f"padding needs {len(zero_ends)} zero-ends matched to "
             f"{len(one_ends)} one-ends; partition function is identically 0")
-        if strict:
-            raise UnbalancedPadding(diag.message)
         zero_grid = Grid.make([("zero", Signature(0, {}))], [])
         return zero_grid, diag
 

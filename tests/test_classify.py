@@ -48,6 +48,7 @@ from tests_helpers import (
     rand_nonzero_value,
     rand_product_signature,
     reference_membership_affine,
+    reference_membership_product,
 )
 
 V = ExactValue.rational
@@ -416,6 +417,37 @@ def test_membership_product_random_roundtrip():
         cert = membership_product(f)
         assert isinstance(cert, ProductCertificate), f
         assert cert.verify(f)
+
+
+def test_membership_product_matches_rescan_reference():
+    # whole results, certificates and refutation witnesses alike; a product
+    # support has its values perturbed or a string added or dropped, and a
+    # random support keeps each string with a random density
+    rng = random.Random(47)
+    stages = Counter()
+    for t in range(2400):
+        n = rng.randint(1, 7)
+        if t % 2:
+            f = rand_product_signature(rng, n)
+            entries = {m: f.value(m) for m in f.support()}
+            r = rng.random()
+            if r < 0.15:
+                m = rng.choice(list(entries))
+                entries[m] = entries[m] * rand_nonzero_value(rng)
+            elif r < 0.3:
+                entries[rng.randrange(1 << n)] = rand_nonzero_value(rng)
+            elif r < 0.4 and len(entries) > 1:
+                del entries[rng.choice(list(entries))]
+        else:
+            density = rng.random()
+            entries = {m: rand_nonzero_value(rng) for m in range(1 << n) if rng.random() < density}
+            entries = entries or {rng.randrange(1 << n): rand_nonzero_value(rng)}
+        f = from_entries(n, entries)
+        got = membership_product(f)
+        assert got == reference_membership_product(f), f
+        stages[got.stage if isinstance(got, Refutation) else "certificate"] += 1
+    assert stages["certificate"] >= 800 and stages["support_not_product"] >= 800
+    assert stages["values_not_rank_one"] >= 50
 
 
 # -- per-pairing class tests -----------------------------------------------------

@@ -118,6 +118,30 @@ def test_transform_command(workdir, capsys):
     assert "signature" in rep["signatures"]
 
 
+@pytest.mark.parametrize("wiring", ["edge a.1 b.5\ndangle c.1", "edge a.1 b.1\nedge c.1 b.1"])
+def test_grid_pad_refuses_an_invalid_grid(tmp_path, capsys, wiring):
+    # a port past delta1's arity, then a slot wired twice
+    grid = tmp_path / "bad.grid"
+    grid.write_text(f"vertex a delta0\nvertex b delta1\nvertex c delta0\n{wiring}\n")
+    out = tmp_path / "out.grid"
+    assert main(["transform", "--op", "grid-pad", str(grid), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: InvalidGrid: ") and captured.err.count("\n") == 1
+    assert not out.exists() and "== report ==" not in captured.out
+
+
+@pytest.mark.parametrize("caps, note", [("order=4", "root order beyond cap 4"),
+                                        ("size=4", "closure size cap")])
+def test_generate_caps_exhaust(tmp_path, capsys, monkeypatch, caps, note):
+    monkeypatch.setenv("EO_FIELD", "zeta:8")
+    sig = tmp_path / "f.sig"
+    sig.write_text("signature f arity 4\n0110 1\n1001 z8^1\n")
+    code, human, rep = run_cli(capsys, ["generate", "--caps", caps, str(sig)])
+    assert code == 0 and human.startswith("f: cap_exhausted;")
+    descriptor = rep["results"][0]["descriptor"]
+    assert (descriptor["outcome"], descriptor["note"]) == ("cap_exhausted", note)
+
+
 def test_gate_command(workdir, capsys):
     code, human, rep = run_cli(capsys, ["gate", str(workdir / "script.gate")])
     assert code == 0

@@ -8,14 +8,13 @@ import pytest
 
 from eoexact import generate
 from eoexact.classify import pairing_count, perfect_pairings, symmetry_class
-from eoexact.errors import CoprimalityError, NotEO
+from eoexact.errors import NotEO
 from eoexact.generate import (
     DEFAULT_ORDER_CAP,
     GeneratingState,
     LoopRecipe,
     LoopSpec,
     PathRecipe,
-    combine_roots,
     delta_realizability,
     generating_process,
     replay_recipe,
@@ -162,36 +161,23 @@ def test_inconclusive_route():
     assert rep.route == "inconclusive"
 
 
-def test_combine_roots_examples():
-    r, s = combine_roots(3, 1, 4, 1, 5)
-    assert (r, s) == (2, 3)
-    assert (Fraction(r, 3) + Fraction(s, 4) - Fraction(5, 12)) % 1 == 0
-
-    assert combine_roots(1, 1, 7, 1, 4) == (0, 4)
-    assert combine_roots(3, 1, 4, 1, 0) == (0, 0)
-
-    r, s = combine_roots(5, 2, 9, 4, 17)
-    assert 0 <= r < 5 and 0 <= s < 9
-    assert (Fraction(2 * r, 5) + Fraction(4 * s, 9) - Fraction(17, 45)) % 1 == 0
-
-    with pytest.raises(CoprimalityError):
-        combine_roots(4, 2, 3, 1, 1)
-    with pytest.raises(CoprimalityError):
-        combine_roots(4, 1, 6, 1, 1)
+@pytest.mark.parametrize("caps, note", [({"order_cap": 4}, "root order beyond cap 4"),
+                                        ({"max_set": 4}, "closure size cap")])
+def test_order_and_size_caps_exhaust(caps, note):
+    # the process closes a group of order 8 at the default caps
+    f = gen_diseq("0110", 1, Z(8, 1))
+    assert generating_process(f)[0].outcome == "finite_group"
+    desc, _ = generating_process(f, **caps)
+    assert (desc.outcome, desc.note, desc.orders_seen) == ("cap_exhausted", note, ())
 
 
-def test_combine_roots_random():
-    rng = random.Random(11)
-    from math import gcd
-    for _ in range(60):
-        a = rng.randint(1, 12)
-        b = rng.choice([x for x in range(1, 12) if gcd(x, a) == 1])
-        c = rng.choice([x for x in range(1, 2 * a + 1) if gcd(x, a) == 1])
-        d = rng.choice([x for x in range(1, 2 * b + 1) if gcd(x, b) == 1])
-        t = rng.randint(-20, 40)
-        r, s = combine_roots(a, c, b, d, t)
-        assert 0 <= r < a and 0 <= s < b
-        assert (Fraction(r * c, a) + Fraction(s * d, b) - Fraction(t, a * b)) % 1 == 0
+def test_replay_of_a_ji_loop_recipe():
+    # "ji" wires the weight vertex the other way round, swapping its weights
+    f, w = gen_diseq("0110", 1, Z(8, 1)), Z(8, 3)
+    recipe = LoopRecipe((0, 1), (LoopSpec(2, 3, w, "ji"),))
+    got = replay_recipe(f, recipe, {})
+    assert got == self_loop(f, 2, 3, BinaryDiseq(ONE, w), "ji")
+    assert got != self_loop(f, 2, 3, BinaryDiseq(ONE, w), "ij")
 
 
 def test_delta_realizability_fixtures():

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -70,6 +71,17 @@ def test_validate_examples():
     open_ok = Grid.make([("v", diseq(4))], [((0, 0), (0, 2))], [(0, 1), (0, 3)])
     d3 = validate(open_ok)
     assert d3.ok and not d3.closed
+
+
+@pytest.mark.parametrize("edges, dangling, issue", [
+    ([((0, 0), (0, 0)), ((0, 1), (0, 3))], [(0, 2)], "edge 0 connects a slot to itself"),
+    ([((0, 0), (0, 2)), ((0, 1), (3, 0))], [(0, 3)], "slot (3, 0): no such vertex"),
+    ([((0, 0), (0, 2)), ((0, 1), (0, 3))], [(0, 7)], "slot (0, 7): port out of range for arity 4"),
+    ([((0, 0), (0, 2)), ((0, 1), (0, 3))], [(0, 1)], "slot (0, 1): used 2 times"),
+])
+def test_validate_reports_each_issue(edges, dangling, issue):
+    diag = validate(Grid.make([("v", diseq(4))], edges, dangling))
+    assert not diag.ok and issue in diag.issues
 
 
 def test_cached_diagnostics_leave_equality_alone():
@@ -499,6 +511,29 @@ def test_grid_file_errors(tmp_path):
     for line in ("use", "use  # no file", "use a\0b.sig"):
         with pytest.raises(GridFormatError):
             parse_grid_text(line + "\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("use\n", "line 1: bad use line 'use'"),
+    ("# no file\nuse  # none\n", "line 2: bad use line 'use  # none'"),
+    ("use a\0b.sig\n", "line 1: bad use line 'use a\\x00b.sig'"),
+    ("vertex v\n", "line 1: bad vertex line 'vertex v'"),
+    ("vertex v delta extra\n", "line 1: bad vertex line 'vertex v delta extra'"),
+    ("\nvertex v nosuch\n", "line 2: unknown signature 'nosuch' for vertex 'v'"),
+    ("vertex v delta\nvertex v delta0\n", "line 2: duplicate vertex id 'v'"),
+    ("vertex v delta\nedge v.1\n", "line 2: bad edge line 'edge v.1'"),
+    ("vertex v delta\nedge v.1 v.2 v.1\n", "line 2: bad edge line 'edge v.1 v.2 v.1'"),
+    ("vertex v delta\ndangle\n", "line 2: bad dangle line 'dangle'"),
+    ("vertex v delta\ndangle v.1 v.2\n", "line 2: bad dangle line 'dangle v.1 v.2'"),
+    ("vertex v delta\n\nwat v.1\n", "line 3: unknown directive 'wat'"),
+    ("vertex v delta\nedge v1 v.2\n", "line 2: bad slot 'v1'"),
+    ("vertex v delta\nedge a.1 v.2\n", "line 2: unknown vertex 'a'"),
+    ("vertex v delta\nedge v.1 v.x\n", "line 2: bad port in 'v.x'"),
+    ("vertex v delta\ndangle v.0\n", "line 2: ports are 1-based in 'v.0'"),
+])
+def test_grid_file_errors_name_the_line(text, message):
+    with pytest.raises(GridFormatError, match=f"^{re.escape(message)}$"):
+        parse_grid_text(text)
 
 
 def test_inline_block_errors_name_the_file_line():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from eoexact.errors import MixedWeights
+from eoexact.errors import InvalidGrid, MixedWeights
 from eoexact.grids import Grid, brute_force_partition
 from eoexact.signatures import (
     delta0,
@@ -86,15 +86,24 @@ def test_grid_pad_eo_grid_unchanged():
 
 
 def test_grid_pad_unbalanced_emits_zero_grid():
-    from eoexact.errors import UnbalancedPadding
     grid = Grid.make([("a", delta0()), ("b", delta0())], [((0, 0), (1, 0))])
     assert brute_force_partition(grid) == V(0)
     padded, diag = grid_pad_single_weighted(grid)
     assert not diag.balanced
     assert "identically 0" in diag.message
     assert brute_force_partition(padded) == V(0)
-    with pytest.raises(UnbalancedPadding):
-        grid_pad_single_weighted(grid, strict=True)
+
+
+@pytest.mark.parametrize("edges, issue", [
+    ([((0, 0), (1, 4))], r"slot \(1, 4\): port out of range for arity 1"),
+    ([((0, 0), (1, 0)), ((2, 0), (1, 0))], r"slot \(1, 0\): used 2 times"),
+])
+def test_grid_pad_refuses_an_invalid_grid(edges, issue):
+    # once a KeyError for the port past delta1's arity, and a padded grid
+    # with the slot still wired twice
+    grid = Grid.make([("a", delta0()), ("b", delta1()), ("c", delta0())], edges)
+    with pytest.raises(InvalidGrid, match=issue):
+        grid_pad_single_weighted(grid)
 
 
 def test_grid_pad_mixed_weight_error():

@@ -14,7 +14,7 @@ from itertools import count
 from typing import Mapping, Sequence
 
 from eoexact import classify, f2, generate
-from eoexact.classify import AffineCertificate, Refutation
+from eoexact.classify import AffineCertificate, ProductCertificate, ProductGroup, Refutation
 from eoexact.errors import (
     EOError,
     InvalidGrid,
@@ -384,6 +384,76 @@ def reference_membership_affine(f: Signature) -> AffineCertificate | Refutation:
     for m in supp:
         if exps[m] != cert.exponent(span.coordinates(m)):
             return Refutation("exponent_mismatch", f2.mask_to_string(m, n))
+    return cert
+
+
+def _put_bit(mask: int, pos: int, n: int, value: int) -> int:
+    b = 1 << (n - 1 - pos)
+    return (mask | b) if value else (mask & ~b)
+
+
+def reference_membership_product(f: Signature) -> ProductCertificate | Refutation:
+    """membership_product as it was with one support rescan per port and
+    existing group, and ports placed bit by bit."""
+    n = f.arity
+    supp = f.support()
+    supp_set = set(supp)
+    pins = []
+    free = []
+    for p in range(n):
+        bits = {f2.bit_at(m, p, n) for m in supp}
+        if len(bits) == 1:
+            pins.append((p, bits.pop()))
+        else:
+            free.append(p)
+    # group free ports by forced equal / forced opposite
+    groups: list[list[int]] = []
+    parities: dict[int, int] = {}
+    for p in free:
+        placed = False
+        for g in groups:
+            lead = g[0]
+            rel = {f2.bit_at(m, p, n) ^ f2.bit_at(m, lead, n) for m in supp}
+            if len(rel) == 1:
+                g.append(p)
+                parities[p] = rel.pop()
+                placed = True
+                break
+        if not placed:
+            groups.append([p])
+            parities[p] = 0
+    if len(supp) != 1 << len(groups):
+        # find a combination that should exist but does not
+        for combo in range(1 << len(groups)):
+            m = 0
+            for port, bit in pins:
+                m = _put_bit(m, port, n, bit)
+            for gi, g in enumerate(groups):
+                rep = (combo >> gi) & 1
+                for port in g:
+                    m = _put_bit(m, port, n, rep ^ parities[port])
+            if m not in supp_set:
+                return Refutation("support_not_product", f2.mask_to_string(m, n))
+        return Refutation("support_not_product", "inconsistent combination count")
+    base = supp[0]
+    lam = f.value(base)
+    ws = []
+    for g in groups:
+        flip = 0
+        for port in g:
+            flip = _put_bit(flip, port, n, 1)
+        lead_bit = f2.bit_at(base, g[0], n)
+        val_base = ONE
+        val_flip = f.value(base ^ flip) / lam
+        w0, w1 = (val_base, val_flip) if lead_bit == 0 else (val_flip, val_base)
+        ws.append((w0, w1))
+    cert = ProductCertificate(
+        n, lam, tuple(pins),
+        tuple(ProductGroup(tuple(g), tuple(parities[p] for p in g), w0, w1)
+              for g, (w0, w1) in zip(groups, ws)))
+    for m in supp:
+        if f.value(m) != cert.reconstruct(m):
+            return Refutation("values_not_rank_one", f2.mask_to_string(m, n))
     return cert
 
 
