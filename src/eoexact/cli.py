@@ -166,9 +166,12 @@ def _cmd_generate(args, argv, mode):
     if args.caps:
         for piece in args.caps.split(","):
             key, _, val = piece.partition("=")
-            if key not in caps or not val.isdigit():
-                raise UsageError(f"bad caps entry {piece!r}")
-            caps[key] = int(val)
+            try:  # int() reads any isdecimal() text up to CPython's digit limit
+                if key not in caps or not val.isdecimal():
+                    raise ValueError
+                caps[key] = int(val)
+            except ValueError:
+                raise UsageError(f"bad caps entry {piece!r}") from None
     payload = []
     human = []
     recipe_lines = []

@@ -54,10 +54,6 @@ def complement(mask: int, n: int) -> int:
     return mask ^ ((1 << n) - 1)
 
 
-def dot(a: int, b: int) -> int:
-    return hamming(a & b) & 1
-
-
 def rref(rows: Iterable[int], n: int) -> list[int]:
     """Reduced row echelon basis, highest pivot first; every pivot bit occurs
     in one row only.

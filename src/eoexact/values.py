@@ -417,24 +417,6 @@ class ExactValue:
     def __str__(self) -> str:
         return render_value(self)
 
-    # -- numerics --------------------------------------------------------
-
-    def to_mpc(self, dps: int = 30):
-        import mpmath
-        with mpmath.workdps(dps):
-            if self._n is None:
-                re, im = self.gauss_parts()
-                return mpmath.mpc(mpmath.mpf(re.numerator) / re.denominator,
-                                  mpmath.mpf(im.numerator) / im.denominator)
-            z = mpmath.exp(2j * mpmath.pi / self._n)
-            d = self._co[-1]
-            acc = mpmath.mpc(0)
-            for j, c in enumerate(self._co[:-1]):
-                if c != 0:
-                    acc += (mpmath.mpf(c) / d) * z**j
-            return acc
-
-
 ZERO = ExactValue.gauss(0, 0)
 ONE = ExactValue.gauss(1, 0)
 I = ExactValue.gauss(0, 1)
@@ -521,12 +503,55 @@ class RawArm:
         return _gaussian(*nums, d) if self.field is None else _cyclotomic(self.field, nums, d)
 
 
+def _atan_inv(x: int, w: int) -> int:
+    """2^w arctan(1/x), x > 1: each series term floor(2^w / ((2k+1) x^(2k+1)))
+    is one exact floor, so the sum is within 2 + w / (2 log2 x)."""
+    t = s = (1 << w) // x
+    k, x2 = 1, x * x
+    while t:
+        t //= x2
+        k += 2
+        s += -(t // k) if k & 2 else t // k
+    return s
+
+
+@lru_cache(maxsize=None)
+def _cos_table(n: int, p: int) -> tuple[int, ...]:
+    """C_j with |C_j - 2^p cos(2 pi j / n)| < 2 for 0 <= j <= n/2, by int
+    floors at w = p + g bits, where 2^g > 5w + 45.
+
+    Machin's pi is within 3.7w + 40 of 2^w pi, so X = floor(2 j pi / n) is
+    within 3.7w + 41 of 2^w x, x <= pi, and cos moves less than x does.  The
+    Taylor term t_k = floor(t_(k-1) X^2 / (4^w 2k (2k-1))) is e_k < r_k e_(k-1)
+    + 1 below its exact value, r_k = x^2 / (2k (2k-1)), so e_k < 2 as r_2 <
+    0.86 and r_k < 0.35 after.  The first t_K = 0 ends the sum with K <= w/2
+    + 1 and a tail below 2: s is within 4.7w + 45 of 2^w cos x.
+    """
+    g = p.bit_length() + 8
+    w = p + g
+    pi = 16 * _atan_inv(5, w) - 4 * _atan_inv(239, w)
+    out = []
+    for j in range(n // 2 + 1):
+        x = 2 * j * pi // n
+        u = x * x
+        t = s = 1 << w
+        k = 0
+        while t:
+            k += 2
+            t = (t * u >> 2 * w) // (k * (k - 1))
+            s += -t if k & 2 else t
+        out.append(s >> g)
+    return tuple(out)
+
+
 def compare_abs(a: ExactValue, b: ExactValue) -> int:
     """Exact comparison of |a| and |b|: returns -1, 0 or 1.
 
-    Equality is decided symbolically; a strict inequality between cyclotomic
-    magnitudes is separated numerically at increasing precision (sound
-    because exact equality has already been excluded).
+    d = |a|^2 - |b|^2 is formed exactly, which decides equality and Gaussian
+    d.  A cyclotomic d = sum c_j zeta^j / den != 0 has the sign of S = sum
+    c_j cos(2 pi j / n), and sum c_j C_j over _cos_table at p bits is within
+    2 sum |c_j| of 2^p S: it decides once it reaches that bound, and p
+    doubles until it does, which ends as 2^p |S| grows without bound.
     """
     d = a.abs2() - b.abs2()
     if d.is_zero():
@@ -536,16 +561,15 @@ def compare_abs(a: ExactValue, b: ExactValue) -> int:
         if im != 0:
             raise EOError("magnitude difference is not real")
         return 1 if re > 0 else -1
-    import mpmath
-    *nums, den = d._co
-    scale = sum(abs(c) for c in nums)
-    for dps in (40, 80, 160, 320, 640, 1280):
-        with mpmath.workdps(dps):
-            val = mpmath.re(d.to_mpc(dps))
-            threshold = mpmath.mpf(10) ** (-(dps // 2)) * mpmath.mpf(scale) / den
-            if abs(val) > threshold:
-                return 1 if val > 0 else -1
-    raise EOError("could not separate magnitudes numerically")
+    n, nums = d.ambient, d._co[:-1]
+    bound = 2 * sum(map(abs, nums))
+    p = 64
+    while True:
+        table = _cos_table(n, p)
+        s = sum(c * table[min(j, n - j)] for j, c in enumerate(nums) if c)
+        if abs(s) >= bound:
+            return 1 if s > 0 else -1
+        p *= 2
 
 
 # -- root orders -------------------------------------------------------------

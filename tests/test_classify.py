@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 
@@ -419,6 +420,62 @@ def test_membership_product_random_roundtrip():
         assert cert.verify(f)
 
 
+def _with_extra_port(f):
+    """f with a port appended that every support string reads as 0."""
+    return from_entries(f.arity + 1, {m << 1: f.value(m) for m in f.support()})
+
+
+def _replaced(items, k, item):
+    return items[:k] + (item,) + items[k + 1:]
+
+
+def test_affine_certificate_rejects_each_mutation():
+    rng = random.Random(53)
+    seen = Counter()
+    for _ in range(60):
+        f = rand_affine_signature(rng, rng.randint(2, 6), 6)
+        cert = membership_affine(f)
+        assert cert.verify(f)
+        mutants = {"lam": cert._replace(lam=cert.lam * I)}
+        if cert.lin:
+            k = rng.randrange(len(cert.lin))
+            mutants["lin"] = cert._replace(lin=_replaced(cert.lin, k, (cert.lin[k] + 1) % 4))
+        if cert.quad:
+            k = rng.randrange(len(cert.quad))
+            i, j, mu = cert.quad[k]
+            mutants["quad"] = cert._replace(quad=_replaced(cert.quad, k, (i, j, 1 - mu)))
+        for kind, bad in mutants.items():
+            assert not bad.verify(f), (kind, f)
+            seen[kind] += 1
+        assert not cert.verify(_with_extra_port(f))
+    assert min(seen[kind] for kind in ("lam", "lin", "quad")) >= 20
+
+
+def test_product_certificate_rejects_each_mutation():
+    rng = random.Random(59)
+    seen = Counter()
+    for _ in range(60):
+        f = rand_product_signature(rng, rng.randint(1, 6))
+        cert = membership_product(f)
+        assert cert.verify(f)
+        mutants = {"lam": cert._replace(lam=cert.lam * I)}
+        differ = [k for k, g in enumerate(cert.groups) if g.w0 != g.w1]
+        if differ:
+            k = rng.choice(differ)
+            g = cert.groups[k]
+            mutants["swap"] = cert._replace(
+                groups=_replaced(cert.groups, k, g._replace(w0=g.w1, w1=g.w0)))
+        if cert.pins:
+            k = rng.randrange(len(cert.pins))
+            port, bit = cert.pins[k]
+            mutants["pin"] = cert._replace(pins=_replaced(cert.pins, k, (port, 1 - bit)))
+        for kind, bad in mutants.items():
+            assert not bad.verify(f), (kind, f)
+            seen[kind] += 1
+        assert not cert.verify(_with_extra_port(f))
+    assert min(seen[kind] for kind in ("lam", "swap", "pin")) >= 20
+
+
 def test_membership_product_matches_rescan_reference():
     # whole results, certificates and refutation witnesses alike; a product
     # support has its values perturbed or a string added or dropped, and a
@@ -603,6 +660,31 @@ def test_rebalancing_implies_gap_or_all_up():
             tc = triple_class(f)
             assert tc.gap is not None or tc.all_up
     assert seen > 10
+
+
+def _check_triples_imply_rebalancing(n, supp, counts):
+    """No light triple => rebalancing at bit 0; no heavy triple => at bit 1.
+    counts[n] counts the checks whose premise held on 3 or more strings."""
+    f = from_entries(n, dict.fromkeys(supp, ONE))
+    tc = triple_class(f)
+    for b, triple in ((0, tc.light), (1, tc.heavy)):
+        if triple is None:
+            assert is_rebalancing(f, b).ok, [f2.mask_to_string(m, n) for m in supp]
+            counts[n] += len(supp) >= 3
+
+
+def test_no_light_or_heavy_triple_implies_rebalancing():
+    counts = Counter()
+    balanced4 = [m for m in range(16) if f2.is_balanced(m, 4)]
+    for r in range(1, len(balanced4) + 1):
+        for supp in itertools.combinations(balanced4, r):
+            _check_triples_imply_rebalancing(4, supp, counts)
+    for n, trials in ((6, 2500), (8, 2000), (10, 1000)):
+        rng = random.Random(n)
+        balanced = [m for m in range(1 << n) if f2.is_balanced(m, n)]
+        for _ in range(trials):
+            _check_triples_imply_rebalancing(n, rng.sample(balanced, rng.randint(2, 8)), counts)
+    assert counts[4] >= 30 and counts[6] >= 500 and counts[8] >= 400 and counts[10] >= 200
 
 
 # -- symmetry classes ---------------------------------------------------------------

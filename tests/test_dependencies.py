@@ -1,8 +1,7 @@
-"""The package runs on the standard library and mpmath alone."""
+"""The package runs on the standard library alone."""
 
 import ast
 import pathlib
-import re
 import sys
 
 import pytest
@@ -10,10 +9,10 @@ import pytest
 import eoexact
 
 PACKAGE = pathlib.Path(eoexact.__file__).parent
-ALLOWED = set(sys.stdlib_module_names) | {"mpmath"}
+ALLOWED = set(sys.stdlib_module_names)
 
 
-def test_every_import_is_stdlib_mpmath_or_relative():
+def test_every_import_is_stdlib_or_relative():
     files = sorted(PACKAGE.glob("*.py"))
     assert len(files) > 10
     stray = []
@@ -29,8 +28,7 @@ def test_every_import_is_stdlib_mpmath_or_relative():
     assert stray == []
 
 
-def test_pyproject_declares_only_mpmath():
+def test_pyproject_declares_no_dependencies():
     tomllib = pytest.importorskip("tomllib")
     pyproject = PACKAGE.parent.parent / "pyproject.toml"
-    deps = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["dependencies"]
-    assert [re.match(r"[A-Za-z0-9_.-]+", d).group() for d in deps] == ["mpmath"]
+    assert tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["dependencies"] == []

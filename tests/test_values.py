@@ -411,6 +411,65 @@ def test_compare_abs():
     assert compare_abs(ONE, V(10**400) * Z(8, 1) + ONE) == -1
 
 
+_SQRT2 = Z(8, 1) - Z(8, 3)
+
+
+@pytest.mark.parametrize("k", [100, 450, 600])
+def test_compare_abs_decides_powers_of_sqrt2_minus_1(k):
+    # (sqrt2 - 1)^k is about 2^(-1.27k) with coefficients near 2^(1.27k), so
+    # its squared magnitude takes about 5k bits to tell from 0
+    small = (_SQRT2 - 1) ** k
+    assert compare_abs(small, ZERO) == 1 and compare_abs(ZERO, small) == -1
+    assert compare_abs(small * (_SQRT2 - 1), small) == -1
+    assert compare_abs(small, (_SQRT2 + 1) ** -k * Z(8, 3)) == 0
+
+
+def _mp_value(mp, x, roots):
+    """x as an mpmath complex, from its power basis; roots[j] is zeta_n^j."""
+    if x.is_gaussian:
+        a, b, d = x._co
+        return mp.mpc(a, b) / d
+    *nums, d = x._co
+    return mp.fsum(c * roots[j] for j, c in enumerate(nums) if c) / d
+
+
+def test_cos_table_within_stated_bound():
+    mp = pytest.importorskip("mpmath").mp
+    for n in _ORDERS + [4, 1024]:
+        for p in (64, 128, 1024):
+            with mp.workprec(p + 64):
+                for j, c in enumerate(values._cos_table(n, p)):
+                    assert abs(c - mp.ldexp(mp.cospi(mp.mpf(2 * j) / n), p)) < 2, (n, p, j)
+
+
+def test_compare_abs_matches_mpmath_reference():
+    # seeded pairs in every order of the Fraction-reference test: unrelated
+    # values, equal magnitudes (a against conj(a) times a root of unity), and
+    # near ties a against a(1 + e zeta^k) with |e| down to 10^-60; the
+    # reference decides at 250 digits
+    mp = pytest.importorskip("mpmath").mp
+    pairs = numeric = 0  # numeric: pairs whose |a|^2 - |b|^2 leaves Q(i)
+    for n in _ORDERS:
+        rng = random.Random(n)
+        with mp.workdps(250):
+            roots = [mp.expjpi(mp.mpf(2 * j) / n) for j in range(n)]
+            for i in range(150):
+                a = rand_cyclotomic(rng, n)
+                if i % 3 == 0:
+                    b = rand_cyclotomic(rng, n)
+                elif i % 3 == 1:
+                    b = a.conj() * Z(n, rng.randrange(n))
+                else:
+                    e = Fraction(rng.choice([-1, 1]), 10 ** rng.randrange(1, 61))
+                    b = a * (1 + V(e) * Z(n, rng.randrange(n)))
+                diff = abs(_mp_value(mp, a, roots)) ** 2 - abs(_mp_value(mp, b, roots)) ** 2
+                want = 0 if abs(diff) < mp.mpf(10) ** -200 else (1 if diff > 0 else -1)
+                assert compare_abs(a, b) == want == -compare_abs(b, a), (n, a, b)
+                pairs += 1
+                numeric += not (a.abs2() - b.abs2()).is_gaussian
+    assert pairs >= 2000 and numeric >= 1000
+
+
 def test_root_order_gaussian():
     assert root_order(V(-1)).order == 2
     assert root_order(ONE).order == 1

@@ -458,12 +458,13 @@ def reference_membership_product(f: Signature) -> ProductCertificate | Refutatio
 
 
 def nullspace(rows: list[int], n: int) -> list[int]:
-    """Basis of {h : dot(h, r) = 0 for every row r}, bit positions shared with rows."""
+    """Basis of {h : h & r has even weight for every row r}, bit positions shared with rows."""
     return f2._free_basis(f2.rref(rows, n), n)
 
 
 def parity_checks(space: AffineSpace) -> list[int]:
-    """Vectors h with: mask in space implies dot(h, mask) == dot(h, space.offset)."""
+    """Vectors h with: mask in space implies h & mask and h & space.offset
+    have weights of one parity."""
     return nullspace(list(space.basis), space.n)
 
 
@@ -487,7 +488,7 @@ def reference_eval_affine(grid: Grid) -> ExactValue:
     checks, coords = [], []
     for cert in certs:
         n, offset = cert.arity, cert.space.offset
-        checks.append([([p for p in range(n) if f2.bit_at(h, p, n)], f2.dot(h, offset))
+        checks.append([([p for p in range(n) if f2.bit_at(h, p, n)], (h & offset).bit_count() & 1)
                        for h in parity_checks(cert.space)])
         pivots = [n - b.bit_length() for b in cert.space.basis]
         coords.append([(p, f2.bit_at(offset, p, n)) for p in pivots])
