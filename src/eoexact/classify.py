@@ -7,6 +7,7 @@ them (each certificate type has a ``verify`` method used by the tests).
 
 from __future__ import annotations
 
+import math
 from typing import Iterator, NamedTuple, Sequence
 
 from . import f2
@@ -38,10 +39,8 @@ def _require_nonzero(f: Signature) -> None:
         raise ZeroSignature("operation needs a nontrivial signature")
 
 
-def _sig_label(f: Signature, idx: int | None = None) -> str:
-    if f.name:
-        return f.name
-    return f"f{idx}" if idx is not None else "f"
+def _sig_label(f: Signature, idx: int) -> str:
+    return f.name or f"f{idx}"
 
 
 # ---------------------------------------------------------------------------
@@ -143,51 +142,47 @@ def is_pure(f: Signature, direction: str) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _pairing_search(ports: Sequence[int], arity: int, strings: Sequence[int],
-                    need: int) -> Iterator[tuple[Pairing, tuple[int, ...], int]]:
+def _pairing_search(ports: Sequence[int], cols: Sequence[int], kept: int,
+                    need: int) -> Iterator[tuple[Pairing, int, int]]:
     """Iterative DFS over the perfect pairings of ``ports``: the lowest free
     port leads, and its partners come in increasing order.
 
-    Carries the arity-``arity`` masks of ``strings`` that are opposite on every
-    pair chosen so far.  Yields (pairing, kept strings, 1) at each leaf; a
-    prefix whose kept set drops below ``need`` is yielded once instead of its
-    subtree, with the count of the pairings it stands for.
+    ``kept`` is a bitset over support strings, and a child keeps those whose
+    ``cols`` (``f2.columns``) differ on its new pair.  Yields (pairing, kept,
+    1) per leaf; a prefix keeping fewer than ``need`` strings is yielded once,
+    with the count of the pairings it stands for.
     """
-    stack = [((), tuple(sorted(ports)), tuple(strings))]
+    stack = [((), tuple(sorted(ports)), kept)]
     while stack:
         prefix, free, kept = stack.pop()
-        if not free or len(kept) < need:
+        if not free or kept.bit_count() < need:
             yield prefix, kept, pairing_count(len(free))
             continue
         lead, rest = free[0], free[1:]
-        children = []
-        for k, partner in enumerate(rest):
-            i, j = arity - 1 - lead, arity - 1 - partner
-            children.append((prefix + ((lead, partner),), rest[:k] + rest[k + 1:],
-                             tuple(m for m in kept if ((m >> i) ^ (m >> j)) & 1)))
-        stack.extend(reversed(children))
+        stack.extend(reversed([(prefix + ((lead, partner),), rest[:k] + rest[k + 1:],
+                                kept & (cols[lead] ^ cols[partner]))
+                               for k, partner in enumerate(rest)]))
 
 
 def perfect_pairings(ports: Sequence[int]) -> Iterator[Pairing]:
     """All perfect matchings of the port list (lowest port always leads)."""
-    return (pairing for pairing, _, _ in _pairing_search(ports, 0, (), 0))
+    cols = [0] * (max(ports, default=0) + 1)
+    return (pairing for pairing, _, _ in _pairing_search(ports, cols, 0, 0))
 
 
 def pairing_count(arity: int) -> int:
     """(arity-1)!! perfect matchings of an even number of ports."""
-    out = 1
-    for k in range(arity - 1, 0, -2):
-        out *= k
-    return out
+    return math.prod(range(arity - 1, 0, -2))
 
 
 def find_pairing(f: Signature) -> Pairing | None:
     """A perfect port pairing whose pairs take opposite values on all of supp."""
     _require_eo(f)
     supp = f.support()
+    full = (1 << len(supp)) - 1
     return next((pairing for pairing, kept, _ in
-                 _pairing_search(range(f.arity), f.arity, supp, len(supp))
-                 if len(kept) == len(supp)), None)
+                 _pairing_search(range(f.arity), f2.columns(supp, f.arity), full, len(supp))
+                 if kept == full), None)
 
 
 def restrict_to_pairing(f: Signature, pairing: Pairing) -> Signature:
@@ -321,10 +316,9 @@ class ProductCertificate(NamedTuple):
 def membership_product(f: Signature) -> ProductCertificate | Refutation:
     """Certificate that f factors into unaries and binary (dis)equalities.
 
-    Column p is an int whose bit k is the bit support string k reads at port
-    p.  A constant column pins its port; free ports with equal or
-    complementary columns share a group, led by its first port, and a port's
-    parity is whether its column differs from the leader's.
+    A constant support column (f2.columns) pins its port; free ports with
+    equal or complementary columns share a group, led by its first port, and
+    a port's parity is whether its column differs from the leader's.
     """
     _require_nonzero(f)
     n = f.arity
@@ -335,9 +329,8 @@ def membership_product(f: Signature) -> ProductCertificate | Refutation:
     flips: list[int] = []  # per group, the mask of its ports
     leaders: dict[int, tuple[int, int]] = {}  # column -> (group, parity)
     first = 0  # the string of the pins and of every group's leader at 0
-    for p in range(n):
+    for p, col in enumerate(f2.columns(supp, n)):
         bit = 1 << (n - 1 - p)
-        col = sum(1 << k for k, m in enumerate(supp) if m & bit)
         if col == 0 or col == full:
             pins.append((p, col & 1))
             first |= bit * (col & 1)
@@ -406,26 +399,26 @@ class PairingClassReport(NamedTuple):
 
 
 def membership_all_pairings(f: Signature, cls: str) -> PairingClassReport:
-    """Test the class on the restriction of f to every perfect port pairing.
-
-    Identically-zero restrictions pass vacuously.  The quantifier is over all
-    pairings, so arities beyond the cap raise instead of subsampling.
-    """
+    """Test the class on the restriction of f to every perfect port pairing;
+    identically-zero restrictions pass vacuously, and arities beyond the cap
+    raise instead of subsampling."""
     _require_eo(f)
     _require_nonzero(f)
     if f.arity > PAIRING_ARITY_CAP:
         raise CapExceeded(
             f"arity {f.arity} over pairing enumeration cap {PAIRING_ARITY_CAP}")
     checked = vacuous = 0
+    supp = f.support()
     results = {}  # membership of the restriction that keeps these strings
-    for pairing, kept, count in _pairing_search(range(f.arity), f.arity, f.support(), 1):
+    for pairing, kept, count in _pairing_search(
+            range(f.arity), f2.columns(supp, f.arity), (1 << len(supp)) - 1, 1):
         checked += count
         if not kept:
             vacuous += count
             continue
         if kept not in results:
-            results[kept] = membership(
-                Signature(f.arity, {m: f.entries[m] for m in kept}), cls)
+            results[kept] = membership(Signature(f.arity, {
+                m: f.entries[m] for k, m in enumerate(supp) if kept >> k & 1}), cls)
         result = results[kept]
         if isinstance(result, Refutation):
             return PairingClassReport(cls, False, checked, vacuous, pairing, result)
@@ -569,9 +562,8 @@ def pairing_sections(f: Signature, pairing: Pairing) -> list[Signature]:
     d = len(pairing)
     if sorted(p for pair in pairing for p in pair) != list(range(n)):
         raise PairingViolation("pairing must cover every port exactly once")
-    for m in f.support():
-        if any(f2.bit_at(m, i, n) == f2.bit_at(m, j, n) for i, j in pairing):
-            raise PairingViolation("support is not opposite on the given pairing")
+    if restrict_to_pairing(f, pairing) != f:
+        raise PairingViolation("support is not opposite on the given pairing")
     out = []
     for selection in range(1 << d):
         reps = [j if (selection >> t) & 1 else i for t, (i, j) in enumerate(pairing)]

@@ -8,7 +8,7 @@ document which convention they take.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import EmptyInput, EOError
 
@@ -35,6 +35,15 @@ def gather(mask: int, positions: Iterable[int], n: int) -> int:
     for pos in positions:
         out = (out << 1) | ((mask >> (n - 1 - pos)) & 1)
     return out
+
+
+def columns(masks: Sequence[int], n: int) -> list[int]:
+    """Column p < n: the int whose bit k is the bit masks[k] reads at position p."""
+    cols = [0] * n
+    for k, m in enumerate(masks):
+        for p in range(n):
+            cols[p] |= (m >> (n - 1 - p) & 1) << k
+    return cols
 
 
 def hamming(mask: int) -> int:

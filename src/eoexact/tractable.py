@@ -116,10 +116,9 @@ def eval_affine(grid: Grid) -> ExactValue:
     certs = _certificates(grid, "affine", NonAffineVertex)
     if certs is None:
         return ZERO
-    # ports[k][p]: (mask of the coordinates of certificate k that port p
-    # reads, offset bit at p)
-    ports = [[(sum(f2.bit_at(b, p, c.arity) << i for i, b in enumerate(c.space.basis)),
-               f2.bit_at(c.space.offset, p, c.arity)) for p in range(c.arity)]
+    # ports[k][p]: (column p of certificate k's basis, offset bit at p)
+    ports = [[(col, f2.bit_at(c.space.offset, p, c.arity))
+              for p, col in enumerate(f2.columns(c.space.basis, c.arity))]
              for c in certs]
     of_vertex = grid.signature_index.of_vertex
     # vertex v's coordinates are the variables first[v] .. first[v + 1] - 1

@@ -50,6 +50,7 @@ from tests_helpers import (
     rand_product_signature,
     reference_membership_affine,
     reference_membership_product,
+    reference_pairing_search,
 )
 
 V = ExactValue.rational
@@ -211,6 +212,52 @@ def test_perfect_pairings_order():
             assert got == []
     assert list(perfect_pairings([5, 1, 3, 7])) == [
         ((1, 3), (5, 7)), ((1, 5), (3, 7)), ((1, 7), (3, 5))]
+
+
+def _search_signatures(rng):
+    """Seeded signatures of arity 0-12 for the pairing search: zero, diseq(k),
+    diseq(2)^k, dense and sparse; affine and product up to arity 10, whose
+    945 pairings are a tenth of arity 12's."""
+    sigs = [Signature(n, {}) for n in range(13)]
+    t = neq2()
+    for arity in range(2, 13, 2):
+        sigs += [diseq(arity), t,
+                 rand_eo_signature(rng, arity, density=0.9, nonzero=True),
+                 rand_eo_signature(rng, arity, density=0.1, nonzero=True)]
+        if arity < 12:
+            sigs += [rand_affine_signature(rng, arity), rand_product_signature(rng, arity)]
+            t = tensor(t, neq2())
+    return sigs
+
+
+def _decoded_search(ports, cols, supp, need):
+    """classify._pairing_search over all of supp, each kept set as its masks."""
+    from eoexact.classify import _pairing_search
+    out = []
+    for pairing, kept, count in _pairing_search(ports, cols, (1 << len(supp)) - 1, need):
+        masks = []
+        while kept:
+            low = kept & -kept
+            masks.append(supp[low.bit_length() - 1])
+            kept ^= low
+        out.append((pairing, tuple(masks), count))
+    return out
+
+
+def test_pairing_search_matches_tuple_reference():
+    # whole yield sequences: pairings, kept sets and vacuous-subtree counts
+    rng = random.Random(2027)
+    for f in _search_signatures(rng):
+        supp = f.support()
+        cols = f2.columns(supp, f.arity)
+        for need in sorted({0, 1, len(supp)}):
+            assert _decoded_search(range(f.arity), cols, supp, need) == \
+                list(reference_pairing_search(range(f.arity), f.arity, supp, need)), (f, need)
+    for ports in ([5, 1, 3, 7], [9, 2, 4, 0, 3, 8]):
+        assert _decoded_search(ports, [0] * 10, (), 0) == \
+            list(reference_pairing_search(ports, 0, (), 0))
+        assert list(perfect_pairings(ports)) == \
+            [pairing for pairing, _, _ in reference_pairing_search(ports, 0, (), 0)]
 
 
 def _balanced_part(f):
@@ -814,6 +861,15 @@ def test_verdict_extended_upside():
     v2 = verdict_extended([g], "upside")
     assert v2.outcome == "fp"
     assert any("identically zero" in n for n in v2.notes)
+
+
+def test_verdict_extended_names_dropped_zero_transforms():
+    # "1110" is heavy, so its balanced restriction is zero and only diseq(4) stays
+    heavy = from_entries(4, {"1110": 1}, "heavy")
+    v = verdict_extended([heavy, diseq(4)], "upside")
+    assert v.outcome == "fp"
+    assert v.notes[-1] == "dropped identically-zero transforms of: heavy"
+    assert [entry["name"] for entry in v.per_signature] == ["neq4"]
 
 
 def test_verdict_extended_single_weighted():

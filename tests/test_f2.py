@@ -6,6 +6,7 @@ from eoexact.errors import EmptyInput
 from eoexact.f2 import (
     AffineSpace,
     bit_at,
+    columns,
     complement,
     f2_affine_span,
     hamming,
@@ -29,6 +30,24 @@ def test_string_conventions():
     assert complement(m, n) == 0b1010
     assert is_balanced(m, n)
     assert weight_excess(0b1110, 4) == 2
+
+
+def test_columns_transpose_the_masks():
+    # column p's bit k is masks[k]'s bit at position p
+    assert columns([0b0101, 0b0011], 4) == [0b00, 0b01, 0b10, 0b11]
+    assert columns([], 3) == [0, 0, 0]
+    assert columns([0], 0) == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 9).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=20))))
+def test_columns_match_bit_at(case):
+    n, masks = case
+    cols = columns(masks, n)
+    assert len(cols) == n
+    for p, col in enumerate(cols):
+        assert col == sum(bit_at(m, p, n) << k for k, m in enumerate(masks))
 
 
 def test_span_singleton():

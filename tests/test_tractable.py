@@ -22,6 +22,7 @@ from eoexact.signatures import (
     Signature,
     delta0,
     diseq,
+    dual,
     from_entries,
     gen_diseq,
     neq2,
@@ -708,6 +709,24 @@ def test_eval_fpnp_precondition_errors():
     g2 = Grid.make([("v", unbalanced)], [((0, 0), (0, 1))])
     with pytest.raises(PreconditionViolated):
         eval_fpnp(g2, "product")
+
+
+def test_eval_fpnp_refuses_a_two_sided_set():
+    # m-delta1 has only heavy triples and its dual only light ones
+    f = from_entries(4, {"1100": 1, "1010": 1, "1001": 1})
+    grid = Grid.make([("a", f), ("b", dual(f))], [((0, p), (1, p)) for p in range(4)])
+    with pytest.raises(PreconditionViolated, match="not one-sided for triples"):
+        eval_fpnp(grid, "product")
+
+
+def test_eval_fpnp_refuses_a_failed_pairing_test():
+    # the weight 2 leaves a restriction whose values are not i-powers of one scale
+    f = from_entries(4, {"1100": 1, "1010": 1, "1001": 2})
+    grid = Grid.make([("a", f), ("b", f)],
+                     [((0, 2), (1, 0)), ((0, 3), (1, 1)),
+                      ((1, 2), (0, 0)), ((1, 3), (0, 1))])
+    with pytest.raises(PreconditionViolated, match="fails the affine pairing test"):
+        eval_fpnp(grid, "affine")
 
 
 class EverythingEffective:

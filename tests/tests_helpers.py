@@ -457,6 +457,26 @@ def reference_membership_product(f: Signature) -> ProductCertificate | Refutatio
     return cert
 
 
+def reference_pairing_search(ports: Sequence[int], arity: int, strings: Sequence[int],
+                             need: int):
+    """The pairing search over tuples of kept masks: the same DFS order,
+    yields and vacuous counts as classify._pairing_search, with the kept set
+    as the arity-``arity`` masks of ``strings`` still opposite on every pair."""
+    stack = [((), tuple(sorted(ports)), tuple(strings))]
+    while stack:
+        prefix, free, kept = stack.pop()
+        if not free or len(kept) < need:
+            yield prefix, kept, classify.pairing_count(len(free))
+            continue
+        lead, rest = free[0], free[1:]
+        children = []
+        for k, partner in enumerate(rest):
+            i, j = arity - 1 - lead, arity - 1 - partner
+            children.append((prefix + ((lead, partner),), rest[:k] + rest[k + 1:],
+                             tuple(m for m in kept if ((m >> i) ^ (m >> j)) & 1)))
+        stack.extend(reversed(children))
+
+
 def nullspace(rows: list[int], n: int) -> list[int]:
     """Basis of {h : h & r has even weight for every row r}, bit positions shared with rows."""
     return f2._free_basis(f2.rref(rows, n), n)
