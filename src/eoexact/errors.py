@@ -21,10 +21,6 @@ class EmptyInput(EOError):
     pass
 
 
-class SingularSystem(EOError):
-    """Interpolation nodes coincide; the linear system has no unique solution."""
-
-
 class ZeroValue(EOError):
     pass
 

@@ -63,14 +63,9 @@ def complement(mask: int, n: int) -> int:
     return mask ^ ((1 << n) - 1)
 
 
-def rref(rows: Iterable[int], n: int) -> list[int]:
-    """Reduced row echelon basis, highest pivot first; every pivot bit occurs
-    in one row only.
-
-    Each row is reduced only by the pivots at its leading bit, into an
-    echelon form keyed by pivot; one back-substitution, lowest pivot first,
-    then clears the pivot bits below each leading bit.
-    """
+def _echelon(rows: Iterable[int]) -> dict[int, int]:
+    """Echelon form keyed by pivot: each row is reduced only by the pivots at
+    its leading bit, until it is zero or has a new pivot."""
     pivots: dict[int, int] = {}
     for row in rows:
         while row:
@@ -80,6 +75,17 @@ def rref(rows: Iterable[int], n: int) -> list[int]:
                 pivots[p] = row
                 break
             row ^= b
+    return pivots
+
+
+def rref(rows: Iterable[int], n: int) -> list[int]:
+    """Reduced row echelon basis, highest pivot first; every pivot bit occurs
+    in one row only.
+
+    One back-substitution over the echelon form, lowest pivot first, clears
+    the pivot bits below each leading bit.
+    """
+    pivots = _echelon(rows)
     done = 0  # pivot bits whose rows are already reduced
     for p in sorted(pivots):
         row = pivots[p]
@@ -98,22 +104,6 @@ def reduce_against(mask: int, basis: Iterable[int]) -> int:
         if (mask >> (b.bit_length() - 1)) & 1:
             mask ^= b
     return mask
-
-
-def _free_basis(basis: list[int], n: int) -> list[int]:
-    """For each non-pivot bit f of a reduced basis, the vector with f set and
-    every pivot bit set whose row holds f: one solution of the homogeneous
-    system per free variable."""
-    out = {f: 1 << f for f in range(n)}
-    for b in basis:
-        p = b.bit_length() - 1
-        del out[p]
-        rest = b ^ (1 << p)  # free bits only: the basis is reduced
-        while rest:
-            f = rest.bit_length() - 1
-            out[f] |= 1 << p
-            rest ^= 1 << f
-    return list(out.values())
 
 
 class AffineSpace(NamedTuple):
@@ -188,13 +178,31 @@ def solve_linear_system(equations: list[tuple[int, int]], nvars: int):
     """Solve a system of XOR equations over LSB-indexed variables.
 
     Each equation is (mask, bit) meaning xor of the masked variables equals
-    bit.  Returns None when inconsistent, else (particular, free_basis) where
-    free_basis spans the solution space around the particular solution.
+    bit.  Returns None when inconsistent, else (exprs, free): exprs[x] is
+    (mask, bit), saying that variable x equals bit xor the free variables in
+    mask, and free counts the free variables, numbered upward from the
+    lowest.  The echelon form is read lowest pivot first, so every variable
+    below a pivot row's leading bit already has its expression.
     """
-    # augmented rows (mask << 1) | bit; a reduced row 1 reads 0 = 1
-    basis = rref(((mask << 1) | bit for mask, bit in equations), nvars + 1)
-    if basis and basis[-1] == 1:
+    # augmented rows (mask << 1) | bit; a row 1 reads 0 = 1
+    pivots = _echelon((mask << 1) | bit for mask, bit in equations)
+    if 0 in pivots:
         return None
-    # with free variables at 0, each pivot variable equals its row's bit
-    particular = sum(1 << (b.bit_length() - 2) for b in basis if b & 1)
-    return particular, _free_basis([b >> 1 for b in basis], nvars)
+    exprs: list[tuple[int, int]] = []
+    free = 0
+    for x in range(nvars):
+        row = pivots.get(x + 1)
+        if row is None:
+            exprs.append((1 << free, 0))
+            free += 1
+            continue
+        mask, bit = 0, row & 1
+        rest = (row >> 1) ^ (1 << x)
+        while rest:
+            q = rest.bit_length() - 1
+            m, b = exprs[q]
+            mask ^= m
+            bit ^= b
+            rest ^= 1 << q
+        exprs.append((mask, bit))
+    return exprs, free

@@ -47,7 +47,7 @@ from .signatures import (
     neq2,
     pin_signature,
 )
-from .values import ONE, ZERO, ExactValue, as_value, root_order, vandermonde_solve
+from .values import ONE, ZERO, ExactValue, as_value, root_order
 
 Slot = tuple[int, int]
 
@@ -74,17 +74,6 @@ def _certificates(grid: Grid, cls: str, error):
                 raise error(f"vertex {vid}: {got.stage} at {got.witness}")
             certs[k] = got
     return certs
-
-
-def _set_bits(mask: int) -> list[int]:
-    """Positions of the set bits of mask, lowest first."""
-    text = bin(mask)[:1:-1]
-    out = []
-    pos = text.find("1")
-    while pos >= 0:
-        out.append(pos)
-        pos = text.find("1", pos + 1)
-    return out
 
 
 def _power_product(values: list[ExactValue], counts: Counter, flip: int = 0) -> ExactValue:
@@ -131,17 +120,11 @@ def eval_affine(grid: Grid) -> ExactValue:
     solved = f2.solve_linear_system(equations, first[-1])
     if solved is None:
         return ZERO
-    particular, basis = solved
-
-    # each coordinate as an affine function of the free variables
-    var_mask = [0] * first[-1]
-    for t, vec in enumerate(basis):
-        for x in _set_bits(vec):
-            var_mask[x] |= 1 << t
-    total = Z4Form(len(basis))
+    exprs, free = solved
+    total = Z4Form(free)
     for s, e, k in zip(first, first[1:], of_vertex):
         cert = certs[k]
-        xs = [(var_mask[x], (particular >> x) & 1) for x in range(s, e)]
+        xs = exprs[s:e]
         for (mask, const), lam in zip(xs, cert.lin):
             total.add_affine_lift(mask, const, lam)
         for i, j, mu in cert.quad:
@@ -516,13 +499,27 @@ def chain_power(x: ExactValue, j: int) -> Signature:
     return chain_gate([BinaryDiseq(ONE, x).as_signature()] * j)
 
 
+def _constant_term(nodes: list[ExactValue], values: list[ExactValue]) -> ExactValue:
+    """P(0) for the polynomial P of degree below len(nodes) with
+    P(nodes[k]) == values[k], as the Lagrange sum over distinct nodes."""
+    total = ZERO
+    for k, (xk, zk) in enumerate(zip(nodes, values)):
+        num, den = zk, ONE
+        for j, xj in enumerate(nodes):
+            if j != k:
+                num = num * xj
+                den = den * (xj - xk)
+        total = total + num / den
+    return total
+
+
 def interpolate_delta(grid: Grid, x: ExactValue) -> ExactValue:
     """Recover the pinned partition function from pin-free evaluations.
 
     Each pin occurrence is replaced by the weighted disequality != (1, x^j)
-    for j = 1..m+1 (powers built by path composition); solving the resulting
-    Vandermonde system gives the polynomial's constant term, which is the
-    value with true pins.
+    for j = 1..m+1 (powers built by path composition); the value with true
+    pins is the constant term of the polynomial through these evaluations.
+    The nodes x^j are distinct because x is not a root of unity.
     """
     _require_closed(grid)
     x = as_value(x)
@@ -548,8 +545,7 @@ def interpolate_delta(grid: Grid, x: ExactValue) -> ExactValue:
             modified = modified.with_vertex_signature(vidx, replacement)
         nodes.append(x ** j)
         rhs.append(brute_force_partition(modified))
-    coeffs = vandermonde_solve(nodes, rhs)
-    return coeffs[0]
+    return _constant_term(nodes, rhs)
 
 
 def _binary_gates(signatures: list[Signature], max_vertices: int):

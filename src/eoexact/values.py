@@ -25,11 +25,9 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from .errors import (
-    EmptyInput,
     EOError,
     FieldMismatch,
     LiteralSyntaxError,
-    SingularSystem,
     ZeroValue,
 )
 
@@ -587,9 +585,8 @@ class RootOrder(NamedTuple):
 def root_order(x: ExactValue, cap: int = 64) -> RootOrder:
     """Smallest k <= cap with x**k == 1, or the reason there is none.
 
-    Gaussian mode is decisive: the only Gaussian-rational roots of unity are
-    1, -1, i, -i.  In Q(zeta_N) the roots of unity are the M-th roots for
-    M = lcm(2, N), so x is one exactly when x**M == 1, and its order is the
+    The roots of unity are the M-th roots for M = 4 in Q(i) and M = lcm(2, N)
+    in Q(zeta_N), so x is one exactly when x**M == 1, and its order is the
     least divisor of M that x reaches 1 at, found prime by prime.  A root of
     order above the cap is reported "unknown".
     """
@@ -597,15 +594,7 @@ def root_order(x: ExactValue, cap: int = 64) -> RootOrder:
         raise ZeroValue("root order of zero is undefined")
     if not x.is_unimodular():
         return RootOrder("not_root")
-    if x.is_gaussian:
-        if x == ONE:
-            return RootOrder("root", 1)
-        if x == MINUS_ONE:
-            return RootOrder("root", 2)
-        if x == I or x == ExactValue.gauss(0, -1):
-            return RootOrder("root", 4)
-        return RootOrder("not_root")
-    m = order = lcm(2, x.ambient)
+    m = order = 4 if x.is_gaussian else lcm(2, x.ambient)
     rest, p = m, 2
     while rest > 1:
         if p * p > rest:
@@ -621,44 +610,6 @@ def root_order(x: ExactValue, cap: int = 64) -> RootOrder:
     if order == m and x ** m != ONE:
         return RootOrder("not_root")
     return RootOrder("root", order) if order <= cap else RootOrder("unknown")
-
-
-# -- exact Vandermonde solving ------------------------------------------------
-
-
-def vandermonde_solve(nodes, rhs) -> list[ExactValue]:
-    """Coefficients c_0..c_m of the polynomial with sum c_j node_k^j = rhs_k."""
-    nodes = [as_value(v) for v in nodes]
-    rhs = [as_value(v) for v in rhs]
-    if not nodes:
-        raise EmptyInput("no interpolation nodes")
-    if len(nodes) != len(rhs):
-        raise EOError("nodes and right-hand side differ in length")
-    m = len(nodes)
-    for i in range(m):
-        for j in range(i + 1, m):
-            if nodes[i] == nodes[j]:
-                raise SingularSystem(f"duplicate node {nodes[i]}")
-    rows: list[list[ExactValue]] = []
-    for k, node in enumerate(nodes):
-        row = [ONE]
-        for _ in range(m - 1):
-            row.append(row[-1] * node)
-        row.append(rhs[k])
-        rows.append(row)
-    # Gaussian elimination with exact division.
-    for col in range(m):
-        pivot = next((r for r in range(col, m) if not rows[r][col].is_zero()), None)
-        if pivot is None:
-            raise SingularSystem("coefficient matrix is singular")
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        inv = rows[col][col].inverse()
-        rows[col] = [c * inv for c in rows[col]]
-        for r in range(m):
-            if r != col and not rows[r][col].is_zero():
-                f = rows[r][col]
-                rows[r] = [c - f * d for c, d in zip(rows[r], rows[col])]
-    return [rows[k][m] for k in range(m)]
 
 
 # -- value literals -----------------------------------------------------------

@@ -10,7 +10,9 @@ import importlib.util
 from pathlib import Path
 
 from eoexact.generate import generating_process
-from eoexact.signatures import Signature, diseq
+from eoexact.grids import Grid
+from eoexact.signatures import Signature, diseq, from_entries
+from eoexact.tractable import eval_affine
 from eoexact.values import ONE, ZERO, ExactValue
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -46,3 +48,20 @@ def test_generating_process_state_is_readable():
     assert type(state.work) is int and state.work > 0
     assert callable(state.closure)
     assert len(state.closure()) == 1
+
+
+def test_equation_counter_reads_the_solver_arguments():
+    # the f2.solve trace hook counts len(args[0]), the equation list that
+    # eval_affine hands to f2.solve_linear_system: one equation per edge
+    deq4 = from_entries(4, {"1100": 1, "0011": 1})
+    n = 16
+    ring = Grid.make([(f"v{v}", deq4) for v in range(n)],
+                     [((v, 2 + p), ((v + 1) % n, p)) for v in range(n) for p in range(2)])
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        value = eval_affine(ring)
+    finally:
+        tracer.uninstall()
+    assert value == 2
+    assert tracer.counts["f2.equations"] == len(ring.edges) == 32

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +19,12 @@ from eoexact.f2 import (
     string_to_mask,
     weight_excess,
 )
-from tests_helpers import nullspace, parity_checks
+from tests_helpers import (
+    nullspace,
+    parity_checks,
+    reference_solve_linear_system,
+    transposed_solution,
+)
 
 
 def test_string_conventions():
@@ -158,40 +165,61 @@ def test_nullspace_orthogonal():
     assert len(nullspace(rows, 6)) == 4
 
 
+def solutions(exprs, free):
+    """Every assignment that an (exprs, free) solution describes."""
+    out = set()
+    for t in range(1 << free):
+        out.add(sum(1 << x for x, (mask, bit) in enumerate(exprs)
+                    if hamming(mask & t) % 2 ^ bit))
+    return out
+
+
 def test_solve_linear_system():
     # x0 ^ x1 = 1, x1 ^ x2 = 0
     sol = solve_linear_system([(0b011, 1), (0b110, 0)], 3)
     assert sol is not None
-    particular, basis = sol
-    def check(v):
-        assert hamming(v & 0b011) % 2 == 1
-        assert hamming(v & 0b110) % 2 == 0
-    check(particular)
-    for b in basis:
-        check(particular ^ b)
-    assert len(basis) == 1
+    exprs, free = sol
+    assert free == 1 and len(exprs) == 3
+    assert solutions(exprs, free) == {0b001, 0b110}
     # inconsistent
     assert solve_linear_system([(0b01, 0), (0b01, 1)], 2) is None
     # all free
-    particular, basis = solve_linear_system([], 3)
-    assert particular == 0 and len(basis) == 3
+    exprs, free = solve_linear_system([], 3)
+    assert free == 3 and exprs == [(0b001, 0), (0b010, 0), (0b100, 0)]
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 63), st.integers(0, 1)), max_size=8))
 def test_solve_linear_system_random(eqs):
     out = solve_linear_system(eqs, 6)
-    truth = [v for v in range(64)
-             if all(hamming(v & m) % 2 == b for m, b in eqs)]
+    truth = {v for v in range(64)
+             if all(hamming(v & m) % 2 == b for m, b in eqs)}
     if out is None:
-        assert truth == []
+        assert truth == set()
         return
-    particular, basis = out
-    got = set()
-    for combo in range(1 << len(basis)):
-        v = particular
-        for i, bb in enumerate(basis):
-            if (combo >> i) & 1:
-                v ^= bb
-        got.add(v)
-    assert got == set(truth)
+    exprs, free = out
+    assert len(exprs) == 6
+    assert solutions(exprs, free) == truth and len(truth) == 1 << free
+
+
+def test_solve_linear_system_matches_reference():
+    rng = random.Random(28)
+    inconsistent = 0
+    for n in range(13):
+        for _ in range(60):
+            eqs = [(rng.getrandbits(n) if n else 0, rng.getrandbits(1))
+                   for _ in range(rng.randrange(2 * n + 2))]
+            if eqs and rng.random() < 0.5:  # a redundant row: the xor of two others
+                (ma, ba), (mb, bb) = rng.choice(eqs), rng.choice(eqs)
+                eqs.insert(rng.randrange(len(eqs) + 1), (ma ^ mb, ba ^ bb))
+            got = solve_linear_system(eqs, n)
+            want = reference_solve_linear_system(eqs, n)
+            assert (got is None) == (want is None), (n, eqs)
+            if want is None:
+                inconsistent += 1
+                continue
+            particular, basis = want
+            exprs, free = got
+            assert free == len(basis)
+            assert exprs == transposed_solution(particular, basis, n), (n, eqs)
+    assert 100 <= inconsistent <= 13 * 60 - 100  # both outcomes well covered

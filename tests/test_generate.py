@@ -171,6 +171,15 @@ def test_order_and_size_caps_exhaust(caps, note):
     assert (desc.outcome, desc.note, desc.orders_seen) == ("cap_exhausted", note, ())
 
 
+def test_gaussian_order_cap_exhausts():
+    # i has order 4 in Q(i): a cap below it ends the process, as in Q(zeta_8)
+    f = gen_diseq("0110", 1, I)
+    assert generating_process(f, order_cap=4)[0].outcome == "finite_group"
+    desc, _ = generating_process(f, order_cap=3)
+    assert (desc.outcome, desc.note, desc.orders_seen) == (
+        "cap_exhausted", "root order beyond cap 3", ())
+
+
 def test_replay_of_a_ji_loop_recipe():
     # "ji" wires the weight vertex the other way round, swapping its weights
     f, w = gen_diseq("0110", 1, Z(8, 1)), Z(8, 3)

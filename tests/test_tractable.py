@@ -50,12 +50,15 @@ from tests_helpers import (
     rand_affine_signature,
     rand_class_grid,
     rand_closed_grid,
+    rand_cyclotomic,
     rand_eo_signature,
     rand_product_signature,
+    rand_value,
     rand_wired_grid,
     realize_delta_copies,
     reference_eval_affine,
     reference_eval_product,
+    reference_vandermonde_solve,
 )
 
 V = ExactValue.rational
@@ -826,6 +829,34 @@ def test_interpolate_delta_rejects_roots():
         interpolate_delta(grid, I)
     with pytest.raises(NotInterpolatable):
         interpolate_delta(grid, ZERO)
+
+
+def test_interpolate_delta_three_pins_zeta8():
+    rng = random.Random(28)
+    z8 = [from_entries(4, {m: rand_cyclotomic(rng, 8) for m in ("0011", "0101", "1010", "1100")})
+          for _ in range(2)]
+    done = 0
+    while done < 3:
+        grid = rand_closed_grid(rng, z8 + [pin_signature()], max_vertices=6, max_edges=8)
+        want = brute_force_partition(grid)
+        if sum(sig == pin_signature() for _, sig in grid.vertices) == 3 and not want.is_zero():
+            assert interpolate_delta(grid, ONE + ExactValue.zeta(8, 1)) == want
+            done += 1
+
+
+def test_constant_term_matches_vandermonde_reference():
+    rng = random.Random(28)
+    for draw in (rand_value, lambda r: rand_cyclotomic(r, 8)):
+        for m in range(1, 7):
+            for _ in range(4):
+                nodes = []
+                while len(nodes) < m:
+                    x = draw(rng)
+                    if x not in nodes:
+                        nodes.append(x)
+                values = [draw(rng) for _ in nodes]
+                want = reference_vandermonde_solve(nodes, values)[0]
+                assert tractable._constant_term(nodes, values) == want
 
 
 def test_chain_power():

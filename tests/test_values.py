@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eoexact import values
-from eoexact.errors import EOError, LiteralSyntaxError, SingularSystem, ZeroValue
+from eoexact.errors import EOError, LiteralSyntaxError, ZeroValue
 from eoexact.grids import brute_force_partition
 from eoexact.values import (
     I,
@@ -26,7 +26,6 @@ from eoexact.values import (
     parse_value,
     render_value,
     root_order,
-    vandermonde_solve,
 )
 
 from tests_helpers import (
@@ -479,6 +478,11 @@ def test_root_order_gaussian():
     assert root_order(G(Fraction(3, 5), Fraction(4, 5))).kind == "not_root"
     with pytest.raises(ZeroValue):
         root_order(ZERO)
+    # a root of order above the cap is unknown, as in Q(zeta_N)
+    assert root_order(I, cap=3) == root_order(G(0, -1), cap=3) == RootOrder("unknown")
+    assert root_order(V(-1), cap=1) == RootOrder("unknown")
+    assert root_order(I, cap=4) == RootOrder("root", 4)
+    assert root_order(G(Fraction(3, 5), Fraction(4, 5)), cap=1).kind == "not_root"
 
 
 def test_root_order_cyclotomic():
@@ -498,8 +502,7 @@ def test_root_orders_of_all_roots_in_small_fields():
             x = -Z(n, j % n) if j >= n else Z(n, j)
             want = next(k for k in range(1, 2 * n + 1) if x ** k == ONE)
             assert root_order(x, cap=2 * n) == RootOrder("root", want)
-            if not x.is_gaussian:  # 1, -1, i and -i are decided whatever the cap
-                assert root_order(x, cap=want - 1).kind == "unknown"
+            assert root_order(x, cap=want - 1).kind == "unknown"
 
 
 @settings(max_examples=80, deadline=None)
@@ -521,31 +524,6 @@ def test_i_power_exponent():
     assert i_power_exponent(V(-1)) == 2
     assert i_power_exponent(G(0, -1)) == 3
     assert i_power_exponent(V(2)) is None
-
-
-def test_vandermonde_examples():
-    assert vandermonde_solve([V(2), V(4)], [V(3), V(5)]) == [ONE, ONE]
-    assert vandermonde_solve([V(1)], [V(7)]) == [V(7)]
-    assert vandermonde_solve([ONE, V(-1), I], [ZERO, ZERO, ZERO]) == [ZERO, ZERO, ZERO]
-    with pytest.raises(SingularSystem):
-        vandermonde_solve([ONE, ONE], [ZERO, ZERO])
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.integers(-6, 6), min_size=1, max_size=5, unique=True),
-       st.data())
-def test_vandermonde_roundtrip(node_ints, data):
-    nodes = [V(k) for k in node_ints]
-    rhs = [G(data.draw(st.integers(-9, 9)), data.draw(st.integers(-9, 9)))
-           for _ in nodes]
-    coeffs = vandermonde_solve(nodes, rhs)
-    for node, want in zip(nodes, rhs):
-        acc = ZERO
-        power = ONE
-        for c in coeffs:
-            acc = acc + c * power
-            power = power * node
-        assert acc == want
 
 
 def test_literal_parse_gauss():
@@ -720,6 +698,12 @@ def test_field_mode_holds_only_the_order():
     assert FieldMode.parse("gauss").order is None
     assert FieldMode.parse(" ZETA:8 ").order == 8
     assert list(vars(FieldMode.parse("zeta:8"))) == ["order"]
+
+
+def test_field_mode_hashes_and_prints_by_its_order():
+    assert hash(FieldMode(8)) == hash(FieldMode.parse("zeta:8"))
+    assert len({values.GAUSS_MODE, FieldMode()}) == 1
+    assert repr(FieldMode(8)) == "FieldMode(order=8)"
 
 
 @pytest.mark.parametrize("n", [1152921504606846976, 9223372036854775804])

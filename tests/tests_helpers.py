@@ -28,7 +28,7 @@ from eoexact.generate import GeneratingState, LoopRecipe, LoopSpec
 from eoexact.gauss import Z4Form, gauss_sum
 from eoexact.grids import Grid, Plan
 from eoexact.signatures import BinaryDiseq, Signature, diseq, from_entries, pin_signature
-from eoexact.tractable import _certificates, _power_product, _require_closed, _set_bits
+from eoexact.tractable import _certificates, _power_product, _require_closed
 from eoexact.values import (
     GAUSS_MODE,
     ExactValue,
@@ -477,9 +477,85 @@ def reference_pairing_search(ports: Sequence[int], arity: int, strings: Sequence
         stack.extend(reversed(children))
 
 
+def _set_bits(mask: int) -> list[int]:
+    """Positions of the set bits of mask, lowest first."""
+    text = bin(mask)[:1:-1]
+    out = []
+    pos = text.find("1")
+    while pos >= 0:
+        out.append(pos)
+        pos = text.find("1", pos + 1)
+    return out
+
+
+def _free_basis(basis: list[int], n: int) -> list[int]:
+    """For each non-pivot bit f of a reduced basis, the vector with f set and
+    every pivot bit set whose row holds f: one solution of the homogeneous
+    system per free variable."""
+    out = {f: 1 << f for f in range(n)}
+    for b in basis:
+        p = b.bit_length() - 1
+        del out[p]
+        rest = b ^ (1 << p)  # free bits only: the basis is reduced
+        while rest:
+            f = rest.bit_length() - 1
+            out[f] |= 1 << p
+            rest ^= 1 << f
+    return list(out.values())
+
+
+def reference_solve_linear_system(equations: list[tuple[int, int]], nvars: int):
+    """The F2 solver as it was before ``f2.solve_linear_system`` returned one
+    expression per variable, kept as its reference: None when inconsistent,
+    else (particular, free_basis) where free_basis spans the solution space
+    around the particular solution, one vector per free variable, lowest
+    free variable first."""
+    # augmented rows (mask << 1) | bit; a reduced row 1 reads 0 = 1
+    basis = f2.rref(((mask << 1) | bit for mask, bit in equations), nvars + 1)
+    if basis and basis[-1] == 1:
+        return None
+    # with free variables at 0, each pivot variable equals its row's bit
+    particular = sum(1 << (b.bit_length() - 2) for b in basis if b & 1)
+    return particular, _free_basis([b >> 1 for b in basis], nvars)
+
+
+def transposed_solution(particular: int, basis: list[int], nvars: int) -> list[tuple[int, int]]:
+    """A (particular, free_basis) solution as one (mask, bit) per variable:
+    bit t of mask is set when free_basis[t] holds the variable."""
+    masks = [0] * nvars
+    for t, vec in enumerate(basis):
+        for x in _set_bits(vec):
+            masks[x] |= 1 << t
+    return [(masks[x], (particular >> x) & 1) for x in range(nvars)]
+
+
+def reference_vandermonde_solve(nodes, rhs) -> list[ExactValue]:
+    """Coefficients c_0..c_m of the polynomial with sum c_j node_k^j = rhs_k,
+    by exact Gaussian elimination on the Vandermonde matrix: the solver that
+    ``tractable.interpolate_delta`` used before its Lagrange sum, kept as its
+    reference.  The nodes must be distinct."""
+    m = len(nodes)
+    rows = []
+    for node, value in zip(nodes, rhs):
+        row = [ONE]
+        for _ in range(m - 1):
+            row.append(row[-1] * node)
+        rows.append(row + [value])
+    for col in range(m):
+        pivot = next(r for r in range(col, m) if not rows[r][col].is_zero())
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        inv = rows[col][col].inverse()
+        rows[col] = [c * inv for c in rows[col]]
+        for r in range(m):
+            if r != col and not rows[r][col].is_zero():
+                f = rows[r][col]
+                rows[r] = [c - f * d for c, d in zip(rows[r], rows[col])]
+    return [rows[k][m] for k in range(m)]
+
+
 def nullspace(rows: list[int], n: int) -> list[int]:
     """Basis of {h : h & r has even weight for every row r}, bit positions shared with rows."""
-    return f2._free_basis(f2.rref(rows, n), n)
+    return _free_basis(f2.rref(rows, n), n)
 
 
 def parity_checks(space: AffineSpace) -> list[int]:
@@ -530,7 +606,7 @@ def reference_eval_affine(grid: Grid) -> ExactValue:
                 mask ^= 1 << (e >> 1)
                 const ^= e & 1
             equations.append((mask, const))
-    solved = f2.solve_linear_system(equations, len(grid.edges))
+    solved = reference_solve_linear_system(equations, len(grid.edges))
     if solved is None:
         return ZERO
     particular, basis = solved
@@ -562,8 +638,8 @@ def reference_eval_product(grid: Grid) -> ExactValue:
 
     Each parity group is one F2 variable (its leader bit); pins and edge
     disequalities become XOR equations on at most two of them, solved by
-    f2.solve_linear_system.  Each free basis vector of the solution is one
-    connected set of groups, which contributes the sum of its two
+    reference_solve_linear_system.  Each free basis vector of the solution is
+    one connected set of groups, which contributes the sum of its two
     assignments; every other group is fixed by the particular solution.
     Weights are counted by (distinct signature, group, bit) and each one is
     raised to its count, as is each certificate's scale.
@@ -601,7 +677,7 @@ def reference_eval_product(grid: Grid) -> ExactValue:
         ma, ba = ports[of_vertex[va]][pa]
         mb, bb = ports[of_vertex[vb]][pb]
         equations.append(((ma << first[va]) ^ (mb << first[vb]), ba ^ bb ^ 1))
-    solved = f2.solve_linear_system(equations, len(var_key))
+    solved = reference_solve_linear_system(equations, len(var_key))
     if solved is None:
         return ZERO
     particular, basis = solved
