@@ -143,20 +143,20 @@ def is_pure(f: Signature, direction: str) -> bool:
 
 
 def _pairing_search(ports: Sequence[int], cols: Sequence[int], kept: int,
-                    need: int) -> Iterator[tuple[Pairing, int, int]]:
+                    need: int) -> Iterator[tuple[Pairing, int]]:
     """Iterative DFS over the perfect pairings of ``ports``: the lowest free
     port leads, and its partners come in increasing order.
 
     ``kept`` is a bitset over support strings, and a child keeps those whose
-    ``cols`` (``f2.columns``) differ on its new pair.  Yields (pairing, kept,
-    1) per leaf; a prefix keeping fewer than ``need`` strings is yielded once,
-    with the count of the pairings it stands for.
+    ``cols`` (``f2.columns``) differ on its new pair.  Yields (pairing, kept)
+    per leaf; a prefix keeping fewer than ``need`` strings is yielded once,
+    in place of the pairings below it.
     """
     stack = [((), tuple(sorted(ports)), kept)]
     while stack:
         prefix, free, kept = stack.pop()
         if not free or kept.bit_count() < need:
-            yield prefix, kept, pairing_count(len(free))
+            yield prefix, kept
             continue
         lead, rest = free[0], free[1:]
         stack.extend(reversed([(prefix + ((lead, partner),), rest[:k] + rest[k + 1:],
@@ -167,7 +167,7 @@ def _pairing_search(ports: Sequence[int], cols: Sequence[int], kept: int,
 def perfect_pairings(ports: Sequence[int]) -> Iterator[Pairing]:
     """All perfect matchings of the port list (lowest port always leads)."""
     cols = [0] * (max(ports, default=0) + 1)
-    return (pairing for pairing, _, _ in _pairing_search(ports, cols, 0, 0))
+    return (pairing for pairing, _ in _pairing_search(ports, cols, 0, 0))
 
 
 def pairing_count(arity: int) -> int:
@@ -180,7 +180,7 @@ def find_pairing(f: Signature) -> Pairing | None:
     _require_eo(f)
     supp = f.support()
     full = (1 << len(supp)) - 1
-    return next((pairing for pairing, kept, _ in
+    return next((pairing for pairing, kept in
                  _pairing_search(range(f.arity), f2.columns(supp, f.arity), full, len(supp))
                  if kept == full), None)
 
@@ -401,28 +401,67 @@ class PairingClassReport(NamedTuple):
 def membership_all_pairings(f: Signature, cls: str) -> PairingClassReport:
     """Test the class on the restriction of f to every perfect port pairing;
     identically-zero restrictions pass vacuously, and arities beyond the cap
-    raise instead of subsampling."""
+    raise instead of subsampling.
+
+    The walk meets the pairings in the order of _pairing_search.  A subtree
+    is fixed by its free ports and the strings its prefix keeps, so one
+    already walked without a refutation adds its stored counts instead of
+    being walked again; membership runs once per distinct kept set."""
     _require_eo(f)
     _require_nonzero(f)
     if f.arity > PAIRING_ARITY_CAP:
         raise CapExceeded(
             f"arity {f.arity} over pairing enumeration cap {PAIRING_ARITY_CAP}")
-    checked = vacuous = 0
     supp = f.support()
+    cols = f2.columns(supp, f.arity)
     results = {}  # membership of the restriction that keeps these strings
-    for pairing, kept, count in _pairing_search(
-            range(f.arity), f2.columns(supp, f.arity), (1 << len(supp)) - 1, 1):
-        checked += count
-        if not kept:
-            vacuous += count
-            continue
-        if kept not in results:
-            results[kept] = membership(Signature(f.arity, {
-                m: f.entries[m] for k, m in enumerate(supp) if kept >> k & 1}), cls)
-        result = results[kept]
-        if isinstance(result, Refutation):
-            return PairingClassReport(cls, False, checked, vacuous, pairing, result)
-    return PairingClassReport(cls, True, checked, vacuous)
+    memo = {}  # (free ports, kept) -> (checked, vacuous) of a refutation-free subtree
+    path: list[tuple[int, int]] = []
+    checked = vacuous = 0
+
+    def walk(free: int, kept: int) -> Refutation | None:
+        """Walk the pairings of the ports in bitset ``free``, with ``kept``
+        nonempty, in the order of _pairing_search, adding to the counts; stop
+        at the first refutation, with ``path`` holding its pairing."""
+        nonlocal checked, vacuous
+        if not free:
+            checked += 1
+            if kept not in results:
+                results[kept] = membership(Signature(f.arity, {
+                    m: f.entries[m] for k, m in enumerate(supp) if kept >> k & 1}), cls)
+            result = results[kept]
+            return result if isinstance(result, Refutation) else None
+        done = memo.get((free, kept))
+        if done is not None:
+            checked += done[0]
+            vacuous += done[1]
+            return None
+        before = checked, vacuous
+        low = free & -free
+        lead, rest = low.bit_length() - 1, free ^ low
+        below = pairing_count(rest.bit_count() - 1)  # the pairings under each child
+        others = rest
+        while others:
+            bit = others & -others
+            others ^= bit
+            partner = bit.bit_length() - 1
+            child = kept & (cols[lead] ^ cols[partner])
+            if not child:
+                checked += below
+                vacuous += below
+                continue
+            path.append((lead, partner))
+            failure = walk(rest ^ bit, child)
+            if failure is not None:
+                return failure
+            path.pop()
+        memo[free, kept] = checked - before[0], vacuous - before[1]
+        return None
+
+    failure = walk((1 << f.arity) - 1, (1 << len(supp)) - 1)
+    if failure is None:
+        return PairingClassReport(cls, True, checked, vacuous)
+    return PairingClassReport(cls, False, checked, vacuous, tuple(path), failure)
 
 
 # ---------------------------------------------------------------------------
@@ -449,25 +488,33 @@ def is_rebalancing(f: Signature, b: int) -> RebalanceResult:
     rebalancing residual.  Zero signatures and nonzero constants rebalance.
 
     The condition reads the support only, and a pin only selects strings, so
-    the search recurses on (arity, support) pairs and memoizes on them.
+    the search recurses on (arity, support) pairs and memoizes on them.  Each
+    state reads its support by columns (f2.columns), complemented when b = 0,
+    so a column holds the strings that read b at its port.
     """
     _require_eo(f)
     if b not in (0, 1):
         raise ValueError("bit must be 0 or 1")
     memo: dict[tuple[int, tuple[int, ...]], dict | None | str] = {}
 
-    def partner(n: int, supp: tuple[int, ...], x: int):
+    def reads_b(n: int, supp: tuple[int, ...]) -> list[int]:
+        flip = 0 if b else (1 << len(supp)) - 1
+        return [col ^ flip for col in f2.columns(supp, n)]
+
+    def partner(n: int, supp: tuple[int, ...], cols: list[int], x: int):
         """(y, residual chain) for the first port y that no support string
         sets to b together with x and whose pin leaves a rebalancing
         residual; None if there is no such port."""
+        at_x = cols[x]
         for y in range(n):
-            both = (1 << (n - 1 - x)) | (1 << (n - 1 - y))
-            clash = both if b else 0  # the strings that read b at x and at y
-            if y == x or any(m & both == clash for m in supp):
+            if y == x or at_x & cols[y]:
                 continue
-            pin = (1 << (n - 1 - x)) if b else (1 << (n - 1 - y))  # x=b, y=1-b
-            rest = [p for p in range(n) if p not in (x, y)]
-            sub = rec(n - 2, tuple(f2.gather(m, rest, n) for m in supp if m & both == pin))
+            # with no string reading b at both, the pin x=b, y=1-b keeps at_x;
+            # each kept string loses its bits lo and hi (LSB-first)
+            lo, hi = sorted((n - 1 - x, n - 1 - y))
+            low, mid = (1 << lo) - 1, (1 << (hi - 1)) - (1 << lo)
+            sub = rec(n - 2, tuple((m & low) | ((m >> 1) & mid) | ((m >> (hi + 1)) << (hi - 1))
+                                   for k, m in enumerate(supp) if at_x >> k & 1))
             if sub is not None:
                 return y, sub
         return None
@@ -480,9 +527,10 @@ def is_rebalancing(f: Signature, b: int) -> RebalanceResult:
             memo[key] = "leaf"
             return "leaf"
         memo[key] = None  # stays None, memoizing the failure, unless a chain is found
+        cols = reads_b(n, supp)
         chain: dict = {}
         for x in range(n):
-            found = partner(n, supp, x)
+            found = partner(n, supp, cols, x)
             if found is None:
                 return None
             chain[x] = {"partner": found[0], "residual": found[1]}
@@ -493,7 +541,9 @@ def is_rebalancing(f: Signature, b: int) -> RebalanceResult:
     result = rec(f.arity, supp)
     if result is None:
         # locate a failing port at the top level for the report
-        failing = next((x for x in range(f.arity) if partner(f.arity, supp, x) is None), None)
+        cols = reads_b(f.arity, supp)
+        failing = next((x for x in range(f.arity)
+                        if partner(f.arity, supp, cols, x) is None), None)
         return RebalanceResult(False, b, failing_port=failing)
     chain = result if result != "leaf" else {}
     return RebalanceResult(True, b, chain=chain)

@@ -78,7 +78,7 @@ def _echelon(rows: Iterable[int]) -> dict[int, int]:
     return pivots
 
 
-def rref(rows: Iterable[int], n: int) -> list[int]:
+def rref(rows: Iterable[int]) -> list[int]:
     """Reduced row echelon basis, highest pivot first; every pivot bit occurs
     in one row only.
 
@@ -119,7 +119,7 @@ class AffineSpace(NamedTuple):
 
     @staticmethod
     def make(n: int, offset: int, rows: Iterable[int]) -> AffineSpace:
-        basis = rref(rows, n)
+        basis = rref(rows)
         for b in basis:
             p = b.bit_length() - 1
             if offset & (1 << p):

@@ -389,10 +389,11 @@ class ExactValue:
     # -- comparisons / hashing ------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = as_value(other)
-        if not isinstance(other, ExactValue):
-            return NotImplemented
+        if other.__class__ is not ExactValue:  # skips Fraction's ABC check
+            if isinstance(other, (int, Fraction)):
+                other = as_value(other)
+            elif not isinstance(other, ExactValue):
+                return NotImplemented
         return self._n == other._n and self._co == other._co
 
     def __hash__(self) -> int:

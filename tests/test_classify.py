@@ -234,18 +234,18 @@ def _decoded_search(ports, cols, supp, need):
     """classify._pairing_search over all of supp, each kept set as its masks."""
     from eoexact.classify import _pairing_search
     out = []
-    for pairing, kept, count in _pairing_search(ports, cols, (1 << len(supp)) - 1, need):
+    for pairing, kept in _pairing_search(ports, cols, (1 << len(supp)) - 1, need):
         masks = []
         while kept:
             low = kept & -kept
             masks.append(supp[low.bit_length() - 1])
             kept ^= low
-        out.append((pairing, tuple(masks), count))
+        out.append((pairing, tuple(masks)))
     return out
 
 
 def test_pairing_search_matches_tuple_reference():
-    # whole yield sequences: pairings, kept sets and vacuous-subtree counts
+    # whole yield sequences: pairings and kept sets
     rng = random.Random(2027)
     for f in _search_signatures(rng):
         supp = f.support()
@@ -257,12 +257,19 @@ def test_pairing_search_matches_tuple_reference():
         assert _decoded_search(ports, [0] * 10, (), 0) == \
             list(reference_pairing_search(ports, 0, (), 0))
         assert list(perfect_pairings(ports)) == \
-            [pairing for pairing, _, _ in reference_pairing_search(ports, 0, (), 0)]
+            [pairing for pairing, _ in reference_pairing_search(ports, 0, (), 0)]
 
 
 def _balanced_part(f):
     return Signature(f.arity, {m: v for m, v in f.entries.items()
                                if f2.is_balanced(m, f.arity)})
+
+
+def _rand_gen_diseq(rng, arity):
+    """gen_diseq on a seeded balanced alpha; the values' ratio is a power of
+    i or 2, so both classes hold on some inputs and fail on others."""
+    alpha = rng.choice([m for m in range(1 << arity) if f2.is_balanced(m, arity)])
+    return gen_diseq(f2.mask_to_string(alpha, arity), ONE, rng.choice([ONE, I, -ONE, -I, V(2)]))
 
 
 def test_pairing_quantifier_matches_naive_reference():
@@ -275,6 +282,16 @@ def test_pairing_quantifier_matches_naive_reference():
             sigs.append(rand_eo_signature(rng, arity, density=0.9))
             sigs.append(_balanced_part(rand_affine_signature(rng, arity)))
             sigs.append(_balanced_part(rand_product_signature(rng, arity)))
+    # inputs whose walks meet one (free ports, kept strings) subtree many times
+    for arity in (6, 8, 10, 12):
+        sigs += [_rand_gen_diseq(rng, arity) for _ in range(3)]
+    for arity in (8, 10, 12):
+        sigs += [tensor(_rand_gen_diseq(rng, 4), _rand_gen_diseq(rng, arity - 4))
+                 for _ in range(2)]
+    neq2_6 = neq2()
+    for _ in range(5):
+        neq2_6 = tensor(neq2_6, neq2())
+    sigs += [diseq(12), neq2_6]
     tally = {True: 0, False: 0}
     for f in sigs:
         assert find_pairing(f) == _naive_find_pairing(f)
@@ -674,15 +691,22 @@ def _balanced_sub_support(rng: random.Random, arity: int) -> list[int]:
 
 def test_rebalancing_matches_signature_reference():
     rng = random.Random(151)
-    outcomes = set()
+    sigs = []
     for arity in (2, 4, 6, 8, 10):
         for _ in range({2: 4, 4: 30, 6: 30, 8: 12, 10: 4}[arity]):
-            f = Signature(arity, {m: rand_nonzero_value(rng) for m in
-                                  _balanced_sub_support(rng, arity)})
-            for b in (0, 1):
-                got = is_rebalancing(f, b)
-                assert got.to_json() == _reference_rebalancing(f, b).to_json(), (f, b)
-                outcomes.add((arity, got.ok))
+            sigs.append(Signature(arity, {m: rand_nonzero_value(rng) for m in
+                                          _balanced_sub_support(rng, arity)}))
+    # 2-string supports {alpha, ~alpha} and their tensors
+    for arity, left in ((4, 2), (6, 2), (8, 4), (10, 4)):
+        sigs += [_rand_gen_diseq(rng, arity) for _ in range(3)]
+        sigs += [tensor(_rand_gen_diseq(rng, left), _rand_gen_diseq(rng, arity - left))
+                 for _ in range(3)]
+    outcomes = set()
+    for f in sigs:
+        for b in (0, 1):
+            got = is_rebalancing(f, b)
+            assert got.to_json() == _reference_rebalancing(f, b).to_json(), (f, b)
+            outcomes.add((f.arity, got.ok))
     assert {ok for _, ok in outcomes} == {True, False}
 
 

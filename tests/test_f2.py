@@ -127,7 +127,7 @@ def test_parity_checks():
 
 
 def test_rref_unique_pivots():
-    basis = rref([0b1111, 0b0111, 0b0011], 4)
+    basis = rref([0b1111, 0b0111, 0b0011])
     pivots = [b.bit_length() - 1 for b in basis]
     assert len(set(pivots)) == len(basis)
     for b in basis:
@@ -148,7 +148,7 @@ def span(rows):
     lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=8))))
 def test_rref_echelon_and_span(case):
     n, rows = case
-    basis = rref(rows, n)
+    basis = rref(rows)
     pivots = [b.bit_length() - 1 for b in basis]
     assert 0 not in basis
     assert pivots == sorted(pivots, reverse=True) and len(set(pivots)) == len(pivots)

@@ -459,14 +459,14 @@ def reference_membership_product(f: Signature) -> ProductCertificate | Refutatio
 
 def reference_pairing_search(ports: Sequence[int], arity: int, strings: Sequence[int],
                              need: int):
-    """The pairing search over tuples of kept masks: the same DFS order,
-    yields and vacuous counts as classify._pairing_search, with the kept set
-    as the arity-``arity`` masks of ``strings`` still opposite on every pair."""
+    """The pairing search over tuples of kept masks: the same DFS order and
+    yields as classify._pairing_search, with the kept set as the
+    arity-``arity`` masks of ``strings`` still opposite on every pair."""
     stack = [((), tuple(sorted(ports)), tuple(strings))]
     while stack:
         prefix, free, kept = stack.pop()
         if not free or len(kept) < need:
-            yield prefix, kept, classify.pairing_count(len(free))
+            yield prefix, kept
             continue
         lead, rest = free[0], free[1:]
         children = []
@@ -511,7 +511,7 @@ def reference_solve_linear_system(equations: list[tuple[int, int]], nvars: int):
     around the particular solution, one vector per free variable, lowest
     free variable first."""
     # augmented rows (mask << 1) | bit; a reduced row 1 reads 0 = 1
-    basis = f2.rref(((mask << 1) | bit for mask, bit in equations), nvars + 1)
+    basis = f2.rref((mask << 1) | bit for mask, bit in equations)
     if basis and basis[-1] == 1:
         return None
     # with free variables at 0, each pivot variable equals its row's bit
@@ -555,7 +555,7 @@ def reference_vandermonde_solve(nodes, rhs) -> list[ExactValue]:
 
 def nullspace(rows: list[int], n: int) -> list[int]:
     """Basis of {h : h & r has even weight for every row r}, bit positions shared with rows."""
-    return _free_basis(f2.rref(rows, n), n)
+    return _free_basis(f2.rref(rows), n)
 
 
 def parity_checks(space: AffineSpace) -> list[int]:
