@@ -106,7 +106,7 @@ def triple_class(f: Signature) -> TripleClass:
             break
         for c in supp:
             d = x ^ c
-            excess = f2.weight_excess(d, n)
+            excess = 2 * d.bit_count() - n
             if excess > 0:
                 if heavy is None:
                     heavy = TripleWitness(a, b, c, d)

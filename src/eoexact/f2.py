@@ -99,13 +99,6 @@ def rref(rows: Iterable[int]) -> list[int]:
     return [pivots[p] for p in sorted(pivots, reverse=True)]
 
 
-def reduce_against(mask: int, basis: Iterable[int]) -> int:
-    for b in basis:
-        if (mask >> (b.bit_length() - 1)) & 1:
-            mask ^= b
-    return mask
-
-
 class AffineSpace(NamedTuple):
     """Affine subspace of F2^n: offset + span(basis).
 
@@ -134,7 +127,11 @@ class AffineSpace(NamedTuple):
         return 1 << len(self.basis)
 
     def contains(self, mask: int) -> bool:
-        return reduce_against(mask ^ self.offset, self.basis) == 0
+        mask ^= self.offset
+        for b in self.basis:
+            if (mask >> (b.bit_length() - 1)) & 1:
+                mask ^= b
+        return mask == 0
 
     def elements(self) -> Iterator[int]:
         k = len(self.basis)
@@ -153,23 +150,10 @@ class AffineSpace(NamedTuple):
         return tuple((rel >> (b.bit_length() - 1)) & 1 for b in self.basis)
 
 
-def f2_affine_span(strings: Iterable[int] | Iterable[str], n: int | None = None) -> AffineSpace:
-    """Minimal affine space containing the given equal-length strings."""
-    masks: list[int] = []
-    for s in strings:
-        if isinstance(s, str):
-            ln, m = string_to_mask(s)
-            if n is None:
-                n = ln
-            elif n != ln:
-                raise EOError("strings of unequal length")
-            masks.append(m)
-        else:
-            masks.append(int(s))
+def f2_affine_span(masks: Sequence[int], n: int) -> AffineSpace:
+    """Minimal affine space of F2^n containing the given n-bit masks."""
     if not masks:
         raise EmptyInput("affine span of an empty set")
-    if n is None:
-        raise EOError("length required for integer masks")
     base = masks[0]
     return AffineSpace.make(n, base, [m ^ base for m in masks[1:]])
 

@@ -55,12 +55,10 @@ class GenerationStep(NamedTuple):
 
 
 class GeneratingState:
-    def __init__(self, base: Signature, steps: list[GenerationStep] | None = None,
-                 recipes: dict[ExactValue, Recipe | None] | None = None, work: int = 0):
-        self.base = base
-        self.steps = [] if steps is None else steps
-        self.recipes = {} if recipes is None else recipes
-        self.work = work        # loop-layer forms evaluated; the work cap bounds it
+    def __init__(self):
+        self.steps: list[GenerationStep] = []
+        self.recipes: dict[ExactValue, Recipe | None] = {}
+        self.work = 0        # loop-layer forms evaluated; the work cap bounds it
 
     def closure(self) -> tuple[ExactValue, ...]:
         return self.steps[-1].closure_params if self.steps else (ONE,)
@@ -346,7 +344,7 @@ def generating_process(f: Signature,
         raise NotEO("the generating process is defined on balanced-support signatures")
     if f.arity < 2 or f.arity % 2:
         raise EOError("need even arity at least 2")
-    state = GeneratingState(f)
+    state = GeneratingState()
     state.recipes[ONE] = None
     current: dict[ExactValue, Recipe | None] = {ONE: None}
     lcm_history: list[int] = [1]
@@ -432,17 +430,16 @@ def _cap_outcome(state: GeneratingState, lcm_history: list[int], why: str) -> Ro
 
 class PinRealizabilityReport:
     def __init__(self, descriptor: RootDescriptor, symmetry: classify.SymmetryReport,
-                 route: str, consistent: bool, findings: list[str] | None = None,
-                 equal_pair_gadget: bool = False,
-                 recipes: dict[ExactValue, Recipe | None] | None = None):
+                 route: str, consistent: bool, findings: list[str],
+                 equal_pair_gadget: bool, recipes: dict[ExactValue, Recipe | None]):
         self.descriptor = descriptor
         self.symmetry = symmetry
         self.route = route
         self.consistent = consistent
-        self.findings = [] if findings is None else findings
+        self.findings = findings
         self.equal_pair_gadget = equal_pair_gadget
         # the gadget recipes of the generating-process run (not part of to_json)
-        self.recipes = {} if recipes is None else recipes
+        self.recipes = recipes
 
     def to_json(self) -> dict:
         return {

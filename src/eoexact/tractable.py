@@ -32,6 +32,7 @@ from .grids import (
     DEFAULT_OP_CAP,
     Diagnostics,
     Grid,
+    Slot,
     brute_force_partition,
     chain_gate,
     frontier_pass,
@@ -48,8 +49,6 @@ from .signatures import (
     pin_signature,
 )
 from .values import ONE, ZERO, ExactValue, as_value, root_order
-
-Slot = tuple[int, int]
 
 
 def _require_closed(grid: Grid) -> Diagnostics:
@@ -324,8 +323,6 @@ class ExternalOracle:
         self.name = f"external:{' '.join(self.command)}"
 
     def query(self, grid: Grid, vertex: int, mask: int):
-        if mask not in grid.signature_of(vertex).support():
-            return False, None
         text = encode_support_query(grid, vertex, mask)
         import subprocess
         try:
@@ -380,23 +377,17 @@ def support_oracle(grid: Grid, vertex: int, string, backend=None):
     return backend.query(grid, vertex, mask)
 
 
-class EffectiveSupportReport:
-    def __init__(self, backend: str, effective: list[set[int]] | None = None):
-        self.backend = backend
-        self.effective = [] if effective is None else effective  # per vertex index
-
-
-def effective_support(grid: Grid, backend=None) -> EffectiveSupportReport:
-    """Find the effective strings of every vertex, vertex by vertex.  A
-    support string that some earlier SAT witness already realizes at the
-    vertex is effective without a query; every other one is queried.  Once
-    a vertex has no effective string, no assignment has nonzero weight, so
-    every later string is ineffective without a query.  A string that some
-    SAT witness realizes but the backend answered UNSAT is an
-    OracleProtocolError."""
+def effective_support(grid: Grid, backend=None) -> list[set[int]]:
+    """The effective strings of every vertex, one set per vertex index, found
+    vertex by vertex.  A support string that some earlier SAT witness
+    already realizes at the vertex is effective without a query; every other
+    one is queried.  Once a vertex has no effective string, no assignment
+    has nonzero weight, so every later string is ineffective without a
+    query.  A string that some SAT witness realizes but the backend answered
+    UNSAT is an OracleProtocolError."""
     _require_closed(grid)
     backend = backend or ExhaustiveOracle()
-    report = EffectiveSupportReport(getattr(backend, "name", "?"))
+    found: list[set[int]] = []
     realized: list[set[int]] = [set() for _ in grid.vertices]  # by some SAT witness
     for vidx, (vid, sig) in enumerate(grid.vertices):
         effective = set()
@@ -409,17 +400,18 @@ def effective_support(grid: Grid, backend=None) -> EffectiveSupportReport:
                 effective.add(m)
                 for seen, s in zip(realized, witness or ()):
                     seen.add(s)
-        report.effective.append(effective)
+        found.append(effective)
         if not effective:   # every assignment reads some string here: none is effective
-            report.effective += [set() for _ in grid.vertices[vidx + 1:]]
+            found += [set() for _ in grid.vertices[vidx + 1:]]
             break
-    for (vid, sig), seen, effective in zip(grid.vertices, realized, report.effective):
+    for (vid, sig), seen, effective in zip(grid.vertices, realized, found):
         lied = sorted(seen.intersection(sig.entries) - effective)
         if lied:
             raise OracleProtocolError(
-                f"{report.backend}: answered UNSAT for {f2.mask_to_string(lied[0], sig.arity)} "
-                f"at vertex {vid}, which a SAT witness realizes")
-    return report
+                f"{getattr(backend, 'name', '?')}: answered UNSAT for "
+                f"{f2.mask_to_string(lied[0], sig.arity)} at vertex {vid}, "
+                "which a SAT witness realizes")
+    return found
 
 
 def prune_effective(grid: Grid, backend=None) -> Grid:
@@ -429,9 +421,9 @@ def prune_effective(grid: Grid, backend=None) -> Grid:
     nonzero-weight assignment.
     """
     _require_closed(grid)
-    report = effective_support(grid, backend)
+    effective = effective_support(grid, backend)
     pruned = {vidx: from_entries(sig.arity, {m: sig.entries[m] for m in keep}, sig.name)
-              for vidx, ((_, sig), keep) in enumerate(zip(grid.vertices, report.effective))
+              for vidx, ((_, sig), keep) in enumerate(zip(grid.vertices, effective))
               if len(keep) < len(sig.entries)}  # keep is a subset of the support
     if not pruned:
         return grid

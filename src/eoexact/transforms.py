@@ -11,7 +11,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from . import f2
 from .errors import MixedWeights
-from .signatures import Signature, delta0, delta1, from_entries, pin_signature, tensor
+from .signatures import Signature, delta0, delta1, from_entries, pin_signature
 
 if TYPE_CHECKING:
     from .grids import Grid
@@ -43,25 +43,18 @@ def restrict_eo(f: Signature) -> Signature:
 
 
 def pad_to_eo(f: Signature) -> Signature:
-    """Tensor forced-bit ports onto a single-weighted signature until balanced.
-
-    Padding ports are appended after the original ports: forced-0 ports when
-    the weight is heavy, forced-1 ports when light.
+    """Append forced-bit ports to a single-weighted signature until balanced:
+    forced-0 ports when the weight is heavy, forced-1 ports when light.  This
+    is f tensored with one delta0 or delta1 per padding port.
     """
     prof = weight_profile(f)
     if prof.mixed:
         raise MixedWeights("padding needs a single-weighted signature")
     if prof.weight is None or prof.balanced:
         return f
-    d, k = prof.weight, f.arity
-    out = f
-    if 2 * d > k:
-        for _ in range(2 * d - k):
-            out = tensor(out, delta0())
-    else:
-        for _ in range(k - 2 * d):
-            out = tensor(out, delta1())
-    return out.with_name(f.name)
+    pad = abs(2 * prof.weight - f.arity)
+    fill = 0 if 2 * prof.weight > f.arity else (1 << pad) - 1
+    return Signature(f.arity + pad, {m << pad | fill: v for m, v in f.entries.items()}, f.name)
 
 
 class PadDiagnostics:
@@ -88,15 +81,14 @@ def grid_pad_single_weighted(grid: Grid) -> tuple[Grid, PadDiagnostics]:
     require_valid(grid)
     diag = PadDiagnostics(balanced=True)
     new_vertices: list[tuple[str, Signature]] = []
-    port_map: dict[tuple[int, int], tuple[int, int]] = {}
+    port_map: dict[tuple[int, int], tuple[int, int]] = {}  # moved slots only
     zero_ends: list[tuple[int, int]] = []  # slots forced to 0, needing a 1 partner
     one_ends: list[tuple[int, int]] = []
     d0, d1, pin = delta0(), delta1(), pin_signature()
 
     for vidx, (vid, sig) in enumerate(grid.vertices):
         if sig == d0:
-            new_vertices.append((vid, pin))
-            port_map[(vidx, 0)] = (vidx, 0)  # pin's 0-side keeps the wiring
+            new_vertices.append((vid, pin))  # pin's 0-side keeps the wiring
             one_ends.append((vidx, 1))
             diag.replaced_pins += 1
             continue
@@ -111,8 +103,6 @@ def grid_pad_single_weighted(grid: Grid) -> tuple[Grid, PadDiagnostics]:
             raise MixedWeights(f"vertex {vid} carries a mixed-weight signature")
         padded = pad_to_eo(sig)
         new_vertices.append((vid, padded))
-        for p in range(sig.arity):
-            port_map[(vidx, p)] = (vidx, p)
         if padded.arity != sig.arity:
             forced_zero = prof.weight is not None and 2 * prof.weight > sig.arity
             for p in range(sig.arity, padded.arity):
@@ -126,9 +116,9 @@ def grid_pad_single_weighted(grid: Grid) -> tuple[Grid, PadDiagnostics]:
         zero_grid = Grid.make([("zero", Signature(0, {}))], [])
         return zero_grid, diag
 
-    edges = [(port_map[a], port_map[b]) for a, b in grid.edges]
+    edges = [(port_map.get(a, a), port_map.get(b, b)) for a, b in grid.edges]
     for z, o in zip(sorted(zero_ends), sorted(one_ends)):
         edges.append((z, o))
         diag.pairing_edges += 1
-    dangling = tuple(port_map[s] for s in grid.dangling)
+    dangling = tuple(port_map.get(s, s) for s in grid.dangling)
     return Grid.make(new_vertices, edges, dangling), diag

@@ -163,10 +163,8 @@ def _as_rational(x) -> int | Fraction:
 
 
 def _gaussian(a: int, b: int, d: int) -> ExactValue:
-    """The Gaussian value (a + b*i)/d in canonical form; d != 0."""
+    """The Gaussian value (a + b*i)/d in canonical form; d > 0."""
     g = gcd(a, b, d)
-    if d < 0:
-        g = -g
     if g != 1:
         a, b, d = a // g, b // g, d // g
     return ExactValue(None, (a, b, d))

@@ -10,6 +10,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eoexact.cli import main
+from eoexact.signatures import (
+    BinaryDiseq,
+    dual,
+    load_signature_file,
+    parse_signature_blocks,
+    pin_pair,
+    render_signature_block,
+    self_loop,
+    tensor,
+)
+from eoexact.transforms import pad_to_eo, restrict_eo
+from eoexact.values import ExactValue, I
 
 FIXTURES = pathlib.Path(__file__).parent.parent / "fixtures"
 
@@ -116,6 +128,39 @@ def test_transform_command(workdir, capsys):
                                         str(workdir / "sigs.sig")])
     assert code == 0
     assert "signature" in rep["signatures"]
+
+
+@pytest.mark.parametrize("op, fn", [("pad", pad_to_eo), ("restrict-eo", restrict_eo)])
+def test_transform_out_file_reads_back(tmp_path, capsys, op, fn):
+    text = ("signature h3 arity 3\n110 1\n101 2+i\n011 3\n"
+            "signature l4 arity 4\n1000 1\n0100 -i\n"
+            "signature gd arity 4\n0101 1\n1010 2\n")
+    (tmp_path / "w.sig").write_text(text)
+    out = tmp_path / "out.sig"
+    code, _, rep = run_cli(capsys, ["transform", "--op", op, str(tmp_path / "w.sig"),
+                                    "--out", str(out)])
+    assert code == 0
+    printed = [(s.name, s) for s in parse_signature_blocks(rep["signatures"])]
+    assert printed == [(s.name, fn(s)) for s in parse_signature_blocks(text)]
+    assert list(load_signature_file(out).items()) == printed
+
+
+@pytest.mark.parametrize("step, expect", [
+    ("tensor deq4", lambda s: tensor(s["gd"], s["deq4"])),
+    ("loop 1 2 2 i", lambda s: self_loop(s["gd"], 0, 1, BinaryDiseq(ExactValue.rational(2), I))),
+    ("loop 3 4 ji", lambda s: self_loop(s["gd"], 2, 3, None, "ji")),
+    ("loop 1 2 2 i ji",
+     lambda s: self_loop(s["gd"], 0, 1, BinaryDiseq(ExactValue.rational(2), I), "ji")),
+    ("pin 1 2 10", lambda s: pin_pair(s["gd"], 0, 1, "10")),
+    ("dual", lambda s: dual(s["gd"])),
+])
+def test_gate_step_matches_the_calculus(workdir, capsys, step, expect):
+    (workdir / "step.gate").write_text(f"use sigs.sig\nstart gd\n{step}\n")
+    code, human, rep = run_cli(capsys, ["gate", str(workdir / "step.gate")])
+    assert code == 0
+    block = render_signature_block(expect(load_signature_file(workdir / "sigs.sig")), "result")
+    assert rep["signature"] == block
+    assert human.startswith(block.rstrip() + "\n")
 
 
 @pytest.mark.parametrize("wiring", ["edge a.1 b.5\ndangle c.1", "edge a.1 b.1\nedge c.1 b.1"])

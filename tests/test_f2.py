@@ -58,21 +58,21 @@ def test_columns_match_bit_at(case):
 
 
 def test_span_singleton():
-    sp = f2_affine_span(["0101"])
+    sp = f2_affine_span([0b0101], n=4)
     assert sp.offset == 0b0101 and sp.basis == ()
     assert sp.size() == 1
     assert sp.contains(0b0101) and not sp.contains(0b1010)
 
 
 def test_span_pair():
-    sp = f2_affine_span(["0011", "1100"])
+    sp = f2_affine_span([0b0011, 0b1100], n=4)
     assert sp.offset == 0b0011
     assert sp.basis == (0b1111,)
     assert sorted(sp.elements()) == [0b0011, 0b1100]
 
 
 def test_span_triple():
-    sp = f2_affine_span(["1100", "1010", "1001"])
+    sp = f2_affine_span([0b1100, 0b1010, 0b1001], n=4)
     assert sp.size() == 4
     assert sorted(sp.elements()) == sorted([0b1100, 0b1010, 0b1001, 0b1111])
 
@@ -91,7 +91,7 @@ def test_span_closure_by_enumeration():
 
 def test_span_empty_input():
     with pytest.raises(EmptyInput):
-        f2_affine_span([])
+        f2_affine_span([], n=4)
 
 
 @settings(max_examples=50, deadline=None)

@@ -148,7 +148,7 @@ def test_step_cap_exhaustion():
 
 def test_cap_outcome_growth_judgement():
     from eoexact.generate import GeneratingState, _cap_outcome
-    state = GeneratingState(diseq(4))
+    state = GeneratingState()
     grew = _cap_outcome(state, [1, 2, 6, 12, 24], "size cap")
     assert grew.outcome == "order_growth"
     assert grew.orders_seen == (2, 6, 12, 24)
@@ -216,6 +216,46 @@ def test_equal_pair_gadget_flag():
     rep = delta_realizability(gen_diseq("0101", 2, 2))
     assert rep.equal_pair_gadget
     assert "equal_pair_gadget" in rep.route
+
+
+def test_arity_2_has_no_equal_pair_gadget():
+    # no quaternary gate can come from two ports, so the route keeps no suffix
+    rep = delta_realizability(gen_diseq("10", 1, -1))
+    assert not rep.equal_pair_gadget
+    assert rep.route == "negation_regime" and rep.consistent
+
+
+def _stub_layer(rounds):
+    """A _loop_layer stand-in answering each round by len(weights): the one
+    weight 1 in round 1, then the closure of the round before."""
+    def layer(f, weights, state, work_cap):
+        return {p: (LoopRecipe((0, 1), ()), p) for p in rounds[len(weights)]}
+    return layer
+
+
+def test_order_growth_route(monkeypatch):
+    # -1, then i, then zeta_8: the group order climbs 2, 4, 8 up to the step cap
+    monkeypatch.setattr(generate, "_loop_layer", _stub_layer({1: [V(-1)], 2: [I], 4: [Z(8, 1)]}))
+    rep = delta_realizability(gen_diseq("0101", 1, 2), max_steps=3)
+    assert rep.descriptor.outcome == "order_growth"
+    assert rep.descriptor.orders_seen == (2, 4, 8)
+    assert rep.descriptor.note == "group order kept growing (step cap)"
+    assert rep.route == "root_lattice_interpolation"
+    assert rep.consistent and rep.findings == []
+
+
+@pytest.mark.parametrize("order, rounds, finding", [
+    (4, {1: [I], 4: []}, "finite root group of order 4 but no conjugate-dual unit"),
+    (2, {1: [V(-1)], 2: []}, "root group {1,-1} but the signature is not dual-antisymmetric"),
+    (1, {1: []}, "root group {1} but the signature is not dual-symmetric"),
+])
+def test_finite_group_findings(monkeypatch, order, rounds, finding):
+    # f(1010) = 2 f(0101) fits no symmetry, so every stubbed group contradicts it
+    monkeypatch.setattr(generate, "_loop_layer", _stub_layer(rounds))
+    rep = delta_realizability(gen_diseq("0101", 1, 2))
+    assert (rep.descriptor.outcome, rep.descriptor.order) == ("finite_group", order)
+    assert rep.symmetry.kind == "none"
+    assert not rep.consistent and rep.findings == [finding]
 
 
 def test_trivial_group_means_dual_symmetric():
@@ -355,14 +395,14 @@ def _per_tuple_count(f, weights):
 def _assert_layers_match(f, weights, fold=True):
     """The layer, the per-tuple reference and (with fold) the fold give the
     same items in the same order, each with its exact work."""
-    new, ref = GeneratingState(f), GeneratingState(f)
+    new, ref = GeneratingState(), GeneratingState()
     got = generate._loop_layer(f, list(weights), new, generate.DEFAULT_WORK_CAP)
     want = reference_loop_layer(f, list(weights), ref, generate.DEFAULT_WORK_CAP)
     assert list(got.items()) == list(want.items()), (f, weights)
     assert new.work == _form_count(f, weights), (f, weights)
     assert ref.work == _per_tuple_count(f, weights), (f, weights)
     if fold:
-        folded = GeneratingState(f)
+        folded = GeneratingState()
         oracle = _fold_loop_layer(f, list(weights), folded, generate.DEFAULT_WORK_CAP)
         assert list(oracle.items()) == list(want.items()), (f, weights)
         assert folded.work == ref.work, (f, weights)

@@ -486,6 +486,17 @@ def test_grid_file_roundtrip(tmp_path):
     assert brute_force_partition(again) == V(2)
 
 
+def test_open_grid_text_round_trip():
+    # an open grid: each port off an edge dangles, listed out of port order
+    a = from_entries(4, {"0101": 1, "1010": ExactValue.gauss(2, -1)})
+    grid = Grid.make([("a", a), ("b", diseq(4)), ("c", a.scaled(I))],
+                     [((0, 0), (1, 2)), ((1, 0), (2, 1)), ((0, 3), (2, 2))],
+                     [(0, 1), (1, 1), (1, 3), (2, 0), (0, 2), (2, 3)])
+    text = render_grid_text(grid)
+    assert text.count("\ndangle ") == 6
+    assert parse_grid_text(text) == grid
+
+
 def test_grid_file_builtins_and_inline():
     text = """
 signature f arity 2

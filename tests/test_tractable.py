@@ -505,8 +505,8 @@ def test_exhaustive_oracle_one_pass_per_grid(monkeypatch):
     monkeypatch.setattr(tractable, "plan_contraction", counted("plan", plan))
     monkeypatch.setattr(tractable, "frontier_pass", counted("pass", run))
     grid = weighted_deq4_ring(16)
-    report = effective_support(grid)
-    assert all(len(eff) == 2 for eff in report.effective)
+    effective = effective_support(grid)
+    assert all(len(eff) == 2 for eff in effective)
     assert calls == {"plan": 1, "pass": 1}
 
 
@@ -589,8 +589,8 @@ def test_witnesses_cover_later_queries():
     # the witnesses of the two strings at v0 realize both strings everywhere
     grid = deq4_ring([diseq(4)] * 64)
     oracle = CountingOracle()
-    report = effective_support(grid, oracle)
-    assert all(eff == {0b0011, 0b1100} for eff in report.effective)
+    effective = effective_support(grid, oracle)
+    assert all(eff == {0b0011, 0b1100} for eff in effective)
     assert oracle.queries == 2
 
 
@@ -601,8 +601,8 @@ def test_unsat_vertex_ends_the_queries():
     grid = Grid.make([(f"p{v}", pin_signature()) for v in range(4)],
                      [((v, p), (v + 1, p)) for v in (0, 2) for p in range(2)])
     oracle = CountingOracle()
-    report = effective_support(grid, oracle)
-    assert report.effective == [set()] * 4
+    effective = effective_support(grid, oracle)
+    assert effective == [set()] * 4
     assert oracle.queries == 1
     assert brute_force_partition(prune_effective(grid)) == brute_force_partition(grid) == ZERO
 
@@ -647,7 +647,7 @@ def test_prune_builds_the_grid_of_per_vertex_replacements():
     changed = 0
     for grid in grids:
         want = grid
-        for vidx, keep in enumerate(effective_support(grid).effective):
+        for vidx, keep in enumerate(effective_support(grid)):
             old = grid.signature_of(vidx)
             if len(keep) < len(old.entries):
                 changed += 1
@@ -689,9 +689,9 @@ def test_effective_triples_stay_one_sided():
     f = from_entries(4, {"1100": 1, "1010": 1, "1001": 2})
     for _ in range(6):
         grid = rand_closed_grid(rng, [f], max_vertices=4, max_edges=8)
-        report = effective_support(grid)
+        effective = effective_support(grid)
         for vidx, (vid, sig) in enumerate(grid.vertices):
-            eff = sorted(report.effective[vidx])
+            eff = sorted(effective[vidx])
             supp = set(sig.support())
             for a in eff:
                 for b in eff:
@@ -730,6 +730,19 @@ def test_eval_fpnp_refuses_a_failed_pairing_test():
                       ((1, 2), (0, 0)), ((1, 3), (0, 1))])
     with pytest.raises(PreconditionViolated, match="fails the affine pairing test"):
         eval_fpnp(grid, "affine")
+
+
+def test_eval_fpnp_of_a_zero_signature_is_zero():
+    # a zero vertex gives every assignment weight 0: no engine runs, no query
+    class Unqueried:
+        def query(self, grid, vertex, mask):
+            raise AssertionError("queried")
+
+    grid = Grid.make([("a", diseq(4)), ("z", Signature(4, {}))],
+                     [((0, p), (1, p)) for p in range(4)])
+    assert brute_force_partition(grid) == ZERO
+    for hint in ("affine", "product"):
+        assert eval_fpnp(grid, hint, Unqueried()) == ZERO
 
 
 class EverythingEffective:

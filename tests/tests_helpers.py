@@ -1008,7 +1008,7 @@ def reference_generating_process(f: Signature,
     """generate.generating_process as it was before it skipped root_order on
     layer parameters already in the closure: every parameter of every layer
     gets root_order (looked up on generate, where tests patch it)."""
-    state = GeneratingState(f)
+    state = GeneratingState()
     state.recipes[ONE] = None
     current: dict = {ONE: None}
     lcm_history = [1]
