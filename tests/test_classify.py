@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from collections import Counter
 
@@ -48,7 +49,9 @@ from tests_helpers import (
     rand_eo_signature,
     rand_nonzero_value,
     rand_product_signature,
+    reference_is_rebalancing,
     reference_membership_affine,
+    reference_membership_all_pairings,
     reference_membership_product,
     reference_pairing_search,
 )
@@ -316,12 +319,94 @@ def test_pairing_quantifier_runs_membership_once_per_restriction(monkeypatch):
 
     monkeypatch.setattr(classify, "membership", counting)
     v = dichotomy_verdict([diseq(12)])
-    # 720 pairings keep all of diseq(12)'s support, the rest keep none
+    # 720 pairings keep all of diseq(12)'s support, the rest keep none; both
+    # classes pass at the root, so no leaf runs membership
     assert sorted(calls) == ["affine", "product"]
     for key in ("pairing_affine", "pairing_product"):
         report = v.per_signature[0][key]
         assert report["ok"]
         assert report["pairings_checked"] == 10395 and report["vacuous"] == 9675
+    # diseq(2)^6 has 1 539 distinct nonempty restrictions, all below a root
+    # that passes both classes
+    d2_6 = neq2()
+    for _ in range(5):
+        d2_6 = tensor(d2_6, neq2())
+    calls.clear()
+    assert dichotomy_verdict([d2_6]).outcome == "fp"
+    assert sorted(calls) == ["affine", "product"]
+
+
+def _walk_signatures(rng):
+    """diseq(2)^k for k <= 6, diseq(2..12), gen_diseq and tensors of it, the
+    balanced parts of affine and product members, and sparse and dense
+    random supports of arity 4-10."""
+    sigs, t = [], neq2()
+    for k in range(1, 7):
+        sigs.append(t)
+        t = tensor(t, neq2())
+    sigs += [diseq(k) for k in range(2, 13, 2)]
+    for arity in (4, 6, 8, 10, 12):
+        sigs += [_rand_gen_diseq(rng, arity) for _ in range(3)]
+    for arity in (6, 8, 10):
+        sigs += [tensor(_rand_gen_diseq(rng, 2), _rand_gen_diseq(rng, arity - 2)),
+                 tensor(rand_eo_signature(rng, 4, 0.5, nonzero=True),
+                        rand_eo_signature(rng, arity - 4, 0.3, nonzero=True))]
+    for arity in (4, 6, 8, 10):
+        for density in (0.05, 0.2, 0.5, 0.9):
+            sigs.append(rand_eo_signature(rng, arity, density, nonzero=True))
+        for g in (rand_affine_signature(rng, arity), rand_product_signature(rng, arity)):
+            if not _balanced_part(g).is_zero():
+                sigs.append(_balanced_part(g))
+    return sigs
+
+
+def test_shared_pairing_walk_matches_memoized_reference():
+    # the one-class walk that runs every leaf: counts, failing pairing and
+    # refutation, for each class alone and for both classes in one walk
+    from eoexact.classify import _pairing_walk
+    tally = Counter()
+    for f in _walk_signatures(random.Random(3101)):
+        want = [reference_membership_all_pairings(f, cls) for cls in ("affine", "product")]
+        assert _pairing_walk(f, ("affine", "product")) == want, f
+        assert _pairing_walk(f, ("product", "affine")) == want[::-1], f
+        for rep in want:
+            assert membership_all_pairings(f, rep.cls) == rep, (f, rep.cls)
+            tally[rep.cls, rep.ok] += 1
+    assert min(tally.values()) >= 10, tally
+
+
+def test_rebalancing_matches_recursive_reference():
+    # the search that recurses on every candidate's residual: byte-identical
+    # reports, failing ports included
+    outcomes = Counter()
+    for f in _walk_signatures(random.Random(3102)):
+        for b in (0, 1):
+            got = is_rebalancing(f, b)
+            assert json.dumps(got.to_json()) == \
+                json.dumps(reference_is_rebalancing(f, b).to_json()), (f, b)
+            outcomes[b, got.ok] += 1
+    assert min(outcomes.values()) >= 10, outcomes
+
+
+def test_class_membership_passes_on_every_pairing_restriction():
+    # the closure lemma behind the walk: a restriction to a pairing multiplies
+    # by binary disequalities, which keeps the affine and the product class
+    rng = random.Random(3103)
+    checked = Counter()
+    for arity in (2, 4, 6, 8):
+        for _ in range(12):
+            for cls, draw in (("affine", rand_affine_signature),
+                              ("product", rand_product_signature)):
+                f = draw(rng, arity)
+                if arity <= 4:
+                    f = tensor(f, draw(rng, 4))
+                assert not isinstance(membership(f, cls), Refutation), (f, cls)
+                for pairing in perfect_pairings(range(f.arity)):
+                    g = restrict_to_pairing(f, pairing)
+                    if not g.is_zero():
+                        assert not isinstance(membership(g, cls), Refutation), (f, cls, pairing)
+                        checked[cls] += 1
+    assert checked["affine"] >= 300 and checked["product"] >= 300, checked
 
 
 def test_find_pairing_examples():

@@ -21,7 +21,7 @@ from eoexact.signatures import (
     tensor,
 )
 from eoexact.transforms import pad_to_eo, restrict_eo
-from eoexact.values import ExactValue, I
+from eoexact.values import MAX_LITERAL_DIGITS, ExactValue, I
 
 FIXTURES = pathlib.Path(__file__).parent.parent / "fixtures"
 
@@ -355,13 +355,14 @@ def test_affine_membership_in_a_large_field_is_quick(tmp_path):
 
 
 def test_overlong_number_in_a_value_literal(tmp_path, capsys):
-    # CPython converts at most sys.get_int_max_str_digits() digits to an int
-    limit = sys.get_int_max_str_digits()
+    # past CPython's integer-string limit a number is read by halves, up to
+    # MAX_LITERAL_DIGITS digits
+    limit = MAX_LITERAL_DIGITS
     sig = tmp_path / "long.sig"
-    sig.write_text(f"signature f arity 2\n01 {'7' * limit}\n")
+    sig.write_text(f"signature f arity 2\n01 {'7' * 5001}\n")
     code, _, rep = run_cli(capsys, ["classify", str(sig)])
     assert code == 0 and rep["verdict"]["outcome"] == "fp"
-    sig.write_text(f"signature f arity 2\n01 {'7' * 5001}\n")
+    sig.write_text(f"signature f arity 2\n01 {'7' * (limit + 1)}\n")
     assert main(["classify", str(sig)]) == 1
     assert capsys.readouterr().err == \
         f"error: LiteralSyntaxError: line 2: number of more than {limit} digits\n"

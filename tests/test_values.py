@@ -649,6 +649,33 @@ def test_render_long_numbers():
         f"-{want}/1{'0' * 4999}1"
     assert render_value(G(0, big)) == want + "i"
 
+
+def test_render_parse_roundtrip_long_numbers():
+    # past CPython's integer-string limit render_value writes a number by
+    # halves and parse_value reads it back the same way, up to
+    # MAX_LITERAL_DIGITS digits
+    rng = random.Random(31)
+    zeta8 = FieldMode.parse("zeta:8")
+    assert parse_value(render_value(V(10 ** 5000 + 1))) == V(10 ** 5000 + 1)
+    for digits in (599, 600, 601, 1201, 4300, 4301, 5001, 12345):
+        for _ in range(2):
+            a = rng.randrange(10 ** (digits - 1), 10 ** digits) * rng.choice((1, -1))
+            q = Fraction(a, rng.randrange(1, 10 ** rng.randint(1, digits)))
+            for v in (V(q), G(1, q), G(q, -q)):
+                assert parse_value(render_value(v)) == v, digits
+            v = V(q) * Z(8, 3) + Z(8, 1)
+            assert parse_value(render_value(v), zeta8) == v, digits
+    limit = values.MAX_LITERAL_DIGITS
+    n = rng.randrange(10 ** (limit - 1), 10 ** limit)
+    assert parse_value(render_value(V(n))) == V(n)
+    with pytest.raises(LiteralSyntaxError, match=f"more than {limit} digits"):
+        parse_value("7" * (limit + 1))
+    # a long root order is read too, and refused for its size in one line
+    with pytest.raises(EOError, match="above the limit") as err:
+        parse_value("z" + "7" * 5001)
+    assert "\n" not in str(err.value)
+
+
 # Numbers, a zero denominator, atoms with and without exponents (z0 and a bare
 # z are malformed), every operator, whitespace and a stray letter.
 LITERAL_ALPHABET = ["2", "12", "1/2", "1/0", "i", "z8", "z8^3", "z16^5", "z4^0",

@@ -477,6 +477,110 @@ def reference_pairing_search(ports: Sequence[int], arity: int, strings: Sequence
         stack.extend(reversed(children))
 
 
+def reference_membership_all_pairings(f: Signature, cls: str) -> classify.PairingClassReport:
+    """The one-class memoized pairing walk: a leaf runs membership once per
+    distinct kept set, whether or not f itself passes, and a subtree walked
+    without a refutation adds its stored (checked, vacuous) counts."""
+    supp = f.support()
+    cols = f2.columns(supp, f.arity)
+    results: dict = {}
+    memo: dict = {}
+    path: list[tuple[int, int]] = []
+    checked = vacuous = 0
+
+    def walk(free: int, kept: int) -> Refutation | None:
+        nonlocal checked, vacuous
+        if not free:
+            checked += 1
+            if kept not in results:
+                results[kept] = classify.membership(Signature(f.arity, {
+                    m: f.entries[m] for k, m in enumerate(supp) if kept >> k & 1}), cls)
+            result = results[kept]
+            return result if isinstance(result, Refutation) else None
+        done = memo.get((free, kept))
+        if done is not None:
+            checked += done[0]
+            vacuous += done[1]
+            return None
+        before = checked, vacuous
+        low = free & -free
+        lead, rest = low.bit_length() - 1, free ^ low
+        below = classify.pairing_count(rest.bit_count() - 1)
+        others = rest
+        while others:
+            bit = others & -others
+            others ^= bit
+            partner = bit.bit_length() - 1
+            child = kept & (cols[lead] ^ cols[partner])
+            if not child:
+                checked += below
+                vacuous += below
+                continue
+            path.append((lead, partner))
+            failure = walk(rest ^ bit, child)
+            if failure is not None:
+                return failure
+            path.pop()
+        memo[free, kept] = checked - before[0], vacuous - before[1]
+        return None
+
+    failure = walk((1 << f.arity) - 1, (1 << len(supp)) - 1)
+    if failure is None:
+        return classify.PairingClassReport(cls, True, checked, vacuous)
+    return classify.PairingClassReport(cls, False, checked, vacuous, tuple(path), failure)
+
+
+def reference_is_rebalancing(f: Signature, b: int) -> classify.RebalanceResult:
+    """The recursive partner search on (arity, support) states, trying every
+    candidate partner y in turn and recursing on each pin's residual, also
+    where the pin keeps no string."""
+    memo: dict = {}
+
+    def reads_b(n: int, supp: tuple[int, ...]) -> list[int]:
+        flip = 0 if b else (1 << len(supp)) - 1
+        return [col ^ flip for col in f2.columns(supp, n)]
+
+    def partner(n: int, supp: tuple[int, ...], cols: list[int], x: int):
+        at_x = cols[x]
+        for y in range(n):
+            if y == x or at_x & cols[y]:
+                continue
+            lo, hi = sorted((n - 1 - x, n - 1 - y))
+            low, mid = (1 << lo) - 1, (1 << (hi - 1)) - (1 << lo)
+            sub = rec(n - 2, tuple((m & low) | ((m >> 1) & mid) | ((m >> (hi + 1)) << (hi - 1))
+                                   for k, m in enumerate(supp) if at_x >> k & 1))
+            if sub is not None:
+                return y, sub
+        return None
+
+    def rec(n: int, supp: tuple[int, ...]):
+        key = (n, supp)
+        if key in memo:
+            return memo[key]
+        if n == 0 or not supp:
+            memo[key] = "leaf"
+            return "leaf"
+        memo[key] = None
+        cols = reads_b(n, supp)
+        chain: dict = {}
+        for x in range(n):
+            found = partner(n, supp, cols, x)
+            if found is None:
+                return None
+            chain[x] = {"partner": found[0], "residual": found[1]}
+        memo[key] = chain
+        return chain
+
+    supp = f.support()
+    result = rec(f.arity, supp)
+    if result is None:
+        cols = reads_b(f.arity, supp)
+        failing = next((x for x in range(f.arity)
+                        if partner(f.arity, supp, cols, x) is None), None)
+        return classify.RebalanceResult(False, b, failing_port=failing)
+    return classify.RebalanceResult(True, b, chain=result if result != "leaf" else {})
+
+
 def _set_bits(mask: int) -> list[int]:
     """Positions of the set bits of mask, lowest first."""
     text = bin(mask)[:1:-1]
