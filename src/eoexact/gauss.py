@@ -12,7 +12,7 @@ variable number.
 
 from __future__ import annotations
 
-from .values import ExactValue, I, ONE, ZERO, as_value
+from .values import ExactValue, I, ONE, ZERO, power_product
 
 Affine = tuple[int, int]
 
@@ -98,22 +98,23 @@ def gauss_sum(form: Z4Form) -> ExactValue:
     is a constant factor, or twice a parity constraint L == target: one
     neighbour p is solved for, and t_p = target xor (the other neighbours)
     is substituted into p's own terms only.  Every step removes one or two
-    variables.
+    variables.  The factors 2, 1 + i and 1 - i are counted, and each is
+    raised to its count once.
     """
     work = Z4Form(form.nvars, form.const, list(form.lin), list(form.adj))
-    factor = ONE
+    counts = [0, 0, 0, 0]  # exponents of _FACTORS
     alive = (1 << form.nvars) - 1
     while alive:
         k = alive.bit_length() - 1
         alive ^= 1 << k
         lam, link = work.remove_var(k)
         if lam % 2 == 1:
-            factor = factor * (ONE + I ** lam)
+            counts[lam] += 1  # the factor 1 + i^lam
             work.add_affine_lift(link, 0, 3 if lam == 1 else 1)
         elif link == 0 and lam == 2:
             return ZERO  # factor 1 + i^2 kills every term
         else:
-            factor = factor * as_value(2)
+            counts[2] += 1
             if link:
                 p = link.bit_length() - 1
                 alive ^= 1 << p
@@ -121,4 +122,9 @@ def gauss_sum(form: Z4Form) -> ExactValue:
                 lam_p, nb_p = work.remove_var(p)
                 work.add_affine_lift(*solved, lam_p)
                 work.add_doubled_product(solved, (nb_p, 0))
-    return factor * I ** work.const
+    counts[0] = work.const
+    return power_product(zip(_FACTORS, counts))
+
+
+# i, 1 + i, 2 and 1 - i: position lam holds 1 + i^lam for odd lam
+_FACTORS = (I, ONE + I, ExactValue.gauss(2), ONE - I)

@@ -319,7 +319,7 @@ def parse_signature_lines(numbered: Iterable[tuple[int, str]],
                           mode: FieldMode = GAUSS_MODE) -> list[Signature]:
     """Signature blocks from (line number, line) pairs, so that every error
     names its line in the file the lines come from."""
-    blocks: list[tuple[int, str, dict[str, ExactValue]]] = []  # arity, name, entries
+    blocks: list[tuple[int, str, dict[int, ExactValue]]] = []  # arity, name, entries
     for lineno, raw in numbered:
         parts = raw.split("#", 1)[0].split()
         if not parts:
@@ -338,10 +338,11 @@ def parse_signature_lines(numbered: Iterable[tuple[int, str]],
             if not blocks:
                 raise LiteralSyntaxError("entry before signature header")
             arity, _, entries = blocks[-1]
-            bits = parts[0]
+            # an arity-0 entry is its value alone: its bit string is empty
+            bits, value = (parts[0], parts[1:]) if arity else ("", parts)
             if len(bits) != arity or any(c not in "01" for c in bits):
                 raise LiteralSyntaxError(f"bad bit string {bits!r}")
-            entries[bits] = parse_value(" ".join(parts[1:]), mode)
+            entries[int(bits or "0", 2)] = parse_value(" ".join(value), mode)
         except EOError as exc:
             raise type(exc)(f"line {lineno}: {exc}") from None
     return [from_entries(arity, entries, name) for arity, name, entries in blocks]
@@ -351,7 +352,8 @@ def render_signature_block(sig: Signature, name: str | None = None) -> str:
     name = name or sig.name or "f"
     lines = [f"signature {name} arity {sig.arity}"]
     for m, v in sig.entries.items():
-        lines.append(f"{f2.mask_to_string(m, sig.arity)} {render_value(v)}")
+        bits = f2.mask_to_string(m, sig.arity) + " " if sig.arity else ""
+        lines.append(bits + render_value(v))
     return "\n".join(lines) + "\n"
 
 

@@ -48,7 +48,7 @@ from .signatures import (
     neq2,
     pin_signature,
 )
-from .values import ONE, ZERO, ExactValue, as_value, root_order
+from .values import ONE, ZERO, ExactValue, as_value, power_product, root_order
 
 
 def _require_closed(grid: Grid) -> Diagnostics:
@@ -60,28 +60,27 @@ def _require_closed(grid: Grid) -> Diagnostics:
 
 def _certificates(grid: Grid, cls: str, error):
     """Certificates of class cls by position in grid.signature_index.distinct,
-    or None as soon as a vertex signature is zero; a vertex outside the class
-    raises error.  Vertices are read in order, each signature once."""
+    or None as soon as a signature is zero; a signature outside the class
+    raises error, naming its first vertex.  The distinct signatures are read
+    in first-seen order, which is vertex order."""
     from . import classify
-    certs = [None] * len(grid.signature_index.distinct)
-    for (vid, sig), k in zip(grid.vertices, grid.signature_index.of_vertex):
-        if certs[k] is None:
-            if sig.is_zero():
-                return None
-            got = classify.membership(sig, cls)
-            if isinstance(got, classify.Refutation):
-                raise error(f"vertex {vid}: {got.stage} at {got.witness}")
-            certs[k] = got
+    index = grid.signature_index
+    certs = []
+    for k, sig in enumerate(index.distinct):
+        if sig.is_zero():
+            return None
+        got = classify.membership(sig, cls)
+        if isinstance(got, classify.Refutation):
+            vid = grid.vertices[index.of_vertex.index(k)][0]
+            raise error(f"vertex {vid}: {got.stage} at {got.witness}")
+        certs.append(got)
     return certs
 
 
 def _power_product(values: list[ExactValue], counts: Counter, flip: int = 0) -> ExactValue:
     """The product of values[key ^ flip] ** count over the counted keys: one
-    power per distinct key, however often it occurs."""
-    total = ONE
-    for key, count in counts.items():
-        total = total * values[key ^ flip] ** count
-    return total
+    power per distinct key, however often it occurs, and one normalization."""
+    return power_product((values[key ^ flip], count) for key, count in counts.items())
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +109,8 @@ def eval_affine(grid: Grid) -> ExactValue:
              for c in certs]
     of_vertex = grid.signature_index.of_vertex
     # vertex v's coordinates are the variables first[v] .. first[v + 1] - 1
-    first = list(itertools.accumulate((certs[k].space.dimension for k in of_vertex), initial=0))
+    dims = [c.space.dimension for c in certs]
+    first = list(itertools.accumulate(map(dims.__getitem__, of_vertex), initial=0))
     equations = []
     for (va, pa), (vb, pb) in grid.edges:
         ma, ca = ports[of_vertex[va]][pa]
@@ -120,15 +120,23 @@ def eval_affine(grid: Grid) -> ExactValue:
     if solved is None:
         return ZERO
     exprs, free = solved
-    total = Z4Form(free)
+    # both adders are linear in the scale, so each distinct term is added
+    # once: lift scales summed mod 4, doubled products counted mod 2
+    lifts, doubled = Counter(), Counter()
     for s, e, k in zip(first, first[1:], of_vertex):
         cert = certs[k]
         xs = exprs[s:e]
-        for (mask, const), lam in zip(xs, cert.lin):
-            total.add_affine_lift(mask, const, lam)
+        for x, lam in zip(xs, cert.lin):
+            lifts[x] += lam
         for i, j, mu in cert.quad:
             if mu:
-                total.add_doubled_product(xs[i], xs[j])
+                doubled[xs[i], xs[j]] += 1
+    total = Z4Form(free)
+    for (mask, const), lam in lifts.items():
+        total.add_affine_lift(mask, const, lam)
+    for (a, b), count in doubled.items():
+        if count & 1:
+            total.add_doubled_product(a, b)
     return _gauss_sum(total) * _power_product([c.lam for c in certs], Counter(of_vertex))
 
 
@@ -148,7 +156,9 @@ def eval_product(grid: Grid) -> ExactValue:
     0.  The ground's set contributes its one assignment, every other set the
     sum of its two.
     Weights are counted by (distinct signature, group, bit) and each one is
-    raised to its count, as is each certificate's scale.
+    raised to its count.  Sets with equal counts share one factor, which is
+    raised to the number of such sets, as each certificate's scale is to the
+    number of its vertices, in one power_product.
     """
     _require_closed(grid)
     certs = _certificates(grid, "product", NonProductVertex)
@@ -188,8 +198,8 @@ def eval_product(grid: Grid) -> ExactValue:
         links[a].append((b, ba ^ bb ^ 1))
         links[b].append((a, ba ^ bb ^ 1))
 
-    total = _power_product([c.lam for c in certs], Counter(of_vertex))
     rel = [-1] * (ground + 1)  # each node's parity relative to its set's first node
+    shapes = Counter()  # (ground's set?, its weight counts) -> number of such sets
     for root in (ground, *range(ground)):
         if rel[root] >= 0:
             continue
@@ -206,9 +216,13 @@ def eval_product(grid: Grid) -> ExactValue:
                     return ZERO
             if g != ground:
                 counts[node_key[g] + r] += 1
+        shapes[root == ground, frozenset(counts.items())] += 1
+    factors = [(certs[k].lam, n) for k, n in Counter(of_vertex).items()]
+    for (grounded, items), n in shapes.items():
+        counts = dict(items)
         own = _power_product(weights, counts)
-        total = total * (own if root == ground else own + _power_product(weights, counts, 1))
-    return total
+        factors.append((own if grounded else own + _power_product(weights, counts, 1), n))
+    return power_product(factors)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from __future__ import annotations
 import re as _re
 import sys
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial, reduce
 from itertools import zip_longest
 from math import gcd, lcm
 from typing import NamedTuple
@@ -151,7 +151,9 @@ def _check_ambient(n: int) -> None:
     if n < 1:
         raise EOError("cyclotomic index must be positive")
     if n > MAX_ORDER:
-        raise EOError(f"cyclotomic order {_decimal(n)} above the limit {MAX_ORDER}")
+        d = _decimal(n)  # past 20 digits, named by its first 20 and its length
+        d = d if len(d) <= 20 else f"{d[:20]}... ({len(d)} digits)"
+        raise EOError(f"cyclotomic order {d} above the limit {MAX_ORDER}")
     if n % 4 == 0 and n // 4 >= euler_phi(n):
         raise EOError(f"unsupported ambient cyclotomic order {n}")
 
@@ -356,19 +358,14 @@ class ExactValue:
             return self.inverse() ** (-k)
         if k == 0:
             return ONE
-        # the lowest set bit seeds the result; squares stop at the top bit
-        base = self
-        while not k & 1:
-            base = base * base
-            k >>= 1
-        result = base
-        k >>= 1
-        while k:
-            base = base * base
-            if k & 1:
-                result = result * base
-            k >>= 1
-        return result
+        if k == 1:
+            return self
+        # power_product's one-factor case, without its set-up
+        *nums, d = self._co
+        if self._n is None:
+            return _gaussian(*_raw_power(_gauss_mul, nums, k), d ** k)
+        field = _field(self._n)
+        return _cyclotomic(field, _raw_power(partial(_mul, field), nums, k), d ** k)
 
     def conj(self) -> ExactValue:
         if self._n is None:
@@ -427,6 +424,45 @@ def as_value(x) -> ExactValue:
 
 
 # -- raw numerators ------------------------------------------------------------
+
+
+def _gauss_mul(x, y) -> tuple[int, int]:
+    (a, b), (c, e) = x, y
+    return a * c - b * e, a * e + b * c
+
+
+def _raw_power(mul, x, k: int, acc=None):
+    """acc times x to the power k >= 1 (x ** k when acc is None) for raw
+    numerators under the product mul: the lowest set bit seeds the power,
+    and squares stop at the top bit."""
+    while not k & 1:
+        x = mul(x, x)
+        k >>= 1
+    acc = x if acc is None else mul(acc, x)
+    while k := k >> 1:
+        x = mul(x, x)
+        if k & 1:
+            acc = mul(acc, x)
+    return acc
+
+
+def power_product(factors) -> ExactValue:
+    """The product of value ** count over the (value, count) pairs, counts
+    >= 0, normalized once: raw numerators, Gaussian (a, b) pairs or lists
+    multiplied through _mul in the field that _meet gives for the values of
+    nonzero count, over the product of the denominators.  Fields that do not
+    meet raise FieldMismatch, even where a power lies in Q(i)."""
+    factors = [(v, k) for v, k in factors if k]
+    n = reduce(_meet, (v._n for v, _ in factors), None)
+    field = None if n is None else _field(n)
+    mul = _gauss_mul if field is None else partial(_mul, field)
+    nums, den = None, 1
+    for v, k in factors:
+        nums = _raw_power(mul, v._co[:2] if field is None else v._embed(field)[0], k, nums)
+        den *= v._co[-1] ** k
+    if nums is None:
+        return ONE
+    return _gaussian(*nums, den) if field is None else _cyclotomic(field, nums, den)
 
 
 def _gauss_mul_add(nxt, key, val, rest, matches):

@@ -342,6 +342,17 @@ def test_huge_field_order_exit_code(tmp_path, order):
         assert f"{order} above the limit" in proc.stderr
 
 
+@pytest.mark.parametrize("digits", [21, 5001])
+def test_long_field_order_error_is_one_short_line(tmp_path, capsys, digits):
+    sig = tmp_path / "long.sig"
+    sig.write_text(f"signature f arity 2\n01 1\n10 z{'7' * digits}^1\n")
+    assert main(["classify", str(sig)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err) <= 200
+    assert err.startswith("error: EOError: line 3: cyclotomic order 777")
+    assert f"({digits} digits) above the limit" in err
+
+
 def test_affine_membership_in_a_large_field_is_quick(tmp_path):
     # the scale of f is z + 1, whose inverse in Q(zeta_99991) multiplies
     # 99 989 conjugates; membership compares with +-scale and divides by nothing

@@ -38,12 +38,13 @@ from eoexact.signatures import (
     self_loop,
     tensor,
 )
-from eoexact.values import ExactValue, I, ONE, RawArm, ZERO
+from eoexact.values import ExactValue, FieldMode, I, ONE, RawArm, ZERO
 from tests_helpers import (
     dense_torus,
     enumerate_reference,
     join_gates,
     rand_cyclotomic,
+    rand_long_value,
     rand_nonzero_value,
     rand_value,
     rand_wired_grid,
@@ -495,6 +496,21 @@ def test_open_grid_text_round_trip():
     text = render_grid_text(grid)
     assert text.count("\ndangle ") == 6
     assert parse_grid_text(text) == grid
+
+
+@pytest.mark.parametrize("order", [None, 8], ids=["gauss", "zeta8"])
+def test_grid_text_round_trip_long_weights(order):
+    # open and closed grids, zero signatures and self-edges included, with
+    # weights whose numbers run past CPython's integer-string limit
+    rng = random.Random(f"grid-text:{order}")
+    mode = FieldMode(order)
+    longest = 0
+    for _ in range(8):
+        grid = reweighted(rand_wired_grid(rng), rng, lambda r: rand_long_value(r, order))
+        text = render_grid_text(grid)
+        assert parse_grid_text(text, mode=mode) == grid
+        longest = max([longest, *map(len, re.findall(r"\d+", text))])
+    assert longest > 4300
 
 
 def test_grid_file_builtins_and_inline():

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -25,8 +26,8 @@ from eoexact.signatures import (
     symmetric,
     tensor,
 )
-from eoexact.values import I, ONE, ZERO, ExactValue
-from tests_helpers import signature_matrix
+from eoexact.values import I, ONE, ZERO, ExactValue, FieldMode
+from tests_helpers import rand_long_value, signature_matrix
 
 V = ExactValue.rational
 
@@ -248,6 +249,27 @@ signature gd arity 4
 
     with pytest.raises(LiteralSyntaxError):
         parse_signature_blocks("0011 1\n")
+
+
+@pytest.mark.parametrize("order", [None, 8], ids=["gauss", "zeta8"])
+def test_signature_blocks_round_trip_long_weights(order):
+    # blocks of arity 0-4, weights with numbers of up to 6 000 digits, past
+    # CPython's integer-string limit, in Q(i) and Q(zeta_8)
+    rng = random.Random(f"blocks:{order}")
+    mode = FieldMode(order)
+    # an arity-0 entry is written as its value alone (once "0 3", unreadable)
+    assert render_signature_block(from_entries(0, {0: 3}), "c") == "signature c arity 0\n3\n"
+    longest = 0
+    for _ in range(8):
+        sigs = []
+        for _ in range(rng.randint(1, 3)):
+            arity = rng.randint(0, 4)
+            sigs.append(from_entries(arity, {m: rand_long_value(rng, order)
+                                             for m in range(1 << arity) if rng.random() < 0.5}))
+        text = "".join(render_signature_block(sig, f"f{k}") for k, sig in enumerate(sigs))
+        assert parse_signature_blocks(text, mode) == sigs
+        longest = max([longest, *map(len, re.findall(r"\d+", text))])
+    assert longest > 4300
     with pytest.raises(LiteralSyntaxError):
         parse_signature_blocks("signature f arity 2\n111 1\n")
 

@@ -1,5 +1,6 @@
 import random
 import sys
+from collections import Counter
 
 import pytest
 
@@ -7,6 +8,7 @@ from eoexact import f2, grids, tractable
 from eoexact.classify import membership
 from eoexact.errors import (
     BruteForceCapExceeded,
+    FieldMismatch,
     InvalidGrid,
     NoAsymmetricGateFound,
     NonAffineVertex,
@@ -26,11 +28,13 @@ from eoexact.signatures import (
     from_entries,
     gen_diseq,
     neq2,
+    permute,
     pin_signature,
     tensor,
 )
 from eoexact.tractable import (
     ExhaustiveOracle,
+    _power_product,
     ExternalOracle,
     chain_power,
     effective_support,
@@ -47,6 +51,7 @@ from eoexact.values import ExactValue, I, ONE, ZERO
 from tests_helpers import (
     dense_torus,
     enumerate_reference,
+    galois,
     rand_affine_signature,
     rand_class_grid,
     rand_closed_grid,
@@ -58,6 +63,7 @@ from tests_helpers import (
     realize_delta_copies,
     reference_eval_affine,
     reference_eval_product,
+    reference_power_product,
     reference_vandermonde_solve,
 )
 
@@ -364,6 +370,112 @@ def test_engines_on_a_deep_ring(engine):
     for a, b in weights:
         prod_a, prod_b = prod_a * a, prod_b * b
     assert engine(grid) == prod_a + prod_b
+
+
+@pytest.mark.parametrize("order", [None, 5, 8], ids=["gauss", "zeta5", "zeta8"])
+def test_power_product_matches_reference(order):
+    # one normalization over raw numerators against one ExactValue product
+    # per counted key, with and without flip, on counts 0..1000
+    rng = random.Random(f"power-product:{order}")
+    draw = (lambda: rand_value(rng)) if order is None else \
+        (lambda: rand_cyclotomic(rng, order) + rand_value(rng, allow_i=order == 8))
+    values = [draw() for _ in range(6)]
+    assert _power_product(values, Counter()) == ONE
+    for _ in range(40):
+        counts = Counter({rng.randrange(6): rng.choice([0, 1, 2, rng.randint(3, 1000)])
+                          for _ in range(rng.randint(1, 4))})
+        for flip in (0, 1):
+            assert _power_product(values, counts, flip) == \
+                reference_power_product(values, counts, flip)
+
+
+@pytest.mark.parametrize("values", [
+    [ExactValue.zeta(5, 1), ExactValue.zeta(8, 1)],
+    [I, ExactValue.zeta(5, 2)],
+    [ExactValue.zeta(8, 1), ExactValue.zeta(12, 1)],
+], ids=["zeta5-zeta8", "i-zeta5", "zeta8-zeta12"])
+def test_power_product_of_mixed_orders_is_refused(values):
+    counts = Counter({0: 3, 1: 2})
+    with pytest.raises(FieldMismatch):
+        reference_power_product(values, counts)
+    with pytest.raises(FieldMismatch):
+        _power_product(values, counts)
+
+
+# -- metamorphic relations of Z, past brute force ------------------------------
+
+
+def torus_of(rng, pool, side):
+    """side x side torus of quaternaries drawn from pool, wired as dense_torus
+    wires it; every vertex can read 0011 there."""
+    def at(r, c):
+        return (r % side) * side + c % side
+    edges = [e for r in range(side) for c in range(side)
+             for e in (((at(r, c), 2), (at(r, c + 1), 0)), ((at(r, c), 3), (at(r + 1, c), 1)))]
+    return Grid.make([(f"v{i}", rng.choice(pool)) for i in range(side * side)], edges)
+
+
+def mapped(grid, fn):
+    """The grid with fn applied to every value of every vertex signature."""
+    index = grid.signature_index
+    new = [from_entries(sig.arity, {m: fn(v) for m, v in sig.entries.items()})
+           for sig in index.distinct]
+    return Grid.make([(vid, new[k]) for (vid, _), k in zip(grid.vertices, index.of_vertex)],
+                     grid.edges)
+
+
+def relabelled(grid, rng):
+    """The same grid under new names: vertices in shuffled order, each one's
+    ports permuted, every edge rewired to the permuted ports, the edges
+    shuffled and each one's ends swapped at random."""
+    order = list(range(len(grid.vertices)))
+    rng.shuffle(order)  # order[new index] = old index
+    new_index = {old: new for new, old in enumerate(order)}
+    perms, permuted = [], {}
+    for _, sig in grid.vertices:
+        perm = list(range(sig.arity))
+        rng.shuffle(perm)  # new port p reads old port perm[p]
+        perms.append(perm)
+        permuted.setdefault((sig, tuple(perm)), permute(sig, perm))
+    vertices = [(grid.vertices[old][0], permuted[grid.vertices[old][1], tuple(perms[old])])
+                for old in order]
+
+    def slot(v, p):
+        return new_index[v], perms[v].index(p)
+    edges = [(slot(*b), slot(*a)) if rng.random() < 0.5 else (slot(*a), slot(*b))
+             for a, b in grid.edges]
+    rng.shuffle(edges)
+    return Grid.make(vertices, edges)
+
+
+@pytest.mark.parametrize("shape", ["ring512", "ring4096", "torus16"])
+@pytest.mark.parametrize("cls, engine", [("affine", eval_affine), ("product", eval_product)],
+                         ids=["affine", "product"])
+def test_engine_metamorphic_relations(cls, engine, shape):
+    # exact relations of Z where brute force cannot reach: scaling one vertex
+    # by c scales Z by c; relabelling vertices and ports leaves Z unchanged;
+    # sigma_k of every value gives sigma_k(Z) in Q(zeta_8), conjugation conj(Z)
+    rng = random.Random(f"{cls}:{shape}")
+    for _ in range(20):  # many affine draws sum to 0, where every relation reads 0 = 0
+        pool = []
+        while len(pool) < 3:  # each readable at 0011, scaled by a dense value of Q(zeta_8)
+            pool += [sig.scaled(rand_cyclotomic(rng, 8)) for sig in class_pool(rng, cls, 4)
+                     if 0b0011 in sig.entries]
+        grid = torus_of(rng, pool, 16) if shape == "torus16" else \
+            ring_of(rng, pool, int(shape[4:]))
+        z = engine(grid)
+        if not z.is_zero():
+            break
+    assert not z.is_zero() and z.ambient == 8
+
+    v = rng.randrange(len(grid.vertices))
+    c = rand_cyclotomic(rng, 8)
+    assert not c.is_zero()
+    assert engine(grid.with_vertex_signature(v, grid.signature_of(v).scaled(c))) == c * z
+    assert engine(relabelled(grid, rng)) == z
+    for k in (3, 5, 7):
+        assert engine(mapped(grid, lambda x: galois(x, k))) == galois(z, k)
+    assert engine(mapped(grid, ExactValue.conj)) == z.conj() == galois(z, 7)
 
 
 # -- support oracle ---------------------------------------------------------------

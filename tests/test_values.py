@@ -34,6 +34,7 @@ from tests_helpers import (
     i_power_exponent,
     rand_cyclotomic,
     reference_parse_value,
+    reference_power,
     reweighted,
 )
 
@@ -386,18 +387,35 @@ def test_pow_matches_repeated_multiplication(base, monkeypatch):
         if k:
             assert base ** -k == want.inverse()
         want = want * base
-    # square-and-multiply: bit_length - 1 squarings and popcount - 1 products
-    calls = []
+    # squares and products run on raw numerators: no ExactValue product, and
+    # one normalization (a gcd and a canonical tuple) per power
+    calls, norms = [], []
     real = ExactValue.__mul__
     monkeypatch.setattr(ExactValue, "__mul__", lambda a, b: calls.append(1) or real(a, b))
-    for k in (1, 2, 3, 256, 1000):
-        calls.clear()
+    for name in ("_gaussian", "_cyclotomic"):
+        monkeypatch.setattr(values, name, lambda *a, _f=getattr(values, name):
+                            norms.append(1) or _f(*a))
+    assert base ** 1 is base
+    for k in (2, 3, 256, 1000):
+        norms.clear()
         got = base ** k
-        assert len(calls) == k.bit_length() - 1 + bin(k).count("1") - 1
+        assert len(norms) == 1
+    assert not calls
+    monkeypatch.undo()
     assert got == base ** 488 * base ** 512
     assert V(0) ** 0 == ONE and V(0) ** 5 == ZERO
     with pytest.raises(ZeroDivisionError):
         V(0) ** -1
+
+
+@pytest.mark.parametrize("base", [G(Fraction(3, 2), -2), Z(5, 2) + V(2),
+                                  V(3) * Z(8, 3) - V(Fraction(1, 2)), Z(8, 1) * G(1, 1)],
+                         ids=["3/2-2i", "2+z5^2", "3z8^3-1/2", "(1+i)z8"])
+def test_pow_matches_reference_power(base):
+    # raw-numerator powers against normalized ExactValue products, exponents
+    # -3..1000; (1+i)z8 has powers in Q(i), which the normalization downcasts
+    for k in range(-3, 1001):
+        assert base ** k == reference_power(base, k)
 
 
 def test_compare_abs():
@@ -670,10 +688,15 @@ def test_render_parse_roundtrip_long_numbers():
     assert parse_value(render_value(V(n))) == V(n)
     with pytest.raises(LiteralSyntaxError, match=f"more than {limit} digits"):
         parse_value("7" * (limit + 1))
-    # a long root order is read too, and refused for its size in one line
-    with pytest.raises(EOError, match="above the limit") as err:
-        parse_value("z" + "7" * 5001)
-    assert "\n" not in str(err.value)
+    # a long root order is read too, and refused for its size in one short
+    # line that names its leading digits and its digit count
+    for digits in (21, 5001, limit):
+        with pytest.raises(EOError, match="above the limit") as err:
+            parse_value("z" + "7" * digits)
+        assert str(err.value) == (f"cyclotomic order {'7' * 20}... ({digits} digits) "
+                                  f"above the limit {values.MAX_ORDER}")
+    with pytest.raises(EOError, match=f"order {'7' * 20} above the limit"):
+        parse_value("z" + "7" * 20)
 
 
 # Numbers, a zero denominator, atoms with and without exponents (z0 and a bare

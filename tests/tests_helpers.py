@@ -28,7 +28,7 @@ from eoexact.generate import GeneratingState, LoopRecipe, LoopSpec
 from eoexact.gauss import Z4Form, gauss_sum
 from eoexact.grids import Grid, Plan
 from eoexact.signatures import BinaryDiseq, Signature, diseq, from_entries, pin_signature
-from eoexact.tractable import _certificates, _power_product, _require_closed
+from eoexact.tractable import _certificates, _require_closed
 from eoexact.values import (
     GAUSS_MODE,
     ExactValue,
@@ -61,6 +61,25 @@ def rand_cyclotomic(rng: random.Random, n: int) -> ExactValue:
 def rand_nonzero_value(rng: random.Random, allow_i: bool = True) -> ExactValue:
     while True:
         v = rand_value(rng, allow_i)
+        if not v.is_zero():
+            return v
+
+
+def rand_long_value(rng: random.Random, order: int | None = None) -> ExactValue:
+    """A nonzero value whose numbers have 1 to 6 000 digits, about half of
+    them past CPython's 4 300-digit string limit: a Gaussian rational, or
+    one of Q(zeta_order) with rational coefficients over the power basis."""
+    def rational():
+        num, den = (rng.randrange(10 ** (d - 1), 10 ** d)
+                    for d in (rng.choice([1, 3, rng.randint(4301, 6000)]) for _ in range(2)))
+        return Fraction(num * rng.choice((1, -1)), den)
+
+    while True:
+        if order is None:
+            v = ExactValue.gauss(rational(), rational() if rng.random() < 0.5 else 0)
+        else:
+            v = sum((V(rational()) * ExactValue.zeta(order, j)
+                     for j in range(euler_phi(order)) if rng.random() < 0.6), ZERO)
         if not v.is_zero():
             return v
 
@@ -668,6 +687,43 @@ def parity_checks(space: AffineSpace) -> list[int]:
     return nullspace(list(space.basis), space.n)
 
 
+def galois(x: ExactValue, k: int, n: int = 8) -> ExactValue:
+    """sigma_k(x) for x in Q(zeta_n): zeta_n -> zeta_n^k with gcd(k, n) = 1,
+    applied term by term to x's power-basis coefficients; a Gaussian x reads
+    i as zeta_n^(n/4)."""
+    if x.is_gaussian:
+        re, im = x.gauss_parts()
+        return V(re) + V(im) * ExactValue.zeta(n, n // 4 * k)
+    assert x.ambient == n
+    *coeffs, d = x._co
+    return sum((V(Fraction(c, d)) * ExactValue.zeta(n, j * k)
+                for j, c in enumerate(coeffs) if c), ZERO)
+
+
+def reference_power(x: ExactValue, k: int) -> ExactValue:
+    """x ** k by square-and-multiply on ExactValue products, each of them
+    normalized: the reference of ``ExactValue.__pow__``."""
+    if k < 0:
+        return reference_power(x.inverse(), -k)
+    result = ONE
+    while k:
+        if k & 1:
+            result = result * x
+        x = x * x
+        k >>= 1
+    return result
+
+
+def reference_power_product(values: Sequence[ExactValue], counts: Mapping[int, int],
+                            flip: int = 0) -> ExactValue:
+    """The product of values[key ^ flip] ** count, one ExactValue product per
+    counted key: the reference of ``tractable._power_product``."""
+    total = ONE
+    for key, count in counts.items():
+        total = total * reference_power(values[key ^ flip], count)
+    return total
+
+
 def reference_eval_affine(grid: Grid) -> ExactValue:
     """The affine engine over edge variables, kept as the reference of
     ``tractable.eval_affine``: one equation per certificate parity check.
@@ -733,7 +789,7 @@ def reference_eval_affine(grid: Grid) -> ExactValue:
         for i, j, mu in cert.quad:
             if mu:
                 total.add_doubled_product(xs[i], xs[j])
-    return gauss_sum(total) * _power_product([c.lam for c in certs], Counter(of_vertex))
+    return gauss_sum(total) * reference_power_product([c.lam for c in certs], Counter(of_vertex))
 
 
 def reference_eval_product(grid: Grid) -> ExactValue:
@@ -789,13 +845,14 @@ def reference_eval_product(grid: Grid) -> ExactValue:
     # each variable's weight key under the particular solution
     bits = f"{particular:0{len(var_key)}b}"[::-1]
     key = [k + (b == "1") for k, b in zip(var_key, bits)]
-    total = _power_product([c.lam for c in certs], Counter(of_vertex))
+    total = reference_power_product([c.lam for c in certs], Counter(of_vertex))
     fixed = (1 << len(var_key)) - 1
     for vec in basis:
         fixed ^= vec
         counts = Counter(key[v] for v in _set_bits(vec))
-        total = total * (_power_product(weights, counts) + _power_product(weights, counts, 1))
-    return total * _power_product(weights, Counter(key[v] for v in _set_bits(fixed)))
+        total = total * (reference_power_product(weights, counts)
+                         + reference_power_product(weights, counts, 1))
+    return total * reference_power_product(weights, Counter(key[v] for v in _set_bits(fixed)))
 
 
 def reference_solve(clauses: list[list[int]], nvars: int) -> dict[int, bool] | None:
