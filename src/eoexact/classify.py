@@ -17,7 +17,6 @@ from .errors import (
     FieldMismatch,
     ModeViolation,
     NotEO,
-    PairingViolation,
     ZeroSignature,
 )
 from .f2 import AffineSpace, f2_affine_span
@@ -121,63 +120,28 @@ def triple_class(f: Signature) -> TripleClass:
     return TripleClass(n, gap, heavy, light)
 
 
-def is_pure(f: Signature, direction: str) -> bool:
-    """Whether the affine span of the support stays weakly heavy (or light)."""
-    _require_eo(f)
-    _require_nonzero(f)
-    if direction not in ("up", "down"):
-        raise ValueError(f"bad direction {direction!r}")
-    sign = 1 if direction == "up" else -1
-    return all(sign * f2.weight_excess(el, f.arity) >= 0
-               for el in f2_affine_span(f.support(), f.arity).elements())
-
-
 # ---------------------------------------------------------------------------
 # pairings
 # ---------------------------------------------------------------------------
 
 
-def _pairing_search(ports: Sequence[int], cols: Sequence[int], kept: int,
-                    need: int) -> Iterator[tuple[Pairing, int]]:
-    """Iterative DFS over the perfect pairings of ``ports``: the lowest free
-    port leads, and its partners come in increasing order.
-
-    ``kept`` is a bitset over support strings, and a child keeps those whose
-    ``cols`` (``f2.columns``) differ on its new pair.  Yields (pairing, kept)
-    per leaf; a prefix keeping fewer than ``need`` strings is yielded once,
-    in place of the pairings below it.
-    """
-    stack = [((), tuple(sorted(ports)), kept)]
+def perfect_pairings(ports: Sequence[int]) -> Iterator[Pairing]:
+    """All perfect matchings of the port list, by an iterative DFS: the
+    lowest free port leads, and its partners come in increasing order."""
+    stack = [((), tuple(sorted(ports)))]
     while stack:
-        prefix, free, kept = stack.pop()
-        if not free or kept.bit_count() < need:
-            yield prefix, kept
+        prefix, free = stack.pop()
+        if not free:
+            yield prefix
             continue
         lead, rest = free[0], free[1:]
-        stack.extend(reversed([(prefix + ((lead, partner),), rest[:k] + rest[k + 1:],
-                                kept & (cols[lead] ^ cols[partner]))
+        stack.extend(reversed([(prefix + ((lead, partner),), rest[:k] + rest[k + 1:])
                                for k, partner in enumerate(rest)]))
-
-
-def perfect_pairings(ports: Sequence[int]) -> Iterator[Pairing]:
-    """All perfect matchings of the port list (lowest port always leads)."""
-    cols = [0] * (max(ports, default=0) + 1)
-    return (pairing for pairing, _ in _pairing_search(ports, cols, 0, 0))
 
 
 def pairing_count(arity: int) -> int:
     """(arity-1)!! perfect matchings of an even number of ports."""
     return math.prod(range(arity - 1, 0, -2))
-
-
-def find_pairing(f: Signature) -> Pairing | None:
-    """A perfect port pairing whose pairs take opposite values on all of supp."""
-    _require_eo(f)
-    supp = f.support()
-    full = (1 << len(supp)) - 1
-    return next((pairing for pairing, kept in
-                 _pairing_search(range(f.arity), f2.columns(supp, f.arity), full, len(supp))
-                 if kept == full), None)
 
 
 def restrict_to_pairing(f: Signature, pairing: Pairing) -> Signature:
@@ -396,7 +360,7 @@ def membership_all_pairings(f: Signature, cls: str) -> PairingClassReport:
 
 def _pairing_walk(f: Signature, classes: Sequence[str]) -> list[PairingClassReport]:
     """membership_all_pairings for each of ``classes``, in one walk in the
-    order of _pairing_search that stops once every class has failed.  A
+    order of perfect_pairings that stops once every class has failed.  A
     subtree is fixed by its free ports and kept strings, so one already
     walked adds its stored counts; a class still open met no refutation there.
 
@@ -424,7 +388,7 @@ def _pairing_walk(f: Signature, classes: Sequence[str]) -> list[PairingClassRepo
 
     def walk(free: int, kept: int) -> bool:
         """Walk the pairings of the ports in bitset ``free``, with ``kept``
-        nonempty, in the order of _pairing_search, adding to the counts;
+        nonempty, in the order of perfect_pairings, adding to the counts;
         True once every class has failed."""
         nonlocal checked, vacuous
         if not free:
@@ -596,51 +560,6 @@ def conjugate_dual_unit(f: Signature) -> ExactValue | None:
             all(f.value(m ^ full) == unit * f.value(m).conj() for m in supp):
         return unit
     return None
-
-
-# ---------------------------------------------------------------------------
-# pairing sections and the disequality embedding
-# ---------------------------------------------------------------------------
-
-
-def pairing_sections(f: Signature, pairing: Pairing) -> list[Signature]:
-    """All 2^d half-arity signatures read off a pairing-opposite signature.
-
-    Selection bit t chooses which element of pair t becomes the free
-    variable; its partner is forced opposite.
-    """
-    n = f.arity
-    d = len(pairing)
-    if sorted(p for pair in pairing for p in pair) != list(range(n)):
-        raise PairingViolation("pairing must cover every port exactly once")
-    if restrict_to_pairing(f, pairing) != f:
-        raise PairingViolation("support is not opposite on the given pairing")
-    out = []
-    for selection in range(1 << d):
-        reps = [j if (selection >> t) & 1 else i for t, (i, j) in enumerate(pairing)]
-        out.append(Signature(d, {f2.gather(m, reps, n): v for m, v in f.entries.items()}))
-    return out
-
-
-def diseq_embedding(g: Signature) -> Signature:
-    """Interleave each variable with a forced-opposite partner.
-
-    The result has arity 2d over ports (x1, y1, x2, y2, ...) and support only
-    where every y is the complement of its x, carrying g's value.
-    """
-    d = g.arity
-    entries = {}
-    for x, v in g.entries.items():
-        m = 0
-        for t in range(d):
-            bit = (x >> (d - 1 - t)) & 1
-            m = (m << 2) | (bit << 1) | (1 - bit)
-        entries[m] = v
-    return Signature(2 * d, entries)
-
-
-def natural_pairing(d: int) -> Pairing:
-    return tuple((2 * t, 2 * t + 1) for t in range(d))
 
 
 # ---------------------------------------------------------------------------

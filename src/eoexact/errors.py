@@ -75,10 +75,6 @@ class EmptySet(EOError):
     pass
 
 
-class PairingViolation(EOError):
-    pass
-
-
 class ModeViolation(EOError):
     """Input signatures do not satisfy the requested extension mode."""
 
@@ -93,19 +89,11 @@ class NonProductVertex(EOError):
     pass
 
 
-class StringNotInSupport(EOError):
-    pass
-
-
 class PreconditionViolated(EOError):
     """A guaranteed-by-theory condition failed; this is a soundness alarm."""
 
 
 class NotInterpolatable(EOError):
-    pass
-
-
-class NoAsymmetricGateFound(EOError):
     pass
 
 

@@ -16,8 +16,7 @@ from typing import NamedTuple, Sequence
 
 from . import classify
 from .errors import EOError, NotEO
-from .grids import Grid, chain_gate, gate_signature
-from .signatures import BinaryDiseq, Signature, neq2, self_loop
+from .signatures import BinaryDiseq, Signature, self_loop
 from .values import ExactValue, ONE, ZERO, compare_abs, render_value, root_order
 
 DEFAULT_STEP_CAP = 8
@@ -84,38 +83,6 @@ class RootDescriptor:
             "orders_seen": list(self.orders_seen),
             "note": self.note,
         }
-
-
-def loop_gadget_grid(f: Signature, recipe: LoopRecipe) -> Grid:
-    """Open grid realizing a loop recipe: f plus one weight vertex per loop."""
-    verts: list[tuple[str, Signature]] = [("f", f)]
-    edges = []
-    for t, spec in enumerate(recipe.loops):
-        verts.append((f"w{t}", BinaryDiseq(ONE, spec.weight).as_signature()))
-        widx = t + 1
-        if spec.orientation == "ij":
-            edges.append(((0, spec.port_a), (widx, 1)))
-            edges.append(((0, spec.port_b), (widx, 0)))
-        else:
-            edges.append(((0, spec.port_a), (widx, 0)))
-            edges.append(((0, spec.port_b), (widx, 1)))
-    dangling = [(0, recipe.dangling[0]), (0, recipe.dangling[1])]
-    return Grid.make(verts, edges, dangling)
-
-
-def replay_recipe(f: Signature, recipe: Recipe,
-                  recipes: dict[ExactValue, Recipe | None]) -> Signature:
-    """Rebuild the realized binary signature of a recipe through gates."""
-    if isinstance(recipe, LoopRecipe):
-        return gate_signature(loop_gadget_grid(f, recipe))
-    chain: list[Signature] = []
-    for param in recipe.parts:
-        sub = recipes.get(param)
-        if sub is None:
-            chain.append(neq2() if param == ONE else BinaryDiseq(ONE, param).as_signature())
-        else:
-            chain.append(replay_recipe(f, sub, recipes))
-    return chain_gate(chain)
 
 
 def _loop_layer(f: Signature, weights: Sequence[ExactValue],

@@ -297,16 +297,16 @@ def _opposite_ends(s: int, loops: list[int]) -> bool:
     return True
 
 
-def frontier_pass(plan: Plan, frontier: dict, merge: Callable[..., None],
-                  cap: int) -> Iterator[dict]:
+def frontier_pass(plan: Plan, frontier: dict, merge: Callable[..., None]) -> Iterator[dict]:
     """Carry a frontier {state: value} through the plan's steps, yielding
     the frontier after each.  For each state whose step matches some support
     strings, merge(nxt, state, value, rest, matches) writes the new entries,
-    where rest is the state without the bits the step closes.  ``cap`` bounds
-    the matches over the whole pass, so it bounds both the work and every
-    table; past it, BruteForceCapExceeded.
+    where rest is the state without the bits the step closes.
+    DEFAULT_OP_CAP, read when the pass starts, bounds the matches over the
+    whole pass, so it bounds both the work and every table; past it,
+    BruteForceCapExceeded.
     """
-    ops = 0
+    ops, cap = 0, DEFAULT_OP_CAP
     for _, close, groups in plan.steps:
         nxt: dict = {}
         for key, val in frontier.items():
@@ -322,7 +322,7 @@ def frontier_pass(plan: Plan, frontier: dict, merge: Callable[..., None],
         frontier = nxt
 
 
-def _collapse(grid: Grid, cap: int) -> Signature:
+def _collapse(grid: Grid) -> Signature:
     """The signature over the dangling ports (arity 0 for a closed grid): a
     state's value sums, over the strings read so far that lead to it, the
     product of their weights.  The pass carries raw numerators: each
@@ -333,26 +333,26 @@ def _collapse(grid: Grid, cap: int) -> Signature:
     raw = [arm.numerators(sig.entries) for sig in index.distinct]
     frontier = {0: arm.one}
     for frontier in frontier_pass(plan_contraction(grid, [t for t, _ in raw]), frontier,
-                                  arm.mul_add, cap):
+                                  arm.mul_add):
         pass
     den = prod(raw[k][1] for k in index.of_vertex)
     return Signature(len(grid.dangling), {k: arm.value(v, den) for k, v in frontier.items()})
 
 
-def brute_force_partition(grid: Grid, cap: int = DEFAULT_OP_CAP) -> ExactValue:
+def brute_force_partition(grid: Grid) -> ExactValue:
     """Exact partition function of a closed grid by contraction."""
     require_valid(grid)
     if not grid.is_closed:
         raise OpenGridError("partition function needs a closed grid; use gate_signature")
-    return _collapse(grid, cap).value(0)
+    return _collapse(grid).value(0)
 
 
-def gate_signature(grid: Grid, cap: int = DEFAULT_OP_CAP) -> Signature:
+def gate_signature(grid: Grid) -> Signature:
     """Collapse an open grid into the signature over its dangling ports."""
     require_valid(grid)
     if grid.is_closed:
         raise ClosedGridError("gate has no dangling ports; use brute_force_partition")
-    return _collapse(grid, cap)
+    return _collapse(grid)
 
 
 def chain_gate(chain: Sequence[Signature]) -> Signature:

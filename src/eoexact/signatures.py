@@ -177,18 +177,7 @@ class BinaryDiseq(NamedTuple):
         return self.normalized()[0].b
 
 
-def as_binary_diseq(sig: Signature) -> BinaryDiseq | None:
-    """View an arity-2 signature as a generalized binary disequality, if it is one."""
-    if sig.arity != 2 or 0b00 in sig.entries or 0b11 in sig.entries:
-        return None
-    return BinaryDiseq(sig.value(0b01), sig.value(0b10))
-
-
 # -- named constructors -------------------------------------------------------
-
-
-def equality(arity: int) -> Signature:
-    return Signature(arity, {0: ONE, (1 << arity) - 1: ONE}, f"eq{arity}")
 
 
 def diseq(arity: int) -> Signature:

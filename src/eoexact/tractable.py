@@ -1,12 +1,13 @@
-"""Polynomial-structure evaluators, effective-support pruning, and the
-pin-elimination reductions.
+"""Polynomial-structure evaluators, effective-support pruning, and pin
+interpolation.
 
 The two closed-form engines (affine and product) compute partition functions
 without enumerating assignments; the support oracle answers per-occurrence
 reachability queries either from one forward and one backward contraction
 pass per grid or through an external clause-form solver; on top of those
-sit the oracle-assisted pipeline, the pin interpolation, and the single-pin
-reduction.
+sit the oracle-assisted pipeline and the pin interpolation, which replaces
+each pin by weighted disequalities and reads the pinned value off a
+polynomial.
 """
 
 from __future__ import annotations
@@ -17,35 +18,29 @@ from collections import Counter
 from . import f2
 from .errors import (
     EOError,
-    NoAsymmetricGateFound,
     NonAffineVertex,
     NonProductVertex,
     NotInterpolatable,
     OpenGridError,
     OracleProtocolError,
     PreconditionViolated,
-    StringNotInSupport,
 )
 from .gauss import Z4Form
 from .gauss import gauss_sum as _gauss_sum
 from .grids import (
-    DEFAULT_OP_CAP,
     Diagnostics,
     Grid,
     Slot,
     brute_force_partition,
     chain_gate,
     frontier_pass,
-    gate_signature,
     plan_contraction,
     require_valid,
 )
 from .signatures import (
     BinaryDiseq,
     Signature,
-    as_binary_diseq,
     from_entries,
-    neq2,
     pin_signature,
 )
 from .values import ONE, ZERO, ExactValue, as_value, power_product, root_order
@@ -267,7 +262,7 @@ class ExhaustiveOracle:
         require_valid(grid)  # the plan reads every port as wired or dangling
         plan = plan_contraction(grid)
         steps = plan.steps
-        trail = list(frontier_pass(plan, {0: None}, _first_parent, DEFAULT_OP_CAP))
+        trail = list(frontier_pass(plan, {0: None}, _first_parent))
         ahead = [None] * len(steps)
         hits: dict[tuple[int, int], tuple[int, int, int]] = {}  # (vertex, string) -> transition
         live = {0: None}
@@ -375,20 +370,6 @@ class ExternalOracle:
                 f"{self.name}: witness does not read the queried string at vertex "
                 f"{grid.vertices[vertex][0]}")
         return True, tuple(masks)
-
-
-def support_oracle(grid: Grid, vertex: int, string, backend=None):
-    """Whether the string at the vertex occurrence extends to a nonzero-weight
-    global assignment; returns (flag, witness), the witness being the tuple of
-    strings each vertex reads, or None."""
-    _require_closed(grid)
-    backend = backend or ExhaustiveOracle()
-    sig = grid.signature_of(vertex)
-    mask = f2.string_to_mask(string)[1] if isinstance(string, str) else int(string)
-    if mask not in sig.support():
-        raise StringNotInSupport(
-            f"string {f2.mask_to_string(mask, sig.arity)} not in the vertex support")
-    return backend.query(grid, vertex, mask)
 
 
 def effective_support(grid: Grid, backend=None) -> list[set[int]]:
@@ -552,61 +533,3 @@ def interpolate_delta(grid: Grid, x: ExactValue) -> ExactValue:
         nodes.append(x ** j)
         rhs.append(brute_force_partition(modified))
     return _constant_term(nodes, rhs)
-
-
-def _binary_gates(signatures: list[Signature], max_vertices: int):
-    """Yield (gate signature as BinaryDiseq, description) for all small gates."""
-    from .classify import perfect_pairings
-    for size in range(1, max_vertices + 1):
-        for combo in itertools.combinations_with_replacement(signatures, size):
-            ports = [(v, p) for v, sig in enumerate(combo) for p in range(sig.arity)]
-            if len(ports) % 2 != 0 or len(ports) < 2:
-                continue
-            for d1 in range(len(ports)):
-                for d2 in range(d1 + 1, len(ports)):
-                    dangling = [ports[d1], ports[d2]]
-                    rest = [s for i, s in enumerate(ports) if i not in (d1, d2)]
-                    for matching in perfect_pairings(range(len(rest))):
-                        edges = [(rest[i], rest[j]) for i, j in matching]
-                        grid = Grid.make(
-                            [(f"g{v}", sig) for v, sig in enumerate(combo)],
-                            edges, dangling)
-                        try:
-                            gate = gate_signature(grid)
-                        except EOError:
-                            continue
-                        bd = as_binary_diseq(gate)
-                        if bd is not None:
-                            yield bd, grid
-
-
-def reduce_single_delta(grid: Grid, gate_vertex_cap: int = 3) -> ExactValue:
-    """Evaluate a grid containing exactly one pin without interpolation.
-
-    Always computes the pin-replaced-by-disequality value; when every other
-    signature equals its dual that value simply halves, otherwise a small
-    asymmetric binary gate is searched to disentangle the two orientations
-    by a 2x2 linear solve.
-    """
-    from .classify import symmetry_class
-    _require_closed(grid)
-    pins = pin_vertices(grid)
-    if len(pins) != 1:
-        raise EOError(f"expected exactly one pin occurrence, found {len(pins)}")
-    vpin = pins[0]
-    z3 = brute_force_partition(grid.with_vertex_signature(vpin, neq2()))
-    # the pin is the only vertex carrying its signature
-    index = grid.signature_index
-    distinct = [sig for k, sig in enumerate(index.distinct) if k != index.of_vertex[vpin]]
-    if all(sig.is_zero() or
-           symmetry_class(sig).kind == "dual_symmetric"
-           for sig in distinct):
-        return z3 / 2
-    for bd, gate_grid in _binary_gates(distinct, gate_vertex_cap):
-        if bd.a != bd.b:
-            z4 = brute_force_partition(
-                grid.with_vertex_signature(vpin, bd.as_signature()))
-            # z3 = z1 + z2, z4 = a*z1 + b*z2
-            return (z4 - bd.b * z3) / (bd.a - bd.b)
-    raise NoAsymmetricGateFound(
-        f"no asymmetric binary gate with at most {gate_vertex_cap} vertices")

@@ -683,10 +683,10 @@ class FieldMode:
             try:
                 n = int(spec.split(":", 1)[1])
             except ValueError:
-                raise LiteralSyntaxError(f"bad field spec {spec!r}") from None
+                raise LiteralSyntaxError(f"bad field spec {_quote(spec)}") from None
             _check_ambient(n)
             return FieldMode(n)
-        raise LiteralSyntaxError(f"bad field spec {spec!r}")
+        raise LiteralSyntaxError(f"bad field spec {_quote(spec)}")
 
     def spec(self) -> str:
         return "gauss" if self.order is None else f"zeta:{self.order}"
@@ -700,6 +700,13 @@ GAUSS_MODE = FieldMode()
 _TERM = _re.compile(r"\s*((?:[+-]\s*)*)(?:(\d+(?:/\d+)?)\s*)?(\*\s*)?(i|z(\d+)(?:\^(\d+))?)?")
 
 
+def _quote(text: str) -> str:
+    """repr(text), or past 20 characters the repr of its first 20 and its
+    length, as _check_ambient names a long order: no error echoes a long
+    literal whole."""
+    return repr(text) if len(text) <= 20 else f"{text[:20]!r}... ({len(text)} characters)"
+
+
 def _terms(text: str) -> list[_re.Match]:
     """The term matches that cover text; all are matched before any is
     evaluated, so a character no term holds is reported first."""
@@ -711,7 +718,7 @@ def _terms(text: str) -> list[_re.Match]:
         m = _TERM.match(text, pos, end)
         if not any(m.groups()):
             raise LiteralSyntaxError(
-                f"bad value literal {text!r} at {text[pos:end].lstrip()!r}")
+                f"bad value literal {_quote(text)} at {_quote(text[pos:end].lstrip())}")
         out.append(m)
         pos = m.end()
     return out
@@ -739,17 +746,17 @@ def _atom(m: _re.Match, mode: FieldMode) -> ExactValue:
         return I
     n, k = _int(n), _int(k) if k else 1
     if n < 1:
-        raise LiteralSyntaxError(f"bad root order in {tok!r}")
+        raise LiteralSyntaxError(f"bad root order in {_quote(tok)}")
     order = mode.order
     if order is not None:
         if order % n != 0:
             raise LiteralSyntaxError(
-                f"literal {tok!r} does not live in the session field Q(zeta_{order})")
+                f"literal {_quote(tok)} does not live in the session field Q(zeta_{order})")
         return ExactValue.zeta(order, order // n * k)
     val = ExactValue.zeta(n, k)
     if not val.is_gaussian:
         raise LiteralSyntaxError(
-            f"literal {tok!r} needs a cyclotomic session field (EO_FIELD=zeta:{n})")
+            f"literal {_quote(tok)} needs a cyclotomic session field (EO_FIELD=zeta:{n})")
     return val
 
 
@@ -761,17 +768,21 @@ def parse_value(text: str, mode: FieldMode = GAUSS_MODE) -> ExactValue:
     for t, m in enumerate(_terms(text)):
         signs, num, star, atom = m.group(1, 2, 3, 4)
         if t and not signs:
-            raise LiteralSyntaxError(f"missing '+' or '-' between terms in {text!r}")
+            raise LiteralSyntaxError(f"missing '+' or '-' between terms in {_quote(text)}")
         if not (num or star or atom):
-            raise LiteralSyntaxError(f"trailing operator in {text!r}")
+            raise LiteralSyntaxError(f"trailing operator in {_quote(text)}")
         term = ONE
         if num:
-            try:
-                term = ExactValue.rational(Fraction(*map(_int, num.split("/"))))
-            except ZeroDivisionError:
-                raise LiteralSyntaxError(f"zero denominator in {text!r}") from None
+            # tested before Fraction, whose error prints the numerator, and
+            # str() refuses a numerator of more than 4300 digits
+            p, _, q = num.partition("/")
+            q = _int(q) if q else 1
+            if not q:
+                raise LiteralSyntaxError(f"zero denominator in {_quote(text)}")
+            term = ExactValue.rational(Fraction(_int(p), q))
         if star and not (num and atom):
-            raise LiteralSyntaxError(f"'*' needs a number before and an atom after in {text!r}")
+            raise LiteralSyntaxError(
+                f"'*' needs a number before and an atom after in {_quote(text)}")
         if atom:
             term = term * _atom(m, mode)
         total = total + (-term if signs.count("-") % 2 else term)

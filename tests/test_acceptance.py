@@ -11,25 +11,19 @@ import time
 from eoexact import f2
 from eoexact.classify import (
     dichotomy_verdict,
-    diseq_embedding,
-    find_pairing,
-    is_pure,
     is_rebalancing,
     membership,
     membership_affine,
     membership_all_pairings,
     membership_product,
-    natural_pairing,
-    pairing_sections,
     Refutation,
     symmetry_class,
     triple_class,
 )
 from eoexact.f2 import f2_affine_span
-from eoexact.generate import generating_process, replay_recipe
+from eoexact.generate import generating_process
 from eoexact.grids import Grid, brute_force_partition, gate_signature
 from eoexact.signatures import (
-    as_binary_diseq,
     diseq,
     from_entries,
     gen_diseq,
@@ -45,10 +39,19 @@ from eoexact.tractable import (
     eval_product,
     interpolate_delta,
     prune_effective,
-    reduce_single_delta,
 )
 from eoexact.transforms import grid_pad_single_weighted, restrict_eo
 from eoexact.values import ExactValue, I, ONE
+from paper import (
+    as_binary_diseq,
+    diseq_embedding,
+    find_pairing,
+    is_pure,
+    natural_pairing,
+    pairing_sections,
+    reduce_single_delta,
+    replay_recipe,
+)
 from tests_helpers import (
     rand_affine_signature,
     rand_closed_grid,

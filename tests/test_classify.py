@@ -13,28 +13,22 @@ from eoexact.classify import (
     RebalanceResult,
     Refutation,
     dichotomy_verdict,
-    diseq_embedding,
-    find_pairing,
-    is_pure,
     is_rebalancing,
     membership,
     membership_affine,
     membership_all_pairings,
     membership_product,
-    natural_pairing,
     pairing_count,
-    pairing_sections,
     perfect_pairings,
     restrict_to_pairing,
     symmetry_class,
     triple_class,
     verdict_extended,
 )
-from eoexact.errors import CapExceeded, EmptySet, ModeViolation, NotEO, PairingViolation, ZeroSignature
+from eoexact.errors import CapExceeded, EmptySet, ModeViolation, NotEO, ZeroSignature
 from eoexact.signatures import (
     Signature,
     diseq,
-    equality,
     from_entries,
     gen_diseq,
     neq2,
@@ -43,6 +37,15 @@ from eoexact.signatures import (
     tensor,
 )
 from eoexact.values import ExactValue, I, ONE, ZERO
+from paper import (
+    PairingViolation,
+    diseq_embedding,
+    equality,
+    find_pairing,
+    is_pure,
+    natural_pairing,
+    pairing_sections,
+)
 from tests_helpers import (
     rand_affine_signature,
     rand_cyclotomic,
@@ -234,8 +237,8 @@ def _search_signatures(rng):
 
 
 def _decoded_search(ports, cols, supp, need):
-    """classify._pairing_search over all of supp, each kept set as its masks."""
-    from eoexact.classify import _pairing_search
+    """paper._pairing_search over all of supp, each kept set as its masks."""
+    from paper import _pairing_search
     out = []
     for pairing, kept in _pairing_search(ports, cols, (1 << len(supp)) - 1, need):
         masks = []

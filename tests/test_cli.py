@@ -353,6 +353,41 @@ def test_long_field_order_error_is_one_short_line(tmp_path, capsys, digits):
     assert f"({digits} digits) above the limit" in err
 
 
+@pytest.mark.parametrize("entry", ["7" * 5001 + "x", "1 " + "7" * 5001, "7" * 5001 + "/0"],
+                         ids=["bad-character", "missing-sign", "zero-denominator"])
+def test_long_bad_literal_error_is_one_short_line(tmp_path, capsys, entry):
+    # a zero denominator under a numerator past str()'s digit limit too
+    sig = tmp_path / "long.sig"
+    sig.write_text(f"signature f arity 2\n01 {entry}\n")
+    assert main(["classify", str(sig)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err) <= 200
+    assert err.startswith("error: LiteralSyntaxError: line 2: ")
+    assert f"... ({len(entry)} characters)" in err
+
+
+def test_bad_arity_in_a_header_exit_code(tmp_path, capsys):
+    sig = tmp_path / "arity.sig"
+    sig.write_text("signature f arity x\n01 1\n")
+    assert main(["classify", str(sig)]) == 1
+    assert capsys.readouterr().err == \
+        "error: LiteralSyntaxError: line 1: bad arity in 'signature f arity x'\n"
+
+
+@pytest.mark.parametrize("backend", [
+    "exhaustive", "external:" + shlex.join([sys.executable, "-m", "eoexact.oracle_cli"])],
+    ids=["exhaustive", "external"])
+def test_prune_with_a_zero_arity_zero_vertex(tmp_path, capsys, backend):
+    # the arity-0 vertex has no entry, so no assignment has nonzero weight
+    # and both strings of the closed quaternary are dropped
+    grid = tmp_path / "zero.grid"
+    grid.write_text("signature gd arity 4\n0101 1\n1010 2\nsignature z arity 0\n"
+                    "vertex f gd\nvertex c z\nedge f.1 f.2\nedge f.3 f.4\n")
+    code, _, rep = run_cli(capsys, ["prune", str(grid), "--backend", backend])
+    assert code == 0
+    assert rep["removed"] == [{"vertex": "f", "dropped": ["0101", "1010"]}]
+
+
 def test_affine_membership_in_a_large_field_is_quick(tmp_path):
     # the scale of f is z + 1, whose inverse in Q(zeta_99991) multiplies
     # 99 989 conjugates; membership compares with +-scale and divides by nothing

@@ -17,11 +17,9 @@ from eoexact.generate import (
     PathRecipe,
     delta_realizability,
     generating_process,
-    replay_recipe,
 )
 from eoexact.signatures import (
     BinaryDiseq,
-    as_binary_diseq,
     diseq,
     from_entries,
     gen_diseq,
@@ -31,6 +29,7 @@ from eoexact.signatures import (
     tensor,
 )
 from eoexact.values import ExactValue, I, ONE, ZERO, root_order
+from paper import as_binary_diseq, replay_recipe
 from tests_helpers import (
     rand_cyclotomic,
     rand_nonzero_value,

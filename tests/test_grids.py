@@ -17,7 +17,6 @@ from eoexact.errors import (
 )
 from eoexact import grids, tractable
 from eoexact.grids import (
-    DEFAULT_OP_CAP,
     Grid,
     brute_force_partition,
     frontier_pass,
@@ -91,6 +90,7 @@ def test_cached_diagnostics_leave_equality_alone():
     assert checked.signature_index.distinct == (diseq(4),)
     assert checked == fresh and hash(checked) == hash(fresh)
     assert repr(checked) == repr(fresh)
+    assert not checked == 1 and checked != diseq(4)
 
 
 def test_signature_index():
@@ -246,18 +246,21 @@ def test_unbalanced_assignments_contribute_zero():
     assert brute_force_partition(g) == ZERO
 
 
-def test_brute_force_cap():
+def test_brute_force_cap(monkeypatch):
     grid = closed_diseq4_grid()
+    monkeypatch.setattr(grids, "DEFAULT_OP_CAP", 1)
     with pytest.raises(BruteForceCapExceeded):
-        brute_force_partition(grid, cap=1)
+        brute_force_partition(grid)
 
 
-def test_gate_cap():
+def test_gate_cap(monkeypatch):
     # closing the self-loop writes one frontier entry per support string
     grid = Grid.make([("v", diseq(4))], [((0, 0), (0, 2))], [(0, 1), (0, 3)])
-    assert gate_signature(grid, cap=2) == self_loop(diseq(4), 0, 2)
+    monkeypatch.setattr(grids, "DEFAULT_OP_CAP", 2)
+    assert gate_signature(grid) == self_loop(diseq(4), 0, 2)
+    monkeypatch.setattr(grids, "DEFAULT_OP_CAP", 1)
     with pytest.raises(BruteForceCapExceeded, match="contraction"):
-        gate_signature(grid, cap=1)
+        gate_signature(grid)
 
 
 def test_contraction_matches_naive_reference():
@@ -343,13 +346,14 @@ def test_plan_places_smaller_support_first_on_ties():
     assert [v for v, _, _ in plan_contraction(grid).steps] == [0, 2, 1]
 
 
-def test_cap_error_names_the_plan_width():
+def test_cap_error_names_the_plan_width(monkeypatch):
     # the two edges back to the first vertex stay open beside the two to the next
     ring = Grid.make([(f"v{v}", diseq(4)) for v in range(6)],
                      [((v, 2 + p), ((v + 1) % 6, p)) for v in range(6) for p in range(2)])
     assert plan_contraction(ring).width == 4
+    monkeypatch.setattr(grids, "DEFAULT_OP_CAP", 3)
     with pytest.raises(BruteForceCapExceeded, match="contraction.* opens 4 frontier bits"):
-        brute_force_partition(ring, cap=3)
+        brute_force_partition(ring)
 
 
 def ring(sigs):
@@ -429,7 +433,7 @@ def test_passes_leave_shared_groups_unchanged(monkeypatch):
         plan = plan_contraction(grid, tables)
         assert len({id(groups) for _, _, groups in plan.steps}) < len(plan.steps)
         before = copy.deepcopy(plan.steps)
-        for _ in frontier_pass(plan, {0: arm.one}, arm.mul_add, DEFAULT_OP_CAP):
+        for _ in frontier_pass(plan, {0: arm.one}, arm.mul_add):
             pass
         assert plan.steps == before
 
@@ -453,7 +457,7 @@ def test_validate_checks_balance_once_per_signature(monkeypatch):
     assert calls == [diseq(4)]
 
 
-def test_dense_torus_within_work_bound():
+def test_dense_torus_within_work_bound(monkeypatch):
     grid = dense_torus(5, random.Random(0))
     last = len(grid.vertices) - 1
 
@@ -461,8 +465,8 @@ def test_dense_torus_within_work_bound():
         return (last - slot[0], slot[1])
     # listing the vertices backwards gives another elimination order
     backwards = Grid.make(grid.vertices[::-1], [(flip(a), flip(b)) for a, b in grid.edges])
-    assert brute_force_partition(grid, cap=1 << 16) == \
-        brute_force_partition(backwards, cap=1 << 16)
+    monkeypatch.setattr(grids, "DEFAULT_OP_CAP", 1 << 16)
+    assert brute_force_partition(grid) == brute_force_partition(backwards)
 
 
 def test_zero_arity_vertices():

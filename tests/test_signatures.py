@@ -7,12 +7,10 @@ from eoexact.errors import ArityMismatch, CapExceeded, EOError, LiteralSyntaxErr
 from eoexact.signatures import (
     BinaryDiseq,
     Signature,
-    as_binary_diseq,
     delta0,
     delta1,
     diseq,
     dual,
-    equality,
     from_entries,
     gen_diseq,
     load_signature_file,
@@ -27,6 +25,7 @@ from eoexact.signatures import (
     tensor,
 )
 from eoexact.values import I, ONE, ZERO, ExactValue, FieldMode
+from paper import as_binary_diseq, equality
 from tests_helpers import rand_long_value, signature_matrix
 
 V = ExactValue.rational
@@ -66,6 +65,7 @@ def test_only_nonzero_entries_are_stored():
     assert f.values == (ZERO, ZERO, V(3), ZERO)
     assert f == Signature(2, {0b10: V(3), 0b01: ZERO})
     assert hash(f) == hash(Signature(2, {0b10: V(3)}))
+    assert not f == 1 and f != "10"
     assert from_entries(2, {"00": 0}).is_zero()
 
 

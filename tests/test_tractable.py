@@ -10,13 +10,11 @@ from eoexact.errors import (
     BruteForceCapExceeded,
     FieldMismatch,
     InvalidGrid,
-    NoAsymmetricGateFound,
     NonAffineVertex,
     NonProductVertex,
     NotInterpolatable,
     OracleProtocolError,
     PreconditionViolated,
-    StringNotInSupport,
 )
 from eoexact.grids import Grid, brute_force_partition, gate_signature
 from eoexact.signatures import (
@@ -44,10 +42,14 @@ from eoexact.tractable import (
     eval_product,
     interpolate_delta,
     prune_effective,
+)
+from eoexact.values import ExactValue, I, ONE, ZERO
+from paper import (
+    NoAsymmetricGateFound,
+    StringNotInSupport,
     reduce_single_delta,
     support_oracle,
 )
-from eoexact.values import ExactValue, I, ONE, ZERO
 from tests_helpers import (
     dense_torus,
     enumerate_reference,
@@ -577,9 +579,9 @@ def test_exhaustive_oracle_cap(monkeypatch):
     # the forward pass reads both strings at each of the four steps, so it
     # writes two frontier entries per step
     grid = weighted_deq4_ring(4)
-    monkeypatch.setattr(tractable, "DEFAULT_OP_CAP", 8)
+    monkeypatch.setattr(grids, "DEFAULT_OP_CAP", 8)
     assert ExhaustiveOracle().query(grid, 0, 0b0011)[0]
-    monkeypatch.setattr(tractable, "DEFAULT_OP_CAP", 7)
+    monkeypatch.setattr(grids, "DEFAULT_OP_CAP", 7)
     with pytest.raises(BruteForceCapExceeded, match="contraction"):
         ExhaustiveOracle().query(grid, 0, 0b0011)
 
@@ -595,11 +597,11 @@ def test_exhaustive_oracle_rejects_an_invalid_grid():
 def test_exhaustive_oracle_cap_leaves_nothing_cached(monkeypatch):
     grid = weighted_deq4_ring(4)
     oracle = ExhaustiveOracle()
-    monkeypatch.setattr(tractable, "DEFAULT_OP_CAP", 7)
+    monkeypatch.setattr(grids, "DEFAULT_OP_CAP", 7)
     for vidx, m in ((0, 0b0011), (1, 0b1100)):
         with pytest.raises(BruteForceCapExceeded, match="contraction"):
             oracle.query(grid, vidx, m)
-    monkeypatch.setattr(tractable, "DEFAULT_OP_CAP", 8)
+    monkeypatch.setattr(grids, "DEFAULT_OP_CAP", 8)
     ok, witness = oracle.query(grid, 1, 0b1100)
     assert ok
     assert_valid_witness(grid, 1, 0b1100, witness)

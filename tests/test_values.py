@@ -699,6 +699,31 @@ def test_render_parse_roundtrip_long_numbers():
         parse_value("z" + "7" * 20)
 
 
+def test_literal_errors_echo_a_clipped_literal():
+    # a literal of more than 20 characters is named by its first 20 and its
+    # length; a short one is echoed whole
+    long = "7" * 5001
+    for text, mode, want in (
+            (long + "x", values.GAUSS_MODE,
+             f"bad value literal {'7' * 20!r}... (5002 characters) at 'x'"),
+            ("z" + long, FieldMode(8),
+             f"literal {'z' + '7' * 19!r}... (5002 characters) does not live in the "
+             "session field Q(zeta_8)"),
+            ("1 " + long, values.GAUSS_MODE,
+             f"missing '+' or '-' between terms in {'1 ' + '7' * 18!r}... (5003 characters)"),
+            (long + "/0", values.GAUSS_MODE,
+             f"zero denominator in {'7' * 20!r}... (5003 characters)")):
+        with pytest.raises(LiteralSyntaxError) as err:
+            parse_value(text, mode)
+        assert str(err.value) == want
+    with pytest.raises(LiteralSyntaxError) as err:
+        parse_value("2 x")
+    assert str(err.value) == "bad value literal '2 x' at 'x'"
+    with pytest.raises(LiteralSyntaxError) as err:
+        FieldMode.parse("zeta:" + long)
+    assert str(err.value) == f"bad field spec {'zeta:' + '7' * 15!r}... (5006 characters)"
+
+
 # Numbers, a zero denominator, atoms with and without exponents (z0 and a bare
 # z are malformed), every operator, whitespace and a stray letter.
 LITERAL_ALPHABET = ["2", "12", "1/2", "1/0", "i", "z8", "z8^3", "z16^5", "z4^0",

@@ -479,7 +479,7 @@ def reference_membership_product(f: Signature) -> ProductCertificate | Refutatio
 def reference_pairing_search(ports: Sequence[int], arity: int, strings: Sequence[int],
                              need: int):
     """The pairing search over tuples of kept masks: the same DFS order and
-    yields as classify._pairing_search, with the kept set as the
+    yields as paper._pairing_search, with the kept set as the
     arity-``arity`` masks of ``strings`` still opposite on every pair."""
     stack = [((), tuple(sorted(ports)), tuple(strings))]
     while stack:
