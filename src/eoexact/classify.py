@@ -438,17 +438,14 @@ def _pairing_walk(f: Signature, classes: Sequence[str]) -> list[PairingClassRepo
 # ---------------------------------------------------------------------------
 
 
-class RebalanceResult:
-    def __init__(self, ok: bool, bit: int, failing_port: int | None = None,
-                 chain: dict | None = None):
-        self.ok = ok
-        self.bit = bit
-        self.failing_port = failing_port
-        self.chain = chain  # per-port partner map, nested through residuals
+class RebalanceResult(NamedTuple):
+    ok: bool
+    bit: int
+    failing_port: int | None = None
+    chain: dict | None = None  # per-port partner map, nested through residuals
 
     def to_json(self) -> dict:
-        return {"ok": self.ok, "bit": self.bit,
-                "failing_port": self.failing_port, "chain": self.chain}
+        return self._asdict()
 
 
 def is_rebalancing(f: Signature, b: int) -> RebalanceResult:
@@ -567,19 +564,15 @@ def conjugate_dual_unit(f: Signature) -> ExactValue | None:
 # ---------------------------------------------------------------------------
 
 
-class Verdict:
-    def __init__(self, outcome: str, classes: tuple[str, ...] = (),
-                 direction: str | None = None, rebalancing: int | None = None,
-                 witness: dict | None = None, notes: list[str] | None = None,
-                 per_signature: list[dict] | None = None, certificates: dict | None = None):
-        self.outcome = outcome            # "sharp_p_hard" | "fp_np" | "fp"
-        self.classes = classes
-        self.direction = direction        # "up" | "down" | "both"
-        self.rebalancing = rebalancing
-        self.witness = witness
-        self.notes = [] if notes is None else notes
-        self.per_signature = [] if per_signature is None else per_signature
-        self.certificates = {} if certificates is None else certificates
+class Verdict(NamedTuple):
+    outcome: str                      # "sharp_p_hard" | "fp_np" | "fp"
+    classes: tuple[str, ...] = ()
+    direction: str | None = None      # "up" | "down" | "both"
+    rebalancing: int | None = None
+    witness: dict | None = None
+    notes: Sequence[str] = ()
+    per_signature: Sequence[dict] = ()
+    certificates: dict | None = None  # written as {} when None
 
     @property
     def tractable(self) -> bool:
@@ -593,8 +586,8 @@ class Verdict:
             "rebalancing": self.rebalancing,
             "witness": self.witness,
             "notes": list(self.notes),
-            "per_signature": self.per_signature,
-            "certificates": self.certificates,
+            "per_signature": list(self.per_signature),
+            "certificates": self.certificates or {},
         }
 
 
@@ -652,9 +645,8 @@ def dichotomy_verdict(signatures: Sequence[Signature]) -> Verdict:
         direction = "down"
     else:
         direction = "both"
-    notes = []
-    if direction == "both":
-        notes.append("all supports are pairwise-opposite; both directions apply")
+    notes = ("all supports are pairwise-opposite; both directions apply",) \
+        if direction == "both" else ()
 
     reb_flag = None
     reb_traces = {}
@@ -716,19 +708,16 @@ def verdict_extended(signatures: Sequence[Signature], mode: str) -> Verdict:
             if not g.is_zero()]
     dropped = [lab for lab, g in zip(labels, transformed) if g.is_zero()]
     if not kept:
-        v = Verdict("fp", classes=("product", "affine"), direction="both")
-        v.notes.append(note)
-        v.notes.append("every transformed signature is identically zero; "
-                       "all instances have partition function 0")
-        return v
+        return Verdict("fp", classes=("product", "affine"), direction="both",
+                       notes=(note, "every transformed signature is identically zero; "
+                                    "all instances have partition function 0"))
     verdict = dichotomy_verdict([g.with_name(lab) for lab, _, g in kept])
-    verdict.notes.insert(0, note)
+    notes = [note, *verdict.notes]
     if dropped:
-        verdict.notes.append(
-            "dropped identically-zero transforms of: " + ", ".join(dropped))
+        notes.append("dropped identically-zero transforms of: " + ", ".join(dropped))
     for lab, f, g in kept:
         if f.arity != g.arity:
-            verdict.notes.append(
+            notes.append(
                 f"signature {lab}: ports {f.arity + 1}..{g.arity} are balance padding; "
                 f"certificates refer to the padded signature")
-    return verdict
+    return verdict._replace(notes=notes)

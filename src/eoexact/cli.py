@@ -3,7 +3,9 @@
 Every command prints a human-readable summary followed by one canonical JSON
 report (stable schema, deterministic content; timing is shown only in the
 human text so reruns reproduce the payload byte for byte).  ``--out`` writes
-the same JSON (or the produced artifact, for ``prune``) to a file.
+the produced artifact (for ``prune`` and ``transform``) or else the same JSON
+to a file.  Each ``_cmd_*`` returns its report fields, its human lines and its
+artifact or None; ``main`` alone prints and writes.
 
 Exit codes: 0 success, 1 domain error or unreadable file, 2 usage error.
 """
@@ -42,24 +44,6 @@ SCHEMA = "eoexact.report/1"
 def _field_mode() -> FieldMode:
     spec = os.environ.get("EO_FIELD", "gauss")
     return FieldMode.parse(spec)
-
-
-def _emit(report: dict, human: list[str], out_path: str | None, started: float) -> None:
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
-    for line in human:
-        print(line)
-    print(f"elapsed: {elapsed_ms:.1f} ms")
-    text = json.dumps(report, indent=2, sort_keys=True)
-    print("== report ==")
-    print(text)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-
-
-def _base_report(kind: str, argv: list[str], mode: FieldMode) -> dict:
-    return {"schema": SCHEMA, "kind": kind, "command": ["eo"] + argv,
-            "field": mode.spec()}
 
 
 def _load_sigset(path: str, mode: FieldMode) -> list[Signature]:
@@ -101,7 +85,7 @@ def _pick_auto_engine(grid: Grid) -> str:
     return "brute"
 
 
-def _cmd_eval(args, argv, mode):
+def _cmd_eval(args, mode):
     from .grids import brute_force_partition, load_grid_file
     grid = load_grid_file(args.grid, mode)
     engine = args.engine
@@ -115,7 +99,7 @@ def _cmd_eval(args, argv, mode):
     elif engine == "product":
         from .tractable import eval_product
         z = eval_product(grid)
-    elif engine == "fpnp":
+    else:
         from .tractable import eval_fpnp
         hint = args.cls
         if hint == "auto":
@@ -125,25 +109,17 @@ def _cmd_eval(args, argv, mode):
                 membership_all_pairings(s, "product").ok
                 for s in distinct) else "affine"
         z = eval_fpnp(grid, hint, _oracle_backend(args.backend))
-    else:
-        raise UsageError(f"unknown engine {engine!r}")
-    report = _base_report("eval", argv, mode)
-    report["engine"] = engine
-    report["result"] = render_value(z)
-    _emit(report, [f"engine: {engine}", f"Z = {render_value(z)}"], args.out, args.started)
-    return 0
+    result = render_value(z)
+    return {"engine": engine, "result": result}, [f"engine: {engine}", f"Z = {result}"], None
 
 
-def _cmd_classify(args, argv, mode):
+def _cmd_classify(args, mode):
     from .classify import dichotomy_verdict, verdict_extended
     sigs = _load_sigset(args.sigset, mode)
     if args.mode == "eo":
         verdict = dichotomy_verdict(sigs)
     else:
         verdict = verdict_extended(sigs, args.mode.replace("-", "_"))
-    report = _base_report("classify", argv, mode)
-    report["mode"] = args.mode
-    report["verdict"] = verdict.to_json()
     human = [f"signatures: {len(sigs)}", f"outcome: {verdict.outcome}"]
     if verdict.tractable:
         human.append(f"classes: {', '.join(verdict.classes)}")
@@ -153,11 +129,10 @@ def _cmd_classify(args, argv, mode):
         human.append(f"hard witness: {verdict.witness.get('kind')}")
     for note in verdict.notes:
         human.append(f"note: {note}")
-    _emit(report, human, args.out, args.started)
-    return 0
+    return {"mode": args.mode, "verdict": verdict.to_json()}, human, None
 
 
-def _cmd_generate(args, argv, mode):
+def _cmd_generate(args, mode):
     from . import generate
     sigs = _load_sigset(args.sigfile, mode)
     caps = {"steps": generate.DEFAULT_STEP_CAP,
@@ -197,23 +172,16 @@ def _cmd_generate(args, argv, mode):
     if args.recipes:
         with open(args.recipes, "w", encoding="utf-8") as fh:
             fh.write("\n".join(recipe_lines) + "\n")
-    report = _base_report("generate", argv, mode)
-    report["caps"] = caps
-    report["results"] = payload
-    _emit(report, human, args.out, args.started)
-    return 0
+    return {"caps": caps, "results": payload}, human, None
 
 
-def _cmd_prune(args, argv, mode):
+def _cmd_prune(args, mode):
     from .grids import load_grid_file, render_grid_text
     from .tractable import prune_effective
     grid = load_grid_file(args.grid, mode)
     backend = _oracle_backend(args.backend)
     pruned = prune_effective(grid, backend)
     text = render_grid_text(pruned)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
     removed = []
     for vidx, (vid, sig) in enumerate(grid.vertices):
         before = set(sig.support())
@@ -222,41 +190,29 @@ def _cmd_prune(args, argv, mode):
             removed.append({"vertex": vid,
                             "dropped": sorted(
                                 f"{m:0{sig.arity}b}" for m in before - after)})
-    report = _base_report("prune", argv, mode)
-    report["backend"] = getattr(backend, "name", "?")
-    report["pruned_grid"] = text
-    report["removed"] = removed
-    human = [f"backend: {report['backend']}",
-             f"occurrences changed: {len(removed)}"]
+    human = [f"backend: {backend.name}", f"occurrences changed: {len(removed)}"]
     if not args.out:
         human.append(text.rstrip())
-    _emit(report, human, None, args.started)
-    return 0
+    return {"backend": backend.name, "pruned_grid": text, "removed": removed}, human, text
 
 
-def _cmd_interp(args, argv, mode):
+def _cmd_interp(args, mode):
     from .grids import load_grid_file
     from .tractable import interpolate_delta
     grid = load_grid_file(args.grid, mode)
     x = parse_value(args.x, mode)
-    z = interpolate_delta(grid, x)
-    report = _base_report("interp", argv, mode)
-    report["x"] = render_value(x)
-    report["result"] = render_value(z)
-    _emit(report, [f"Z = {render_value(z)}"], args.out, args.started)
-    return 0
+    result = render_value(interpolate_delta(grid, x))
+    return {"x": render_value(x), "result": result}, [f"Z = {result}"], None
 
 
-def _cmd_transform(args, argv, mode):
-    report = _base_report("transform", argv, mode)
-    report["op"] = args.op
+def _cmd_transform(args, mode):
     if args.op in ("restrict-eo", "pad"):
         from .transforms import pad_to_eo, restrict_eo
         sigs = _load_sigset(args.file, mode)
         fn = restrict_eo if args.op == "restrict-eo" else pad_to_eo
         blocks = [render_signature_block(fn(s), s.name) for s in sigs]
         text = "\n".join(blocks)
-        report["signatures"] = text
+        fields = {"op": args.op, "signatures": text}
         human = [text.rstrip()]
     else:
         from .grids import load_grid_file, render_grid_text
@@ -264,21 +220,16 @@ def _cmd_transform(args, argv, mode):
         grid = load_grid_file(args.file, mode)
         padded, diag = grid_pad_single_weighted(grid)
         text = render_grid_text(padded)
-        report["grid"] = text
-        report["balanced"] = diag.balanced
-        report["diagnostic"] = diag.message
+        fields = {"op": args.op, "grid": text, "balanced": diag.balanced,
+                  "diagnostic": diag.message}
         human = [f"balanced: {diag.balanced}"]
         if diag.message:
             human.append(diag.message)
         human.append(text.rstrip())
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write((report.get("signatures") or report.get("grid")) + "\n")
-    _emit(report, human, None, args.started)
-    return 0
+    return fields, human, text + "\n"
 
 
-def _cmd_gate(args, argv, mode):
+def _cmd_gate(args, mode):
     names: dict[str, Signature] = {}
     names.update(BUILTIN_SIGNATURES)
     current: Signature | None = None
@@ -328,10 +279,7 @@ def _cmd_gate(args, argv, mode):
     if current is None:
         raise UsageError("gate script produced no signature (missing 'start'?)")
     block = render_signature_block(current, "result")
-    report = _base_report("gate", argv, mode)
-    report["signature"] = block
-    _emit(report, [block.rstrip()], args.out, args.started)
-    return 0
+    return {"signature": block}, [block.rstrip()], None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -393,10 +341,22 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    args.started = time.perf_counter()
+    started = time.perf_counter()
     try:
         mode = _field_mode()
-        return args.fn(args, argv, mode)
+        fields, human, artifact = args.fn(args, mode)
+        elapsed_ms = (time.perf_counter() - started) * 1000.0
+        text = json.dumps({"schema": SCHEMA, "kind": args.command, "command": ["eo"] + argv,
+                           "field": mode.spec(), **fields}, indent=2, sort_keys=True)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n" if artifact is None else artifact)
+        for line in human:
+            print(line)
+        print(f"elapsed: {elapsed_ms:.1f} ms")
+        print("== report ==")
+        print(text)
+        return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -63,17 +63,14 @@ class GeneratingState:
         return self.steps[-1].closure_params if self.steps else (ONE,)
 
 
-class RootDescriptor:
-    def __init__(self, outcome: str, order: int | None = None, value: ExactValue | None = None,
-                 recipe: Recipe | None = None, orders_seen: tuple[int, ...] = (),
-                 note: str = ""):
-        # "finite_group" | "non_root" | "order_growth" | "cap_exhausted" | "pin_direct"
-        self.outcome = outcome
-        self.order = order
-        self.value = value
-        self.recipe = recipe
-        self.orders_seen = orders_seen
-        self.note = note
+class RootDescriptor(NamedTuple):
+    # "finite_group" | "non_root" | "order_growth" | "cap_exhausted" | "pin_direct"
+    outcome: str
+    order: int | None = None
+    value: ExactValue | None = None
+    recipe: Recipe | None = None
+    orders_seen: tuple[int, ...] = ()
+    note: str = ""
 
     def to_json(self) -> dict:
         return {
@@ -395,18 +392,15 @@ def _cap_outcome(state: GeneratingState, lcm_history: list[int], why: str) -> Ro
 # ---------------------------------------------------------------------------
 
 
-class PinRealizabilityReport:
-    def __init__(self, descriptor: RootDescriptor, symmetry: classify.SymmetryReport,
-                 route: str, consistent: bool, findings: list[str],
-                 equal_pair_gadget: bool, recipes: dict[ExactValue, Recipe | None]):
-        self.descriptor = descriptor
-        self.symmetry = symmetry
-        self.route = route
-        self.consistent = consistent
-        self.findings = findings
-        self.equal_pair_gadget = equal_pair_gadget
-        # the gadget recipes of the generating-process run (not part of to_json)
-        self.recipes = recipes
+class PinRealizabilityReport(NamedTuple):
+    descriptor: RootDescriptor
+    symmetry: classify.SymmetryReport
+    route: str
+    consistent: bool
+    findings: list[str]
+    equal_pair_gadget: bool
+    # the gadget recipes of the generating-process run (not part of to_json)
+    recipes: dict[ExactValue, Recipe | None]
 
     def to_json(self) -> dict:
         return {

@@ -57,13 +57,11 @@ def pad_to_eo(f: Signature) -> Signature:
     return Signature(f.arity + pad, {m << pad | fill: v for m, v in f.entries.items()}, f.name)
 
 
-class PadDiagnostics:
-    def __init__(self, balanced: bool, pairing_edges: int = 0, replaced_pins: int = 0,
-                 message: str = ""):
-        self.balanced = balanced
-        self.pairing_edges = pairing_edges
-        self.replaced_pins = replaced_pins
-        self.message = message
+class PadDiagnostics(NamedTuple):
+    balanced: bool
+    pairing_edges: int = 0
+    replaced_pins: int = 0
+    message: str = ""
 
 
 def grid_pad_single_weighted(grid: Grid) -> tuple[Grid, PadDiagnostics]:
@@ -79,7 +77,7 @@ def grid_pad_single_weighted(grid: Grid) -> tuple[Grid, PadDiagnostics]:
     """
     from .grids import Grid, require_valid
     require_valid(grid)
-    diag = PadDiagnostics(balanced=True)
+    replaced_pins = 0
     new_vertices: list[tuple[str, Signature]] = []
     port_map: dict[tuple[int, int], tuple[int, int]] = {}  # moved slots only
     zero_ends: list[tuple[int, int]] = []  # slots forced to 0, needing a 1 partner
@@ -90,13 +88,13 @@ def grid_pad_single_weighted(grid: Grid) -> tuple[Grid, PadDiagnostics]:
         if sig == d0:
             new_vertices.append((vid, pin))  # pin's 0-side keeps the wiring
             one_ends.append((vidx, 1))
-            diag.replaced_pins += 1
+            replaced_pins += 1
             continue
         if sig == d1:
             new_vertices.append((vid, pin))
             port_map[(vidx, 0)] = (vidx, 1)  # pin's 1-side keeps the wiring
             zero_ends.append((vidx, 0))
-            diag.replaced_pins += 1
+            replaced_pins += 1
             continue
         prof = weight_profile(sig)
         if prof.mixed:
@@ -109,16 +107,13 @@ def grid_pad_single_weighted(grid: Grid) -> tuple[Grid, PadDiagnostics]:
                 (zero_ends if forced_zero else one_ends).append((vidx, p))
 
     if len(zero_ends) != len(one_ends):
-        diag.balanced = False
-        diag.message = (
-            f"padding needs {len(zero_ends)} zero-ends matched to "
-            f"{len(one_ends)} one-ends; partition function is identically 0")
+        message = (f"padding needs {len(zero_ends)} zero-ends matched to "
+                   f"{len(one_ends)} one-ends; partition function is identically 0")
         zero_grid = Grid.make([("zero", Signature(0, {}))], [])
-        return zero_grid, diag
+        return zero_grid, PadDiagnostics(False, 0, replaced_pins, message)
 
     edges = [(port_map.get(a, a), port_map.get(b, b)) for a, b in grid.edges]
-    for z, o in zip(sorted(zero_ends), sorted(one_ends)):
-        edges.append((z, o))
-        diag.pairing_edges += 1
+    edges += zip(sorted(zero_ends), sorted(one_ends))
     dangling = tuple(port_map.get(s, s) for s in grid.dangling)
-    return Grid.make(new_vertices, edges, dangling), diag
+    return Grid.make(new_vertices, edges, dangling), \
+        PadDiagnostics(True, len(zero_ends), replaced_pins)

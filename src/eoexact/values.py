@@ -650,29 +650,11 @@ def root_order(x: ExactValue, cap: int = 64) -> RootOrder:
 # -- value literals -----------------------------------------------------------
 
 
-class FieldMode:
+class FieldMode(NamedTuple):
     """Session arithmetic mode: the order N of one fixed Q(zeta_N), or None
-    for Gaussian rationals.  Immutable; compares and hashes by the order."""
+    for Gaussian rationals."""
 
-    def __init__(self, order: int | None = None):
-        object.__setattr__(self, "order", order)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.order == other.order
-
-    def __hash__(self) -> int:
-        return hash((self.order,))
-
-    def __repr__(self) -> str:
-        return f"FieldMode(order={self.order!r})"
+    order: int | None = None
 
     @staticmethod
     def parse(spec: str) -> FieldMode:

@@ -29,9 +29,11 @@ from eoexact.errors import CapExceeded, EmptySet, ModeViolation, NotEO, ZeroSign
 from eoexact.signatures import (
     Signature,
     diseq,
+    dual,
     from_entries,
     gen_diseq,
     neq2,
+    permute,
     pin_pair,
     symmetric,
     tensor,
@@ -47,6 +49,7 @@ from paper import (
     pairing_sections,
 )
 from tests_helpers import (
+    galois,
     rand_affine_signature,
     rand_cyclotomic,
     rand_eo_signature,
@@ -1002,3 +1005,58 @@ def test_verdict_extended_mixed_single_weighted_padding_branch():
     v = verdict_extended([heavy, light], "single_weighted")
     assert any("mixed" in n for n in v.notes)
     assert v.tractable
+
+
+# -- metamorphic relations of the verdict ---------------------------------------------
+
+
+def _verdict_set(rng):
+    """One to three nonzero EO signatures of arity 2-8 over Q(zeta_8): gen_diseq,
+    tensors of it, balanced parts of affine and product members and random
+    supports, each scaled by a random value of Q(zeta_8)."""
+    sigs, size = [], rng.randint(1, 3)
+    while len(sigs) < size:
+        arity = rng.choice([2, 4, 6, 8])
+        kind = rng.randrange(4)
+        if kind == 0:
+            f = _rand_gen_diseq(rng, arity)
+        elif kind == 1 and arity >= 4:
+            f = tensor(_rand_gen_diseq(rng, 2), _rand_gen_diseq(rng, arity - 2))
+        elif kind == 2:
+            f = _balanced_part(rng.choice([rand_affine_signature, rand_product_signature])(
+                rng, arity))
+        else:
+            f = rand_eo_signature(rng, arity, rng.choice([0.2, 0.5]), nonzero=True)
+        c = rand_cyclotomic(rng, 8)
+        if not f.is_zero() and not c.is_zero():
+            sigs.append(f.scaled(c))
+    return sigs
+
+
+def _mapped(f, fn):
+    return from_entries(f.arity, {m: fn(v) for m, v in f.entries.items()})
+
+
+def test_verdict_metamorphic_relations():
+    # the outcome is unchanged by a port permutation and by dual; conjugation,
+    # sigma_3, sigma_5, sigma_7 of Q(zeta_8) and nonzero scaling keep the
+    # support, so classes, direction and rebalancing stay as well
+    rng = random.Random(3401)
+    value_maps = [ExactValue.conj] + [lambda x, k=k: galois(x, k) for k in (3, 5, 7)]
+    outcomes = Counter()
+    for _ in range(150):
+        sigs = _verdict_set(rng)
+        v = dichotomy_verdict(sigs)
+        outcomes[v.outcome] += 1
+        permuted = [permute(f, rng.sample(range(f.arity), f.arity)) for f in sigs]
+        assert dichotomy_verdict(permuted).outcome == v.outcome
+        assert dichotomy_verdict([dual(f) for f in sigs]).outcome == v.outcome
+        kept = (v.outcome, v.classes, v.direction, v.rebalancing)
+        for fn in value_maps:
+            w = dichotomy_verdict([_mapped(f, fn) for f in sigs])
+            assert (w.outcome, w.classes, w.direction, w.rebalancing) == kept
+        scales = [rand_cyclotomic(rng, 8) for _ in sigs]
+        if all(not c.is_zero() for c in scales):
+            w = dichotomy_verdict([f.scaled(c) for f, c in zip(sigs, scales)])
+            assert (w.outcome, w.classes, w.direction, w.rebalancing) == kept
+    assert outcomes["fp"] and outcomes["sharp_p_hard"]

@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 import os
 import pathlib
+import re
 import shlex
 import subprocess
 import sys
@@ -466,6 +469,70 @@ def test_use_line_takes_absolute_paths(workdir, tmp_path, capsys):
     assert run_cli(capsys, ["gate", str(other / "abs.gate")])[0] == 0
 
 
+# -- report branches that the fixtures above do not reach ---------------------------
+
+
+def test_classify_hard_set_names_its_witness(tmp_path, capsys):
+    sig = tmp_path / "hard.sig"
+    sig.write_text("signature h arity 4\n0011 1\n0101 1\n1010 1\n")
+    code, human, rep = run_cli(capsys, ["classify", str(sig)])
+    assert code == 0
+    assert human.startswith("signatures: 1\noutcome: sharp_p_hard\nhard witness: gap_triple\n")
+    assert (rep["verdict"]["outcome"], rep["verdict"]["witness"]["kind"]) == \
+        ("sharp_p_hard", "gap_triple")
+
+
+def test_eval_auto_falls_back_to_brute(tmp_path, capsys):
+    # mform is in neither class outright, so auto picks brute force
+    grid = tmp_path / "two.grid"
+    grid.write_text("signature mform arity 4\n1100 1\n1010 1\n1001 2\n"
+                    "vertex a mform\nvertex b mform\n"
+                    "edge a.1 b.3\nedge a.2 b.4\nedge a.3 b.1\nedge a.4 b.2\n")
+    code, human, rep = run_cli(capsys, ["eval", "--engine", "auto", str(grid)])
+    assert code == 0 and human.startswith("engine: brute\nZ = 5\n")
+    assert (rep["engine"], rep["result"]) == ("brute", "5")
+
+
+def test_backend_with_unbalanced_quotes_exit_code(capsys):
+    assert main(["prune", str(FIXTURES / "pinned.grid"), "--backend", 'external:"']) == 2
+    assert capsys.readouterr().err == \
+        "usage error: bad backend 'external:\"' (No closing quotation)\n"
+
+
+def test_sigset_without_signatures_exit_code(tmp_path, capsys):
+    sig = tmp_path / "empty.sig"
+    sig.write_text("# only a comment\n")
+    assert main(["classify", str(sig)]) == 2
+    assert capsys.readouterr().err == f"usage error: no signatures in {sig}\n"
+
+
+@pytest.mark.parametrize("script, err", [
+    ("start delta\nloop 1 2 1\n", "line 2: loop takes two weight values"),
+    ("start delta\nfrobnicate\n", "line 2: unknown gate step 'frobnicate'"),
+    ("dual\n", "line 1: gate step 'dual' before 'start'"),
+    ("# nothing\n", "gate script produced no signature (missing 'start'?)"),
+], ids=["loop-one-weight", "unknown-step", "step-before-start", "no-start"])
+def test_gate_script_errors_exit_code(tmp_path, capsys, script, err):
+    gate = tmp_path / "bad.gate"
+    gate.write_text(script)
+    assert main(["gate", str(gate)]) == 2
+    assert capsys.readouterr().err == f"usage error: {err}\n"
+
+
+def test_grid_pad_reports_an_unbalanced_grid(tmp_path, capsys):
+    # the arity-3 vertex pads one forced-0 port and delta1 becomes a pin with
+    # one zero-end: two zero-ends and no one-end, so Z is identically 0
+    grid = tmp_path / "pad.grid"
+    grid.write_text("signature t arity 3\n110 1\nvertex v t\nvertex d delta1\n"
+                    "edge v.2 v.3\nedge v.1 d.1\n")
+    code, human, rep = run_cli(capsys, ["transform", "--op", "grid-pad", str(grid)])
+    message = ("padding needs 2 zero-ends matched to 0 one-ends; "
+               "partition function is identically 0")
+    assert code == 0 and human.startswith(f"balanced: False\n{message}\n")
+    assert (rep["balanced"], rep["diagnostic"]) == (False, message)
+    assert rep["grid"] == "signature s0 arity 0\n\nvertex zero s0\n"
+
+
 # -- each command imports only what it runs ---------------------------------------
 
 # one invocation per command path, on the shipped fixtures (run from FIXTURES)
@@ -474,6 +541,9 @@ COMMANDS = {
     "eval-auto": ["eval", "--engine", "auto", "deq4-closed.grid"],
     "eval-fpnp": ["eval", "--engine", "fpnp", "deq4-closed.grid"],
     "classify": ["classify", "m-delta1.sigset"],
+    "classify-upside": ["classify", "m-delta1.sigset", "--mode", "upside"],
+    "classify-downside": ["classify", "m-delta1.sigset", "--mode", "downside"],
+    "classify-single-weighted": ["classify", "m-delta1.sigset", "--mode", "single-weighted"],
     "generate": ["generate", "neq4-1i.sig"],
     "gate": ["gate", "loop.gate"],
     "interp": ["interp", "pinned.grid", "--x", "2"],
@@ -532,6 +602,24 @@ def test_module_entry_matches_main(argv, capsys, monkeypatch):
                           capture_output=True, text=True)
     assert code == 0 and report
     assert (proc.returncode, proc.stdout.partition("== report ==\n")[2]) == (code, report)
+
+
+@pytest.mark.parametrize("argv", COMMANDS.values(), ids=COMMANDS)
+def test_out_file_holds_the_artifact_or_the_report(argv, tmp_path, capsys, monkeypatch):
+    # prune writes its grid text, transform its text and a newline, every
+    # other command the printed report
+    monkeypatch.chdir(FIXTURES)
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 0
+    report = capsys.readouterr().out.partition("== report ==\n")[2]
+    rep = json.loads(report)
+    if argv[0] == "prune":
+        expected = rep["pruned_grid"]
+    elif argv[0] == "transform":
+        expected = (rep.get("signatures") or rep["grid"]) + "\n"
+    else:
+        expected = report
+    assert out.read_text() == expected
 
 
 @pytest.mark.parametrize("argv", COMMANDS.values(), ids=COMMANDS)
@@ -616,7 +704,16 @@ def test_cli_never_raises(files, argv):
             with open(os.path.join(tmp, name), "wb") as fh:
                 fh.write(data)
         os.chdir(tmp)  # --out and --recipes write here
+        out, err = io.StringIO(), io.StringIO()
         try:
-            assert main(argv) in (0, 1, 2)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
         finally:
             os.chdir(cwd)
+    assert code in (0, 1, 2)
+    lines = err.getvalue().splitlines()
+    if code == 1:  # one line, ended by its newline
+        assert err.getvalue().count("\n") == 1 and lines[0].startswith("error: ")
+    elif code == 2:  # ours, or argparse's after its usage lines
+        assert lines[-1].startswith("usage error: ") or \
+            re.match(r"eo( \w+)?: error: ", lines[-1])

@@ -10,16 +10,17 @@ from eoexact.classify import (
     AffineCertificate,
     ProductCertificate,
     dichotomy_verdict,
+    is_rebalancing,
     membership_affine,
     membership_all_pairings,
     membership_product,
     symmetry_class,
     triple_class,
 )
-from eoexact.generate import LoopRecipe, PathRecipe, generating_process
+from eoexact.generate import LoopRecipe, PathRecipe, delta_realizability, generating_process
 from eoexact.grids import Grid, brute_force_partition, validate
 from eoexact.signatures import BinaryDiseq, diseq, from_entries, gen_diseq, pin_signature
-from eoexact.transforms import weight_profile
+from eoexact.transforms import grid_pad_single_weighted, weight_profile
 from eoexact.tractable import (
     eval_affine,
     eval_fpnp,
@@ -94,7 +95,7 @@ def _immutable_records():
     heavy = from_entries(4, {"1100": 1, "1010": 1, "1001": 2})
     affine = membership_affine(gd)
     product = membership_product(gd)
-    _, state = generating_process(gd)
+    descriptor, state = generating_process(gd)
     recipes = list(state.recipes.values())
     loop = next(r for r in recipes if isinstance(r, LoopRecipe))
     grid = Grid.make([("v", diseq(4))], [((0, 0), (0, 2)), ((0, 1), (0, 3))])
@@ -104,7 +105,8 @@ def _immutable_records():
         membership_all_pairings(gd, "affine"), symmetry_class(gd), loop, loop.loops[0],
         next(r for r in recipes if isinstance(r, PathRecipe)), state.steps[0],
         validate(grid), BinaryDiseq(ONE, I), root_order(I), weight_profile(gd),
-        gd, grid, FieldMode.parse("zeta:8"),
+        gd, grid, FieldMode.parse("zeta:8"), dichotomy_verdict([gd]), is_rebalancing(gd, 0),
+        descriptor, delta_realizability(gd), grid_pad_single_weighted(grid)[1],
     ]
 
 

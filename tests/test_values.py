@@ -772,7 +772,7 @@ def test_field_mode_holds_only_the_order():
     assert FieldMode.parse("gauss") == values.GAUSS_MODE == FieldMode()
     assert FieldMode.parse("gauss").order is None
     assert FieldMode.parse(" ZETA:8 ").order == 8
-    assert list(vars(FieldMode.parse("zeta:8"))) == ["order"]
+    assert FieldMode.parse("zeta:8")._fields == ("order",)
 
 
 def test_field_mode_hashes_and_prints_by_its_order():
