@@ -17,9 +17,8 @@ import json
 import os
 import sys
 import time
-from typing import TYPE_CHECKING
 
-from .errors import EOError, UsageError
+from .errors import EOError, NonAffineVertex, NonProductVertex, UsageError
 from .signatures import (
     BUILTIN_SIGNATURES,
     BinaryDiseq,
@@ -34,9 +33,6 @@ from .signatures import (
     tensor,
 )
 from .values import FieldMode, parse_value, render_value
-
-if TYPE_CHECKING:
-    from .grids import Grid
 
 SCHEMA = "eoexact.report/1"
 
@@ -71,26 +67,10 @@ def _oracle_backend(spec: str):
 # -- eval ----------------------------------------------------------------------
 
 
-def _pick_auto_engine(grid: Grid) -> str:
-    from . import classify
-    distinct = [s for s in grid.signature_index.distinct if not s.is_zero()]
-    if distinct and all(
-            not isinstance(classify.membership_affine(s), classify.Refutation)
-            for s in distinct):
-        return "affine"
-    if distinct and all(
-            not isinstance(classify.membership_product(s), classify.Refutation)
-            for s in distinct):
-        return "product"
-    return "brute"
-
-
 def _cmd_eval(args, mode):
     from .grids import brute_force_partition, load_grid_file
     grid = load_grid_file(args.grid, mode)
     engine = args.engine
-    if engine == "auto":
-        engine = _pick_auto_engine(grid)
     if engine == "brute":
         z = brute_force_partition(grid)
     elif engine == "affine":
@@ -99,16 +79,18 @@ def _cmd_eval(args, mode):
     elif engine == "product":
         from .tractable import eval_product
         z = eval_product(grid)
-    else:
+    elif engine == "fpnp":
         from .tractable import eval_fpnp
-        hint = args.cls
-        if hint == "auto":
-            from .classify import membership_all_pairings
-            distinct = [s for s in grid.signature_index.distinct if not s.is_zero()]
-            hint = "product" if all(
-                membership_all_pairings(s, "product").ok
-                for s in distinct) else "affine"
-        z = eval_fpnp(grid, hint, _oracle_backend(args.backend))
+        z = eval_fpnp(grid, args.cls, _oracle_backend(args.backend))
+    else:  # auto: the first engine that takes every vertex answers
+        from .tractable import eval_affine, eval_product
+        try:
+            engine, z = "affine", eval_affine(grid)
+        except NonAffineVertex:
+            try:
+                engine, z = "product", eval_product(grid)
+            except NonProductVertex:
+                engine, z = "brute", brute_force_partition(grid)
     result = render_value(z)
     return {"engine": engine, "result": result}, [f"engine: {engine}", f"Z = {result}"], None
 
@@ -317,7 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("interp", help="evaluate a pinned grid by interpolation")
     p.add_argument("grid")
-    p.add_argument("--x", required=True, help="non-root interpolation base")
+    p.add_argument("--x", required=True,
+                   help="non-root interpolation base; write a negative one as --x=-3/2")
     p.set_defaults(fn=_cmd_interp)
 
     p = sub.add_parser("transform", help="support-shape transforms")

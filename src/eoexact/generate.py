@@ -295,19 +295,20 @@ def generating_process(f: Signature,
                        max_steps: int = DEFAULT_STEP_CAP,
                        max_set: int = DEFAULT_SET_CAP,
                        order_cap: int = DEFAULT_ORDER_CAP,
-                       work_cap: int = DEFAULT_WORK_CAP,
                        ) -> tuple[RootDescriptor, GeneratingState]:
     """Run the loop/path closure rounds until a verdict about pins emerges.
 
     Stops at: a zero parameter (a free pin fell out directly), a non-root
     parameter (interpolation applies), a fixed point (finite root group), or
     the caps (order growth versus plain exhaustion, judged by whether the
-    group order kept climbing).
+    group order kept climbing).  DEFAULT_WORK_CAP, read when the process
+    starts, bounds the loop layers' work.
     """
     if not f.is_eo():
         raise NotEO("the generating process is defined on balanced-support signatures")
     if f.arity < 2 or f.arity % 2:
         raise EOError("need even arity at least 2")
+    work_cap = DEFAULT_WORK_CAP
     state = GeneratingState()
     state.recipes[ONE] = None
     current: dict[ExactValue, Recipe | None] = {ONE: None}
@@ -415,26 +416,27 @@ class PinRealizabilityReport(NamedTuple):
 
 def _equal_pair_gadget_exists(f: Signature) -> bool:
     """Whether plain self-loops reach a two-string quaternary gate with both
-    values nonzero (the springboard for duplicating a single pin)."""
+    values nonzero (the springboard for duplicating a single pin).  Loops
+    commute, so each set of closed pairs, as a bitmask over f's port pairs,
+    is closed once, whatever order reaches it."""
+    n = f.arity
+    seen: set[int] = set()
 
-    def quaternaries(sig: Signature):
+    def reaches(sig: Signature, ports: tuple[int, ...], closed: int) -> bool:
         if sig.arity == 4:
-            yield sig
-            return
-        n = sig.arity
-        for i in range(n):
-            for j in range(i + 1, n):
-                g = self_loop(sig, i, j)
-                if not g.is_zero():
-                    yield from quaternaries(g)
-
-    if f.arity < 4:
+            supp = sig.support()
+            return len(supp) == 2 and supp[0] ^ supp[1] == 0b1111
+        for i, j in itertools.combinations(range(sig.arity), 2):
+            key = closed | 1 << (ports[i] * n + ports[j])
+            if key in seen:
+                continue
+            seen.add(key)
+            g = self_loop(sig, i, j)
+            if not g.is_zero() and reaches(g, ports[:i] + ports[i + 1:j] + ports[j + 1:], key):
+                return True
         return False
-    for g in quaternaries(f):
-        supp = g.support()
-        if len(supp) == 2 and supp[0] ^ supp[1] == 0b1111:
-            return True
-    return False
+
+    return n >= 4 and reaches(f, tuple(range(n)), 0)
 
 
 def delta_realizability(f: Signature,

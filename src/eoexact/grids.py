@@ -355,13 +355,6 @@ def gate_signature(grid: Grid) -> Signature:
     return _collapse(grid)
 
 
-def chain_gate(chain: Sequence[Signature]) -> Signature:
-    """Gate of binary signatures in a path: port 2 of each joins port 1 of the next."""
-    verts = [(f"c{t}", sig) for t, sig in enumerate(chain)]
-    edges = [((t, 1), (t + 1, 0)) for t in range(len(chain) - 1)]
-    return gate_signature(Grid.make(verts, edges, [(0, 0), (len(chain) - 1, 1)]))
-
-
 # -- grid files ---------------------------------------------------------------
 
 

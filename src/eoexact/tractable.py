@@ -17,7 +17,6 @@ from collections import Counter
 
 from . import f2
 from .errors import (
-    EOError,
     NonAffineVertex,
     NonProductVertex,
     NotInterpolatable,
@@ -32,17 +31,11 @@ from .grids import (
     Grid,
     Slot,
     brute_force_partition,
-    chain_gate,
     frontier_pass,
     plan_contraction,
     require_valid,
 )
-from .signatures import (
-    BinaryDiseq,
-    Signature,
-    from_entries,
-    pin_signature,
-)
+from .signatures import BinaryDiseq, from_entries, pin_signature
 from .values import ONE, ZERO, ExactValue, as_value, power_product, root_order
 
 
@@ -436,12 +429,14 @@ def eval_fpnp(grid: Grid, class_hint: str, backend=None) -> ExactValue:
 
     Preconditions (checked): every vertex signature has balanced support,
     the signature set is one-sided for triples, and every signature passes
-    the hinted class on all pairings.  After pruning, every occurrence must
-    have affine support and pass the hinted class outright; the engine checks
-    that, and a failure there is a soundness alarm, not a routine error.
+    the hinted class on all pairings.  The hint "auto" picks product when
+    every signature passes the product pairing test, else affine.  After
+    pruning, every occurrence must have affine support and pass that class
+    outright; the engine checks that, and a failure there is a soundness
+    alarm, not a routine error.
     """
     from . import classify
-    if class_hint not in ("affine", "product"):
+    if class_hint not in ("auto", "affine", "product"):
         raise ValueError(f"bad class hint {class_hint!r}")
     if not _require_closed(grid).all_eo:
         raise PreconditionViolated("grid carries a signature with unbalanced support")
@@ -453,18 +448,22 @@ def eval_fpnp(grid: Grid, class_hint: str, backend=None) -> ExactValue:
         raise PreconditionViolated("signature set has a balanced-gap triple")
     if not (all(t.all_up for t in triples) or all(t.all_down for t in triples)):
         raise PreconditionViolated("signature set is not one-sided for triples")
-    for f in distinct:
-        if not classify.membership_all_pairings(f, class_hint).ok:
-            raise PreconditionViolated(
-                f"signature {f.name or f} fails the {class_hint} pairing test")
+    for cls in ("product", "affine") if class_hint == "auto" else (class_hint,):
+        failed = next((f for f in distinct
+                       if not classify.membership_all_pairings(f, cls).ok), None)
+        if failed is None:
+            break
+    else:
+        raise PreconditionViolated(
+            f"signature {failed.name or failed} fails the {cls} pairing test")
 
     pruned = prune_effective(grid, backend)
-    engine = eval_affine if class_hint == "affine" else eval_product
+    engine = eval_affine if cls == "affine" else eval_product
     try:
         return engine(pruned)
     except (NonAffineVertex, NonProductVertex) as exc:
         raise PreconditionViolated(
-            f"soundness alarm: pruned occurrence fails {class_hint} membership "
+            f"soundness alarm: pruned occurrence fails {cls} membership "
             f"({exc})") from None
 
 
@@ -477,13 +476,6 @@ def pin_vertices(grid: Grid) -> list[int]:
     """Indices of vertices carrying the binary pin signature."""
     pin = pin_signature()
     return [i for i, (_, sig) in enumerate(grid.vertices) if sig == pin]
-
-
-def chain_power(x: ExactValue, j: int) -> Signature:
-    """Path of j weighted disequalities != (1, x), realized through a gate."""
-    if j < 1:
-        raise EOError("chain length must be positive")
-    return chain_gate([BinaryDiseq(ONE, x).as_signature()] * j)
 
 
 def _constant_term(nodes: list[ExactValue], values: list[ExactValue]) -> ExactValue:
@@ -504,9 +496,10 @@ def interpolate_delta(grid: Grid, x: ExactValue) -> ExactValue:
     """Recover the pinned partition function from pin-free evaluations.
 
     Each pin occurrence is replaced by the weighted disequality != (1, x^j)
-    for j = 1..m+1 (powers built by path composition); the value with true
-    pins is the constant term of the polynomial through these evaluations.
-    The nodes x^j are distinct because x is not a root of unity.
+    for j = 1..m+1, which a path of j copies of != (1, x) realizes; the
+    value with true pins is the constant term of the polynomial through
+    these evaluations.  The nodes x^j are distinct because x is not a root
+    of unity.
     """
     _require_closed(grid)
     x = as_value(x)
@@ -520,16 +513,12 @@ def interpolate_delta(grid: Grid, x: ExactValue) -> ExactValue:
     if order.kind != "not_root":
         raise NotInterpolatable(
             "interpolation needs a base that is provably not a root of unity")
-    nodes = []
+    nodes = [x ** j for j in range(1, m + 2)]
     rhs = []
-    for j in range(1, m + 2):
-        replacement = chain_power(x, j)
-        expect = BinaryDiseq(ONE, x ** j).as_signature()
-        if replacement != expect:
-            raise EOError("path composition produced an unexpected signature")
+    for xj in nodes:
+        replacement = BinaryDiseq(ONE, xj).as_signature()
         modified = grid
         for vidx in pins:
             modified = modified.with_vertex_signature(vidx, replacement)
-        nodes.append(x ** j)
         rhs.append(brute_force_partition(modified))
     return _constant_term(nodes, rhs)

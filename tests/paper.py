@@ -3,7 +3,8 @@ command, engine or verdict runs: pure supports, the search for one pairing
 that every support string is opposite on, pairing sections and the
 disequality embedding, the support oracle on one string, the single-pin
 reduction through an asymmetric binary gate, the equality signature, the
-view of an arity-2 signature as a binary disequality, and the replay of
+view of an arity-2 signature as a binary disequality, path gates and the
+powers x^j that interpolation reads off them, and the replay of
 generating-process recipes through gates."""
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from eoexact.classify import (
 )
 from eoexact.errors import EOError
 from eoexact.generate import LoopRecipe, Recipe
-from eoexact.grids import Grid, brute_force_partition, chain_gate, gate_signature
+from eoexact.grids import Grid, brute_force_partition, gate_signature
 from eoexact.signatures import BinaryDiseq, Signature, neq2
 from eoexact.tractable import ExhaustiveOracle, _require_closed, pin_vertices
 from eoexact.values import ONE, ExactValue
@@ -213,7 +214,20 @@ def reduce_single_delta(grid: Grid, gate_vertex_cap: int = 3) -> ExactValue:
         f"no asymmetric binary gate with at most {gate_vertex_cap} vertices")
 
 
-# -- recipe replay --------------------------------------------------------------
+# -- path gates and recipe replay ----------------------------------------------
+
+
+def chain_gate(chain: Sequence[Signature]) -> Signature:
+    """Gate of binary signatures in a path: port 2 of each joins port 1 of the next."""
+    verts = [(f"c{t}", sig) for t, sig in enumerate(chain)]
+    edges = [((t, 1), (t + 1, 0)) for t in range(len(chain) - 1)]
+    return gate_signature(Grid.make(verts, edges, [(0, 0), (len(chain) - 1, 1)]))
+
+
+def chain_power(x: ExactValue, j: int) -> Signature:
+    """Path of j >= 1 weighted disequalities != (1, x), realized through a
+    gate: the != (1, x^j) that pin interpolation puts in place of a pin."""
+    return chain_gate([BinaryDiseq(ONE, x).as_signature()] * j)
 
 
 def loop_gadget_grid(f: Signature, recipe: LoopRecipe) -> Grid:

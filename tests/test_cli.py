@@ -493,6 +493,100 @@ def test_eval_auto_falls_back_to_brute(tmp_path, capsys):
     assert (rep["engine"], rep["result"]) == ("brute", "5")
 
 
+def _ring_text(blocks, names):
+    """Grid text of a ring over the named signatures: the second half of
+    each vertex's ports meets the first half of the next one's."""
+    half = int(blocks.split()[3]) // 2  # "signature <name> arity <n>"
+    lines = [blocks] + [f"vertex v{k} {name}" for k, name in enumerate(names)]
+    for k in range(len(names)):
+        nxt = (k + 1) % len(names)
+        lines += [f"edge v{k}.{half + p} v{nxt}.{p}" for p in range(1, half + 1)]
+    return "\n".join(lines) + "\n"
+
+
+DEQ4_RING = _ring_text("signature d0 arity 4\n1100 1\n0011 1\n"
+                       "signature d1 arity 4\n1100 i\n0011 1\n"
+                       "signature d2 arity 4\n1100 -1\n0011 1\n"
+                       "signature d3 arity 4\n1100 1\n0011 -1",
+                       ["d0", "d1", "d2", "d3"])
+# g6 is product-class but not affine: z8 is no power of i
+G6_RING = _ring_text("signature g6 arity 6\n010101 1\n101010 z8", ["g6"] * 3)
+
+
+def _counting(monkeypatch, name):
+    """Calls of classify.<name>, recorded by class where it takes one."""
+    from eoexact import classify
+    calls = []
+    real = getattr(classify, name)
+
+    def counting(f, *rest):
+        calls.append(rest)
+        return real(f, *rest)
+
+    monkeypatch.setattr(classify, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("text, field, argv, name, count, engine, result", [
+    (DEQ4_RING, "gauss", ["--engine", "auto"], "membership_affine", 4, "affine", "-1-i"),
+    (G6_RING, "zeta:8", ["--engine", "auto"], "membership_product", 1, "product", "1 + z8^3"),
+    (G6_RING, "zeta:8", ["--engine", "fpnp"], "membership_all_pairings", 1, "fpnp", "1 + z8^3"),
+], ids=["auto-affine", "auto-product", "fpnp-class-auto"])
+def test_eval_decides_each_class_once(tmp_path, capsys, monkeypatch, text, field, argv,
+                                      name, count, engine, result):
+    # auto certifies through the engine that answers, and fpnp --class auto
+    # walks the pairings of each signature once per class it tries
+    grid = tmp_path / "ring.grid"
+    grid.write_text(text)
+    monkeypatch.setenv("EO_FIELD", field)
+    calls = _counting(monkeypatch, name)
+    code, _, rep = run_cli(capsys, ["eval", *argv, str(grid)])
+    assert code == 0 and (rep["engine"], rep["result"]) == (engine, result)
+    assert len(calls) == count
+    assert rep["result"] == run_cli(capsys, ["eval", str(grid)])[2]["result"]
+
+
+@pytest.mark.parametrize("text, result", [
+    # the zero vertex comes first, so the affine engine answers 0 before it
+    # reads the non-affine one
+    ("signature z arity 4\nsignature m arity 4\n1100 1\n1010 1\n1001 2\n"
+     "vertex a z\nvertex b m\n" + "".join(f"edge a.{p} b.{p}\n" for p in range(1, 5)), "0"),
+    ("# no vertices\n", "1"),
+], ids=["zero-first", "no-vertices"])
+def test_eval_auto_labels_what_the_affine_engine_answers(tmp_path, capsys, text, result):
+    grid = tmp_path / "g.grid"
+    grid.write_text(text)
+    code, human, rep = run_cli(capsys, ["eval", "--engine", "auto", str(grid)])
+    assert code == 0 and human.startswith(f"engine: affine\nZ = {result}\n")
+    assert (rep["engine"], rep["result"]) == ("affine", result)
+
+
+def test_eval_auto_on_an_open_grid_exit_code(workdir, capsys):
+    grid = workdir / "open.grid"
+    grid.write_text("use sigs.sig\nvertex v1 deq4\nedge v1.1 v1.3\ndangle v1.2\ndangle v1.4\n")
+    assert main(["eval", "--engine", "auto", str(grid)]) == 1
+    assert capsys.readouterr().err == "error: OpenGridError: operation needs a closed grid\n"
+
+
+def test_eval_fpnp_refuses_an_unbalanced_signature(tmp_path, capsys):
+    grid = tmp_path / "u.grid"
+    grid.write_text("signature u arity 2\n11 1\nvertex v u\nedge v.1 v.2\n")
+    for cls in ("auto", "affine", "product"):
+        assert main(["eval", "--engine", "fpnp", "--class", cls, str(grid)]) == 1
+        assert capsys.readouterr().err == ("error: PreconditionViolated: grid carries "
+                                           "a signature with unbalanced support\n")
+
+
+def test_interp_takes_a_negative_base_after_an_equals_sign(capsys):
+    # argparse reads "-3/2" after a space as an option and stops at usage
+    grid = str(FIXTURES / "pinned.grid")
+    code, human, rep = run_cli(capsys, ["interp", grid, "--x=-3/2"])
+    assert code == 0 and (rep["x"], rep["result"]) == ("-3/2", "1")
+    assert main(["interp", grid, "--x", "-3/2"]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        "eo interp: error: argument --x: expected one argument"
+
+
 def test_backend_with_unbalanced_quotes_exit_code(capsys):
     assert main(["prune", str(FIXTURES / "pinned.grid"), "--backend", 'external:"']) == 2
     assert capsys.readouterr().err == \

@@ -33,6 +33,7 @@ from paper import as_binary_diseq, replay_recipe
 from tests_helpers import (
     rand_cyclotomic,
     rand_nonzero_value,
+    reference_equal_pair_gadget_exists,
     reference_generating_process,
     reference_loop_layer,
 )
@@ -222,6 +223,27 @@ def test_arity_2_has_no_equal_pair_gadget():
     rep = delta_realizability(gen_diseq("10", 1, -1))
     assert not rep.equal_pair_gadget
     assert rep.route == "negation_regime" and rep.consistent
+
+
+def test_equal_pair_gadget_search_matches_every_order():
+    # seeded supports of 2 to 5 balanced strings at arity 4-10, complementary
+    # pairs (which keep two complementary strings under any loops) among
+    # them, and dense tables up to arity 8
+    rng = random.Random(43)
+    sigs = []
+    for arity in (4, 6, 8, 10):
+        balanced = [m for m in range(1 << arity) if bin(m).count("1") * 2 == arity]
+        for size in (2, 2, 3, 4, 5):
+            sigs.append(from_entries(arity, {m: rand_nonzero_value(rng)
+                                             for m in rng.sample(balanced, size)}))
+        alpha = "".join(rng.sample("01" * (arity // 2), arity))
+        sigs.append(gen_diseq(alpha, rand_nonzero_value(rng), rand_nonzero_value(rng)))
+        sigs.append(tensor(gen_diseq(alpha[:2], 1, 1), gen_diseq(alpha[2:], 1, 2))
+                    if arity > 4 else diseq(4))
+    sigs += [_dense_balanced(rng, arity) for arity in (4, 6, 8)]
+    got = [generate._equal_pair_gadget_exists(f) for f in sigs]
+    assert got == [reference_equal_pair_gadget_exists(f) for f in sigs]
+    assert got.count(True) >= 8 and got.count(False) >= 8
 
 
 def _stub_layer(rounds):
@@ -460,10 +482,12 @@ def test_loop_layer_matches_reference_on_seeded_sets():
     assert cosets >= 12 and folded >= 14
 
 
-def _run(f, layer, monkeypatch, **caps):
+def _run(f, layer, monkeypatch, work_cap=None):
     with monkeypatch.context() as patch:
         patch.setattr(generate, "_loop_layer", layer)
-        desc, state = generating_process(f, **caps)
+        if work_cap is not None:
+            patch.setattr(generate, "DEFAULT_WORK_CAP", work_cap)
+        desc, state = generating_process(f)
     return desc.to_json(), repr(list(state.recipes.items())), repr(state.steps), state
 
 

@@ -34,7 +34,6 @@ from eoexact.tractable import (
     ExhaustiveOracle,
     _power_product,
     ExternalOracle,
-    chain_power,
     effective_support,
     encode_support_query,
     eval_affine,
@@ -47,6 +46,7 @@ from eoexact.values import ExactValue, I, ONE, ZERO
 from paper import (
     NoAsymmetricGateFound,
     StringNotInSupport,
+    chain_power,
     reduce_single_delta,
     support_oracle,
 )
@@ -846,6 +846,30 @@ def test_eval_fpnp_refuses_a_failed_pairing_test():
         eval_fpnp(grid, "affine")
 
 
+AFFINE_ONLY = from_entries(4, {"0011": 1, "0101": 1, "1010": 1, "1100": -1})
+PRODUCT_ONLY = gen_diseq("0101", 1, 2)  # 2 is no power of i
+
+
+@pytest.mark.parametrize("sig, cls, other", [
+    (PRODUCT_ONLY, "product", "affine"),
+    (AFFINE_ONLY, "affine", "product"),
+], ids=["product-only", "affine-only"])
+def test_eval_fpnp_auto_takes_the_class_that_passes(sig, cls, other):
+    grid = deq4_ring([sig] * 4)
+    got = eval_fpnp(grid, "auto", ExhaustiveOracle())
+    assert got == eval_fpnp(grid, cls, ExhaustiveOracle()) == brute_force_partition(grid)
+    assert not got.is_zero()
+    with pytest.raises(PreconditionViolated, match=f"fails the {other} pairing test"):
+        eval_fpnp(grid, other)
+
+
+def test_eval_fpnp_auto_names_the_class_it_tried_last():
+    # product refuses the affine-only vertex, then affine the product-only one
+    grid = deq4_ring([AFFINE_ONLY, PRODUCT_ONLY])
+    with pytest.raises(PreconditionViolated, match="fails the affine pairing test"):
+        eval_fpnp(grid, "auto")
+
+
 def test_eval_fpnp_of_a_zero_signature_is_zero():
     # a zero vertex gives every assignment weight 0: no engine runs, no query
     class Unqueried:
@@ -855,7 +879,7 @@ def test_eval_fpnp_of_a_zero_signature_is_zero():
     grid = Grid.make([("a", diseq(4)), ("z", Signature(4, {}))],
                      [((0, p), (1, p)) for p in range(4)])
     assert brute_force_partition(grid) == ZERO
-    for hint in ("affine", "product"):
+    for hint in ("auto", "affine", "product"):
         assert eval_fpnp(grid, hint, Unqueried()) == ZERO
 
 

@@ -27,7 +27,14 @@ from eoexact.f2 import AffineSpace
 from eoexact.generate import GeneratingState, LoopRecipe, LoopSpec
 from eoexact.gauss import Z4Form, gauss_sum
 from eoexact.grids import Grid, Plan
-from eoexact.signatures import BinaryDiseq, Signature, diseq, from_entries, pin_signature
+from eoexact.signatures import (
+    BinaryDiseq,
+    Signature,
+    diseq,
+    from_entries,
+    pin_signature,
+    self_loop,
+)
 from eoexact.tractable import _certificates, _require_closed
 from eoexact.values import (
     GAUSS_MODE,
@@ -1161,14 +1168,38 @@ def reference_loop_layer(f: Signature, weights: Sequence[ExactValue],
     return out
 
 
+def reference_equal_pair_gadget_exists(f: Signature) -> bool:
+    """generate._equal_pair_gadget_exists as it was before it closed each
+    set of port pairs once: every order of plain self-loops, recursively."""
+
+    def quaternaries(sig: Signature):
+        if sig.arity == 4:
+            yield sig
+            return
+        n = sig.arity
+        for i in range(n):
+            for j in range(i + 1, n):
+                g = self_loop(sig, i, j)
+                if not g.is_zero():
+                    yield from quaternaries(g)
+
+    if f.arity < 4:
+        return False
+    for g in quaternaries(f):
+        supp = g.support()
+        if len(supp) == 2 and supp[0] ^ supp[1] == 0b1111:
+            return True
+    return False
+
+
 def reference_generating_process(f: Signature,
                                  max_steps: int = generate.DEFAULT_STEP_CAP,
                                  max_set: int = generate.DEFAULT_SET_CAP,
-                                 order_cap: int = generate.DEFAULT_ORDER_CAP,
-                                 work_cap: int = generate.DEFAULT_WORK_CAP):
+                                 order_cap: int = generate.DEFAULT_ORDER_CAP):
     """generate.generating_process as it was before it skipped root_order on
     layer parameters already in the closure: every parameter of every layer
     gets root_order (looked up on generate, where tests patch it)."""
+    work_cap = generate.DEFAULT_WORK_CAP
     state = GeneratingState()
     state.recipes[ONE] = None
     current: dict = {ONE: None}
