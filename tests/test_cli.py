@@ -220,8 +220,10 @@ def test_domain_error_exit_code(workdir, capsys, tmp_path):
     open_grid = tmp_path / "open.grid"
     open_grid.write_text("use " + str(workdir / "sigs.sig") +
                          "\nvertex v1 deq4\nedge v1.1 v1.3\ndangle v1.2\ndangle v1.4\n")
-    code = main(["eval", "--engine", "brute", str(open_grid)])
-    assert code == 1
+    for engine, needs in (("brute", "partition function needs a closed grid; use gate_signature"),
+                          ("auto", "operation needs a closed grid")):
+        assert main(["eval", "--engine", engine, str(open_grid)]) == 1
+        assert capsys.readouterr().err == f"error: OpenGridError: {needs}\n"
 
 
 @pytest.mark.parametrize("argv", [["eval", "--engine", "brute", "missing.grid"],
@@ -559,13 +561,6 @@ def test_eval_auto_labels_what_the_affine_engine_answers(tmp_path, capsys, text,
     code, human, rep = run_cli(capsys, ["eval", "--engine", "auto", str(grid)])
     assert code == 0 and human.startswith(f"engine: affine\nZ = {result}\n")
     assert (rep["engine"], rep["result"]) == ("affine", result)
-
-
-def test_eval_auto_on_an_open_grid_exit_code(workdir, capsys):
-    grid = workdir / "open.grid"
-    grid.write_text("use sigs.sig\nvertex v1 deq4\nedge v1.1 v1.3\ndangle v1.2\ndangle v1.4\n")
-    assert main(["eval", "--engine", "auto", str(grid)]) == 1
-    assert capsys.readouterr().err == "error: OpenGridError: operation needs a closed grid\n"
 
 
 def test_eval_fpnp_refuses_an_unbalanced_signature(tmp_path, capsys):
